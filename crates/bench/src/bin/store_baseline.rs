@@ -104,7 +104,8 @@ fn main() {
     }
 
     // --- Point throughput: store with warm cache, store with caching
-    // disabled (every query revalidates its segment), per-file views.
+    // disabled (every query re-parses its segment's headers; each segment
+    // is verified once, on its first touch), per-file views.
     let warm = Store::open(pack.clone()).expect("open store");
     for (&s, &k) in sidx.iter().zip(&pidx) {
         // Warm the cache with one pass so the timed pass measures hits.

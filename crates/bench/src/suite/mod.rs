@@ -1,6 +1,6 @@
 //! The unified codec suite behind `neats bench all`.
 //!
-//! One [`Codec`](codecs::Codec) trait covers NeaTS (lossless and lossy,
+//! One [`Codec`] trait covers NeaTS (lossless and lossy,
 //! owned and zero-copy view) and every baseline compressor in the
 //! evaluation; [`shapes::Shape`] widens the dataset matrix with adversarial
 //! inputs; [`matrix`] sweeps the full cross-product, checks conformance

@@ -1094,6 +1094,14 @@ impl Ingestor {
         lockr(&self.shared).gen.store.quarantine_events()
     }
 
+    /// Times the sealed store of the current generation ran its O(bytes)
+    /// segment verification (see `Store::segment_verifications`). Resets
+    /// when a seal or compaction swaps in a fresh generation, whose
+    /// segments all start unverified.
+    pub fn segment_verifications(&self) -> u64 {
+        lockr(&self.shared).gen.store.segment_verifications()
+    }
+
     /// Registers the ingestor's write-path metric families into `reg`:
     /// WAL append / fsync and seal latency histograms, event counters
     /// (seals, compactions, degraded transitions, replayed ops, repairs),

@@ -414,8 +414,7 @@ impl NeaTSCompressed {
         let offsets = succinct::EliasFano::read(r)?;
         let corrections = BitBuf::read(r)?;
         let kinds = WaveletMatrix::read(r)?;
-        let kind_table = crate::serial::read_kind_table(r)?;
-        let params = crate::serial::read_params(r, &kind_table)?;
+        let (kind_table, params) = crate::serial::KindParams::read(r)?.into_owned_parts();
         let origin_deltas = PackedVec::read(r)?;
 
         let m = widths.len();

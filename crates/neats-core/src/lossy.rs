@@ -270,8 +270,7 @@ impl NeaTSLossy {
         let eps = r.u64()?;
         let starts = EliasFano::read(r)?;
         let kinds = WaveletMatrix::read(r)?;
-        let kind_table = crate::serial::read_kind_table(r)?;
-        let params = crate::serial::read_params(r, &kind_table)?;
+        let (kind_table, params) = crate::serial::KindParams::read(r)?.into_owned_parts();
         let origin_deltas = PackedVec::read(r)?;
         let m = starts.len();
         if kinds.len() != m || origin_deltas.len() != m {

@@ -298,7 +298,8 @@ pub enum Stage {
     Route = 1,
     /// Segment-view cache lookup (hit probe + insert).
     Cache = 2,
-    /// Segment open: checksum + structural validation on a cache miss.
+    /// Segment open on a cache miss: verify (checksums + structural
+    /// validation) + parse on a segment's first touch, parse alone after.
     Decode = 3,
     /// Response body rendering from decoded values.
     Render = 4,

@@ -27,7 +27,7 @@
 //! buffer with a correct checksum can never cause a panic or out-of-bounds
 //! read.
 
-use crate::fit::Kind;
+use crate::fit::{Kind, Params};
 use crate::layout::NeaTSCompressed;
 use crate::lossy::NeaTSLossy;
 use succinct::{Crc64, U64sView, WireError, WireReader, WireWriter};
@@ -138,10 +138,52 @@ pub(crate) fn frame(flavor: ArchiveFlavor, payload: SectionWriter) -> Vec<u8> {
     out
 }
 
-/// Validates the container frame of `data` and returns its flavor, section
-/// table, and payload slice. Performs no allocation proportional to the
-/// archive; the CRC pass is one sequential read.
-pub(crate) fn parse_frame(data: &[u8]) -> Result<(ArchiveFlavor, Vec<Section>, &[u8]), WireError> {
+/// A parsed container frame: the flavor, the payload slice, and what the
+/// checksum pass needs. Parsing ([`parse_frame`]) is O(sections) and
+/// allocation-free; the one O(bytes) step, the CRC, is
+/// [`Frame::verify_checksum`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Frame<'a> {
+    pub(crate) flavor: ArchiveFlavor,
+    pub(crate) payload: &'a [u8],
+    /// Every byte before the checksum field (the CRC covers it).
+    header: &'a [u8],
+    /// The `(offset, length)` pairs of the section table, 16 bytes each,
+    /// already checked to tile the payload.
+    table: &'a [u8],
+    stored_crc: u64,
+}
+
+impl Frame<'_> {
+    /// Recomputes CRC-64/XZ over header + payload (one sequential read of
+    /// the whole archive) and compares it with the stored checksum.
+    pub(crate) fn verify_checksum(&self) -> Result<(), WireError> {
+        let mut crc = Crc64::new();
+        crc.update(self.header);
+        crc.update(self.payload);
+        if crc.finish() != self.stored_crc {
+            return Err(WireError::Corrupt("checksum mismatch"));
+        }
+        Ok(())
+    }
+
+    /// The section table, named per flavor.
+    pub(crate) fn sections(&self) -> Vec<Section> {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes")) as usize;
+        self.flavor
+            .section_names()
+            .iter()
+            .zip(self.table.chunks_exact(16))
+            .map(|(&name, e)| Section { name, offset: word(&e[..8]), len: word(&e[8..]) })
+            .collect()
+    }
+}
+
+/// Parses the container frame of `data`: magic, version, flavor, a section
+/// table that tiles the payload, and exact total length. Checks everything
+/// except the checksum ([`Frame::verify_checksum`]); never panics, never
+/// allocates.
+pub(crate) fn parse_frame(data: &[u8]) -> Result<Frame<'_>, WireError> {
     let mut r = WireReader::new(data);
     if r.u64()? != FRAME_MAGIC {
         return Err(WireError::Corrupt("bad container magic"));
@@ -154,27 +196,27 @@ pub(crate) fn parse_frame(data: &[u8]) -> Result<(ArchiveFlavor, Vec<Section>, &
         1 => ArchiveFlavor::Lossy,
         _ => return Err(WireError::Corrupt("unknown archive flavor")),
     };
-    let names = flavor.section_names();
-    if r.read_len()? != names.len() {
+    let count = flavor.section_names().len();
+    if r.read_len()? != count {
         return Err(WireError::Corrupt("section count"));
     }
-    let mut sections = Vec::with_capacity(names.len());
+    let table_start = r.pos();
     let mut expect_off = 0usize;
-    for &name in names {
+    for _ in 0..count {
         let offset = r.read_len()?;
         let len = r.read_len()?;
         if offset != expect_off {
             return Err(WireError::Corrupt("section table not contiguous"));
         }
         expect_off = offset.checked_add(len).ok_or(WireError::Corrupt("section table overflow"))?;
-        sections.push(Section { name, offset, len });
     }
+    let table = &data[table_start..r.pos()];
     let payload_len = r.read_len()?;
     if payload_len != expect_off {
         return Err(WireError::Corrupt("section table does not cover payload"));
     }
-    let header_end = r.pos();
-    let stored = r.u64()?;
+    let header = &data[..r.pos()];
+    let stored_crc = r.u64()?;
     if r.remaining() < payload_len {
         return Err(WireError::Truncated);
     }
@@ -182,13 +224,22 @@ pub(crate) fn parse_frame(data: &[u8]) -> Result<(ArchiveFlavor, Vec<Section>, &
         return Err(WireError::Corrupt("trailing bytes"));
     }
     let payload = &data[data.len() - payload_len..];
-    let mut crc = Crc64::new();
-    crc.update(&data[..header_end]);
-    crc.update(payload);
-    if crc.finish() != stored {
-        return Err(WireError::Corrupt("checksum mismatch"));
+    Ok(Frame { flavor, payload, header, table, stored_crc })
+}
+
+/// Parses the frame of `data`, verifies its checksum, and requires `want`
+/// as its flavor — the frame half of the owned `from_bytes` readers.
+fn checked_payload<'a>(
+    data: &'a [u8],
+    want: ArchiveFlavor,
+    wrong_flavor: &'static str,
+) -> Result<WireReader<'a>, WireError> {
+    let frame = parse_frame(data)?;
+    frame.verify_checksum()?;
+    if frame.flavor != want {
+        return Err(WireError::Corrupt(wrong_flavor));
     }
-    Ok((flavor, sections, payload))
+    Ok(WireReader::new(frame.payload))
 }
 
 /// Reads an archive's flavor and section table without decoding the payload
@@ -196,8 +247,9 @@ pub(crate) fn parse_frame(data: &[u8]) -> Result<(ArchiveFlavor, Vec<Section>, &
 /// [`crate::view::ArchiveView::open_with_sections`] to get the view and the
 /// table from a single parse). The checksum is still verified.
 pub fn frame_info(data: &[u8]) -> Result<(ArchiveFlavor, Vec<Section>), WireError> {
-    let (flavor, sections, _) = parse_frame(data)?;
-    Ok((flavor, sections))
+    let frame = parse_frame(data)?;
+    frame.verify_checksum()?;
+    Ok((frame.flavor, frame.sections()))
 }
 
 pub(crate) fn write_kind_table(w: &mut WireWriter, table: &[Kind]) {
@@ -207,16 +259,6 @@ pub(crate) fn write_kind_table(w: &mut WireWriter, table: &[Kind]) {
     }
 }
 
-pub(crate) fn read_kind_table(r: &mut WireReader<'_>) -> Result<Vec<Kind>, WireError> {
-    let n = r.read_len()?;
-    if n > Kind::ALL.len() {
-        return Err(WireError::Corrupt("kind table too large"));
-    }
-    (0..n)
-        .map(|_| Kind::from_tag(r.u8()?).ok_or(WireError::Corrupt("unknown kind tag")))
-        .collect()
-}
-
 pub(crate) fn write_params(w: &mut WireWriter, params: &[Vec<u64>]) {
     w.u64(params.len() as u64);
     for p in params {
@@ -224,33 +266,75 @@ pub(crate) fn write_params(w: &mut WireWriter, params: &[Vec<u64>]) {
     }
 }
 
-/// Borrowed read of the per-kind parameter arrays: one [`U64sView`] per kind
-/// table entry, validated for arity.
-pub(crate) fn read_params_ref<'a>(
-    r: &mut WireReader<'a>,
-    kind_table: &[Kind],
-) -> Result<Vec<U64sView<'a>>, WireError> {
-    let n = r.read_len()?;
-    if n != kind_table.len() {
-        return Err(WireError::Corrupt("params arity"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for &kind in kind_table {
-        let p = r.u64s_ref()?;
-        if !p.len().is_multiple_of(kind.param_count()) {
-            return Err(WireError::Corrupt("params not a multiple of arity"));
-        }
-        out.push(p);
-    }
-    Ok(out)
+/// The kind table and the per-kind parameter words of an archive, read into
+/// fixed inline storage (a table never has more than [`Kind::ALL`]`.len()`
+/// entries), so parsing them performs no heap allocation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KindParams<'a> {
+    len: usize,
+    kinds: [Kind; Kind::ALL.len()],
+    params: [U64sView<'a>; Kind::ALL.len()],
 }
 
-pub(crate) fn read_params(
-    r: &mut WireReader<'_>,
-    kind_table: &[Kind],
-) -> Result<Vec<Vec<u64>>, WireError> {
-    // Route through the borrowed reader; the owned path materialises once.
-    Ok(read_params_ref(r, kind_table)?.into_iter().map(|p| p.to_vec()).collect())
+impl<'a> KindParams<'a> {
+    /// Reads the kind-table and params sections, validating tags, arity
+    /// (one parameter array per table entry) and that every array's length
+    /// is a multiple of its kind's parameter count.
+    pub(crate) fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        let len = r.read_len()?;
+        if len > Kind::ALL.len() {
+            return Err(WireError::Corrupt("kind table too large"));
+        }
+        let mut kinds = [Kind::Linear; Kind::ALL.len()];
+        for slot in &mut kinds[..len] {
+            *slot = Kind::from_tag(r.u8()?).ok_or(WireError::Corrupt("unknown kind tag"))?;
+        }
+        if r.read_len()? != len {
+            return Err(WireError::Corrupt("params arity"));
+        }
+        let mut params = [U64sView::default(); Kind::ALL.len()];
+        for (slot, kind) in params.iter_mut().zip(&kinds[..len]) {
+            let p = r.u64s_ref()?;
+            if !p.len().is_multiple_of(kind.param_count()) {
+                return Err(WireError::Corrupt("params not a multiple of arity"));
+            }
+            *slot = p;
+        }
+        Ok(Self { len, kinds, params })
+    }
+
+    /// The kind table: symbol → kind.
+    #[inline]
+    pub(crate) fn kinds(&self) -> &[Kind] {
+        &self.kinds[..self.len]
+    }
+
+    /// Per kind-table entry: the borrowed concatenated parameter words.
+    #[inline]
+    pub(crate) fn params(&self) -> &[U64sView<'a>] {
+        &self.params[..self.len]
+    }
+
+    /// The kind and parameters of the `rank`-th fragment (in fragment order)
+    /// using kind-table entry `sym`.
+    #[inline]
+    pub(crate) fn model(&self, sym: u8, rank: usize) -> (Kind, Params) {
+        let kind = self.kinds()[sym as usize];
+        let pc = kind.param_count();
+        let base = rank * pc;
+        let arr = &self.params()[sym as usize];
+        let params = Params {
+            m: f64::from_bits(arr.get(base)),
+            b: f64::from_bits(arr.get(base + 1)),
+            extra: if pc == 3 { f64::from_bits(arr.get(base + 2)) } else { 0.0 },
+        };
+        (kind, params)
+    }
+
+    /// Owned copies for the materialising decode path.
+    pub(crate) fn into_owned_parts(self) -> (Vec<Kind>, Vec<Vec<u64>>) {
+        (self.kinds().to_vec(), self.params().iter().map(|p| p.to_vec()).collect())
+    }
 }
 
 impl NeaTSCompressed {
@@ -265,11 +349,7 @@ impl NeaTSCompressed {
     /// Deserialises a buffer produced by [`Self::to_bytes`], verifying the
     /// checksum and validating all structural invariants.
     pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
-        let (flavor, _, payload) = parse_frame(data)?;
-        if flavor != ArchiveFlavor::Lossless {
-            return Err(WireError::Corrupt("not a lossless archive"));
-        }
-        let mut r = WireReader::new(payload);
+        let mut r = checked_payload(data, ArchiveFlavor::Lossless, "not a lossless archive")?;
         let v = Self::read_wire(&mut r)?;
         if !r.is_exhausted() {
             return Err(WireError::Corrupt("trailing bytes"));
@@ -288,11 +368,7 @@ impl NeaTSLossy {
 
     /// Deserialises a buffer produced by [`Self::to_bytes`].
     pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
-        let (flavor, _, payload) = parse_frame(data)?;
-        if flavor != ArchiveFlavor::Lossy {
-            return Err(WireError::Corrupt("not a lossy archive"));
-        }
-        let mut r = WireReader::new(payload);
+        let mut r = checked_payload(data, ArchiveFlavor::Lossy, "not a lossy archive")?;
         let v = Self::read_wire(&mut r)?;
         if !r.is_exhausted() {
             return Err(WireError::Corrupt("trailing bytes"));

@@ -7,10 +7,25 @@
 //! many archives cannot afford that per open. `ArchiveView::open` instead
 //! validates the container frame (checksum + structural invariants) *once*
 //! and then answers `at(k)`, `range(..)`, scans and the aggregate queries
-//! directly over the borrowed `&[u8]`, with no heap allocation proportional
-//! to the archive: the succinct structures are read through the borrowed
-//! views of [`succinct::views`], whose rank/select directories are persisted
-//! in the archive rather than rebuilt.
+//! directly over the borrowed `&[u8]`, with no heap allocation at all: the
+//! succinct structures are read through the borrowed views of
+//! [`succinct::views`], whose rank/select directories are persisted in the
+//! archive rather than rebuilt.
+//!
+//! Opening is two steps, and [`ArchiveView::open`] is literally one after
+//! the other:
+//!
+//! * [`ArchiveView::parse`] — O(sections): frame header, section table,
+//!   every structure's header and the cross-structure counts. Bounds-checked
+//!   and panic-free on any bytes, no allocation.
+//! * [`ArchiveView::verify`] — O(bytes): the frame CRC, the rank/select
+//!   directories, the kind-symbol census and the fragment-geometry walk.
+//!   Only after it succeeds are queries guaranteed in bounds.
+//!
+//! Untrusted bytes go through `open`. `parse` alone is for a caller that
+//! holds bytes which already passed `open` and cannot have changed since —
+//! the store re-parses an immutable, already-verified segment on a cache
+//! miss instead of re-running the O(bytes) pass.
 //!
 //! Query semantics are equal to the owned types **by differential testing**
 //! (`tests/view_differential.rs`), not merely by construction: every answer
@@ -18,17 +33,17 @@
 //! the same bytes, for lossless and lossy archives alike.
 
 use crate::aggregate::{fragment_model_extremes, fragment_model_sum, Estimate};
-use crate::fit::{model_value, Fragment, Kind, Params};
-use crate::serial::{self, ArchiveFlavor, Section};
+use crate::fit::{model_value, Fragment, Kind};
+use crate::serial::{self, ArchiveFlavor, Frame, KindParams, Section};
 use std::ops::Range;
 use succinct::{
     BitBufView, BitVectorView, EliasFanoIterView, EliasFanoView, OnesIterView, PackedVecView,
-    U64sView, WaveletMatrixView, WireError, WireReader,
+    WaveletMatrixView, WireError, WireReader,
 };
 
 /// Borrowed fragment-start index `S` in either representation (mirrors the
 /// owned `StartIndex` of [`crate::layout`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum StartIndexView<'a> {
     Ef(EliasFanoView<'a>),
     Bv(BitVectorView<'a>),
@@ -61,6 +76,14 @@ impl<'a> StartIndexView<'a> {
         }
     }
 
+    /// Verifies the rank/select directories.
+    fn validate(&self) -> Result<(), WireError> {
+        match self {
+            StartIndexView::Ef(ef) => ef.validate(),
+            StartIndexView::Bv(bv) => bv.validate(),
+        }
+    }
+
     /// Streaming iterator over all fragment starts in order.
     fn iter(&self) -> StartIterView<'a> {
         match self {
@@ -86,6 +109,28 @@ impl Iterator for StartIterView<'_> {
             StartIterView::Bv(it) => it.next(),
         }
     }
+}
+
+/// Kind symbols: per-symbol ranks at `m` give the counts in O(σ·log σ); each
+/// must match its parameter array, and they sum to `m` iff no out-of-table
+/// symbol occurs anywhere.
+fn verify_kind_symbols(
+    kinds: &WaveletMatrixView<'_>,
+    kind_params: &KindParams<'_>,
+    m: usize,
+) -> Result<(), WireError> {
+    let mut total_syms = 0usize;
+    for (sym, (kind, params)) in kind_params.kinds().iter().zip(kind_params.params()).enumerate() {
+        let count = kinds.rank(sym as u8, m);
+        if params.len() != count * kind.param_count() {
+            return Err(WireError::Corrupt("params length"));
+        }
+        total_syms += count;
+    }
+    if total_syms != m {
+        return Err(WireError::Corrupt("kind symbol"));
+    }
+    Ok(())
 }
 
 /// A zero-copy view over a serialized archive of either flavor.
@@ -115,24 +160,66 @@ impl<'a> ArchiveView<'a> {
     /// [`NeaTSCompressed::to_bytes`](crate::NeaTSCompressed::to_bytes) or
     /// [`NeaTSLossy::to_bytes`](crate::NeaTSLossy::to_bytes): verifies the
     /// frame checksum, validates every structural invariant the query
-    /// algorithms rely on, and borrows all payloads in place.
+    /// algorithms rely on, and borrows all payloads in place. The one entry
+    /// point for untrusted bytes: [`Self::parse`], then [`Self::verify`].
     pub fn open(data: &'a [u8]) -> Result<Self, WireError> {
-        Ok(Self::open_with_sections(data)?.0)
+        let view = Self::parse(data)?;
+        view.verify()?;
+        Ok(view)
     }
 
     /// [`Self::open`], additionally returning the frame's section table —
     /// one parse and one checksum pass serve both (the `neats stat` path).
     pub fn open_with_sections(data: &'a [u8]) -> Result<(Self, Vec<Section>), WireError> {
-        let (flavor, sections, payload) = serial::parse_frame(data)?;
-        let mut r = WireReader::new(payload);
-        let view = match flavor {
-            ArchiveFlavor::Lossless => ArchiveView::Lossless(LosslessView::read(&mut r)?),
-            ArchiveFlavor::Lossy => ArchiveView::Lossy(LossyView::read(&mut r)?),
+        let view = Self::open(data)?;
+        let sections = view.frame().sections();
+        Ok((view, sections))
+    }
+
+    /// The O(sections) half of [`Self::open`]: parses the frame header and
+    /// every structure's header, borrowing all payloads in place, without
+    /// reading the payloads themselves. Never panics and never allocates,
+    /// whatever the bytes; corrupt headers are an `Err`.
+    ///
+    /// **Valid on its own only for bytes that already passed [`Self::open`]
+    /// and have not changed since.** Nothing here checks the checksum, the
+    /// rank/select directories or the fragment geometry, so querying a
+    /// parsed-only view of other bytes may panic or answer nonsense (never
+    /// undefined behaviour: every read is bounds-checked). The store's
+    /// segment cache is the intended caller: pack bytes are immutable for
+    /// the life of a `Store`, so a segment verified once is re-parsed, not
+    /// re-verified, on later cache misses.
+    pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
+        let frame = serial::parse_frame(data)?;
+        let mut r = WireReader::new(frame.payload);
+        let view = match frame.flavor {
+            ArchiveFlavor::Lossless => ArchiveView::Lossless(LosslessView::parse(frame, &mut r)?),
+            ArchiveFlavor::Lossy => ArchiveView::Lossy(LossyView::parse(frame, &mut r)?),
         };
         if !r.is_exhausted() {
             return Err(WireError::Corrupt("trailing bytes"));
         }
-        Ok((view, sections))
+        Ok(view)
+    }
+
+    /// The O(bytes) half of [`Self::open`], over the bytes this view was
+    /// parsed from: the frame CRC, then every invariant the query algorithms
+    /// rely on (rank/select directories, kind symbols within the table and
+    /// matching the parameter arrays, fragments tiling `0..len` with
+    /// consistent correction offsets and origins).
+    pub fn verify(&self) -> Result<(), WireError> {
+        self.frame().verify_checksum()?;
+        match self {
+            ArchiveView::Lossless(v) => v.verify(),
+            ArchiveView::Lossy(v) => v.verify(),
+        }
+    }
+
+    fn frame(&self) -> &Frame<'a> {
+        match self {
+            ArchiveView::Lossless(v) => &v.frame,
+            ArchiveView::Lossy(v) => &v.frame,
+        }
     }
 
     /// Number of data points represented.
@@ -259,6 +346,8 @@ impl<'a> ArchiveView<'a> {
 /// query surface over borrowed bytes.
 #[derive(Clone, Debug)]
 pub struct LosslessView<'a> {
+    /// The container frame the view was parsed from (for the CRC pass).
+    frame: Frame<'a>,
     n: usize,
     shift: i64,
     starts: StartIndexView<'a>,
@@ -266,17 +355,15 @@ pub struct LosslessView<'a> {
     offsets: EliasFanoView<'a>,
     corrections: BitBufView<'a>,
     kinds: WaveletMatrixView<'a>,
-    /// Distinct kinds in use (≤ 11 entries — not archive-proportional).
-    kind_table: Vec<Kind>,
-    /// Per kind-table entry: borrowed concatenated parameter words.
-    params: Vec<U64sView<'a>>,
+    /// Distinct kinds in use and their parameter words, held inline.
+    kind_params: KindParams<'a>,
     origin_deltas: PackedVecView<'a>,
 }
 
 impl<'a> LosslessView<'a> {
-    /// Parses and validates the lossless payload — the same invariants as
-    /// the owned `read_wire`, checked through the borrowed views.
-    fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+    /// Parses the lossless payload: every structure's header plus the
+    /// cross-structure counts that need no probe into a payload.
+    fn parse(frame: Frame<'a>, r: &mut WireReader<'a>) -> Result<Self, WireError> {
         let n = r.read_len()?;
         let shift = r.i64()?;
         let starts = match r.u8()? {
@@ -288,18 +375,8 @@ impl<'a> LosslessView<'a> {
         let offsets = EliasFanoView::read(r)?;
         let corrections = BitBufView::read(r)?;
         let kinds = WaveletMatrixView::read(r)?;
-        let kind_table = serial::read_kind_table(r)?;
-        let params = serial::read_params_ref(r, &kind_table)?;
+        let kind_params = KindParams::read(r)?;
         let origin_deltas = PackedVecView::read(r)?;
-
-        // Rank/select directories first, so the structural loop below (and
-        // every later query) probes in bounds.
-        match &starts {
-            StartIndexView::Ef(ef) => ef.validate()?,
-            StartIndexView::Bv(bv) => bv.validate()?,
-        }
-        offsets.validate()?;
-        kinds.validate()?;
 
         let m = widths.len();
         if starts.len() != m || kinds.len() != m || origin_deltas.len() != m {
@@ -307,9 +384,6 @@ impl<'a> LosslessView<'a> {
         }
         if offsets.len() != m + 1 {
             return Err(WireError::Corrupt("offsets length"));
-        }
-        if m > 0 && offsets.get(m) as usize > corrections.len() {
-            return Err(WireError::Corrupt("corrections overflow"));
         }
         // Every point must be covered by a fragment and vice versa: a
         // crafted archive with n > 0 but m == 0 would make fragment_of
@@ -324,27 +398,41 @@ impl<'a> LosslessView<'a> {
                 return Err(WireError::Corrupt("start bitvector length"));
             }
         }
-        // Kind symbols: per-symbol ranks at m give the counts in O(σ·log σ);
-        // they sum to m iff no out-of-table symbol occurs anywhere.
-        let mut total_syms = 0usize;
-        for (sym, &kind) in kind_table.iter().enumerate() {
-            let count = kinds.rank(sym as u8, m);
-            if params[sym].len() != count * kind.param_count() {
-                return Err(WireError::Corrupt("params length"));
-            }
-            total_syms += count;
+        Ok(Self {
+            frame,
+            n,
+            shift,
+            starts,
+            widths,
+            offsets,
+            corrections,
+            kinds,
+            kind_params,
+            origin_deltas,
+        })
+    }
+
+    /// Validates the payloads — the same invariants as the owned
+    /// `read_wire`, checked through the borrowed views.
+    fn verify(&self) -> Result<(), WireError> {
+        let (n, m) = (self.n, self.widths.len());
+        // Rank/select directories first, so the structural loop below (and
+        // every later query) probes in bounds.
+        self.starts.validate()?;
+        self.offsets.validate()?;
+        self.kinds.validate()?;
+        if m > 0 && self.offsets.get(m) as usize > self.corrections.len() {
+            return Err(WireError::Corrupt("corrections overflow"));
         }
-        if total_syms != m {
-            return Err(WireError::Corrupt("kind symbol"));
-        }
+        verify_kind_symbols(&self.kinds, &self.kind_params, m)?;
         // Fragment geometry: one streaming pass over starts and offsets
         // (no per-fragment select), mirroring the owned reader's checks.
-        let mut starts_it = starts.iter();
-        let mut offsets_it = offsets.iter();
+        let mut starts_it = self.starts.iter();
+        let mut offsets_it = self.offsets.iter();
         let mut cur_start = starts_it.next();
         let mut o_prev = offsets_it.next().unwrap_or(0) as usize;
         for i in 0..m {
-            let start = cur_start.expect("length checked above");
+            let start = cur_start.expect("length checked at parse");
             if i == 0 && start != 0 {
                 return Err(WireError::Corrupt("first fragment start"));
             }
@@ -356,31 +444,20 @@ impl<'a> LosslessView<'a> {
             if end <= start || end > n {
                 return Err(WireError::Corrupt("fragment bounds"));
             }
-            let w = widths.get(i) as usize;
+            let w = self.widths.get(i) as usize;
             if w > 64 {
                 return Err(WireError::Corrupt("correction width"));
             }
-            let o_next = offsets_it.next().expect("length checked above") as usize;
+            let o_next = offsets_it.next().expect("length checked at parse") as usize;
             if o_next < o_prev || o_next - o_prev != (end - start) * w {
                 return Err(WireError::Corrupt("offset stride"));
             }
             o_prev = o_next;
-            if origin_deltas.get(i) as usize > start {
+            if self.origin_deltas.get(i) as usize > start {
                 return Err(WireError::Corrupt("origin delta"));
             }
         }
-        Ok(Self {
-            n,
-            shift,
-            starts,
-            widths,
-            offsets,
-            corrections,
-            kinds,
-            kind_table,
-            params,
-            origin_deltas,
-        })
+        Ok(())
     }
 
     /// Number of data points.
@@ -419,23 +496,9 @@ impl<'a> LosslessView<'a> {
         let start = self.starts.start_of(i);
         let end = if i + 1 < self.fragment_count() { self.starts.start_of(i + 1) } else { self.n };
         let (sym, rank) = self.kinds.access_rank(i);
-        let kind = self.kind_table[sym as usize];
-        let params = self.params_of(sym, rank);
+        let (kind, params) = self.kind_params.model(sym, rank);
         let origin = start - self.origin_deltas.get(i) as usize;
         Fragment { kind, params, start, end, origin }
-    }
-
-    #[inline]
-    fn params_of(&self, sym: u8, rank: usize) -> Params {
-        let kind = self.kind_table[sym as usize];
-        let pc = kind.param_count();
-        let base = rank * pc;
-        let arr = &self.params[sym as usize];
-        Params {
-            m: f64::from_bits(arr.get(base)),
-            b: f64::from_bits(arr.get(base + 1)),
-            extra: if pc == 3 { f64::from_bits(arr.get(base + 2)) } else { 0.0 },
-        }
     }
 
     /// Reads the correction for position `k` of fragment `i` starting at
@@ -454,7 +517,8 @@ impl<'a> LosslessView<'a> {
     /// Per-kind fragment counts.
     pub fn kind_histogram(&self) -> Vec<(Kind, usize)> {
         let m = self.fragment_count();
-        self.kind_table
+        self.kind_params
+            .kinds()
             .iter()
             .enumerate()
             .map(|(sym, &kind)| (kind, self.kinds.rank(sym as u8, m)))
@@ -467,8 +531,7 @@ impl<'a> LosslessView<'a> {
         let i = self.starts.fragment_of(k);
         let start = self.starts.start_of(i);
         let (sym, rank) = self.kinds.access_rank(i);
-        let params = self.params_of(sym, rank);
-        let kind = self.kind_table[sym as usize];
+        let (kind, params) = self.kind_params.model(sym, rank);
         let origin = start - self.origin_deltas.get(i) as usize;
         let frag = Fragment { kind, params, start, end: self.n, origin };
         model_value(&frag, k, self.shift).wrapping_add(self.correction(i, start, k))
@@ -500,15 +563,14 @@ impl<'a> LosslessView<'a> {
     pub fn decompress(&self) -> Vec<i64> {
         let m = self.fragment_count();
         let mut out = Vec::with_capacity(self.n);
-        let mut ranks = vec![0usize; self.kind_table.len()];
+        let mut ranks = [0usize; Kind::ALL.len()];
         let mut o = 0usize;
         let mut starts = self.starts.iter();
         let mut start = starts.next().unwrap_or(0);
         for i in 0..m {
             let end = starts.next().unwrap_or(self.n);
             let sym = self.kinds.access(i);
-            let kind = self.kind_table[sym as usize];
-            let params = self.params_of(sym, ranks[sym as usize]);
+            let (kind, params) = self.kind_params.model(sym, ranks[sym as usize]);
             ranks[sym as usize] += 1;
             let origin = start - self.origin_deltas.get(i) as usize;
             let frag = Fragment { kind, params, start, end, origin };
@@ -689,62 +751,58 @@ impl<'a> LosslessView<'a> {
 /// surface over borrowed bytes.
 #[derive(Clone, Debug)]
 pub struct LossyView<'a> {
+    /// The container frame the view was parsed from (for the CRC pass).
+    frame: Frame<'a>,
     n: usize,
     shift: i64,
     eps: u64,
     starts: EliasFanoView<'a>,
     kinds: WaveletMatrixView<'a>,
-    kind_table: Vec<Kind>,
-    params: Vec<U64sView<'a>>,
+    kind_params: KindParams<'a>,
     origin_deltas: PackedVecView<'a>,
 }
 
 impl<'a> LossyView<'a> {
-    /// Parses and validates the lossy payload — the same invariants as the
-    /// owned `read_wire`, checked through the borrowed views.
-    fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+    /// Parses the lossy payload: every structure's header plus the
+    /// cross-structure counts that need no probe into a payload.
+    fn parse(frame: Frame<'a>, r: &mut WireReader<'a>) -> Result<Self, WireError> {
         let n = r.read_len()?;
         let shift = r.i64()?;
         let eps = r.u64()?;
         let starts = EliasFanoView::read(r)?;
         let kinds = WaveletMatrixView::read(r)?;
-        let kind_table = serial::read_kind_table(r)?;
-        let params = serial::read_params_ref(r, &kind_table)?;
+        let kind_params = KindParams::read(r)?;
         let origin_deltas = PackedVecView::read(r)?;
-        starts.validate()?;
-        kinds.validate()?;
         let m = starts.len();
         if kinds.len() != m || origin_deltas.len() != m {
             return Err(WireError::Corrupt("fragment count mismatch"));
         }
-        // See the lossless reader: n and m must be zero together, or
+        // See the lossless parser: n and m must be zero together, or
         // fragment_of underflows on a crafted archive.
         if (m == 0) != (n == 0) {
             return Err(WireError::Corrupt("fragment count vs series length"));
         }
-        let mut total_syms = 0usize;
-        for (sym, &kind) in kind_table.iter().enumerate() {
-            let count = kinds.rank(sym as u8, m);
-            if params[sym].len() != count * kind.param_count() {
-                return Err(WireError::Corrupt("params length"));
-            }
-            total_syms += count;
-        }
-        if total_syms != m {
-            return Err(WireError::Corrupt("kind symbol"));
-        }
+        Ok(Self { frame, n, shift, eps, starts, kinds, kind_params, origin_deltas })
+    }
+
+    /// Validates the payloads — the same invariants as the owned
+    /// `read_wire`, checked through the borrowed views.
+    fn verify(&self) -> Result<(), WireError> {
+        self.starts.validate()?;
+        self.kinds.validate()?;
+        verify_kind_symbols(&self.kinds, &self.kind_params, self.starts.len())?;
         let mut prev = 0usize;
-        for (i, s) in starts.iter().enumerate() {
+        for (i, s) in self.starts.iter().enumerate() {
             let s = s as usize;
-            if (i == 0 && s != 0) || (i > 0 && s <= prev) || s >= n {
+            if (i == 0 && s != 0) || (i > 0 && s <= prev) || s >= self.n {
                 return Err(WireError::Corrupt("fragment starts"));
             }
-            if origin_deltas.get(i) as usize > s {
+            if self.origin_deltas.get(i) as usize > s {
                 return Err(WireError::Corrupt("origin delta"));
             }
             prev = s;
         }
-        Ok(Self { n, shift, eps, starts, kinds, kind_table, params, origin_deltas })
+        Ok(())
     }
 
     /// Number of data points represented.
@@ -787,22 +845,9 @@ impl<'a> LossyView<'a> {
             self.n
         };
         let sym = self.kinds.access(i);
-        let kind = self.kind_table[sym as usize];
-        let params = self.params_of(sym, self.kinds.rank(sym, i));
+        let (kind, params) = self.kind_params.model(sym, self.kinds.rank(sym, i));
         let origin = start - self.origin_deltas.get(i) as usize;
         Fragment { kind, params, start, end, origin }
-    }
-
-    #[inline]
-    fn params_of(&self, sym: u8, rank: usize) -> Params {
-        let pc = self.kind_table[sym as usize].param_count();
-        let base = rank * pc;
-        let arr = &self.params[sym as usize];
-        Params {
-            m: f64::from_bits(arr.get(base)),
-            b: f64::from_bits(arr.get(base + 1)),
-            extra: if pc == 3 { f64::from_bits(arr.get(base + 2)) } else { 0.0 },
-        }
     }
 
     /// The approximated value at position `k` (random access).
@@ -816,7 +861,8 @@ impl<'a> LossyView<'a> {
     /// Per-kind fragment counts.
     pub fn kind_histogram(&self) -> Vec<(Kind, usize)> {
         let m = self.fragment_count();
-        self.kind_table
+        self.kind_params
+            .kinds()
             .iter()
             .enumerate()
             .map(|(sym, &kind)| (kind, self.kinds.rank(sym as u8, m)))
@@ -848,14 +894,13 @@ impl<'a> LossyView<'a> {
     pub fn reconstruct(&self) -> Vec<i64> {
         let m = self.fragment_count();
         let mut out = Vec::with_capacity(self.n);
-        let mut ranks = vec![0usize; self.kind_table.len()];
+        let mut ranks = [0usize; Kind::ALL.len()];
         let mut starts = self.starts.iter();
         let mut start = starts.next().map(|v| v as usize).unwrap_or(0);
         for i in 0..m {
             let end = starts.next().map(|v| v as usize).unwrap_or(self.n);
             let sym = self.kinds.access(i);
-            let kind = self.kind_table[sym as usize];
-            let params = self.params_of(sym, ranks[sym as usize]);
+            let (kind, params) = self.kind_params.model(sym, ranks[sym as usize]);
             ranks[sym as usize] += 1;
             let origin = start - self.origin_deltas.get(i) as usize;
             let frag = Fragment { kind, params, start, end, origin };

@@ -1,11 +1,12 @@
-//! Asserts the acceptance criterion that `ArchiveView::open` performs no
-//! heap allocation proportional to the archive size, via a counting global
-//! allocator: opening a 16× larger archive must allocate the same small,
-//! constant number of bytes (kind table, section table, a handful of
-//! bounded `Vec`s), and a point query through the view must allocate
-//! nothing at all.
+//! Asserts, via a counting global allocator, that the zero-copy read path
+//! performs no heap allocation at all: not `ArchiveView::parse` (what the
+//! store runs on every cache miss of an already-verified segment), not
+//! `ArchiveView::open` (parse + verify), for either flavor and either rank
+//! mode, whatever the archive size — the kind table, parameter arrays and
+//! wavelet levels are held inline — and not a point query or an aggregate
+//! estimate through the view.
 
-use neats_core::{ArchiveView, Kind, NeaTS};
+use neats_core::{ArchiveView, Kind, NeaTS, RankMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use timeseries::TimeSeries;
@@ -47,23 +48,21 @@ fn allocated_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCATED.load(Ordering::Relaxed) - before, out)
 }
 
-fn archive(n: usize) -> Vec<u8> {
+fn series(n: usize) -> TimeSeries {
     let mut v = 0i64;
-    let values: Vec<i64> = (0..n as i64).map(|k| { v += (k * 37 % 23) - 11; v }).collect();
-    let ts = TimeSeries::from_values(values);
+    TimeSeries::from_values((0..n as i64).map(|k| { v += (k * 37 % 23) - 11; v }).collect())
+}
+
+fn archive(n: usize) -> Vec<u8> {
     // A cheap pool keeps compression fast; the layout exercised by `open`
     // (every section type) is identical to the default pool's.
-    NeaTS::builder().kinds(&[Kind::Linear, Kind::Quadratic]).epsilons(&[0, 4, 32]).build(&ts).to_bytes()
+    NeaTS::builder().kinds(&[Kind::Linear, Kind::Quadratic]).epsilons(&[0, 4, 32]).build(&series(n)).to_bytes()
 }
 
 // A single test function: the counter is process-global, so concurrently
 // running measurements would bleed into each other's windows.
 #[test]
-fn open_allocates_constant_memory() {
-    // A generous constant budget: the bounded section/kind/level `Vec`s fit
-    // in well under 4 KiB regardless of archive size.
-    const BUDGET: usize = 4096;
-
+fn parse_and_open_never_allocate() {
     let small = archive(4_000);
     let large = archive(64_000);
     assert!(
@@ -72,23 +71,32 @@ fn open_allocates_constant_memory() {
         large.len(),
         small.len()
     );
+    // The full kind pool (the widest kind table and wavelet matrix), the
+    // bitvector start index, and a lossy archive: every parser branch.
+    let all_kinds = NeaTS::builder().kinds(&Kind::ALL).build(&series(6_000)).to_bytes();
+    let bitvector = NeaTS::builder().rank_mode(RankMode::BitVector).build(&series(3_000)).to_bytes();
+    let lossy = NeaTS::builder().build_lossy(&series(6_000), 12).to_bytes();
 
-    let (alloc_small, view_small) = allocated_during(|| ArchiveView::open(&small).unwrap());
-    let (alloc_large, view_large) = allocated_during(|| ArchiveView::open(&large).unwrap());
-    assert!(alloc_small <= BUDGET, "small open allocated {alloc_small} bytes");
-    assert!(
-        alloc_large <= BUDGET,
-        "large open allocated {alloc_large} bytes (archive {} bytes)",
-        large.len()
-    );
-    // Opening 16× the data must not allocate more than a constant extra.
-    assert!(
-        alloc_large <= alloc_small + 512,
-        "open allocation grows with archive size: {alloc_small} -> {alloc_large}"
-    );
+    for (name, bytes) in [
+        ("small", &small),
+        ("large", &large),
+        ("all kinds", &all_kinds),
+        ("bitvector starts", &bitvector),
+        ("lossy", &lossy),
+    ] {
+        let (alloc_parse, parsed) = allocated_during(|| ArchiveView::parse(bytes).unwrap());
+        assert_eq!(alloc_parse, 0, "{name}: parse allocated {alloc_parse} bytes");
+        let (alloc_verify, verdict) = allocated_during(|| parsed.verify());
+        verdict.unwrap();
+        assert_eq!(alloc_verify, 0, "{name}: verify allocated {alloc_verify} bytes");
+        let (alloc_open, opened) = allocated_during(|| ArchiveView::open(bytes).unwrap());
+        assert_eq!(alloc_open, 0, "{name}: open allocated {alloc_open} bytes");
+        assert_eq!(opened.len(), parsed.len());
+    }
 
     // Point lookups and aggregate estimates through the view are
     // allocation-free.
+    let view_large = ArchiveView::parse(&large).unwrap();
     let (alloc_q, _) = allocated_during(|| {
         let mut acc = 0i64;
         for k in (0..view_large.len()).step_by(997) {
@@ -101,7 +109,6 @@ fn open_allocates_constant_memory() {
         std::hint::black_box(view_large.sum_range_estimate(100, view_large.len() - 200))
     });
     assert_eq!(alloc_est, 0, "sum estimate allocated {alloc_est} bytes");
-    drop(view_small);
 
     // Contrast — and a sanity check of the measurement itself: the owned
     // decode path of the same archive *does* allocate at least the payload.

@@ -7,6 +7,12 @@
 //! This suite is the correctness argument for `ArchiveView`: the view
 //! re-implements the query algorithms over borrowed bytes, so equivalence
 //! is established by property testing rather than by construction.
+//!
+//! It also covers the split of `open` into `parse` + `verify`: a view from
+//! `parse` alone over bytes that passed `open` answers exactly like the
+//! opened view, and `parse` alone on corrupted or truncated bytes returns
+//! `Err` or a view — it never panics (the per-byte suites that must *reject*
+//! corruption go through `open`; see `serial.rs`).
 
 use neats_core::{ArchiveView, Kind, NeaTS, NeaTSCompressed, NeaTSLossy, RankMode};
 use proptest::prelude::*;
@@ -19,6 +25,60 @@ const THREADS: [usize; 3] = [1, 2, 4];
 fn series(deltas: &[i64]) -> TimeSeries {
     let mut v = 0i64;
     TimeSeries::from_values(deltas.iter().map(|&d| { v += d; v }).collect())
+}
+
+/// Folds arbitrary seed pairs into `(start, count)` ranges inside `0..n`
+/// (none when the series is empty).
+fn ranges_within(seeds: &[(usize, usize)], n: usize) -> Vec<(usize, usize)> {
+    seeds
+        .iter()
+        .filter(|_| n > 0)
+        .map(|&(a, b)| {
+            let s = a % n;
+            (s, b % (n - s + 1))
+        })
+        .collect()
+}
+
+/// Asserts that `parsed` (from [`ArchiveView::parse`] alone) answers `at`,
+/// `range` and every aggregate exactly like `opened` (from
+/// [`ArchiveView::open`] of the same bytes).
+fn assert_parse_equals_open(
+    parsed: &ArchiveView<'_>,
+    opened: &ArchiveView<'_>,
+    ranges: &[(usize, usize)],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(parsed.len(), opened.len());
+    prop_assert_eq!(parsed.flavor(), opened.flavor());
+    prop_assert_eq!(parsed.shift(), opened.shift());
+    prop_assert_eq!(parsed.fragment_count(), opened.fragment_count());
+    prop_assert_eq!(parsed.kind_histogram(), opened.kind_histogram());
+    prop_assert_eq!(parsed.materialize(), opened.materialize());
+    for k in 0..opened.len() {
+        prop_assert_eq!(parsed.at(k), opened.at(k), "at({})", k);
+    }
+    for &(s, c) in ranges {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        parsed.range(s..s + c, &mut got);
+        opened.range(s..s + c, &mut want);
+        prop_assert_eq!(got, want, "range({}..+{})", s, c);
+        prop_assert_eq!(parsed.sum_range_exact(s, c), opened.sum_range_exact(s, c));
+        prop_assert_eq!(parsed.sum_range_estimate(s, c), opened.sum_range_estimate(s, c));
+        prop_assert_eq!(parsed.min_max_range_exact(s, c), opened.min_max_range_exact(s, c));
+    }
+    Ok(())
+}
+
+/// Opens `bytes`, parses them again without verifying, and checks the two
+/// views agree ([`assert_parse_equals_open`]); returns the opened view.
+fn open_and_reparse<'a>(
+    bytes: &'a [u8],
+    ranges: &[(usize, usize)],
+) -> Result<ArchiveView<'a>, TestCaseError> {
+    let opened = ArchiveView::open(bytes).unwrap();
+    let parsed = ArchiveView::parse(bytes).unwrap();
+    assert_parse_equals_open(&parsed, &opened, ranges)?;
+    Ok(opened)
 }
 
 /// Compares the full lossless query surface of `view` against `owned`.
@@ -81,16 +141,9 @@ proptest! {
         let reread = NeaTSCompressed::from_bytes(&bytes).unwrap();
         prop_assert_eq!(reread.to_bytes(), bytes.clone());
 
-        let view = ArchiveView::open(&bytes).unwrap();
         let n = ts.len();
-        let ranges: Vec<(usize, usize)> = range_seeds
-            .iter()
-            .filter(|_| n > 0)
-            .map(|&(a, b)| {
-                let s = a % n;
-                (s, b % (n - s + 1))
-            })
-            .collect();
+        let ranges = ranges_within(&range_seeds, n);
+        let view = open_and_reparse(&bytes, &ranges)?;
         assert_lossless_equivalent(&owned, &view, &ranges)?;
     }
 
@@ -110,7 +163,9 @@ proptest! {
         let reread = NeaTSLossy::from_bytes(&bytes).unwrap();
         prop_assert_eq!(reread.to_bytes(), bytes.clone());
 
-        let view = ArchiveView::open(&bytes).unwrap();
+        let n = ts.len();
+        let ranges = ranges_within(&range_seeds, n);
+        let view = open_and_reparse(&bytes, &ranges)?;
         let v = view.as_lossy().expect("lossy archive");
         prop_assert_eq!(view.len(), owned.len());
         prop_assert_eq!(v.eps(), owned.eps());
@@ -129,16 +184,13 @@ proptest! {
             // Match the view's kind-table order (first-seen order).
             counts
         });
-        let n = ts.len();
         for k in 0..n {
             prop_assert_eq!(view.at(k), owned.approximate(k), "approximate({})", k);
         }
         for i in 0..owned.fragment_count() {
             prop_assert_eq!(v.fragment(i), owned.fragment(i), "fragment({})", i);
         }
-        for &(a, b) in range_seeds.iter().filter(|_| n > 0) {
-            let s = a % n;
-            let c = b % (n - s + 1);
+        for &(s, c) in &ranges {
             let mut got = Vec::new();
             v.scan_range(s, c, &mut got);
             let recon = owned.reconstruct();
@@ -187,10 +239,11 @@ fn deterministic_shapes_differential() {
     ];
     for (name, kinds, values) in shapes {
         let ts = TimeSeries::from_values(values.clone());
+        let whole = [(0, values.len()), (values.len() / 3, values.len() / 2)];
         for mode in [RankMode::EliasFano, RankMode::BitVector] {
             let owned = NeaTS::builder().kinds(kinds).rank_mode(mode).build(&ts);
             let bytes = owned.to_bytes();
-            let view = ArchiveView::open(&bytes).unwrap();
+            let view = open_and_reparse(&bytes, &whole).unwrap();
             assert_eq!(view.materialize(), values, "{name} {mode:?} materialize");
             for k in 0..values.len() {
                 assert_eq!(view.at(k), owned.get(k), "{name} {mode:?} at({k})");
@@ -206,7 +259,44 @@ fn deterministic_shapes_differential() {
         }
         let lossy = NeaTS::builder().kinds(kinds).build_lossy(&ts, 10);
         let bytes = lossy.to_bytes();
-        let view = ArchiveView::open(&bytes).unwrap();
+        let view = open_and_reparse(&bytes, &whole).unwrap();
         assert_eq!(view.materialize(), lossy.reconstruct(), "{name} lossy");
+    }
+}
+
+/// `parse` is the half of `open` that the store runs alone on bytes it has
+/// verified before, so its own contract on *arbitrary* bytes is only: return
+/// `Err` or a view, never panic — and whatever it lets through, `verify`
+/// (hence `open`) must still reject unless the bytes are genuinely valid.
+/// Exhaustive over every single-bit-per-byte corruption and every
+/// truncation of one archive per flavor and rank mode; run under
+/// `debug_assertions` too, where an out-of-bounds bit read would abort.
+#[test]
+fn parse_alone_never_panics_on_corrupt_or_truncated_bytes() {
+    let values: Vec<i64> = (0..700).map(|k| (900.0 * ((k as f64) / 40.0).sin()) as i64 + k).collect();
+    let ts = TimeSeries::from_values(values);
+    let archives = [
+        NeaTS::builder().rank_mode(RankMode::EliasFano).build(&ts).to_bytes(),
+        NeaTS::builder().rank_mode(RankMode::BitVector).build(&ts).to_bytes(),
+        NeaTS::builder().build_lossy(&ts, 20).to_bytes(),
+    ];
+    for bytes in &archives {
+        let mut parsed_ok = 0usize;
+        for pos in 0..bytes.len() {
+            let mut corrupted = bytes.clone();
+            corrupted[pos] ^= 1 << (pos % 8);
+            if let Ok(view) = ArchiveView::parse(&corrupted) {
+                parsed_ok += 1;
+                assert!(view.verify().is_err(), "verify accepted a flip at byte {pos}");
+            }
+            assert!(ArchiveView::open(&corrupted).is_err(), "open accepted a flip at byte {pos}");
+        }
+        // Payload flips are invisible to an O(sections) parse: if none got
+        // through, the loop above never exercised parse-then-verify.
+        assert!(parsed_ok > bytes.len() / 4, "only {parsed_ok} of {} flips parsed", bytes.len());
+        for cut in 0..bytes.len() {
+            assert!(ArchiveView::parse(&bytes[..cut]).is_err(), "parse accepted a cut at {cut}");
+        }
+        assert!(ArchiveView::parse(bytes).unwrap().verify().is_ok());
     }
 }

@@ -152,6 +152,15 @@ impl Source {
         }
     }
 
+    /// Times the current generation ran the O(bytes) segment verification:
+    /// once per segment touched, not once per cache miss.
+    pub fn segment_verifications(&self) -> u64 {
+        match self {
+            Source::Pack(s) => s.segment_verifications(),
+            Source::Live(i) => i.segment_verifications(),
+        }
+    }
+
     /// Number of quarantined segments (failed validation on load; isolated
     /// so the rest of the store keeps serving).
     pub fn quarantined_count(&self) -> usize {
@@ -188,6 +197,14 @@ impl Source {
             "Segment-view cache lookups that had to open the segment (current generation).",
             &[],
             move || s.cache_stats().misses,
+        );
+        let s = self.clone();
+        reg.counter_fn(
+            "neats_store_segment_verifications_total",
+            "Segment opens that ran the O(bytes) verification (CRCs, directories, geometry): \
+             once per segment touched; the other cache misses only re-parse (current generation).",
+            &[],
+            move || s.segment_verifications(),
         );
         let s = self.clone();
         reg.counter_fn(

@@ -8,11 +8,19 @@ mod common;
 use common::{demo_store, Client};
 use neats_ingest::{IngestConfig, Ingestor};
 use neats_serve::{ReactorMode, ServeConfig, Server, ServerHandle};
+use neats_store::{Store, StoreOptions};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 fn start_with(cfg: ServeConfig) -> (ServerHandle, JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(demo_store(), "127.0.0.1:0", cfg).expect("bind");
+    start_on(demo_store(), cfg)
+}
+
+fn start_on(
+    store: Arc<Store>,
+    cfg: ServeConfig,
+) -> (ServerHandle, JoinHandle<std::io::Result<()>>) {
+    let server = Server::bind(store, "127.0.0.1:0", cfg).expect("bind");
     let handle = server.handle();
     let running = std::thread::spawn(move || server.run());
     (handle, running)
@@ -145,10 +153,16 @@ fn metrics_diff_against_known_traffic(reactor: ReactorMode) {
         "neats_store_cache_hits_total",
         "neats_store_cache_misses_total",
         "neats_store_cache_evictions_total",
+        "neats_store_segment_verifications_total",
         "neats_store_points",
     ] {
         assert!(r.body.contains(&format!("# TYPE {family} ")), "missing {family}");
     }
+    // The three point queries all fell into segment 0 of `cpu`: one miss
+    // (which verified the segment) and two hits.
+    assert_eq!(sample(&samples, "neats_store_cache_misses_total"), 1.0);
+    assert_eq!(sample(&samples, "neats_store_cache_hits_total"), 2.0);
+    assert_eq!(sample(&samples, "neats_store_segment_verifications_total"), 1.0);
 
     // A second scrape sees the first one — same atomics, no snapshotting.
     let r2 = client.get("/metrics");
@@ -172,6 +186,38 @@ fn metrics_match_known_traffic_reactor() {
     // Auto resolves to the reactor on Linux and falls back to the worker
     // pool elsewhere — either way the exposition contract must hold.
     metrics_diff_against_known_traffic(ReactorMode::Auto);
+}
+
+/// Cache misses and segment verifications are different things: with the
+/// cache off every query misses, but a segment is verified (CRCs,
+/// directories, geometry) only on its first touch — the later misses re-parse
+/// its headers. An operator needs both counters to tell "the cache is too
+/// small" from "the pack is being validated".
+#[test]
+fn verifications_count_segments_touched_not_cache_misses() {
+    let store = Store::open_with(
+        demo_store().as_bytes().to_vec(),
+        StoreOptions { cache_capacity: 0, ..Default::default() },
+    )
+    .unwrap();
+    let (handle, running) =
+        start_on(Arc::new(store), ServeConfig { threads: 1, ..ServeConfig::default() });
+    let mut client = Client::connect(handle.addr());
+
+    // Six queries into segment 0 of `cpu`, two into segment 1 (128-point
+    // segments), one range across segments 2 and 3 of `mem`.
+    for k in [0, 1, 2, 3, 4, 5, 130, 131] {
+        assert_eq!(client.get(&format!("/q/cpu?idx={k}")).status, 200);
+    }
+    assert_eq!(client.get("/q/mem?idx=300..400").status, 200);
+
+    let samples = check_prometheus_text(&client.get("/metrics").body);
+    assert_eq!(sample(&samples, "neats_store_cache_hits_total"), 0.0);
+    assert_eq!(sample(&samples, "neats_store_cache_misses_total"), 10.0);
+    assert_eq!(sample(&samples, "neats_store_segment_verifications_total"), 4.0);
+    assert_eq!(sample(&samples, "neats_store_quarantine_events_total"), 0.0);
+
+    stop(handle, running);
 }
 
 /// A live source additionally exports the ingest write-path families, and

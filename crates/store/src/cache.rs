@@ -1,10 +1,12 @@
 //! A sharded LRU cache of opened segment views.
 //!
-//! Opening a segment costs a CRC pass plus structural validation over the
-//! whole blob; serving a point query from an opened view costs a handful of
-//! rank/select probes. A server answering many queries against a working
-//! set of segments therefore wants opened views kept around. The cache is
-//! sharded to keep lock hold times short under concurrent readers: a key
+//! The first open of a segment costs two CRC passes plus structural
+//! validation over the whole blob; every later open of it (the store
+//! remembers which segments it has verified — pack bytes are immutable)
+//! costs a header parse and an allocation, about a microsecond; serving a
+//! point query from an opened view costs a handful of rank/select probes.
+//! A server answering many queries against a working set of segments
+//! therefore still wants opened views kept around. The cache is sharded to keep lock hold times short under concurrent readers: a key
 //! maps to one of up to [`MAX_SHARDS`] independently locked maps, and
 //! eviction is least-recently-used per shard (exact LRU via a monotone
 //! global tick; the per-shard scan is over at most `capacity / shards`
@@ -61,7 +63,9 @@ struct Shard {
 pub struct CacheStats {
     /// Lookups served from an already-open view.
     pub hits: u64,
-    /// Lookups that had to open (validate) the segment.
+    /// Lookups that had to open the segment: verify + parse on its first
+    /// touch, parse alone afterwards (`Store::segment_verifications` counts
+    /// the former).
     pub misses: u64,
     /// Entries evicted to make room (LRU per shard).
     pub evictions: u64,
@@ -105,7 +109,7 @@ thread_local! {
 
 impl SegmentCache {
     /// A cache for about `capacity` opened views in total (`capacity == 0`
-    /// disables caching: every lookup reopens). The capacity is divided
+    /// disables caching: every lookup re-parses). The capacity is divided
     /// over the shards, so the bound is per shard: a working set that
     /// hashes unevenly can hold slightly more than `capacity` in total
     /// (at most `capacity + shards − 1`) and thrash a shard before the
@@ -155,8 +159,8 @@ impl SegmentCache {
 
     /// Returns the cached view for `key`, or opens one with `open`,
     /// caches, and returns it. `open` runs outside the shard lock, so a
-    /// slow validation never blocks readers of other segments in the same
-    /// shard; two racing misses on one key may both open, and the later
+    /// slow first-touch verification never blocks readers of other segments
+    /// in the same shard; two racing misses on one key may both open, and the later
     /// insert wins — harmless, since views of the same bytes are
     /// interchangeable.
     pub(crate) fn get_or_open(
@@ -175,8 +179,8 @@ impl SegmentCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let view = {
-            // Opening = checksum + structural validation: the "segment
-            // decode" stage of a request trace.
+            // Opening (verify + parse on first touch, parse alone after):
+            // the "segment decode" stage of a request trace.
             let _decode = neats_core::obs::stage(neats_core::obs::Stage::Decode);
             Arc::new(open()?)
         };

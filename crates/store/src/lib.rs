@@ -14,8 +14,11 @@
 //!   parallel** (via `neats_core::parallel`) at [`StoreWriter::finish`].
 //! * [`Store`] opens a pack once into an `Arc<[u8]>` and serves every query
 //!   zero-copy through borrowed [`neats_core::ArchiveView`]s, with a sharded
-//!   LRU cache of opened segment views. `Store` is `Send + Sync`: any number
-//!   of reader threads may query it concurrently.
+//!   LRU cache of opened segment views. Each segment is verified (CRCs +
+//!   structure) once per `Store` value, on first touch; later cache misses
+//!   only re-parse its headers, because the pack bytes are immutable.
+//!   `Store` is `Send + Sync`: any number of reader threads may query it
+//!   concurrently.
 //! * Queries stitch across segment boundaries: [`Store::get`],
 //!   [`Store::at_time`], [`Store::range`], [`Store::range_by_time`], and the
 //!   aggregate pushdowns [`Store::sum`], [`Store::sum_estimate`],
@@ -46,7 +49,7 @@
 //! footer) is rejected deterministically at [`Store::open`]; corruption
 //! inside a segment blob is rejected when that segment is first opened (the
 //! value frame carries its own CRC-64, the timestamp blob's CRC lives in the
-//! catalog).
+//! catalog) and the verdict is remembered for the life of the `Store`.
 //!
 //! The full byte-level offset tables, the catalog record grammar, how this
 //! read path compares to the owned and single-archive view paths, and the
@@ -136,7 +139,9 @@ pub enum StoreError {
     /// A segment failed CRC/structural validation on load and is
     /// quarantined: queries touching it fail with this error while every
     /// other segment and series keeps serving. Sticky for the lifetime of
-    /// the [`Store`] value (a reopen revalidates).
+    /// the [`Store`] value: nothing is verified twice, pass or fail, unless
+    /// [`Store::clear_quarantine`] resets the segment (a fresh
+    /// [`Store::open`] of the pack starts with every segment unverified).
     Quarantined {
         /// The series whose segment is quarantined.
         series: String,

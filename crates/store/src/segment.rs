@@ -14,8 +14,17 @@ use neats_core::ArchiveView;
 use std::sync::Arc;
 use succinct::{crc64, EliasFanoView, WireReader};
 
-/// A validated, opened segment: value archive view + timestamp index, both
-/// borrowing the pack buffer kept alive by `_pack`.
+/// An opened segment: value archive view + timestamp index, both borrowing
+/// the pack buffer kept alive by `_pack`.
+///
+/// Opening has two halves. [`Self::parse`] is O(sections): it reads the
+/// headers of the value frame and the timestamp blob and checks them
+/// against the catalog entry. [`Self::verify`] is O(bytes): both checksums,
+/// the rank/select directories, the fragment geometry, strict timestamp
+/// monotonicity and the time span. [`Self::open`] — the only entry point for
+/// a segment not verified before — is one after the other. Pack bytes are
+/// immutable for the life of a `Store`, so the store verifies a segment once
+/// and only re-parses it on later cache misses.
 pub(crate) struct SegmentView {
     /// Owns the bytes the two views below borrow. Must stay alive as long
     /// as this struct; never mutated (`Arc<[u8]>` contents are immutable).
@@ -32,45 +41,39 @@ pub(crate) struct SegmentView {
 }
 
 impl SegmentView {
-    /// Opens and fully validates one segment of `pack`: the value frame's
-    /// own checksum and structure (via [`ArchiveView::open`]), the timestamp
-    /// blob's catalog-recorded CRC, and the agreement of both with the
-    /// catalog entry (point count, time span, strict stamp monotonicity).
+    /// Opens and fully validates one segment of `pack`: [`Self::parse`],
+    /// then [`Self::verify`].
     pub(crate) fn open(pack: &Arc<[u8]>, meta: &SegmentMeta) -> Result<Self, StoreError> {
+        let seg = Self::parse(pack, meta)?;
+        seg.verify(meta)?;
+        Ok(seg)
+    }
+
+    /// Parses the headers of the value frame and the timestamp blob and
+    /// checks them against the catalog entry (point counts, time base)
+    /// without reading either payload. Never panics, whatever the bytes.
+    /// On its own, valid only for a segment of this very `pack` buffer that
+    /// already passed [`Self::open`] (see [`ArchiveView::parse`]).
+    pub(crate) fn parse(pack: &Arc<[u8]>, meta: &SegmentMeta) -> Result<Self, StoreError> {
         // Blob bounds were validated against the data region at catalog
         // parse time.
         let frame = &pack[meta.data_offset..meta.data_offset + meta.data_len];
-        let view = ArchiveView::open(frame)?;
+        let view = ArchiveView::parse(frame)?;
         if view.len() != meta.count {
             return Err(StoreError::Corrupt("segment frame point count"));
         }
 
-        let blob = &pack[meta.ts_offset..meta.ts_offset + meta.ts_len];
-        if crc64(blob) != meta.ts_crc {
-            return Err(StoreError::Corrupt("timestamp blob checksum mismatch"));
-        }
-        let mut r = WireReader::new(blob);
+        let mut r = WireReader::new(Self::ts_blob(pack, meta));
         let ts_base = r.u64()?;
         let ts = EliasFanoView::read(&mut r)?;
         if !r.is_exhausted() {
             return Err(StoreError::Corrupt("timestamp blob trailing bytes"));
         }
-        ts.validate()?;
         if ts.len() != meta.count {
             return Err(StoreError::Corrupt("timestamp count mismatch"));
         }
-        if ts_base != meta.t_min || ts.get(0) != 0 {
+        if ts_base != meta.t_min {
             return Err(StoreError::Corrupt("timestamp base mismatch"));
-        }
-        let mut prev = 0u64;
-        for (i, v) in ts.iter().enumerate() {
-            if i > 0 && v <= prev {
-                return Err(StoreError::Corrupt("timestamps not strictly increasing"));
-            }
-            prev = v;
-        }
-        if ts_base.checked_add(prev) != Some(meta.t_max) {
-            return Err(StoreError::Corrupt("timestamp span mismatch"));
         }
 
         // SAFETY: both views borrow from `pack`'s heap allocation. The
@@ -81,6 +84,38 @@ impl SegmentView {
         let view: ArchiveView<'static> = unsafe { std::mem::transmute(view) };
         let ts: EliasFanoView<'static> = unsafe { std::mem::transmute(ts) };
         Ok(Self { _pack: Arc::clone(pack), view, ts, ts_base })
+    }
+
+    /// Everything O(bytes): the value frame's own checksum and structure
+    /// (via [`ArchiveView::verify`]), the timestamp blob's catalog-recorded
+    /// CRC and its rank/select directories, strict stamp monotonicity, and
+    /// the agreement of the last stamp with the catalog's time span. `meta`
+    /// must be the entry this view was parsed with.
+    fn verify(&self, meta: &SegmentMeta) -> Result<(), StoreError> {
+        self.view.verify()?;
+        if crc64(Self::ts_blob(&self._pack, meta)) != meta.ts_crc {
+            return Err(StoreError::Corrupt("timestamp blob checksum mismatch"));
+        }
+        self.ts.validate()?;
+        // `meta.count > 0` is a catalog invariant, so stamp 0 exists.
+        if self.ts.get(0) != 0 {
+            return Err(StoreError::Corrupt("timestamp base mismatch"));
+        }
+        let mut prev = 0u64;
+        for (i, v) in self.ts.iter().enumerate() {
+            if i > 0 && v <= prev {
+                return Err(StoreError::Corrupt("timestamps not strictly increasing"));
+            }
+            prev = v;
+        }
+        if self.ts_base.checked_add(prev) != Some(meta.t_max) {
+            return Err(StoreError::Corrupt("timestamp span mismatch"));
+        }
+        Ok(())
+    }
+
+    fn ts_blob<'p>(pack: &'p [u8], meta: &SegmentMeta) -> &'p [u8] {
+        &pack[meta.ts_offset..meta.ts_offset + meta.ts_len]
     }
 
     /// The segment's value archive, reborrowed at `&self`'s lifetime

@@ -5,17 +5,18 @@ use crate::format::{self, SegmentMeta, SeriesEntry};
 use crate::segment::SegmentView;
 use crate::StoreError;
 use neats_core::Estimate;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
 /// Options for [`Store::open_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct StoreOptions {
     /// Target number of opened segment views kept cached across all series
-    /// (`0` disables caching: every query revalidates its segment). The
+    /// (`0` disables caching: every query re-parses its segment's headers;
+    /// the O(bytes) verification still runs only once per segment). The
     /// budget is divided over the cache's shards, so an uneven working set
     /// can briefly hold up to `shards − 1` more entries than this.
     pub cache_capacity: usize,
@@ -39,25 +40,53 @@ impl Default for StoreOptions {
 ///
 /// The pack bytes are held once in an `Arc<[u8]>`; every query runs through
 /// a borrowed [`neats_core::ArchiveView`] over a slice of that buffer — no
-/// per-query copy of archive data. Opened (validated) segment views are
-/// kept in a sharded LRU cache, so a working set of hot segments is served
-/// without re-running checksums. `Store` is `Send + Sync`; share it behind
-/// an `Arc` and query from any number of threads.
+/// per-query copy of archive data. Opened segment views are kept in a
+/// sharded LRU cache, so a working set of hot segments is served without
+/// even re-parsing headers. `Store` is `Send + Sync`; share it behind an
+/// `Arc` and query from any number of threads.
+///
+/// **Verify once, parse per miss.** Opening a segment is a *parse*
+/// (O(sections): headers and counts) plus a *verify* (O(bytes): two CRCs,
+/// rank/select directories, fragment geometry, timestamp monotonicity). The
+/// pack bytes are immutable for the life of a `Store` value, so bytes that
+/// passed verification cannot stop passing it: the first touch of a segment
+/// runs both halves and records the outcome, and every later cache miss on
+/// it runs the parse alone. A new generation after a seal or compaction is
+/// a new `Store` over new bytes and starts with every segment unverified.
 pub struct Store {
     data: Arc<[u8]>,
     series: Vec<SeriesEntry>,
     index: HashMap<String, usize>,
     catalog_offset: usize,
     cache: SegmentCache,
-    /// Segments that failed validation on load, keyed like the cache:
-    /// sticky for this `Store` value so one bad segment fails fast instead
-    /// of re-running (and re-failing) its checksum on every query, while
-    /// every other segment keeps serving.
-    quarantined: Mutex<HashSet<(u32, u32)>>,
-    /// Times a segment *entered* quarantine (monotone, unlike the set size,
-    /// which `clear_quarantine` can shrink) — the event counter `/metrics`
-    /// exposes.
+    /// One [`state`] per segment of the pack, flat in catalog order; series
+    /// `si`'s segments start at `state_base[si]`.
+    seg_state: Box<[AtomicU8]>,
+    state_base: Vec<usize>,
+    /// Times the O(bytes) verification ran (pass or fail).
+    verifications: AtomicU64,
+    /// Times a segment *entered* quarantine (monotone, unlike the number of
+    /// quarantined segments, which `clear_quarantine` can shrink) — the
+    /// event counter `/metrics` exposes.
     quarantine_events: AtomicU64,
+}
+
+/// What the store knows about one segment's bytes (the values of
+/// `Store::seg_state`).
+///
+/// The state is a fact about immutable bytes, not a guard for data
+/// published between threads, so `Relaxed` accesses suffice: whichever
+/// thread reads `VERIFIED`, *some* thread finished verifying those very
+/// bytes.
+mod state {
+    /// Never opened (or quarantine lifted): the next miss runs parse + verify.
+    pub(super) const UNVERIFIED: u8 = 0;
+    /// Passed verification: a miss runs the parse alone.
+    pub(super) const VERIFIED: u8 = 1;
+    /// Failed to open: sticky for this `Store` value, so one bad segment
+    /// fails fast instead of re-running (and re-failing) its checksum on
+    /// every query, while every other segment keeps serving.
+    pub(super) const QUARANTINED: u8 = 2;
 }
 
 impl Store {
@@ -79,13 +108,26 @@ impl Store {
             .enumerate()
             .map(|(i, s)| (s.name.clone(), i))
             .collect();
+        let state_base: Vec<usize> = series
+            .iter()
+            .scan(0, |next, s| {
+                let base = *next;
+                *next += s.segments().len();
+                Some(base)
+            })
+            .collect();
+        let total_segments: usize = series.iter().map(|s| s.segments().len()).sum();
         Ok(Self {
             data,
             series,
             index,
             catalog_offset,
             cache: SegmentCache::new(options.cache_capacity, options.cache_sharding),
-            quarantined: Mutex::new(HashSet::new()),
+            seg_state: (0..total_segments)
+                .map(|_| AtomicU8::new(state::UNVERIFIED))
+                .collect(),
+            state_base,
+            verifications: AtomicU64::new(0),
             quarantine_events: AtomicU64::new(0),
         })
     }
@@ -145,38 +187,42 @@ impl Store {
         }
     }
 
-    /// Opens (or fetches from cache) segment `seg` of series `si`. A
-    /// segment that fails validation is quarantined: this and every later
-    /// query touching it get [`StoreError::Quarantined`] without re-running
-    /// the checksum, and all other segments keep serving.
+    /// Opens (or fetches from cache) segment `seg` of series `si`. The
+    /// first miss on a segment verifies it; later misses only re-parse it
+    /// (see the type docs). A segment that fails to open is quarantined:
+    /// this and every later query touching it get
+    /// [`StoreError::Quarantined`] without re-running the checksum, and all
+    /// other segments keep serving.
     fn open_segment(&self, si: usize, seg: usize) -> Result<Arc<SegmentView>, StoreError> {
-        let key = (si as u32, seg as u32);
-        if self
-            .quarantined
-            .lock()
-            .expect("quarantine lock")
-            .contains(&key)
-        {
+        let slot = &self.seg_state[self.state_base[si] + seg];
+        if Self::is_quarantined(slot) {
             return Err(self.quarantine_error(si, seg));
         }
         let meta = &self.series[si].segments()[seg];
-        let opened = self.cache.get_or_open(key, || {
+        let opened = self.cache.get_or_open((si as u32, seg as u32), || {
             if neats_core::failpoint::triggered("store.open_segment") {
                 return Err(StoreError::Corrupt(
                     "injected failpoint: store.open_segment",
                 ));
             }
-            SegmentView::open(&self.data, meta)
+            if slot.load(Ordering::Relaxed) == state::VERIFIED {
+                return SegmentView::parse(&self.data, meta);
+            }
+            self.verifications.fetch_add(1, Ordering::Relaxed);
+            let view = SegmentView::open(&self.data, meta)?;
+            // Leaves a quarantine set by a racing (injected) failure alone.
+            let _ = slot.compare_exchange(
+                state::UNVERIFIED,
+                state::VERIFIED,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+            Ok(view)
         });
         match opened {
             Ok(view) => Ok(view),
             Err(StoreError::Corrupt(_) | StoreError::Wire(_)) => {
-                if self
-                    .quarantined
-                    .lock()
-                    .expect("quarantine lock")
-                    .insert(key)
-                {
+                if slot.swap(state::QUARANTINED, Ordering::Relaxed) != state::QUARANTINED {
                     self.quarantine_events.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(self.quarantine_error(si, seg))
@@ -192,10 +238,18 @@ impl Store {
         }
     }
 
-    /// Number of quarantined segments (segments that failed validation on
-    /// load and now fail fast; see [`StoreError::Quarantined`]).
+    fn is_quarantined(slot: &AtomicU8) -> bool {
+        slot.load(Ordering::Relaxed) == state::QUARANTINED
+    }
+
+    /// Number of quarantined segments (segments that failed to open and now
+    /// fail fast; see [`StoreError::Quarantined`]). One pass over the
+    /// per-segment states.
     pub fn quarantined_count(&self) -> usize {
-        self.quarantined.lock().expect("quarantine lock").len()
+        self.seg_state
+            .iter()
+            .filter(|s| Self::is_quarantined(s))
+            .count()
     }
 
     /// Total times a segment entered quarantine since open (monotone — not
@@ -204,29 +258,48 @@ impl Store {
         self.quarantine_events.load(Ordering::Relaxed)
     }
 
+    /// Total times the O(bytes) segment verification ran since open, pass
+    /// or fail: once per segment touched, plus once more per segment for
+    /// each [`Self::clear_quarantine`] that reset it. Threads racing the
+    /// very first touch of one segment may each verify it; once any of them
+    /// has passed, no later miss does. Cache misses minus this count is the
+    /// number of parse-only reopens.
+    pub fn segment_verifications(&self) -> u64 {
+        self.verifications.load(Ordering::Relaxed)
+    }
+
     /// The quarantined segments, as `(series name, segment index)` pairs
     /// in deterministic order.
     pub fn quarantined(&self) -> Vec<(String, usize)> {
-        let mut out: Vec<(String, usize)> = self
-            .quarantined
-            .lock()
-            .expect("quarantine lock")
-            .iter()
-            .map(|&(si, seg)| (self.series[si as usize].name().to_string(), seg as usize))
-            .collect();
+        let mut out = Vec::new();
+        for (s, &base) in self.series.iter().zip(&self.state_base) {
+            for seg in 0..s.segments().len() {
+                if Self::is_quarantined(&self.seg_state[base + seg]) {
+                    out.push((s.name().to_string(), seg));
+                }
+            }
+        }
         out.sort();
         out
     }
 
-    /// Lifts every quarantine, so the next query revalidates the segment
-    /// (useful after a transient fault; a genuinely corrupt segment fails
-    /// validation again and returns to quarantine). Returns how many
-    /// entries were cleared.
+    /// Lifts every quarantine by resetting the segment to *unverified*, so
+    /// the next query touching it runs the full verification again (useful
+    /// after a transient fault; a genuinely corrupt segment fails again and
+    /// returns to quarantine). Returns how many segments were cleared.
     pub fn clear_quarantine(&self) -> usize {
-        let mut q = self.quarantined.lock().expect("quarantine lock");
-        let n = q.len();
-        q.clear();
-        n
+        self.seg_state
+            .iter()
+            .filter(|s| {
+                s.compare_exchange(
+                    state::QUARANTINED,
+                    state::UNVERIFIED,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
+            })
+            .count()
     }
 
     /// Index of the segment of `s` covering point `idx` (caller checks
@@ -691,7 +764,8 @@ mod tests {
         assert!(stats.entries >= 1);
         assert!(stats.hit_rate() > 0.6);
 
-        // capacity 0 disables caching: every lookup is a miss.
+        // capacity 0 disables caching: every lookup is a miss (a re-parse;
+        // `uncached_store_verifies_each_segment_once` counts the verifies).
         let cold = Store::open_with(
             pack,
             StoreOptions {
@@ -707,6 +781,59 @@ mod tests {
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.entries, 0);
+    }
+
+    #[test]
+    fn uncached_store_verifies_each_segment_once() {
+        let (stamps, values, pack) = demo_pack(128);
+        let cold = Store::open_with(
+            pack.clone(),
+            StoreOptions {
+                cache_capacity: 0,
+                ..StoreOptions::default()
+            },
+        )
+        .unwrap();
+        let warm = Store::open(pack).unwrap();
+        let segments = cold.series("demo").unwrap().segments().len();
+        assert_eq!(cold.segment_verifications(), 0, "nothing verified at mount");
+
+        // Three passes of every kind of query over every segment.
+        let mut queries = 0u64;
+        for pass in 0..3 {
+            for k in (pass..1000).step_by(7) {
+                assert_eq!(cold.get("demo", k).unwrap(), warm.get("demo", k).unwrap());
+                assert_eq!(cold.get("demo", k).unwrap(), values[k]);
+                assert_eq!(
+                    cold.at_time("demo", stamps[k]).unwrap(),
+                    warm.at_time("demo", stamps[k]).unwrap()
+                );
+                assert_eq!(cold.timestamp("demo", k).unwrap(), stamps[k]);
+                queries += 4;
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            cold.range("demo", 0..1000, &mut a).unwrap();
+            warm.range("demo", 0..1000, &mut b).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(
+                cold.sum("demo", 3..997).unwrap(),
+                warm.sum("demo", 3..997).unwrap()
+            );
+        }
+
+        // Every lookup missed, yet each segment was verified exactly once:
+        // all the other misses re-parsed already-verified bytes.
+        let stats = cold.cache_stats();
+        assert_eq!(stats.hits, 0);
+        assert!(
+            stats.misses >= queries,
+            "{} misses for {queries} queries",
+            stats.misses
+        );
+        assert_eq!(cold.segment_verifications(), segments as u64);
+        // The default store verified on its (only) miss per segment too.
+        assert_eq!(warm.segment_verifications(), segments as u64);
+        assert_eq!(warm.cache_stats().misses, segments as u64);
     }
 
     #[test]
@@ -873,6 +1000,53 @@ mod tests {
         assert_eq!(store.at_time("s", 250).unwrap(), Some(v2[50]));
     }
 
+    /// A byte of `blob` (a range of `pack` inside segment `meta`) whose
+    /// corruption the O(sections) parse cannot see — only the verify can.
+    /// The quarantine tests corrupt *these*, so a store that skipped
+    /// verification would serve an answer where they expect an error.
+    fn parse_invisible_flip(pack: &[u8], meta: &SegmentMeta, blob: Range<usize>) -> usize {
+        let mid = blob.start + blob.len() / 2;
+        (mid..blob.end)
+            .find(|&pos| {
+                let mut bad = pack.to_vec();
+                bad[pos] ^= 0x40;
+                let bad: Arc<[u8]> = bad.into();
+                SegmentView::parse(&bad, meta).is_ok() && SegmentView::open(&bad, meta).is_err()
+            })
+            .expect("a payload byte past the blob's midpoint")
+    }
+
+    #[test]
+    fn corrupt_timestamp_blob_is_caught_by_the_one_verification() {
+        let (_, values, mut pack) = demo_pack(128);
+        let (bad_off, bad_first) = {
+            let probe = Store::open(pack.clone()).unwrap();
+            let m = &probe.series("demo").unwrap().segments()[1];
+            let off = parse_invisible_flip(&pack, m, m.ts_offset..m.ts_offset + m.ts_len);
+            (off, m.first_index)
+        };
+        pack[bad_off] ^= 0x40;
+        // Caching off: were the verdict not remembered per segment, the
+        // second query would re-parse the bad blob and answer from it.
+        let store = Store::open_with(
+            pack,
+            StoreOptions {
+                cache_capacity: 0,
+                ..StoreOptions::default()
+            },
+        )
+        .unwrap();
+        for _ in 0..3 {
+            assert!(matches!(
+                store.get("demo", bad_first + 5),
+                Err(StoreError::Quarantined { segment: 1, .. })
+            ));
+            assert_eq!(store.get("demo", 5).unwrap(), values[5]);
+        }
+        assert_eq!(store.segment_verifications(), 2);
+        assert_eq!(store.quarantine_events(), 1);
+    }
+
     #[test]
     fn corrupt_segment_is_quarantined_not_fatal() {
         let stamps: Vec<u64> = (0..512u64).map(|i| 1_000 + i * 3).collect();
@@ -886,13 +1060,14 @@ mod tests {
         w.ingest("b", &stamps, &vb).unwrap();
         let mut pack = w.finish().unwrap();
 
-        // Flip one byte inside segment 2 of series "a": the pack still
-        // opens (segment blobs are validated lazily), but that segment's
-        // checksum can no longer pass.
+        // Flip one payload byte inside segment 2 of series "a": the pack
+        // still opens (segment blobs are validated lazily) and the segment
+        // still *parses*, but its checksum can no longer pass.
         let (bad_off, bad_first) = {
             let probe = Store::open(pack.clone()).unwrap();
             let m = &probe.series("a").unwrap().segments()[2];
-            (m.data_offset + m.data_len / 2, m.first_index)
+            let off = parse_invisible_flip(&pack, m, m.data_offset..m.data_offset + m.data_len);
+            (off, m.first_index)
         };
         pack[bad_off] ^= 0x40;
         let store = Store::open(pack).unwrap();
@@ -909,12 +1084,15 @@ mod tests {
         );
         assert_eq!(store.quarantined_count(), 1);
         assert_eq!(store.quarantined(), vec![("a".to_string(), 2)]);
+        assert_eq!(store.quarantine_events(), 1);
+        assert_eq!(store.segment_verifications(), 1, "the failed verify counts");
 
-        // Repeats fail fast with the same error (no revalidation churn).
+        // Repeats fail fast with the same error (no re-verification churn).
         assert!(matches!(
             store.get("a", bad_first),
             Err(StoreError::Quarantined { segment: 2, .. })
         ));
+        assert_eq!(store.segment_verifications(), 1, "sticky: no second verify");
         // A range crossing the bad segment reports the quarantine too.
         let mut out = Vec::new();
         assert!(matches!(
@@ -930,9 +1108,13 @@ mod tests {
         out.clear();
         store.range("b", 0..512, &mut out).unwrap();
         assert_eq!(out, vb);
+        // 3 good segments of "a" + 4 of "b" + the bad one, once each.
+        assert_eq!(store.segment_verifications(), 8);
 
-        // Lifting the quarantine forces a revalidation; genuinely corrupt
-        // bytes fail again and the segment returns to quarantine.
+        // Lifting the quarantine resets the segment to unverified, so the
+        // next touch really verifies again; genuinely corrupt bytes fail
+        // again and the segment returns to quarantine. Verified segments
+        // are not reset.
         assert_eq!(store.clear_quarantine(), 1);
         assert_eq!(store.quarantined_count(), 0);
         assert!(matches!(
@@ -940,5 +1122,9 @@ mod tests {
             Err(StoreError::Quarantined { segment: 2, .. })
         ));
         assert_eq!(store.quarantined_count(), 1);
+        assert_eq!(store.quarantine_events(), 2);
+        assert_eq!(store.segment_verifications(), 9);
+        assert_eq!(store.clear_quarantine(), 1);
+        assert_eq!(store.clear_quarantine(), 0, "nothing left to clear");
     }
 }

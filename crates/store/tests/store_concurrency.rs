@@ -2,11 +2,21 @@
 //! a deterministic pseudo-random mix of point / range / time / aggregate
 //! queries, every answer checked against a precomputed oracle. The cache
 //! capacity is kept small so eviction churns constantly under contention.
+//!
+//! Also here: the races around a segment's *first touch*. The store verifies
+//! a segment once and re-parses it on later cache misses, so the state flip
+//! "unverified → verified / quarantined" is shared by every reader; threads
+//! released together onto one cold segment must never get an answer out of
+//! a view nobody verified.
 
-use neats_core::NeaTS;
-use neats_store::{Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
+use neats_core::{ArchiveView, NeaTS};
+use neats_store::{Store, StoreConfig, StoreError, StoreMode, StoreOptions, StoreWriter};
 use std::collections::HashMap;
+use std::sync::Barrier;
 use timeseries::TimeSeries;
+
+/// Points per segment of the test pack.
+const SEG: usize = 256;
 
 /// One series' oracle: stamps, the values the store must serve, and a
 /// stamp → index map for `at_time` probes.
@@ -21,7 +31,6 @@ struct Oracle {
 /// differential suite's ground truth — so this test is pure concurrency.
 fn build() -> (Vec<u8>, Vec<(String, Oracle)>) {
     const N: usize = 4000;
-    const SEG: usize = 256;
     let mk = |seed: u64, f: fn(i64, i64) -> i64| -> (Vec<u64>, Vec<i64>) {
         let mut t = 1_700_000_000u64;
         let mut acc = 0i64;
@@ -222,4 +231,150 @@ fn single_thread_matches_multi_thread_cache_or_not() {
     hammer(&cold, &oracles, 42, 250);
     assert_eq!(cold.cache_stats().entries, 0);
     assert!(cached.cache_stats().hits > 0);
+}
+
+/// Byte range of the `k`-th value frame in `pack`'s data region. Frames
+/// are found by their magic; the length comes from the frame head (magic,
+/// version, flavor byte, section count, 16 bytes per section, payload
+/// length, CRC — `neats-core`'s `serial.rs`).
+fn frame_range(pack: &[u8], k: usize) -> std::ops::Range<usize> {
+    let start = pack
+        .windows(8)
+        .enumerate()
+        .filter(|(_, w)| w == b"NeaTSFRM")
+        .map(|(i, _)| i)
+        .nth(k)
+        .expect("frame k");
+    let word = |at: usize| u64::from_le_bytes(pack[at..at + 8].try_into().unwrap()) as usize;
+    let payload_len_at = start + 25 + 16 * word(start + 17);
+    start..payload_len_at + 16 + word(payload_len_at)
+}
+
+/// Caching off, so every lookup is a miss and goes through the
+/// verified-or-not decision.
+fn uncached(pack: Vec<u8>) -> Store {
+    Store::open_with(
+        pack,
+        StoreOptions {
+            cache_capacity: 0,
+            ..StoreOptions::default()
+        },
+    )
+    .unwrap()
+}
+
+#[test]
+fn racing_first_touch_of_a_good_segment_verifies_then_only_parses() {
+    const THREADS: usize = 8;
+    let (pack, oracles) = build();
+    let (name, o) = &oracles[0];
+    for round in 0..20 {
+        let store = uncached(pack.clone());
+        let barrier = Barrier::new(THREADS);
+        // All threads hit one (full) segment of one series at once.
+        let base = round % (o.values.len() / SEG) * SEG;
+        std::thread::scope(|scope| {
+            for tid in 0..THREADS {
+                let (store, barrier) = (&store, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for k in 0..32 {
+                        let idx = base + (tid * 32 + k) % SEG;
+                        assert_eq!(store.get(name, idx).unwrap(), o.values[idx], "get({idx})");
+                    }
+                });
+            }
+        });
+        // Racing first touches may each have verified, but no more than one
+        // per thread, and once the segment is verified nobody does again.
+        let verified = store.segment_verifications();
+        assert!(
+            (1..=THREADS as u64).contains(&verified),
+            "round {round}: {verified}"
+        );
+        for idx in base..base + SEG {
+            assert_eq!(store.get(name, idx).unwrap(), o.values[idx]);
+        }
+        assert_eq!(store.segment_verifications(), verified, "round {round}");
+        assert_eq!(store.cache_stats().misses, (THREADS * 32 + SEG) as u64);
+        assert_eq!(store.quarantine_events(), 0);
+    }
+}
+
+#[test]
+fn racing_first_touch_of_a_corrupt_segment_quarantines_exactly_once() {
+    const THREADS: usize = 8;
+    let (mut pack, oracles) = build();
+    // Corrupt a byte of one value frame that the O(sections) parse cannot
+    // see — only the verification (CRC) can — so a thread that skipped
+    // verification would hand back an answer instead of an error.
+    let frame = frame_range(&pack, 19);
+    let bad_off = (frame.start + frame.len() / 2..frame.end)
+        .find(|&pos| {
+            let mut bad = pack[frame.clone()].to_vec();
+            bad[pos - frame.start] ^= 0x10;
+            ArchiveView::parse(&bad).is_ok() && ArchiveView::open(&bad).is_err()
+        })
+        .expect("a payload byte past the frame's midpoint");
+    pack[bad_off] ^= 0x10;
+    // Which segment that was: the one a sequential probe finds quarantined.
+    let (name, bad_seg) = {
+        let probe = Store::open(pack.clone()).unwrap();
+        for (name, o) in &oracles {
+            for idx in (0..o.values.len()).step_by(SEG) {
+                let _ = probe.get(name, idx);
+            }
+        }
+        let mut bad = probe.quarantined();
+        assert_eq!(bad.len(), 1, "one flipped byte, one bad segment: {bad:?}");
+        bad.pop().unwrap()
+    };
+    let o = &oracles.iter().find(|(n, _)| *n == name).unwrap().1;
+    let first = bad_seg * SEG;
+    let neighbour = if first == 0 { SEG } else { first - SEG };
+    let name = &name;
+    let quarantined = Err(StoreError::Quarantined {
+        series: name.clone(),
+        segment: bad_seg,
+    });
+
+    for round in 0..20 {
+        let store = uncached(pack.clone());
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for tid in 0..THREADS {
+                let (store, barrier, quarantined) = (&store, &barrier, &quarantined);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for k in 0..16 {
+                        let got = store.get(name, first + tid * 16 + k);
+                        assert_eq!(&got, quarantined, "round {round}: unverified answer?");
+                    }
+                    // The neighbours keep serving throughout.
+                    let ok = neighbour + tid;
+                    assert_eq!(store.get(name, ok).unwrap(), o.values[ok]);
+                });
+            }
+        });
+        assert_eq!(
+            store.quarantine_events(),
+            1,
+            "round {round}: one event per segment"
+        );
+        assert_eq!(store.quarantined(), vec![(name.clone(), bad_seg)]);
+        // Every racer that got as far as verifying the bad segment failed
+        // it; the good neighbour was verified at least once.
+        let verified = store.segment_verifications();
+        assert!(
+            (2..=2 * THREADS as u64).contains(&verified),
+            "round {round}: {verified}"
+        );
+
+        // Lifting the quarantine makes the next touch verify again — and
+        // fail again, as a second event.
+        assert_eq!(store.clear_quarantine(), 1);
+        assert_eq!(store.get(name, first), quarantined);
+        assert_eq!(store.segment_verifications(), verified + 1);
+        assert_eq!(store.quarantine_events(), 2);
+    }
 }

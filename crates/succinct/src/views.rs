@@ -16,9 +16,21 @@
 //! [`BitVectorView`] is the one structure that needs serialized state beyond
 //! the payload: its rank/select directories are persisted by the owned
 //! writer (wire format v2) instead of being rebuilt on load — rebuilding is
-//! exactly the O(archive) work a zero-copy open must avoid. `validate()`
-//! re-derives the directories from the payload in one streaming pass and is
-//! called once at archive open, after which every probe is panic-free.
+//! exactly the O(archive) work a zero-copy open must avoid.
+//!
+//! Opening a structure has two halves, kept apart on purpose:
+//!
+//! * `read` is the **parse**: O(1) per structure (section lengths, masked
+//!   trailing bits, cross-field counts), bounds-checked and panic-free on
+//!   any bytes, and allocation-free.
+//! * `validate` is the **verify**: one streaming pass that re-derives the
+//!   rank/select directories from the payload. Only after it succeeds is
+//!   every `rank`/`select`/`get` probe in bounds by construction; probing a
+//!   view of bytes that were never validated may panic or answer nonsense.
+//!
+//! Callers that hold bytes already validated once (and immutable since) may
+//! `read` again without re-validating — that is what the store's segment
+//! cache does on a miss.
 
 use crate::bits::BitBuf;
 use crate::bitvec::{select_in_word, BitVector};
@@ -27,8 +39,9 @@ use crate::packed::PackedVec;
 use crate::wavelet::WaveletMatrix;
 use crate::wire::{WireError, WireReader};
 
-/// A borrowed sequence of little-endian `u64`s over an unaligned byte slice.
-#[derive(Clone, Copy, Debug)]
+/// A borrowed sequence of little-endian `u64`s over an unaligned byte slice
+/// (`Default` is the empty sequence).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct U64sView<'a> {
     bytes: &'a [u8],
 }
@@ -183,6 +196,16 @@ pub struct BitVectorView<'a> {
 const WORDS_PER_BLOCK: usize = 8; // keep in sync with bitvec.rs
 
 impl<'a> BitVectorView<'a> {
+    /// Filler for the unused tail of [`WaveletMatrixView`]'s inline level
+    /// array; never probed.
+    const UNUSED: Self = Self {
+        words: U64sView { bytes: &[] },
+        len: 0,
+        block_rank: U64sView { bytes: &[] },
+        sub_rank: U16sView { bytes: &[] },
+        ones: 0,
+    };
+
     /// Parses the [`BitVector`] wire encoding, borrowing payload and
     /// directories. Checks every *structural* invariant (exact section
     /// lengths, masked trailing bits); directory *contents* are checked by
@@ -621,10 +644,11 @@ impl<'a> PackedVecView<'a> {
 
 /// Borrowed counterpart of [`WaveletMatrix`]: `access`/`rank` over `u8`
 /// symbols straight from serialized bytes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct WaveletMatrixView<'a> {
-    /// At most 8 levels (`bits ≤ 8`), so this `Vec` is constant-bounded.
-    levels: Vec<BitVectorView<'a>>,
+    /// At most 8 levels (`bits ≤ 8`), held inline so parsing never
+    /// allocates; only the first `bits` entries are meaningful.
+    levels: [BitVectorView<'a>; 8],
     zeros: [usize; 8],
     len: usize,
     bits: usize,
@@ -644,26 +668,28 @@ impl<'a> WaveletMatrixView<'a> {
         for (slot, z) in zeros.iter_mut().zip(zeros_wire.iter()) {
             *slot = usize::try_from(z).map_err(|_| WireError::Corrupt("WaveletMatrix zeros"))?;
         }
-        let mut levels = Vec::with_capacity(n_levels);
-        for level in 0..n_levels {
+        let mut levels = [BitVectorView::UNUSED; 8];
+        for (slot, &level_zeros) in levels.iter_mut().zip(&zeros).take(n_levels) {
             let l = BitVectorView::read(r)?;
             if l.len() != len {
                 return Err(WireError::Corrupt("WaveletMatrix level length"));
             }
-            if l.count_zeros() != zeros[level] {
+            if l.count_zeros() != level_zeros {
                 return Err(WireError::Corrupt("WaveletMatrix zeros"));
             }
-            levels.push(l);
+            *slot = l;
         }
         Ok(Self { levels, zeros, len, bits })
     }
 
+    /// The levels in use, most significant bit first.
+    fn levels(&self) -> &[BitVectorView<'a>] {
+        &self.levels[..self.bits]
+    }
+
     /// Verifies every level's rank directories.
     pub fn validate(&self) -> Result<(), WireError> {
-        for l in &self.levels {
-            l.validate()?;
-        }
-        Ok(())
+        self.levels().iter().try_for_each(BitVectorView::validate)
     }
 
     /// Number of symbols.
@@ -681,7 +707,7 @@ impl<'a> WaveletMatrixView<'a> {
         debug_assert!(i < self.len);
         let mut i = i;
         let mut sym = 0u8;
-        for (level, bv) in self.levels.iter().enumerate() {
+        for (level, bv) in self.levels().iter().enumerate() {
             let bit = bv.get(i);
             sym = (sym << 1) | bit as u8;
             i = if bit { self.zeros[level] + bv.rank1(i) } else { bv.rank0(i) };
@@ -695,7 +721,7 @@ impl<'a> WaveletMatrixView<'a> {
         let mut pos = i;
         let mut bucket = 0usize;
         let mut sym = 0u8;
-        for (level, bv) in self.levels.iter().enumerate() {
+        for (level, bv) in self.levels().iter().enumerate() {
             let bit = bv.get(pos);
             sym = (sym << 1) | bit as u8;
             if bit {
@@ -717,7 +743,7 @@ impl<'a> WaveletMatrixView<'a> {
         }
         let mut s = 0usize;
         let mut e = pos;
-        for (level, bv) in self.levels.iter().enumerate() {
+        for (level, bv) in self.levels().iter().enumerate() {
             let shift = self.bits - 1 - level;
             if (sym >> shift) & 1 == 0 {
                 s = bv.rank0(s);
@@ -733,7 +759,7 @@ impl<'a> WaveletMatrixView<'a> {
     /// Materialises an owned [`WaveletMatrix`] (one copy per level).
     pub fn to_wavelet_matrix(&self) -> Result<WaveletMatrix, WireError> {
         let levels = self
-            .levels
+            .levels()
             .iter()
             .map(|l| l.to_bitvector())
             .collect::<Result<Vec<_>, _>>()?;
