@@ -7,7 +7,8 @@ use crate::manifest::{self, Manifest};
 use crate::wal::{FsyncPolicy, Wal, WalOp};
 use neats_core::{AtomicHistogram, NeaTSBuilder};
 use neats_store::{
-    CacheSharding, CacheStats, Store, StoreConfig, StoreError, StoreMode, StoreOptions, StoreWriter,
+    CacheSharding, CacheStats, RangeScratch, Store, StoreConfig, StoreError, StoreMode,
+    StoreOptions, StoreWriter,
 };
 use std::collections::HashSet;
 use std::fs;
@@ -863,21 +864,25 @@ impl Ingestor {
         range: Range<usize>,
         out: &mut Vec<i64>,
     ) -> Result<(), StoreError> {
-        self.range_chunks(series, range, |chunk| out.extend_from_slice(chunk))
+        self.range_chunks_in(&mut RangeScratch::default(), series, range, |chunk| {
+            out.extend_from_slice(chunk)
+        })
     }
 
     /// Streams the values at series-global positions `range` to `f` in
-    /// bounded chunks — sealed segments first (via
-    /// [`Store::range_chunks`]), then the head part as one chunk.
-    pub fn range_chunks(
+    /// bounded chunks — sealed segments first, decoded into the caller's
+    /// `scratch` (see [`Store::range_chunks_in`]), then the head part as
+    /// one chunk, copied out under the head lock into a buffer of its own.
+    pub fn range_chunks_in(
         &self,
+        scratch: &mut RangeScratch,
         series: &str,
         range: Range<usize>,
         mut f: impl FnMut(&[i64]),
     ) -> Result<(), StoreError> {
         let (store, sealed, head_vals) = self.split_range(series, &range)?;
         if let Some(r) = sealed {
-            store.range_chunks(series, r, &mut f)?;
+            store.range_chunks_in(scratch, series, r, &mut f)?;
         }
         if !head_vals.is_empty() {
             f(&head_vals);
@@ -894,15 +899,20 @@ impl Ingestor {
         t_hi: u64,
         out: &mut Vec<(u64, i64)>,
     ) -> Result<(), StoreError> {
-        self.range_by_time_chunks(series, t_lo, t_hi, |chunk| out.extend_from_slice(chunk))
+        self.range_by_time_chunks_in(&mut RangeScratch::default(), series, t_lo, t_hi, |chunk| {
+            out.extend_from_slice(chunk)
+        })
     }
 
     /// Streams all `(timestamp, value)` pairs with timestamp in
-    /// `[t_lo, t_hi]` to `f` in bounded chunks, sealed part first. Sealed
-    /// and head timestamps are disjoint (head stamps are strictly above the
-    /// sealed floor), so the concatenation is time-ordered.
-    pub fn range_by_time_chunks(
+    /// `[t_lo, t_hi]` to `f` in bounded chunks, sealed part first (decoded
+    /// into the caller's `scratch`, see
+    /// [`Store::range_by_time_chunks_in`]). Sealed and head timestamps are
+    /// disjoint (head stamps are strictly above the sealed floor), so the
+    /// concatenation is time-ordered.
+    pub fn range_by_time_chunks_in(
         &self,
+        scratch: &mut RangeScratch,
         series: &str,
         t_lo: u64,
         t_hi: u64,
@@ -927,7 +937,7 @@ impl Ingestor {
             None => (Vec::new(), true),
         };
         if sealed_visible {
-            store.range_by_time_chunks(series, t_lo, t_hi, &mut f)?;
+            store.range_by_time_chunks_in(scratch, series, t_lo, t_hi, &mut f)?;
         }
         if !pairs.is_empty() {
             f(&pairs);

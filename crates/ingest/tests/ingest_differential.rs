@@ -8,7 +8,7 @@
 //! every thread.
 
 use neats_ingest::{FsyncPolicy, IngestConfig, Ingestor};
-use neats_store::StoreError;
+use neats_store::{RangeScratch, StoreError};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -212,6 +212,95 @@ fn run_trace(steps: &[Step], chunk_points: usize, dir_tag: u64) {
                 scope.spawn(move || check(ing, model, 0xBEEF ^ tid as u64));
             }
         });
+    }
+    drop(ing);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Time windows that straddle, touch and miss the sealed↔head boundary:
+/// the sealed part's timestamps come from the store's sequential cursor, the
+/// head part from the raw columns, and the two must meet without a gap, a
+/// repeat or a mislabelled point — through one reused scratch as well.
+#[test]
+fn time_windows_across_the_sealed_head_boundary() {
+    let dir = std::env::temp_dir().join(format!("neats-idiff-boundary-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let cfg = IngestConfig {
+        chunk_points: 16,
+        seal_points: usize::MAX,
+        fsync: FsyncPolicy::Never,
+        ..IngestConfig::default()
+    };
+    let ing = Ingestor::open(&dir, cfg).unwrap();
+    let pts: Vec<(u64, i64)> = (0..137u64)
+        .map(|k| (5_000 + k * 7 + k % 3, (k * k % 89) as i64 - 40))
+        .collect();
+    let (stamps, values): (Vec<u64>, Vec<i64>) = pts.iter().copied().unzip();
+    ing.append("s", &stamps[..100], &values[..100]).unwrap();
+    ing.seal().unwrap();
+    ing.append("s", &stamps[100..], &values[100..]).unwrap();
+    // Whole chunks are sealed, the raw tail stays in the head.
+    let boundary = pts.len() - ing.head_points();
+    assert!(
+        (16..=100).contains(&boundary),
+        "{boundary} sealed points"
+    );
+
+    let (last_sealed, first_head) = (stamps[boundary - 1], stamps[boundary]);
+    assert!(
+        first_head - last_sealed > 1,
+        "the fixture needs a gap at the boundary"
+    );
+    let probes = [
+        0,
+        stamps[0],
+        stamps[boundary - 20],
+        stamps[boundary - 16], // a segment's first stamp
+        last_sealed - 1,
+        last_sealed,
+        last_sealed + 1, // between the two parts
+        first_head - 1,
+        first_head,
+        first_head + 1,
+        stamps[boundary + 9],
+        stamps[pts.len() - 1],
+        u64::MAX,
+    ];
+    let mut scratch = RangeScratch::default();
+    for t_lo in probes {
+        for t_hi in probes {
+            let want: Vec<(u64, i64)> = pts
+                .iter()
+                .copied()
+                .filter(|&(t, _)| t >= t_lo && t <= t_hi)
+                .collect();
+            let mut got = Vec::new();
+            ing.range_by_time("s", t_lo, t_hi, &mut got).unwrap();
+            assert_eq!(got, want, "range_by_time [{t_lo}, {t_hi}]");
+            got.clear();
+            ing.range_by_time_chunks_in(&mut scratch, "s", t_lo, t_hi, |chunk| {
+                assert!(!chunk.is_empty());
+                got.extend_from_slice(chunk);
+            })
+            .unwrap();
+            assert_eq!(
+                got, want,
+                "chunks through a reused scratch [{t_lo}, {t_hi}]"
+            );
+        }
+    }
+    // The index ranges across the same boundary, through the same scratch.
+    for (a, b) in [
+        (0, pts.len()),
+        (boundary - 3, boundary + 3),
+        (boundary, boundary + 1),
+    ] {
+        let mut got = Vec::new();
+        ing.range_chunks_in(&mut scratch, "s", a..b, |chunk| {
+            got.extend_from_slice(chunk)
+        })
+        .unwrap();
+        assert_eq!(got, values[a..b], "range_chunks_in {a}..{b}");
     }
     drop(ing);
     fs::remove_dir_all(&dir).unwrap();

@@ -7,12 +7,12 @@
 //! integration test mirrors its examples verbatim.
 
 use crate::http::{Method, Request, Response};
+use crate::render::{push_pair_lines, push_u64, push_value_line, push_value_lines, Scratch};
 use crate::source::{mode_eps, Source};
 use crate::stats::{Endpoint, Obs, ServerStats};
 use neats_core::obs::{span_ensure, span_take, stage, Stage, STAGE_COUNT};
 use neats_ingest::Ingestor;
-use neats_store::StoreError;
-use std::io::Write as _;
+use neats_store::{RangeScratch, StoreError};
 use std::time::Instant;
 
 /// Routes one parsed request, recording latency and error counters for the
@@ -20,12 +20,17 @@ use std::time::Instant;
 /// (armed by the serving loop before the read, covering parse) is taken
 /// here, checked against the slow-query threshold, and recorded into the
 /// `/debug/requests` ring. Response socket I/O is not traced.
-pub fn handle(
+///
+/// Query bodies are rendered into `scratch` and leave in the response; the
+/// caller gives them back with [`Scratch::reclaim`] once the response is
+/// serialized.
+pub(crate) fn handle(
     src: &Source,
     stats: &ServerStats,
     obs: &Obs,
     threads: usize,
     req: &Request,
+    scratch: &mut Scratch,
 ) -> Response {
     use std::sync::atomic::Ordering::Relaxed;
     // Direct calls (tests, future embedders) that never armed a span still
@@ -33,7 +38,7 @@ pub fn handle(
     span_ensure();
     stats.bytes_in.fetch_add(req.wire_bytes as u64, Relaxed);
     let t0 = Instant::now();
-    let (endpoint, resp) = route(src, stats, obs, threads, req);
+    let (endpoint, resp) = route(src, stats, obs, threads, req, scratch);
     if resp.status == 503 {
         stats.degraded.fetch_add(1, Relaxed);
     }
@@ -78,6 +83,7 @@ fn route(
     obs: &Obs,
     threads: usize,
     req: &Request,
+    scratch: &mut Scratch,
 ) -> (Option<Endpoint>, Response) {
     // Routing + handling; nested stage guards (cache, decode, render,
     // write) pause this one, so its self-time is pure dispatch overhead.
@@ -92,9 +98,12 @@ fn route(
         (Method::Get, "/debug/requests") => (Some(Endpoint::Debug), debug_requests_json(obs)),
         (Method::Get, path) if path.starts_with("/q/") => {
             let series = &path[3..];
-            (Some(Endpoint::Query), single_query(src, series, &req.query))
+            (
+                Some(Endpoint::Query),
+                single_query(src, series, &req.query, scratch),
+            )
         }
-        (Method::Post, "/q") => (Some(Endpoint::Batch), batch_query(src, &req.body)),
+        (Method::Post, "/q") => (Some(Endpoint::Batch), batch_query(src, &req.body, scratch)),
         (Method::Post, "/write") => (Some(Endpoint::Write), write_batch(src, &req.body)),
         // Known paths under the wrong method get a 405, unknown paths a 404.
         (_, "/series" | "/stats" | "/q" | "/write" | "/metrics" | "/debug/requests")
@@ -158,20 +167,51 @@ fn debug_requests_json(obs: &Obs) -> Response {
 }
 
 /// `GET /q/<series>?idx=K | idx=A..B | t=T | t=A..B`.
-fn single_query(src: &Source, series: &str, query: &str) -> Response {
-    match run_query(src, series, query) {
-        Ok((body, _)) => Response::text(body),
-        Err((status, reason)) => Response::error(status, &reason),
+fn single_query(src: &Source, series: &str, query: &str, scratch: &mut Scratch) -> Response {
+    let mut body = std::mem::take(&mut scratch.body);
+    match run_query(src, series, query, &mut scratch.decode, &mut body) {
+        Ok(_) => Response::text(body),
+        Err((status, reason)) => {
+            scratch.body = body;
+            Response::error(status, &reason)
+        }
     }
+}
+
+/// Appends the `#<i> ok <n>` line of a batch frame.
+fn push_ok_frame(out: &mut Vec<u8>, i: usize, n: usize) {
+    out.push(b'#');
+    push_u64(out, i as u64);
+    out.extend_from_slice(b" ok ");
+    push_u64(out, n as u64);
+    out.push(b'\n');
+}
+
+/// Appends the `#<i> err <status> <reason>` line of a batch frame.
+fn push_err_frame(out: &mut Vec<u8>, i: usize, status: u16, reason: &str) {
+    out.push(b'#');
+    push_u64(out, i as u64);
+    out.extend_from_slice(b" err ");
+    push_u64(out, u64::from(status));
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+    out.push(b'\n');
+}
+
+/// Appends the `#done <n>` line that ends a batch response.
+fn push_done_frame(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(b"#done ");
+    push_u64(out, n as u64);
+    out.push(b'\n');
 }
 
 /// `POST /q` — one query per line: `<series> <spec>`. Every query is
 /// answered inside one 200 frame; see `docs/PROTOCOL.md` for the framing.
-fn batch_query(src: &Source, body: &[u8]) -> Response {
+fn batch_query(src: &Source, body: &[u8], scratch: &mut Scratch) -> Response {
     let Ok(text) = std::str::from_utf8(body) else {
         return Response::error(400, "batch body is not UTF-8");
     };
-    let mut out = Vec::new();
+    let mut out = std::mem::take(&mut scratch.body);
     let mut n = 0usize;
     for line in text.lines() {
         let line = line.trim();
@@ -183,22 +223,36 @@ fn batch_query(src: &Source, body: &[u8]) -> Response {
         // The spec (`idx=…` / `t=…`) never contains a space, so the series
         // name is everything before the *last* space — names with spaces
         // need no escaping in batch lines.
-        match line.rsplit_once(' ') {
-            Some((series, spec)) => match run_query(src, series.trim(), spec.trim()) {
-                Ok((payload, lines)) => {
-                    let _ = writeln!(out, "#{i} ok {lines}");
-                    out.extend_from_slice(&payload);
-                }
-                Err((status, reason)) => {
-                    let _ = writeln!(out, "#{i} err {status} {reason}");
-                }
-            },
-            None => {
-                let _ = writeln!(out, "#{i} err 400 malformed query line (want: <series> <spec>)");
+        let Some((series, spec)) = line.rsplit_once(' ') else {
+            push_err_frame(
+                &mut out,
+                i,
+                400,
+                "malformed query line (want: <series> <spec>)",
+            );
+            continue;
+        };
+        let at = out.len();
+        match run_query(
+            src,
+            series.trim(),
+            spec.trim(),
+            &mut scratch.decode,
+            &mut out,
+        ) {
+            Ok(lines) => {
+                // The frame line carries the payload's line count, known
+                // only now: append it, then rotate it in front of the
+                // payload (in place, no second buffer).
+                let payload_end = out.len();
+                push_ok_frame(&mut out, i, lines);
+                let frame_len = out.len() - payload_end;
+                out[at..].rotate_right(frame_len);
             }
+            Err((status, reason)) => push_err_frame(&mut out, i, status, &reason),
         }
     }
-    let _ = writeln!(out, "#done {n}");
+    push_done_frame(&mut out, n);
     Response::text(out)
 }
 
@@ -248,16 +302,15 @@ fn write_batch(src: &Source, body: &[u8]) -> Response {
                 if let Some(batch) = cur.take() {
                     flush_write_batch(ing, batch, &mut out, &mut n);
                 }
-                let i = n;
+                push_err_frame(&mut out, n, 400, &reason);
                 n += 1;
-                let _ = writeln!(out, "#{i} err 400 {reason}");
             }
         }
     }
     if let Some(batch) = cur.take() {
         flush_write_batch(ing, batch, &mut out, &mut n);
     }
-    let _ = writeln!(out, "#done {n}");
+    push_done_frame(&mut out, n);
     Response::text(out)
 }
 
@@ -287,50 +340,63 @@ fn flush_write_batch(
     let i = *n;
     *n += 1;
     match ing.append(&series, &stamps, &values) {
-        Ok(()) => {
-            let _ = writeln!(out, "#{i} ok {}", stamps.len());
-        }
+        Ok(()) => push_ok_frame(out, i, stamps.len()),
         Err(e) => {
             let (status, reason) = store_err(e);
-            let _ = writeln!(out, "#{i} err {status} {reason}");
+            push_err_frame(out, i, status, &reason);
         }
     }
 }
 
 /// Runs one query spec (`idx=K`, `idx=A..B`, `t=T`, `t=A..B`) against
-/// `series`, returning the rendered payload and its line count, or the
-/// status + reason it fails with.
+/// `series`, appending the rendered payload to `out` and returning its line
+/// count, or the status + reason it fails with — in which case `out` is left
+/// as it was, whatever part of a range had been rendered before the failure.
 pub(crate) fn run_query(
     src: &Source,
     series: &str,
     spec: &str,
-) -> Result<(Vec<u8>, usize), (u16, String)> {
+    decode: &mut RangeScratch,
+    out: &mut Vec<u8>,
+) -> Result<usize, (u16, String)> {
+    let at = out.len();
+    let lines = render_query(src, series, spec, decode, out);
+    if lines.is_err() {
+        out.truncate(at);
+    }
+    lines
+}
+
+fn render_query(
+    src: &Source,
+    series: &str,
+    spec: &str,
+    decode: &mut RangeScratch,
+    out: &mut Vec<u8>,
+) -> Result<usize, (u16, String)> {
     let (key, val) = spec
         .split_once('=')
         .ok_or_else(|| (400u16, format!("malformed query spec {spec:?} (want idx=… or t=…)")))?;
-    let mut body = Vec::new();
     let mut lines = 0usize;
     match key {
         "idx" => {
             if let Some((a, b)) = val.split_once("..") {
                 let a = parse_num(a, "range start")?;
                 let b = parse_num(b, "range end")?;
-                src.range_chunks(series, a..b, |chunk| {
-                    // Rendered straight from the zero-copy segment
-                    // views: the decoded-value buffer stays one segment
-                    // long (the text body still accumulates in full for
-                    // Content-Length framing).
+                // Rendered chunk by chunk straight from the decode
+                // scratch: the decoded-value buffer stays one segment long
+                // (the text body still accumulates in full for
+                // Content-Length framing).
+                src.range_chunks_in(decode, series, a..b, |chunk| {
                     let _render = stage(Stage::Render);
-                    for v in chunk {
-                        let _ = writeln!(body, "{v}");
-                    }
+                    push_value_lines(out, chunk);
                     lines += chunk.len();
                 })
                 .map_err(store_err)?;
             } else {
                 let k = parse_num(val, "index")?;
                 let v = src.get(series, k).map_err(store_err)?;
-                let _ = writeln!(body, "{v}");
+                push_value_line(out, v);
                 lines = 1;
             }
         }
@@ -338,11 +404,9 @@ pub(crate) fn run_query(
             if let Some((a, b)) = val.split_once("..") {
                 let a = parse_num(a, "time range start")?;
                 let b = parse_num(b, "time range end")?;
-                src.range_by_time_chunks(series, a, b, |chunk| {
+                src.range_by_time_chunks_in(decode, series, a, b, |chunk| {
                     let _render = stage(Stage::Render);
-                    for (t, v) in chunk {
-                        let _ = writeln!(body, "{t},{v}");
-                    }
+                    push_pair_lines(out, chunk);
                     lines += chunk.len();
                 })
                 .map_err(store_err)?;
@@ -350,7 +414,7 @@ pub(crate) fn run_query(
                 let t = parse_num(val, "timestamp")?;
                 match src.at_time(series, t).map_err(store_err)? {
                     Some(v) => {
-                        let _ = writeln!(body, "{v}");
+                        push_value_line(out, v);
                         lines = 1;
                     }
                     None => return Err((404, format!("no sample at timestamp {t}"))),
@@ -359,7 +423,7 @@ pub(crate) fn run_query(
         }
         other => return Err((400, format!("unknown query key {other:?} (want idx or t)"))),
     }
-    Ok((body, lines))
+    Ok(lines)
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, (u16, String)> {
@@ -522,6 +586,23 @@ mod tests {
         Arc::new(Store::open(w.finish().unwrap()).unwrap())
     }
 
+    /// One request through [`handle`] on a fresh worker.
+    fn call(
+        src: &Source,
+        stats: &ServerStats,
+        obs: &Obs,
+        threads: usize,
+        req: &Request,
+    ) -> Response {
+        handle(src, stats, obs, threads, req, &mut Scratch::new())
+    }
+
+    /// One spec through [`run_query`]: `(payload, lines)`.
+    fn query(src: &Source, series: &str, spec: &str) -> Result<(Vec<u8>, usize), (u16, String)> {
+        let mut out = Vec::new();
+        run_query(src, series, spec, &mut RangeScratch::default(), &mut out).map(|n| (out, n))
+    }
+
     fn get(path: &str, query: &str) -> Request {
         Request {
             method: Method::Get,
@@ -548,14 +629,14 @@ mod tests {
     fn query_grammar_answers_match_store() {
         let store = demo_store();
         let src = Source::from(Arc::clone(&store));
-        let (body, lines) = run_query(&src, "cpu", "idx=7").unwrap();
+        let (body, lines) = query(&src, "cpu", "idx=7").unwrap();
         assert_eq!(lines, 1);
         assert_eq!(
             String::from_utf8(body).unwrap().trim().parse::<i64>().unwrap(),
             store.get("cpu", 7).unwrap()
         );
 
-        let (body, lines) = run_query(&src, "cpu", "idx=10..200").unwrap();
+        let (body, lines) = query(&src, "cpu", "idx=10..200").unwrap();
         assert_eq!(lines, 190);
         let got: Vec<i64> = String::from_utf8(body)
             .unwrap()
@@ -567,13 +648,13 @@ mod tests {
         assert_eq!(got, want);
 
         let t = store.timestamp("cpu", 42).unwrap();
-        let (body, _) = run_query(&src, "cpu", &format!("t={t}")).unwrap();
+        let (body, _) = query(&src, "cpu", &format!("t={t}")).unwrap();
         assert_eq!(
             String::from_utf8(body).unwrap().trim().parse::<i64>().unwrap(),
             store.get("cpu", 42).unwrap()
         );
 
-        let (body, lines) = run_query(&src, "cpu", "t=1000..1300").unwrap();
+        let (body, lines) = query(&src, "cpu", "t=1000..1300").unwrap();
         let mut want = Vec::new();
         store.range_by_time("cpu", 1000, 1300, &mut want).unwrap();
         assert_eq!(lines, want.len());
@@ -589,17 +670,123 @@ mod tests {
     }
 
     #[test]
+    fn bodies_are_byte_identical_to_format() {
+        let store = demo_store();
+        let src = Source::from(Arc::clone(&store));
+        let stats = ServerStats::new();
+        let obs = Obs::disabled();
+        let body = |req: &Request| {
+            let resp = call(&src, &stats, &obs, 1, req);
+            assert_eq!(resp.status, 200);
+            String::from_utf8(resp.body).unwrap()
+        };
+
+        // The demo values go negative and the ranges cross segments.
+        let mut values = Vec::new();
+        store.range("cpu", 10..400, &mut values).unwrap();
+        assert!(values.iter().any(|&v| v < 0));
+        let idx_range: String = values.iter().map(|v| format!("{v}\n")).collect();
+        assert_eq!(body(&get("/q/cpu", "idx=10..400")), idx_range);
+
+        let mut pairs = Vec::new();
+        store
+            .range_by_time("cpu", 1_100, 2_000, &mut pairs)
+            .unwrap();
+        assert!(pairs.len() > 64);
+        let t_range: String = pairs.iter().map(|(t, v)| format!("{t},{v}\n")).collect();
+        assert_eq!(body(&get("/q/cpu", "t=1100..2000")), t_range);
+
+        let point = format!("{}\n", store.get("cpu", 499).unwrap());
+        assert_eq!(body(&get("/q/cpu", "idx=499")), point);
+        let t = store.timestamp("cpu", 77).unwrap();
+        let at_time = format!("{}\n", store.get("cpu", 77).unwrap());
+        assert_eq!(body(&get("/q/cpu", &format!("t={t}"))), at_time);
+
+        // A batch frames the same payloads, errors and empty answers included.
+        let lines = format!(
+            "cpu idx=10..400\nnope idx=0\ncpu t=1100..2000\ncpu idx=499\ncpu t={t}\n\
+             cpu t=5..6\ncpu idx=9..2\n"
+        );
+        let bad_range = StoreError::BadRange {
+            start: 9,
+            end: 2,
+            len: 500,
+        };
+        let want = format!(
+            "#0 ok {}\n{idx_range}#1 err 404 {}\n#2 ok {}\n{t_range}#3 ok 1\n{point}\
+             #4 ok 1\n{at_time}#5 ok 0\n#6 err 400 {bad_range}\n#done 7\n",
+            values.len(),
+            StoreError::UnknownSeries("nope".into()),
+            pairs.len(),
+        );
+        assert_eq!(body(&post("/q", lines.as_bytes())), want);
+    }
+
+    #[test]
+    fn a_range_that_fails_midway_leaves_no_partial_payload() {
+        // Corrupt the third segment: `idx=0..500` renders two segments'
+        // worth of lines before the store reports the quarantine.
+        let mut w = StoreWriter::new(StoreConfig {
+            segment_points: 64,
+            ..Default::default()
+        });
+        let stamps: Vec<u64> = (0..500u64).collect();
+        let values: Vec<i64> = (0..500).collect();
+        w.ingest("cpu", &stamps, &values).unwrap();
+        let mut pack = w.finish().unwrap();
+        let bad_byte = {
+            let probe = Store::open(pack.clone()).unwrap();
+            let segs = probe.series("cpu").unwrap().segments();
+            // Blobs follow the 16-byte pack header back to back.
+            let start = 16 + segs[..2].iter().map(|m| m.stored_bytes()).sum::<usize>();
+            start + segs[2].stored_bytes() / 2
+        };
+        pack[bad_byte] ^= 0x40;
+        let src = Source::from(Store::open(pack).unwrap());
+
+        let mut out = b"before".to_vec();
+        let err = run_query(
+            &src,
+            "cpu",
+            "idx=0..500",
+            &mut RangeScratch::default(),
+            &mut out,
+        );
+        assert_eq!(err.unwrap_err().0, 503);
+        assert_eq!(out, b"before");
+
+        let stats = ServerStats::new();
+        let obs = Obs::disabled();
+        let req = post(
+            "/q",
+            b"cpu idx=0..3\ncpu idx=0..500\ncpu t=0..499\ncpu idx=1\n",
+        );
+        let text = String::from_utf8(call(&src, &stats, &obs, 1, &req).body).unwrap();
+        let quarantined = StoreError::Quarantined {
+            series: "cpu".into(),
+            segment: 2,
+        };
+        assert_eq!(
+            text,
+            format!(
+                "#0 ok 3\n0\n1\n2\n#1 err 503 {quarantined}\n#2 err 503 {quarantined}\n\
+                 #3 ok 1\n1\n#done 4\n"
+            )
+        );
+    }
+
+    #[test]
     fn query_grammar_statuses() {
         let src = Source::from(demo_store());
-        assert_eq!(run_query(&src, "nope", "idx=0").unwrap_err().0, 404);
-        assert_eq!(run_query(&src, "cpu", "idx=99999").unwrap_err().0, 400);
-        assert_eq!(run_query(&src, "cpu", "idx=9..2").unwrap_err().0, 400);
-        assert_eq!(run_query(&src, "cpu", "t=1").unwrap_err().0, 404); // gap
-        assert_eq!(run_query(&src, "cpu", "frob=1").unwrap_err().0, 400);
-        assert_eq!(run_query(&src, "cpu", "idx").unwrap_err().0, 400);
-        assert_eq!(run_query(&src, "cpu", "idx=banana").unwrap_err().0, 400);
+        assert_eq!(query(&src, "nope", "idx=0").unwrap_err().0, 404);
+        assert_eq!(query(&src, "cpu", "idx=99999").unwrap_err().0, 400);
+        assert_eq!(query(&src, "cpu", "idx=9..2").unwrap_err().0, 400);
+        assert_eq!(query(&src, "cpu", "t=1").unwrap_err().0, 404); // gap
+        assert_eq!(query(&src, "cpu", "frob=1").unwrap_err().0, 400);
+        assert_eq!(query(&src, "cpu", "idx").unwrap_err().0, 400);
+        assert_eq!(query(&src, "cpu", "idx=banana").unwrap_err().0, 400);
         // An inverted time range is simply empty, like range_by_time.
-        let (body, lines) = run_query(&src, "cpu", "t=300..200").unwrap();
+        let (body, lines) = query(&src, "cpu", "t=300..200").unwrap();
         assert!(body.is_empty());
         assert_eq!(lines, 0);
     }
@@ -610,7 +797,7 @@ mod tests {
         let stats = ServerStats::new();
         let obs = Obs::disabled();
         let req = post("/q", b"cpu idx=3\nnope idx=0\n\ncpu idx=0..2\nmalformed\n");
-        let resp = handle(&src, &stats, &obs, 1, &req);
+        let resp = call(&src, &stats, &obs, 1, &req);
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.starts_with("#0 ok 1\n"), "{text}");
@@ -625,11 +812,11 @@ mod tests {
         let src = Source::from(demo_store());
         let stats = ServerStats::new();
         let obs = Obs::disabled();
-        assert_eq!(handle(&src, &stats, &obs, 2, &get("/series", "")).status, 200);
-        assert_eq!(handle(&src, &stats, &obs, 2, &get("/q/cpu", "idx=1")).status, 200);
-        assert_eq!(handle(&src, &stats, &obs, 2, &get("/q/none", "idx=1")).status, 404);
-        assert_eq!(handle(&src, &stats, &obs, 2, &get("/frob", "")).status, 404);
-        let stats_resp = handle(&src, &stats, &obs, 2, &get("/stats", ""));
+        assert_eq!(call(&src, &stats, &obs, 2, &get("/series", "")).status, 200);
+        assert_eq!(call(&src, &stats, &obs, 2, &get("/q/cpu", "idx=1")).status, 200);
+        assert_eq!(call(&src, &stats, &obs, 2, &get("/q/none", "idx=1")).status, 404);
+        assert_eq!(call(&src, &stats, &obs, 2, &get("/frob", "")).status, 404);
+        let stats_resp = call(&src, &stats, &obs, 2, &get("/stats", ""));
         assert_eq!(stats_resp.status, 200);
         let text = String::from_utf8(stats_resp.body).unwrap();
         assert!(text.contains("\"threads\": 2"), "{text}");
@@ -637,17 +824,11 @@ mod tests {
         assert!(text.contains("\"live\": false"), "{text}");
         assert!(text.contains("\"p999_us\""), "{text}");
         // POST to a GET-only path is a 405, as is writing to a pack.
-        assert_eq!(handle(&src, &stats, &obs, 2, &post("/series", b"")).status, 405);
-        assert_eq!(
-            handle(&src, &stats, &obs, 2, &post("/write", b"cpu 1 2\n")).status,
-            405
-        );
-        assert_eq!(handle(&src, &stats, &obs, 2, &get("/write", "")).status, 405);
-        assert_eq!(handle(&src, &stats, &obs, 2, &post("/metrics", b"")).status, 405);
-        assert_eq!(
-            handle(&src, &stats, &obs, 2, &post("/debug/requests", b"")).status,
-            405
-        );
+        assert_eq!(call(&src, &stats, &obs, 2, &post("/series", b"")).status, 405);
+        assert_eq!(call(&src, &stats, &obs, 2, &post("/write", b"cpu 1 2\n")).status, 405);
+        assert_eq!(call(&src, &stats, &obs, 2, &get("/write", "")).status, 405);
+        assert_eq!(call(&src, &stats, &obs, 2, &post("/metrics", b"")).status, 405);
+        assert_eq!(call(&src, &stats, &obs, 2, &post("/debug/requests", b"")).status, 405);
     }
 
     #[test]
@@ -665,9 +846,9 @@ mod tests {
         };
         stats.register(&obs.registry);
         src.register_metrics(&obs.registry);
-        assert_eq!(handle(&src, &stats, &obs, 1, &get("/q/cpu", "idx=1")).status, 200);
-        assert_eq!(handle(&src, &stats, &obs, 1, &get("/q/none", "idx=1")).status, 404);
-        let resp = handle(&src, &stats, &obs, 1, &get("/metrics", ""));
+        assert_eq!(call(&src, &stats, &obs, 1, &get("/q/cpu", "idx=1")).status, 200);
+        assert_eq!(call(&src, &stats, &obs, 1, &get("/q/none", "idx=1")).status, 404);
+        let resp = call(&src, &stats, &obs, 1, &get("/metrics", ""));
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_type, "text/plain; version=0.0.4");
         let text = String::from_utf8(resp.body).unwrap();
@@ -681,7 +862,7 @@ mod tests {
         );
         assert!(text.contains("# TYPE neats_store_cache_hits_total counter"), "{text}");
         // The trace ring saw every request handled above.
-        let resp = handle(&src, &stats, &obs, 1, &get("/debug/requests", ""));
+        let resp = call(&src, &stats, &obs, 1, &get("/debug/requests", ""));
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("\"path\": \"/metrics\""), "{text}");
         assert!(text.contains("\"parse_us\""), "{text}");
@@ -703,10 +884,7 @@ mod tests {
             ring: neats_core::TraceRing::new(4),
             ..obs
         };
-        assert_eq!(
-            handle(&src, &stats, &obs, 1, &get("/q/cpu", "idx=0..500")).status,
-            200
-        );
+        assert_eq!(call(&src, &stats, &obs, 1, &get("/q/cpu", "idx=0..500")).status, 200);
         assert_eq!(stats.slow_queries.load(std::sync::atomic::Ordering::Relaxed), 1);
         let entries = obs.ring.entries();
         assert_eq!(entries.len(), 1);
@@ -719,7 +897,7 @@ mod tests {
         let src = Source::from(demo_store());
         let stats = ServerStats::new();
         let obs = Obs::disabled();
-        let resp = handle(&src, &stats, &obs, 1, &get("/series", ""));
+        let resp = call(&src, &stats, &obs, 1, &get("/series", ""));
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("\"name\": \"cpu\""), "{text}");
         assert!(text.contains("\"points\": 500"), "{text}");
@@ -738,7 +916,7 @@ mod tests {
         // Three batches: cpu×2 (consecutive lines coalesce), mem×1, then a
         // stale cpu point (timestamp went backwards) and a malformed line.
         let body = b"cpu 1000 5\ncpu 1001 6\nmem 500 -3\ncpu 900 1\nbroken\n";
-        let resp = handle(&src, &stats, &obs, 1, &post("/write", body));
+        let resp = call(&src, &stats, &obs, 1, &post("/write", body));
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.starts_with("#0 ok 2\n"), "{text}");
@@ -748,18 +926,18 @@ mod tests {
         assert!(text.ends_with("#done 4\n"), "{text}");
 
         // The accepted points serve immediately through the query grammar.
-        let (body, _) = run_query(&src, "cpu", "idx=0..2").unwrap();
+        let (body, _) = query(&src, "cpu", "idx=0..2").unwrap();
         assert_eq!(String::from_utf8(body).unwrap(), "5\n6\n");
-        let (body, _) = run_query(&src, "mem", "t=500").unwrap();
+        let (body, _) = query(&src, "mem", "t=500").unwrap();
         assert_eq!(String::from_utf8(body).unwrap(), "-3\n");
 
         // /series and /stats reflect the live state.
         let text =
-            String::from_utf8(handle(&src, &stats, &obs, 1, &get("/series", "")).body).unwrap();
+            String::from_utf8(call(&src, &stats, &obs, 1, &get("/series", "")).body).unwrap();
         assert!(text.contains("\"name\": \"cpu\""), "{text}");
         assert!(text.contains("\"name\": \"mem\""), "{text}");
         let text =
-            String::from_utf8(handle(&src, &stats, &obs, 1, &get("/stats", "")).body).unwrap();
+            String::from_utf8(call(&src, &stats, &obs, 1, &get("/stats", "")).body).unwrap();
         assert!(text.contains("\"live\": true"), "{text}");
         assert!(text.contains("\"head_points\": 3"), "{text}");
         assert!(text.contains("\"write\": {\"requests\": 1"), "{text}");

@@ -11,6 +11,7 @@
 //! junk and asserts the connection always ends in a clean error response or
 //! close.
 
+use crate::render::push_u64;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -501,37 +502,48 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// The serialized response head. `keep_alive` controls the `Connection`
-/// header; the caller decides whether to actually close.
-fn response_head(resp: &Response, keep_alive: bool) -> String {
-    let retry_after = match resp.retry_after {
-        Some(secs) => format!("Retry-After: {secs}\r\n"),
-        None => String::new(),
-    };
-    format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: {}\r\n\r\n",
-        resp.status,
-        reason_phrase(resp.status),
-        resp.content_type,
-        resp.body.len(),
-        retry_after,
-        if keep_alive { "keep-alive" } else { "close" },
-    )
+/// Appends the serialized response head to `out` — the one head writer,
+/// shared by the reactor's write buffer and the blocking path. `keep_alive`
+/// controls the `Connection` header; the caller decides whether to actually
+/// close.
+fn write_head(out: &mut Vec<u8>, resp: &Response, keep_alive: bool) {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    push_u64(out, u64::from(resp.status));
+    out.push(b' ');
+    out.extend_from_slice(reason_phrase(resp.status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(resp.content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    push_u64(out, resp.body.len() as u64);
+    out.extend_from_slice(b"\r\n");
+    if let Some(secs) = resp.retry_after {
+        out.extend_from_slice(b"Retry-After: ");
+        push_u64(out, u64::from(secs));
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(if keep_alive {
+        b"Connection: keep-alive\r\n\r\n".as_slice()
+    } else {
+        b"Connection: close\r\n\r\n".as_slice()
+    });
 }
 
 /// Serializes `resp` onto `stream`, returning the bytes written (head +
-/// body; feeds the `bytes_out` counter). The caller is expected to have set
-/// a write timeout on the stream — without one, a client that stops reading
+/// body; feeds the `bytes_out` counter). `head` is the caller's reusable
+/// buffer for the serialized head. The caller is expected to have set a
+/// write timeout on the stream — without one, a client that stops reading
 /// (write-side slowloris) would pin the writing thread forever.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     resp: &Response,
     keep_alive: bool,
+    head: &mut Vec<u8>,
 ) -> std::io::Result<usize> {
     // Two writes instead of concatenating — a large range body would
     // otherwise be copied a second time on every response.
-    let head = response_head(resp, keep_alive);
-    stream.write_all(head.as_bytes())?;
+    head.clear();
+    write_head(head, resp, keep_alive);
+    stream.write_all(head)?;
     stream.write_all(&resp.body)?;
     stream.flush()?;
     Ok(head.len() + resp.body.len())
@@ -540,7 +552,7 @@ pub fn write_response(
 /// Appends the serialized `resp` to `out` — the reactor's per-connection
 /// write buffer, flushed by write-readiness instead of blocking writes.
 pub(crate) fn append_response(out: &mut Vec<u8>, resp: &Response, keep_alive: bool) {
-    out.extend_from_slice(response_head(resp, keep_alive).as_bytes());
+    write_head(out, resp, keep_alive);
     out.extend_from_slice(&resp.body);
 }
 
@@ -612,6 +624,28 @@ mod tests {
         assert_eq!(percent_decode("/q/cpu%201").unwrap(), "/q/cpu 1");
         assert_eq!(percent_decode("/plain").unwrap(), "/plain");
         assert!(percent_decode("/%4").is_err());
+    }
+
+    #[test]
+    fn response_head_bytes() {
+        let mut out = b"earlier ".to_vec();
+        append_response(&mut out, &Response::text(b"12\n".to_vec()), true);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "earlier HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 3\r\nConnection: keep-alive\r\n\r\n12\n"
+        );
+        let mut out = Vec::new();
+        append_response(
+            &mut out,
+            &Response::error(503, "busy").with_retry_after(30),
+            false,
+        );
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 5\r\nRetry-After: 30\r\nConnection: close\r\n\r\nbusy\n"
+        );
     }
 
     #[test]

@@ -52,12 +52,16 @@
 //!   worker owns a connection for its keep-alive lifetime. Thread counts
 //!   resolve from the explicit knob, else `NEATS_SERVE_THREADS`, else all
 //!   cores.
-//! * **Zero-copy serving** — every shard/worker borrows the one
-//!   `Arc<Store>`; responses are rendered straight from the store's
-//!   zero-copy [`neats_core::ArchiveView`]s via
-//!   [`neats_store::Store::range_chunks`], so *decode* buffers are bounded
-//!   by one segment regardless of range length (the rendered text body is
-//!   still accumulated in full for `Content-Length` framing). With
+//! * **Zero-copy serving, one rendering path** — every shard/worker
+//!   borrows the one `Arc<Store>`; responses are rendered straight from the
+//!   store's zero-copy [`neats_core::ArchiveView`]s via
+//!   [`neats_store::Store::range_chunks_in`], so *decode* buffers are
+//!   bounded by one segment regardless of range length (the rendered text
+//!   body is still accumulated in full for `Content-Length` framing). Every
+//!   integer goes through one table-driven formatter, and the decode and
+//!   body buffers are the worker's own [`Scratch`], lent to the handler per
+//!   request: a range request allocates nothing in steady state, and what
+//!   a worker retains is bounded by [`SCRATCH_RETAIN_BYTES`]. With
 //!   `CacheSharding::ByThread` on the store, each shard additionally owns
 //!   a private slice of the segment-view cache — no cross-shard locks on
 //!   the hot path.
@@ -121,11 +125,13 @@
 mod handler;
 mod http;
 mod reactor;
+mod render;
 mod server;
 mod source;
 mod stats;
 
 pub use http::{Limits, Method, Request, Response};
+pub use render::{Scratch, SCRATCH_RETAIN_BYTES};
 pub use server::{
     ReactorMode, ServeConfig, Server, ServerHandle, MAX_CONNS_ENV, REACTOR_ENV, SHARDS_ENV,
     SHED_WATERMARK_ENV, SLOW_QUERY_ENV, THREADS_ENV, TRACE_RING_ENV,

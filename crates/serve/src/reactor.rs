@@ -45,6 +45,7 @@
 
 use crate::handler;
 use crate::http::{self, HttpError, Limits, Method, Request, Response};
+use crate::render::Scratch;
 use crate::server::{shed_connection, ServeConfig, Shared};
 use crate::source::Source;
 use neats_core::parallel::Queue;
@@ -412,6 +413,9 @@ struct ShardCtx<'a> {
     threads: usize,
     conns: Slab,
     wheel: TimerWheel,
+    /// Decode and body buffers lent to the handler for each request and
+    /// taken back once its response is in the connection's write buffer.
+    scratch: Scratch,
 }
 
 /// One shard's event loop: drain the inbox, service readiness events,
@@ -438,6 +442,7 @@ fn shard_loop(
         // timeouts, and one revolution of 256 slots covers 2.56 s — longer
         // deadlines just re-check lazily a handful of times.
         wheel: TimerWheel::new(Duration::from_millis(10), 256, now),
+        scratch: Scratch::new(),
     };
     let mut events = Events::new();
     let mut due: Vec<(usize, u64)> = Vec::new();
@@ -699,6 +704,7 @@ fn dispatch(ctx: &mut ShardCtx<'_>, key: usize, req: Request) {
             &ctx.shared.obs,
             ctx.threads,
             &req,
+            &mut ctx.scratch,
         )
     }));
     let (resp, close_after) = match result {
@@ -710,6 +716,7 @@ fn dispatch(ctx: &mut ShardCtx<'_>, key: usize, req: Request) {
     };
     let shutting_down = ctx.shared.shutdown.load(Ordering::SeqCst);
     let Some(conn) = ctx.conns.get_mut(key) else {
+        ctx.scratch.reclaim(resp);
         return;
     };
     // On shutdown, drain: requests the client already pipelined in full
@@ -718,6 +725,7 @@ fn dispatch(ctx: &mut ShardCtx<'_>, key: usize, req: Request) {
         && !close_after
         && (!shutting_down || http::find_head_end(&conn.rbuf).is_some());
     http::append_response(&mut conn.wbuf, &resp, keep);
+    ctx.scratch.reclaim(resp);
     conn.completed_this_pass = true;
     if !keep {
         conn.close_after_flush = true;

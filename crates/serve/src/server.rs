@@ -33,7 +33,8 @@
 //! the client already sent in full), answer them with `Connection: close`,
 //! and close. `run` returns once the drain completes.
 
-use crate::http::{Conn, HttpError, Limits, ReadOutcome, Response};
+use crate::http::{Conn, HttpError, Limits, ReadOutcome, Request, Response};
+use crate::render::Scratch;
 use crate::source::Source;
 use crate::stats::{Obs, ServerStats};
 use crate::{handler, http, reactor};
@@ -420,6 +421,23 @@ impl Server {
         }
     }
 
+    /// Answers one already-parsed request in process — the step the serving
+    /// loops run between parsing a request and serializing its response,
+    /// with the same routing, counters and request trace. Query bodies are
+    /// rendered into `scratch` and leave in the response; hand them back
+    /// with [`Scratch::reclaim`] when done, as a serving worker does, and a
+    /// loop of range requests allocates nothing in steady state.
+    pub fn answer(&self, req: &Request, scratch: &mut Scratch) -> Response {
+        handler::handle(
+            &self.source,
+            &self.shared.stats,
+            &self.shared.obs,
+            self.threads,
+            req,
+            scratch,
+        )
+    }
+
     /// Serves until shutdown: the calling thread runs the accept loop; the
     /// reactor shards or the worker pool handle connections (per
     /// [`ServeConfig::reactor`]). Returns after the drain completes.
@@ -483,9 +501,12 @@ fn run_threaded(
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                // The worker's render buffers outlive its connections, as a
+                // reactor shard's do.
+                let mut scratch = Scratch::new();
                 while let Some(conn) = queue.pop() {
                     shared.queued.fetch_sub(1, Ordering::Relaxed);
-                    serve_connection(&source, shared, cfg, limits, threads, conn);
+                    serve_connection(&source, shared, cfg, limits, threads, conn, &mut scratch);
                 }
             });
         }
@@ -595,6 +616,7 @@ fn serve_connection(
     limits: &Limits,
     threads: usize,
     stream: TcpStream,
+    scratch: &mut Scratch,
 ) {
     shared.stats.active.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
@@ -609,6 +631,7 @@ fn serve_connection(
     // strict version.)
     let _ = stream.set_write_timeout(Some(cfg.request_timeout));
     let mut conn = Conn::new(stream);
+    let mut head = Vec::new();
     let should_abort = || shared.shutdown.load(Ordering::SeqCst);
     loop {
         // Arm the request trace before reading: the parse stage runs inside
@@ -621,7 +644,7 @@ fn serve_connection(
                 // fixed — a dead worker would shrink capacity forever); the
                 // panicking request gets a 500 and its connection closes.
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    handler::handle(source, &shared.stats, &shared.obs, threads, &req)
+                    handler::handle(source, &shared.stats, &shared.obs, threads, &req, scratch)
                 }));
                 let (resp, close_after) = match result {
                     Ok(resp) => (resp, false),
@@ -635,7 +658,9 @@ fn serve_connection(
                 let keep = req.keep_alive
                     && !close_after
                     && (!should_abort() || conn.has_buffered_request());
-                match http::write_response(conn.stream(), &resp, keep) {
+                let written = http::write_response(conn.stream(), &resp, keep, &mut head);
+                scratch.reclaim(resp);
+                match written {
                     Ok(n) => {
                         shared.stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
                         if !keep {
@@ -652,9 +677,8 @@ fn serve_connection(
                     // Slow-drip or idle deadline — the slowloris defenses.
                     shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 }
-                if let Ok(n) =
-                    http::write_response(conn.stream(), &Response::error(status, &reason), false)
-                {
+                let resp = Response::error(status, &reason);
+                if let Ok(n) = http::write_response(conn.stream(), &resp, false, &mut head) {
                     shared.stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
                 }
                 break;

@@ -10,7 +10,7 @@
 //! `POST /write`, which answers `405` on a pack.
 
 use neats_ingest::{Ingestor, SeriesSummary};
-use neats_store::{CacheStats, Store, StoreError, StoreMode};
+use neats_store::{CacheStats, RangeScratch, Store, StoreError, StoreMode};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -79,31 +79,35 @@ impl Source {
         }
     }
 
-    /// Streams the values at positions `range` in bounded chunks.
-    pub fn range_chunks(
+    /// Streams the values at positions `range` in bounded chunks, decoded
+    /// into the caller's `scratch`.
+    pub fn range_chunks_in(
         &self,
+        scratch: &mut RangeScratch,
         series: &str,
         range: Range<usize>,
         f: impl FnMut(&[i64]),
     ) -> Result<(), StoreError> {
         match self {
-            Source::Pack(s) => s.range_chunks(series, range, f),
-            Source::Live(i) => i.range_chunks(series, range, f),
+            Source::Pack(s) => s.range_chunks_in(scratch, series, range, f),
+            Source::Live(i) => i.range_chunks_in(scratch, series, range, f),
         }
     }
 
     /// Streams all `(timestamp, value)` pairs with timestamp in
-    /// `[t_lo, t_hi]` in bounded chunks.
-    pub fn range_by_time_chunks(
+    /// `[t_lo, t_hi]` in bounded chunks, decoded into the caller's
+    /// `scratch`.
+    pub fn range_by_time_chunks_in(
         &self,
+        scratch: &mut RangeScratch,
         series: &str,
         t_lo: u64,
         t_hi: u64,
         f: impl FnMut(&[(u64, i64)]),
     ) -> Result<(), StoreError> {
         match self {
-            Source::Pack(s) => s.range_by_time_chunks(series, t_lo, t_hi, f),
-            Source::Live(i) => i.range_by_time_chunks(series, t_lo, t_hi, f),
+            Source::Pack(s) => s.range_by_time_chunks_in(scratch, series, t_lo, t_hi, f),
+            Source::Live(i) => i.range_by_time_chunks_in(scratch, series, t_lo, t_hi, f),
         }
     }
 

@@ -297,6 +297,55 @@ fn debug_requests_stage_breakdown() {
     stop(handle, running);
 }
 
+/// A range's value decode and timestamp scan are traced under `decode` and
+/// its text rendering under `render` — with every segment already cached,
+/// so the `decode` time seen is the range's own, not a segment open.
+fn range_stages_are_traced(reactor: ReactorMode) {
+    let (handle, running) = start_with(ServeConfig {
+        threads: 1,
+        reactor,
+        trace_ring: Some(8),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(handle.addr());
+    for target in ["/q/cpu?idx=0..700", "/q/cpu?t=0..99999"] {
+        // The first pass opens (and caches) the segments.
+        assert_eq!(client.get(target).status, 200);
+        assert_eq!(client.get(target).status, 200);
+        let r = client.get("/debug/requests");
+        // Newest first: the first entry is the second pass.
+        let newest = r.body.split('}').next().unwrap();
+        assert!(newest.contains("\"path\": \"/q/cpu\""), "{newest}");
+        let stage_us = |name: &str| -> f64 {
+            let field = format!("\"{name}_us\": ");
+            let rest = newest
+                .split(&field)
+                .nth(1)
+                .unwrap_or_else(|| panic!("{name} in {newest}"));
+            rest.split(',').next().unwrap().trim().parse().unwrap()
+        };
+        assert!(
+            stage_us("decode") > 0.0,
+            "{target}: decode not traced: {newest}"
+        );
+        assert!(
+            stage_us("render") > 0.0,
+            "{target}: render not traced: {newest}"
+        );
+    }
+    stop(handle, running);
+}
+
+#[test]
+fn range_stages_are_traced_threaded() {
+    range_stages_are_traced(ReactorMode::Threaded);
+}
+
+#[test]
+fn range_stages_are_traced_reactor() {
+    range_stages_are_traced(ReactorMode::Auto);
+}
+
 /// With the threshold at 1µs every request is slow: the counter moves, the
 /// ring flags it, and `/stats` agrees — exercised over a real socket.
 #[test]

@@ -81,7 +81,7 @@ mod writer;
 
 pub use cache::{CacheSharding, CacheStats};
 pub use format::{SegmentMeta, SeriesEntry, StoreMode};
-pub use store::{Store, StoreOptions};
+pub use store::{RangeScratch, Store, StoreOptions};
 pub use writer::{StoreConfig, StoreWriter, DEFAULT_SEGMENT_POINTS};
 
 use succinct::WireError;

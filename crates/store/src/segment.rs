@@ -129,6 +129,14 @@ impl SegmentView {
         self.ts_base + self.ts.get(i)
     }
 
+    /// The timestamps of the segment-local points `first..`, in order: one
+    /// seek, then a sequential scan of the Elias-Fano column — the cursor a
+    /// time range zips with its decoded values.
+    pub(crate) fn stamps_from(&self, first: usize) -> impl Iterator<Item = u64> + '_ {
+        let base = self.ts_base;
+        self.ts.iter_from(first).map(move |t| base + t)
+    }
+
     /// Number of stamps ≤ `t` in this segment (0 when `t` precedes it).
     pub(crate) fn stamps_leq(&self, t: u64) -> usize {
         if t < self.ts_base {

@@ -4,6 +4,7 @@ use crate::cache::{CacheSharding, CacheStats, SegmentCache};
 use crate::format::{self, SegmentMeta, SeriesEntry};
 use crate::segment::SegmentView;
 use crate::StoreError;
+use neats_core::obs::{stage, Stage};
 use neats_core::Estimate;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -33,6 +34,30 @@ impl Default for StoreOptions {
             cache_capacity: 256,
             cache_sharding: CacheSharding::ByKey,
         }
+    }
+}
+
+/// The decode buffers of the chunked range accessors
+/// ([`Store::range_chunks_in`], [`Store::range_by_time_chunks_in`]): one
+/// segment's decoded values and its `(timestamp, value)` pairs. Owned by the
+/// caller and lent per call, so a loop of range queries — a serving worker —
+/// decodes into the same two allocations every time; each grows to the
+/// largest segment chunk it has held, never to a requested range. Contents
+/// between calls are unspecified.
+#[derive(Debug, Default)]
+pub struct RangeScratch {
+    /// The values of the chunk being handed to the callback.
+    pub values: Vec<i64>,
+    /// The `(timestamp, value)` pairs of the chunk being handed to the
+    /// callback (time ranges only).
+    pub pairs: Vec<(u64, i64)>,
+}
+
+impl RangeScratch {
+    /// Bytes of buffer capacity currently held.
+    pub fn retained_bytes(&self) -> usize {
+        self.values.capacity() * std::mem::size_of::<i64>()
+            + self.pairs.capacity() * std::mem::size_of::<(u64, i64)>()
     }
 }
 
@@ -384,23 +409,44 @@ impl Store {
 
     /// Streams the values at series-global positions `range` to `f` in
     /// segment-sized chunks, in order, without materialising the whole
-    /// range: each chunk is decoded from the segment's zero-copy view into
-    /// an internal buffer reused across segments, so peak allocation is
-    /// bounded by the segment size, not the range length. This is the
-    /// accessor the serving layer renders responses from.
+    /// range. [`Self::range_chunks_in`] with buffers of its own: one
+    /// allocation per call, bounded by the segment size.
     pub fn range_chunks(
         &self,
+        name: &str,
+        range: Range<usize>,
+        f: impl FnMut(&[i64]),
+    ) -> Result<(), StoreError> {
+        self.range_chunks_in(&mut RangeScratch::default(), name, range, f)
+    }
+
+    /// Streams the values at series-global positions `range` to `f` in
+    /// segment-sized chunks, in order: each chunk is decoded from the
+    /// segment's zero-copy view into `scratch.values`, which is reserved
+    /// per chunk — only once the range has passed the bounds check, and
+    /// never for more than one segment — so a caller that keeps `scratch`
+    /// allocates nothing in steady state and `0..N` cannot ask for an
+    /// N-sized buffer. This is the accessor the serving layer renders
+    /// `idx=A..B` responses from; each chunk's decode is one
+    /// [`Stage::Decode`] span of the request trace.
+    pub fn range_chunks_in(
+        &self,
+        scratch: &mut RangeScratch,
         name: &str,
         range: Range<usize>,
         mut f: impl FnMut(&[i64]),
     ) -> Result<(), StoreError> {
         let (si, s) = self.entry(name)?;
         Self::check_range(s, &range)?;
-        let mut buf = Vec::new();
+        let values = &mut scratch.values;
         self.for_each_overlap(si, s, &range, |view, local| {
-            buf.clear();
-            view.archive().range(local, &mut buf);
-            f(&buf);
+            {
+                let _decode = stage(Stage::Decode);
+                values.clear();
+                values.reserve(local.len());
+                view.archive().range(local, values);
+            }
+            f(values);
             Ok(())
         })
     }
@@ -418,11 +464,31 @@ impl Store {
     }
 
     /// Streams all `(timestamp, value)` pairs with timestamp in
-    /// `[t_lo, t_hi]` to `f` in segment-sized chunks, in order — the
-    /// time-indexed counterpart of [`Self::range_chunks`], with the same
-    /// bounded-allocation guarantee.
+    /// `[t_lo, t_hi]` to `f` in segment-sized chunks, in order.
+    /// [`Self::range_by_time_chunks_in`] with buffers of its own.
     pub fn range_by_time_chunks(
         &self,
+        name: &str,
+        t_lo: u64,
+        t_hi: u64,
+        f: impl FnMut(&[(u64, i64)]),
+    ) -> Result<(), StoreError> {
+        self.range_by_time_chunks_in(&mut RangeScratch::default(), name, t_lo, t_hi, f)
+    }
+
+    /// Streams all `(timestamp, value)` pairs with timestamp in
+    /// `[t_lo, t_hi]` to `f` in segment-sized chunks, in order — the
+    /// time-indexed counterpart of [`Self::range_chunks_in`], with the same
+    /// ownership of `scratch`. Per overlapping segment: two rank queries
+    /// locate the window, the values are decoded in one sequential scan,
+    /// and the timestamps come from one sequential cursor over the
+    /// Elias-Fano column (a single `select` to seek, then a forward scan)
+    /// zipped with them — reading `k` stamps costs one random access, not
+    /// `k`. Window search, value decode and timestamp scan are one
+    /// [`Stage::Decode`] span per segment.
+    pub fn range_by_time_chunks_in(
+        &self,
+        scratch: &mut RangeScratch,
         name: &str,
         t_lo: u64,
         t_hi: u64,
@@ -432,22 +498,22 @@ impl Store {
         if t_hi < t_lo {
             return Ok(());
         }
+        let RangeScratch { values, pairs } = scratch;
         let mut seg = Self::segment_of_time(s, t_lo);
-        let mut values = Vec::new();
-        let mut pairs = Vec::new();
         while seg < s.segments().len() && s.segments()[seg].t_min <= t_hi {
             let view = self.open_segment(si, seg)?;
+            let decode = stage(Stage::Decode);
             let first = view.lower_bound(t_lo);
             let end = view.stamps_leq(t_hi);
             if first < end {
                 values.clear();
-                view.archive().range(first..end, &mut values);
+                values.reserve(end - first);
+                view.archive().range(first..end, values);
                 pairs.clear();
                 pairs.reserve(end - first);
-                for (off, &v) in values.iter().enumerate() {
-                    pairs.push((view.timestamp(first + off), v));
-                }
-                f(&pairs);
+                pairs.extend(view.stamps_from(first).zip(values.iter().copied()));
+                drop(decode);
+                f(pairs);
             }
             seg += 1;
         }

@@ -10,7 +10,7 @@
 //! rejected at first query of the affected segment.
 
 use neats_core::{ArchiveView, NeaTS};
-use neats_store::{Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
+use neats_store::{RangeScratch, Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
 use proptest::prelude::*;
 use timeseries::TimeSeries;
 
@@ -320,6 +320,104 @@ fn run_case(
         assert_series_equivalent(&store, s, &standalone, &ranges)?;
     }
     Ok(())
+}
+
+/// Every window over `probes × probes` (inverted ones included) against the
+/// linear filter of the model, through one reused scratch; chunks arrive
+/// non-empty, at most one segment long, and concatenate to the answer.
+fn assert_time_windows(
+    store: &Store,
+    s: &GenSeries,
+    segment_points: usize,
+    probes: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut scratch = RangeScratch::default();
+    for &t_lo in probes {
+        for &t_hi in probes {
+            let want: Vec<(u64, i64)> = s
+                .stamps
+                .iter()
+                .zip(&s.values)
+                .filter(|(&t, _)| t >= t_lo && t <= t_hi)
+                .map(|(&t, &v)| (t, v))
+                .collect();
+            let mut got = Vec::new();
+            store.range_by_time(&s.name, t_lo, t_hi, &mut got).unwrap();
+            prop_assert_eq!(&got, &want, "range_by_time [{}, {}]", t_lo, t_hi);
+            let mut streamed = Vec::new();
+            let mut bounded = true;
+            store
+                .range_by_time_chunks_in(&mut scratch, &s.name, t_lo, t_hi, |chunk| {
+                    bounded &= !chunk.is_empty() && chunk.len() <= segment_points;
+                    streamed.extend_from_slice(chunk);
+                })
+                .unwrap();
+            prop_assert!(bounded, "chunk size, window [{}, {}]", t_lo, t_hi);
+            prop_assert_eq!(
+                &streamed,
+                &want,
+                "chunks through a reused scratch [{}, {}]",
+                t_lo,
+                t_hi
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `range_by_time` ≡ a linear filter of the model across segment
+    /// boundaries — the timestamps come from a sequential cursor seeked once
+    /// per segment, so the windows probe every way a window can meet one:
+    /// starting and ending on a stamp, between two stamps, exactly on a
+    /// segment's first and last stamp, before the first segment and after
+    /// the last — on a fresh pack and again after `delete` + `compact`.
+    #[test]
+    fn range_by_time_equals_linear_filter(
+        gaps in prop::collection::vec(0u64..40, 40..200),
+        deltas in prop::collection::vec(-50i64..=50, 40..200),
+        seg_idx in 0usize..2,
+        picks in prop::collection::vec(0usize..10_000, 3..6),
+    ) {
+        let segment_points = SEGMENT_POINTS[seg_idx];
+        let keep = gen_series(0, &gaps, &deltas);
+        let gone = gen_series(1, &deltas.iter().map(|d| d.unsigned_abs()).collect::<Vec<_>>(), &deltas);
+        let cfg = || StoreConfig { segment_points, ..StoreConfig::default() };
+        let mut w = StoreWriter::new(cfg());
+        w.ingest(&gone.name, &gone.stamps, &gone.values).unwrap();
+        w.ingest(&keep.name, &keep.stamps, &keep.values).unwrap();
+        let pack = w.finish().unwrap();
+
+        let n = keep.stamps.len();
+        let (first, last) = (keep.stamps[0], keep.stamps[n - 1]);
+        let mut probes = vec![0, first - 1, first, first + 1, last - 1, last, last + 1, u64::MAX];
+        // Both sides of every segment boundary, and one past each.
+        for b in (segment_points..n).step_by(segment_points) {
+            probes.extend([keep.stamps[b - 1], keep.stamps[b - 1] + 1, keep.stamps[b]]);
+        }
+        // A few arbitrary stamps and their successors (a gap of 0 makes the
+        // successor a stamp, otherwise it falls between two).
+        for p in picks {
+            probes.extend([keep.stamps[p % n], keep.stamps[p % n] + 1]);
+        }
+        probes.sort_unstable();
+        probes.dedup();
+
+        let store = Store::open(pack.clone()).unwrap();
+        assert_time_windows(&store, &keep, segment_points, &probes)?;
+
+        let mut w = StoreWriter::append_to(&pack, cfg()).unwrap();
+        w.delete_series(&gone.name).unwrap();
+        let deleted = Store::open(w.finish().unwrap()).unwrap();
+        prop_assert!(deleted.dead_bytes() > 0);
+        let compacted = Store::open(deleted.compact()).unwrap();
+        prop_assert_eq!(compacted.dead_bytes(), 0);
+        assert_time_windows(&compacted, &keep, segment_points, &probes)?;
+        let mut none = Vec::new();
+        prop_assert!(compacted.range_by_time(&gone.name, 0, u64::MAX, &mut none).is_err());
+    }
 }
 
 /// Per-byte corruption of the catalog region (catalog bytes + footer) is

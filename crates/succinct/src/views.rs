@@ -388,6 +388,22 @@ impl<'a> BitVectorView<'a> {
         }
     }
 
+    /// [`Self::iter_ones`] starting at the `k`-th one (0-based): one
+    /// [`Self::select1`] to seek, then the same forward scan. Empty when
+    /// `k >= count_ones()`.
+    pub fn iter_ones_from(&self, k: usize) -> OnesIterView<'a> {
+        let (word_idx, cur) = match self.select1(k) {
+            Some(pos) => (pos / 64, self.words.get(pos / 64) & (!0u64 << (pos % 64))),
+            None => (0, 0),
+        };
+        OnesIterView {
+            words: self.words,
+            word_idx,
+            cur,
+            remaining: self.ones.saturating_sub(k),
+        }
+    }
+
     /// Materialises an owned [`BitVector`], verifying that the persisted
     /// directories equal the ones rebuilt from the payload.
     pub fn to_bitvector(&self) -> Result<BitVector, WireError> {
@@ -544,6 +560,22 @@ impl<'a> EliasFanoView<'a> {
             len: self.len,
             i: 0,
             ones: self.high.iter_ones(),
+        }
+    }
+
+    /// A sequential cursor over the elements from index `i` on
+    /// (`i <= len()`; `iter_from(len())` is empty): one `select1` to seek,
+    /// then the forward scan of [`Self::iter`] — reading `k` consecutive
+    /// elements costs one random access plus `k` sequential steps, where
+    /// `k` calls of [`Self::get`] cost `k` random accesses.
+    pub fn iter_from(&self, i: usize) -> EliasFanoIterView<'a> {
+        debug_assert!(i <= self.len);
+        EliasFanoIterView {
+            low: self.low,
+            low_bits: self.low_bits,
+            len: self.len,
+            i,
+            ones: self.high.iter_ones_from(i),
         }
     }
 
