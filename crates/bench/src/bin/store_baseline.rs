@@ -1,8 +1,7 @@
 //! Pack-store baseline harness: open latency, point/range query throughput,
 //! and the cache-hit effect of the multi-series store versus the per-file
 //! single-archive serving path, written machine-readable to
-//! `BENCH_store.json` (sibling of `BENCH_partition.json` /
-//! `BENCH_access.json`).
+//! `BENCH_store.json` (sibling of `BENCH_partition.json`).
 //!
 //! The per-file baseline is what a deployment without the store does: one
 //! whole-series archive per series, each opened as its own

@@ -15,9 +15,6 @@
 //! * `perf_baseline` — compress/decompress/random-access throughput across
 //!   partitioner thread counts, written machine-readable to
 //!   `BENCH_partition.json` (the repo's perf trajectory).
-//! * `access_baseline` — owned vs zero-copy (`ArchiveView`) open latency and
-//!   random-access throughput, written machine-readable to
-//!   `BENCH_access.json` (the read-side perf trajectory).
 //! * `store_baseline` — multi-series pack store vs per-file archives: open
 //!   latency, point/range throughput, and the cache-hit effect, written
 //!   machine-readable to `BENCH_store.json`.
@@ -41,7 +38,7 @@
 //! * `NEATS_BENCH_THREADS` — comma-separated thread counts for
 //!   `perf_baseline` (default `1,2,4`);
 //! * `NEATS_BENCH_DATASETS` — comma-separated dataset abbreviations to
-//!   restrict `perf_baseline` / `access_baseline` to (default: all 16);
+//!   restrict `perf_baseline` to (default: all 16);
 //! * `NEATS_BENCH_SERIES` / `NEATS_BENCH_SEGMENT` — series count and
 //!   segment size for `store_baseline` (defaults 8 / 8192; that binary
 //!   reads `NEATS_BENCH_N` as points *per series*, default 32768);
@@ -51,9 +48,8 @@
 //!   binary reads `NEATS_BENCH_N` per series, default 16384, and
 //!   `NEATS_BENCH_QUERIES` per sweep cell);
 //! * `NEATS_BENCH_OUT` — output path for `perf_baseline` /
-//!   `access_baseline` / `store_baseline` / `serve_baseline` (defaults
-//!   `BENCH_partition.json` / `BENCH_access.json` / `BENCH_store.json` /
-//!   `BENCH_serve.json`).
+//!   `store_baseline` / `serve_baseline` (defaults `BENCH_partition.json` /
+//!   `BENCH_store.json` / `BENCH_serve.json`).
 
 #![warn(missing_docs)]
 pub mod json;

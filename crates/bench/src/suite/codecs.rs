@@ -1,7 +1,7 @@
 //! The unified [`Codec`] trait: one interface over every compressor in the
-//! evaluation — NeaTS in all its flavours (lossless/lossy, owned/zero-copy
-//! view/streaming) and every baseline — so the benchmark matrix and the
-//! conformance suite drive them identically.
+//! evaluation — NeaTS in all its flavours (lossless/lossy, batch/streaming)
+//! and every baseline — so the benchmark matrix and the conformance suite
+//! drive them identically.
 //!
 //! The contract a [`CodecArchive`] must honour (checked by the conformance
 //! suite, not merely documented):
@@ -17,7 +17,7 @@
 
 use lossless_baselines::{Alp, Blockwise, Chimp, Chimp128, Dac, Elf, EntropyLz, FastLz, Gorilla, Leco, TsXor};
 use lossy_baselines::{AdaptiveApprox, Pla};
-use neats_core::{ArchiveView, NeaTS, NeaTSBuilder, NeaTSLossy, NeaTSWriter};
+use neats_core::{NeaTS, NeaTSBuilder, NeaTSLossy, NeaTSWriter};
 use timeseries::{AnyCompressor, CompressedSeries, TimeSeries};
 
 /// A compressed archive produced by a [`Codec`], exposing the four read
@@ -66,8 +66,8 @@ pub fn lossy_eps(ts: &TimeSeries) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// Adapter: anything implementing the workspace's [`CompressedSeries`] is a
-/// [`CodecArchive`] (covers every lossless baseline, owned NeaTS flavours
-/// and the streaming `ChunkedNeaTS`).
+/// [`CodecArchive`] (covers every lossless baseline, the lossless NeaTS
+/// flavours and the streaming `ChunkedNeaTS`).
 struct SeriesArchive(Box<dyn CompressedSeries>);
 
 impl CodecArchive for SeriesArchive {
@@ -88,61 +88,15 @@ impl CodecArchive for SeriesArchive {
     }
 }
 
-/// The zero-copy read path: a serialised v2 frame held on the heap with an
-/// [`ArchiveView`] borrowing it — the deployment shape where archives are
-/// mapped read-only and queried in place. Opening per query would charge
-/// CRC validation to every random access, so the view is opened once and
-/// kept alongside its buffer.
-///
-/// This is the same self-referential pattern as the store's `SegmentView`
-/// (see `crates/store/src/segment.rs`): the view is transmuted to `'static`
-/// internally and never exposed at that lifetime — every accessor reborrows
-/// at `&self`.
-struct ViewArchive {
-    /// Owns the frame bytes the view borrows. `Box<[u8]>` heap storage is
-    /// stable across moves and never mutated; declared before `view` only
-    /// by convention — `ArchiveView` has no `Drop`, so field order is not
-    /// load-bearing.
-    _bytes: Box<[u8]>,
-    /// SAFETY invariant: borrows from `_bytes`' heap allocation, which
-    /// lives exactly as long as this struct. Only reborrowed at `&self`.
-    view: ArchiveView<'static>,
-}
-
-impl ViewArchive {
-    fn new(bytes: Vec<u8>) -> Self {
-        let bytes = bytes.into_boxed_slice();
-        let view = ArchiveView::open(&bytes).expect("just-serialised frame reopens");
-        // SAFETY: `view` borrows `bytes`' heap allocation, which this struct
-        // owns and keeps alive for its whole lifetime; the `'static` view is
-        // never exposed, only reborrowed at `&self` by the methods below.
-        let view: ArchiveView<'static> = unsafe { std::mem::transmute(view) };
-        Self { _bytes: bytes, view }
-    }
-}
-
-impl CodecArchive for ViewArchive {
-    fn len(&self) -> usize {
-        self.view.len()
-    }
-    fn size_in_bytes(&self) -> usize {
-        // The whole frame is the deployable artifact: header, payload, CRC.
-        self._bytes.len()
-    }
-    fn random_access(&self, k: usize) -> i64 {
-        self.view.at(k)
-    }
-    fn range_scan(&self, start: usize, count: usize, out: &mut Vec<i64>) {
-        self.view.range(start..start + count, out);
-    }
-    fn decompress(&self) -> Vec<i64> {
-        self.view.materialize()
-    }
-}
-
-/// Owned lossy archives (NeaTS-L, PLA, AA) share one adapter shape.
+/// Lossy archives (NeaTS-L, PLA, AA) share one adapter shape; a range scan
+/// is the type's own where it has one, else one random access per index.
 macro_rules! lossy_archive {
     ($name:ident, $inner:ty) => {
+        lossy_archive!($name, $inner, |a: &$inner, start, count, out: &mut Vec<i64>| {
+            out.extend((start..start + count).map(|k| a.approximate(k)))
+        });
+    };
+    ($name:ident, $inner:ty, $scan:expr) => {
         struct $name($inner);
         impl CodecArchive for $name {
             fn len(&self) -> usize {
@@ -155,9 +109,7 @@ macro_rules! lossy_archive {
                 self.0.approximate(k)
             }
             fn range_scan(&self, start: usize, count: usize, out: &mut Vec<i64>) {
-                for k in start..start + count {
-                    out.push(self.0.approximate(k));
-                }
+                ($scan)(&self.0, start, count, out)
             }
             fn decompress(&self) -> Vec<i64> {
                 self.0.reconstruct()
@@ -166,7 +118,9 @@ macro_rules! lossy_archive {
     };
 }
 
-lossy_archive!(NeaTSLossyArchive, NeaTSLossy);
+lossy_archive!(NeaTSLossyArchive, NeaTSLossy, |a: &NeaTSLossy, start, count, out| {
+    a.view().scan_range(start, count, out)
+});
 lossy_archive!(PlaArchive, Pla);
 lossy_archive!(AaArchive, AdaptiveApprox);
 
@@ -189,20 +143,10 @@ impl Codec for Baseline {
     }
 }
 
-/// How a NeaTS archive is held between compression and querying.
-enum NeaTSAccess {
-    /// In the builder's owned structures (the in-memory deployment).
-    Owned,
-    /// Serialised to a frame and queried through the zero-copy
-    /// [`ArchiveView`] (the mapped-file deployment).
-    View,
-}
-
-/// A lossless NeaTS flavour (NeaTS / LeaTS / SNeaTS, owned or view-backed).
+/// A lossless NeaTS flavour (NeaTS / LeaTS / SNeaTS).
 struct NeaTSCodec {
     name: &'static str,
     builder: NeaTSBuilder,
-    access: NeaTSAccess,
 }
 
 impl Codec for NeaTSCodec {
@@ -213,33 +157,22 @@ impl Codec for NeaTSCodec {
         None
     }
     fn compress(&self, ts: &TimeSeries) -> Box<dyn CodecArchive> {
-        let compressed = self.builder.build(ts);
-        match self.access {
-            NeaTSAccess::Owned => Box::new(SeriesArchive(Box::new(compressed))),
-            NeaTSAccess::View => Box::new(ViewArchive::new(compressed.to_bytes())),
-        }
+        Box::new(SeriesArchive(Box::new(self.builder.build(ts))))
     }
 }
 
-/// The lossy NeaTS flavour (owned or view-backed).
-struct NeaTSLossyCodec {
-    name: &'static str,
-    access: NeaTSAccess,
-}
+/// The lossy NeaTS flavour.
+struct NeaTSLossyCodec;
 
 impl Codec for NeaTSLossyCodec {
     fn name(&self) -> &'static str {
-        self.name
+        "NeaTS-L"
     }
     fn epsilon_for(&self, ts: &TimeSeries) -> Option<u64> {
         Some(lossy_eps(ts))
     }
     fn compress(&self, ts: &TimeSeries) -> Box<dyn CodecArchive> {
-        let lossy = NeaTS::builder().build_lossy(ts, lossy_eps(ts));
-        match self.access {
-            NeaTSAccess::Owned => Box::new(NeaTSLossyArchive(lossy)),
-            NeaTSAccess::View => Box::new(ViewArchive::new(lossy.to_bytes())),
-        }
+        Box::new(NeaTSLossyArchive(NeaTS::builder().build_lossy(ts, lossy_eps(ts))))
     }
 }
 
@@ -291,22 +224,16 @@ impl Codec for AaCodec {
     }
 }
 
-/// Every contender of the matrix: seven NeaTS flavours and twelve
+/// Every contender of the matrix: five NeaTS flavours and twelve
 /// baselines, each a row of `BENCHMARKS.md` and of the conformance sweep.
 pub fn all_codecs() -> Vec<Box<dyn Codec>> {
     let mut v: Vec<Box<dyn Codec>> = vec![
         // --- NeaTS flavours -------------------------------------------------
-        Box::new(NeaTSCodec { name: "NeaTS", builder: NeaTS::builder(), access: NeaTSAccess::Owned }),
-        Box::new(NeaTSCodec {
-            name: "NeaTS (view)",
-            builder: NeaTS::builder(),
-            access: NeaTSAccess::View,
-        }),
-        Box::new(NeaTSCodec { name: "LeaTS", builder: NeaTS::leats(), access: NeaTSAccess::Owned }),
-        Box::new(NeaTSCodec { name: "SNeaTS", builder: NeaTS::sneats(), access: NeaTSAccess::Owned }),
+        Box::new(NeaTSCodec { name: "NeaTS", builder: NeaTS::builder() }),
+        Box::new(NeaTSCodec { name: "LeaTS", builder: NeaTS::leats() }),
+        Box::new(NeaTSCodec { name: "SNeaTS", builder: NeaTS::sneats() }),
         Box::new(StreamingCodec),
-        Box::new(NeaTSLossyCodec { name: "NeaTS-L", access: NeaTSAccess::Owned }),
-        Box::new(NeaTSLossyCodec { name: "NeaTS-L (view)", access: NeaTSAccess::View }),
+        Box::new(NeaTSLossyCodec),
         // --- lossy baselines ------------------------------------------------
         Box::new(PlaCodec),
         Box::new(AaCodec),
@@ -349,28 +276,13 @@ mod tests {
         assert_eq!(unique.len(), names.len(), "duplicate codec names: {names:?}");
 
         let neats: Vec<&&str> = names.iter().filter(|n| n.contains("NeaTS") || n.contains("eaTS")).collect();
-        assert!(neats.len() >= 6, "NeaTS flavours missing: {names:?}");
+        assert_eq!(neats.len(), 5, "NeaTS flavours: {names:?}");
         // Twelve baselines: ten lossless + PLA + AA.
         let baselines = names.len() - neats.len();
         assert!(baselines >= 12, "only {baselines} baselines in {names:?}");
         for required in baseline_names() {
             assert!(names.contains(&required), "{required} missing from roster");
         }
-    }
-
-    #[test]
-    fn view_archive_matches_owned_access() {
-        let ts = Shape::RegimeSwitch.generate(4000);
-        let compressed = NeaTS::builder().build(&ts);
-        let owned: Vec<i64> = (0..ts.len()).map(|k| compressed.get(k)).collect();
-        let view = ViewArchive::new(compressed.to_bytes());
-        assert_eq!(view.len(), ts.len());
-        let via_view: Vec<i64> = (0..ts.len()).map(|k| view.random_access(k)).collect();
-        assert_eq!(owned, via_view);
-        assert_eq!(view.decompress(), ts.values());
-        let mut mid = Vec::new();
-        view.range_scan(1000, 500, &mut mid);
-        assert_eq!(mid, &ts.values()[1000..1500]);
     }
 
     #[test]

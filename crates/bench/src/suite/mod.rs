@@ -1,8 +1,7 @@
 //! The unified codec suite behind `neats bench all`.
 //!
-//! One [`Codec`] trait covers NeaTS (lossless and lossy,
-//! owned and zero-copy view) and every baseline compressor in the
-//! evaluation; [`shapes::Shape`] widens the dataset matrix with adversarial
+//! One [`Codec`] trait covers NeaTS (lossless and lossy, batch and
+//! streaming) and every baseline compressor in the evaluation; [`shapes::Shape`] widens the dataset matrix with adversarial
 //! inputs; [`matrix`] sweeps the full cross-product, checks conformance
 //! inline, and renders the committed `BENCH_all.json` / `BENCHMARKS.md`
 //! artifacts.

@@ -25,10 +25,10 @@
 //! ```
 //!
 //! `query` and `stat` serve any archive flavor (`.neats` or `.neatsl`)
-//! through the zero-copy [`neats_core::ArchiveView`] — the file is never
-//! fully decoded, which is the recommended serving path for single
-//! archives. The other single-archive query commands use the owned decode
-//! path.
+//! through [`neats_core::ArchiveView`] opened over the file's bytes as
+//! read. The other single-archive query commands load a
+//! [`neats_core::NeaTSCompressed`] — one copy of those bytes plus the same
+//! view — and accept lossless archives only.
 //!
 //! The `store` family works on multi-series packfiles ([`neats_store`]):
 //! `build` ingests one series per input file (named after the file stem)
@@ -161,7 +161,7 @@ pub enum Command {
         /// Exact scan instead of the function-only estimate.
         exact: bool,
     },
-    /// Zero-copy point/range lookups through `ArchiveView` (either flavor).
+    /// Point/range lookups through `ArchiveView` (either flavor).
     Query {
         /// Input archive path (`.neats` or `.neatsl`).
         input: String,
@@ -606,6 +606,17 @@ fn load_compressed(path: &str) -> Result<NeaTSCompressed, CliError> {
     NeaTSCompressed::from_bytes(&bytes).map_err(|e| CliError(format!("{path}: {e}")))
 }
 
+/// Accepts `[start, start + count)` only if it lies within `0..len`; the sum
+/// is checked, so a `start + count` past `usize::MAX` is out of bounds too
+/// rather than a wrapped, in-bounds-looking end.
+fn check_range(start: usize, count: usize, len: usize) -> Result<(), CliError> {
+    match start.checked_add(count) {
+        Some(end) if end <= len => Ok(()),
+        Some(end) => err(format!("range [{start}, {end}) out of bounds")),
+        None => err(format!("range [{start}, {start} + {count}) out of bounds")),
+    }
+}
+
 /// Executes a command, writing human-readable output to `out`.
 pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     match cmd {
@@ -624,15 +635,15 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 builder = builder.model_selection(Default::default());
             }
             let c = builder.build(&ts);
-            let bytes = c.to_bytes();
-            std::fs::write(&output, &bytes)?;
+            let bytes = c.as_bytes();
+            std::fs::write(&output, bytes)?;
             writeln!(
                 out,
                 "{} values -> {} bytes ({:.2}% of raw), {} fragments",
                 ts.len(),
                 bytes.len(),
                 100.0 * bytes.len() as f64 / ts.uncompressed_bytes().max(1) as f64,
-                c.fragment_count()
+                c.view().fragment_count()
             )?;
             Ok(())
         }
@@ -646,15 +657,15 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             let ts = load_fixed_precision(Path::new(&input), digits)
                 .map_err(|e| CliError(format!("{input}: {e}")))?;
             let l = NeaTS::builder().threads(threads).build_lossy(&ts, eps);
-            let bytes = l.to_bytes();
-            std::fs::write(&output, &bytes)?;
+            let bytes = l.as_bytes();
+            std::fs::write(&output, bytes)?;
             writeln!(
                 out,
                 "{} values -> {} bytes ({:.2}% of raw), {} fragments, max error {} (bound {})",
                 ts.len(),
                 bytes.len(),
                 100.0 * bytes.len() as f64 / ts.uncompressed_bytes().max(1) as f64,
-                l.fragment_count(),
+                l.view().fragment_count(),
                 l.max_error(&ts),
                 eps,
             )?;
@@ -675,15 +686,15 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
         Command::Info { input } => {
             let c = load_compressed(&input)?;
             writeln!(out, "values:        {}", c.len())?;
-            writeln!(out, "fragments:     {}", c.fragment_count())?;
+            writeln!(out, "fragments:     {}", c.view().fragment_count())?;
             writeln!(out, "size:          {} bytes", c.size_in_bytes())?;
             writeln!(
                 out,
                 "ratio:         {:.2}% of raw 64-bit",
                 100.0 * c.size_in_bytes() as f64 / (c.len() * 8).max(1) as f64
             )?;
-            writeln!(out, "shift:         {}", c.shift())?;
-            for (kind, count) in c.kind_histogram() {
+            writeln!(out, "shift:         {}", c.view().shift())?;
+            for (kind, count) in c.view().kind_histogram() {
                 writeln!(out, "kind {:<12} {count} fragments", kind.name())?;
             }
             Ok(())
@@ -704,9 +715,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             count,
         } => {
             let c = load_compressed(&input)?;
-            if start + count > c.len() {
-                return err(format!("range [{start}, {}) out of bounds", start + count));
-            }
+            check_range(start, count, c.len())?;
             let mut values = Vec::with_capacity(count);
             c.scan_range(start, count, &mut values);
             for v in values {
@@ -721,13 +730,11 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             exact,
         } => {
             let c = load_compressed(&input)?;
-            if start + count > c.len() {
-                return err(format!("range [{start}, {}) out of bounds", start + count));
-            }
+            check_range(start, count, c.len())?;
             if exact {
-                writeln!(out, "{}", c.sum_range_exact(start, count))?;
+                writeln!(out, "{}", c.view().sum_range_exact(start, count))?;
             } else {
-                let e = c.sum_range_estimate(start, count);
+                let e = c.view().sum_range_estimate(start, count);
                 writeln!(out, "{} ± {}", e.value, e.max_error)?;
             }
             Ok(())
@@ -1301,6 +1308,46 @@ mod tests {
             .collect();
         let got: Vec<i64> = back.lines().map(|l| l.parse().unwrap()).collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn range_and_sum_bounds_are_checked_without_overflow() {
+        let dir = std::env::temp_dir().join("neats_cli_bounds_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("in.txt");
+        let packed = dir.join("out.neats");
+        let content: String = (0..40).map(|k| format!("{}\n", k * 3)).collect();
+        std::fs::write(&input, content).unwrap();
+        run(
+            parse_args(&argv(&format!("compress {} {}", input.display(), packed.display()))).unwrap(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+
+        let answer = |line: String| {
+            let mut out = Vec::new();
+            run(parse_args(&argv(&line)).unwrap(), &mut out)
+                .map(|()| String::from_utf8(out).unwrap())
+                .map_err(|e| e.to_string())
+        };
+        let max = usize::MAX;
+        for cmd in ["range", "sum"] {
+            let exact = if cmd == "sum" { " --exact" } else { "" };
+            // `start + count` wraps to 1 and to 0: both used to pass the test.
+            for (start, count) in [(max, 2), (1, max), (max, 1), (40, 1), (0, 41)] {
+                let e = answer(format!("{cmd} {} {start} {count}{exact}", packed.display())).unwrap_err();
+                assert!(e.contains("out of bounds"), "{cmd} {start} {count}: {e}");
+            }
+        }
+        // The edges that are in bounds: the empty range at the end, and the
+        // last valid ranges.
+        assert_eq!(answer(format!("range {} 40 0", packed.display())).unwrap(), "");
+        assert_eq!(answer(format!("range {} 39 1", packed.display())).unwrap(), "117\n");
+        assert_eq!(answer(format!("range {} 38 2", packed.display())).unwrap(), "114\n117\n");
+        assert_eq!(answer(format!("sum {} 40 0 --exact", packed.display())).unwrap(), "0\n");
+        assert_eq!(answer(format!("sum {} 38 2 --exact", packed.display())).unwrap(), "231\n");
+        let all: i64 = (0..40).map(|k| k * 3).sum();
+        assert_eq!(answer(format!("sum {} 0 40 --exact", packed.display())).unwrap(), format!("{all}\n"));
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! exponential family admit O(1) closed-form range sums; the remaining
 //! kinds fall back to evaluating the function per point, which still skips
 //! the correction stream entirely.
+//!
+//! This module is the per-fragment arithmetic; the queries that walk an
+//! archive's fragments with it are [`crate::view::LosslessView`]'s and
+//! [`crate::view::LossyView`]'s `*_range_exact` / `*_range_estimate`.
 
 use crate::fit::{model_value, Fragment, Kind};
-use crate::layout::NeaTSCompressed;
-use crate::lossy::NeaTSLossy;
-use timeseries::CompressedSeries;
 
 /// An approximate aggregate with a guaranteed absolute error bound.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -78,8 +79,7 @@ fn closed_form_sum(frag: &Fragment, a: f64, z: f64) -> Option<f64> {
 }
 
 /// Sums `⌊f(u)⌋ − shift` over `[from, to)` (global indices) for one
-/// fragment, using the closed form when available. Shared with the
-/// zero-copy [`crate::view`] path so estimates are bit-identical.
+/// fragment, using the closed form when available.
 pub(crate) fn fragment_model_sum(frag: &Fragment, from: usize, to: usize, shift: i64) -> f64 {
     let a = (from - frag.origin + 1) as f64;
     let z = (to - frag.origin) as f64;
@@ -138,7 +138,6 @@ fn extreme_candidates(frag: &Fragment, a: f64, z: f64) -> [Option<f64>; 4] {
 /// `(min, max)` of `⌊f(u)⌋ − shift` over global positions `[from, to)` for
 /// one fragment, from the candidate extremes (integer coordinates: the
 /// continuous stationary point is bracketed by its floor/ceil neighbours).
-/// Shared with the zero-copy [`crate::view`] path.
 pub(crate) fn fragment_model_extremes(frag: &Fragment, from: usize, to: usize, shift: i64) -> (i64, i64) {
     let a = (from - frag.origin + 1) as f64;
     let z = (to - frag.origin) as f64;
@@ -158,107 +157,6 @@ pub(crate) fn fragment_model_extremes(frag: &Fragment, from: usize, to: usize, s
         consider(cand.ceil());
     }
     (lo, hi)
-}
-
-impl NeaTSCompressed {
-    /// Exact range sum (scan-based), as `i128` to avoid overflow.
-    pub fn sum_range_exact(&self, start: usize, count: usize) -> i128 {
-        let mut out = Vec::with_capacity(count);
-        self.scan_range(start, count, &mut out);
-        out.iter().map(|&v| v as i128).sum()
-    }
-
-    /// Approximate range sum from the learned functions only, in
-    /// O(#overlapping fragments) for closed-form kinds. The bound accounts
-    /// for the per-fragment correction magnitude (`2^{w−1}`) plus one unit
-    /// of flooring per point.
-    pub fn sum_range_estimate(&self, start: usize, count: usize) -> Estimate {
-        if count == 0 {
-            return Estimate { value: 0.0, max_error: 0.0 };
-        }
-        debug_assert!(start + count <= self.len());
-        let end = start + count;
-        let mut i = self.fragment_index_of(start);
-        let mut pos = start;
-        let mut value = 0.0f64;
-        let mut max_error = 0.0f64;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            value += fragment_model_sum(&frag, pos, to, self.shift());
-            let w = self.correction_width_of(i);
-            let bias = if w == 0 { 0.0 } else { (1u64 << (w - 1)) as f64 };
-            max_error += (to - pos) as f64 * (bias + 1.0);
-            pos = to;
-            i += 1;
-        }
-        Estimate { value, max_error }
-    }
-
-    /// Approximate range mean with the same guarantee, scaled by `1/count`.
-    pub fn mean_range_estimate(&self, start: usize, count: usize) -> Estimate {
-        let s = self.sum_range_estimate(start, count);
-        let n = count.max(1) as f64;
-        Estimate { value: s.value / n, max_error: s.max_error / n }
-    }
-
-    /// Approximate range minimum and maximum from the learned functions
-    /// only (no correction reads), each with a guaranteed error bound of
-    /// the fragment's correction magnitude.
-    ///
-    /// Extremes of each fragment's model come from endpoint/stationary-point
-    /// analysis: O(1) per overlapping fragment.
-    pub fn min_max_range_estimate(&self, start: usize, count: usize) -> (Estimate, Estimate) {
-        assert!(count > 0, "min/max of an empty range is undefined");
-        debug_assert!(start + count <= self.len());
-        let end = start + count;
-        let mut i = self.fragment_index_of(start);
-        let mut pos = start;
-        let mut lo = i64::MAX;
-        let mut hi = i64::MIN;
-        let mut bound = 0.0f64;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            let (flo, fhi) = fragment_model_extremes(&frag, pos, to, self.shift());
-            lo = lo.min(flo);
-            hi = hi.max(fhi);
-            let w = self.correction_width_of(i);
-            let bias = if w == 0 { 0.0 } else { (1u64 << (w - 1)) as f64 };
-            bound = bound.max(bias);
-            pos = to;
-            i += 1;
-        }
-        (
-            Estimate { value: lo as f64, max_error: bound },
-            Estimate { value: hi as f64, max_error: bound },
-        )
-    }
-}
-
-impl NeaTSLossy {
-    /// Approximate range sum from the lossy model: error bound
-    /// `count·(ε+1)` by the NeaTS-L guarantee.
-    pub fn sum_range_estimate(&self, start: usize, count: usize) -> Estimate {
-        if count == 0 {
-            return Estimate { value: 0.0, max_error: 0.0 };
-        }
-        debug_assert!(start + count <= self.len());
-        let end = start + count;
-        let mut i = self.fragment_index_of(start);
-        let mut pos = start;
-        let mut value = 0.0f64;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            value += fragment_model_sum(&frag, pos, to, self.shift());
-            pos = to;
-            i += 1;
-        }
-        // ε from the guarantee, +1 for flooring, +1 for the closed form
-        // summing f instead of ⌊f⌋.
-        Estimate { value, max_error: count as f64 * (self.eps() as f64 + 2.0) }
-    }
 }
 
 #[cfg(test)]
@@ -317,8 +215,8 @@ mod tests {
         for _ in 0..50 {
             let start = rng.random_range(0..ts.len() - 1);
             let count = rng.random_range(1..(ts.len() - start).min(2000));
-            let exact = c.sum_range_exact(start, count) as f64;
-            let est = c.sum_range_estimate(start, count);
+            let exact = c.view().sum_range_exact(start, count) as f64;
+            let est = c.view().sum_range_estimate(start, count);
             assert!(
                 (est.value - exact).abs() <= est.max_error,
                 "range ({start},{count}): est {} exact {exact} bound {}",
@@ -333,15 +231,15 @@ mod tests {
         let ts = mixed_series(3000, 3);
         let c = NeaTS::compress(&ts);
         let expected: i128 = ts.values()[100..700].iter().map(|&v| v as i128).sum();
-        assert_eq!(c.sum_range_exact(100, 600), expected);
+        assert_eq!(c.view().sum_range_exact(100, 600), expected);
     }
 
     #[test]
     fn mean_estimate_scales() {
         let ts = mixed_series(5000, 4);
         let c = NeaTS::compress(&ts);
-        let s = c.sum_range_estimate(1000, 500);
-        let m = c.mean_range_estimate(1000, 500);
+        let s = c.view().sum_range_estimate(1000, 500);
+        let m = c.view().mean_range_estimate(1000, 500);
         assert!((m.value - s.value / 500.0).abs() < 1e-9);
         assert!((m.max_error - s.max_error / 500.0).abs() < 1e-9);
     }
@@ -352,7 +250,7 @@ mod tests {
         let eps = 64u64;
         let l = NeaTS::builder().build_lossy(&ts, eps);
         let exact: f64 = ts.values()[2000..3000].iter().map(|&v| v as f64).sum();
-        let est = l.sum_range_estimate(2000, 1000);
+        let est = l.view().sum_range_estimate(2000, 1000);
         assert!(
             (est.value - exact).abs() <= est.max_error,
             "est {} exact {exact} bound {}",
@@ -372,7 +270,7 @@ mod tests {
             let slice = &ts.values()[start..start + count];
             let true_min = *slice.iter().min().unwrap() as f64;
             let true_max = *slice.iter().max().unwrap() as f64;
-            let (lo, hi) = c.min_max_range_estimate(start, count);
+            let (lo, hi) = c.view().min_max_range_estimate(start, count);
             assert!(
                 (lo.value - true_min).abs() <= lo.max_error,
                 "min est {} true {true_min} bound {}",
@@ -395,7 +293,7 @@ mod tests {
         let values: Vec<i64> = (0..2001i64).map(|k| -(k - 1000) * (k - 1000) + 999).collect();
         let ts = TimeSeries::from_values(values.clone());
         let c = NeaTS::compress(&ts);
-        let (_, hi) = c.min_max_range_estimate(0, 2001);
+        let (_, hi) = c.view().min_max_range_estimate(0, 2001);
         let true_max = *values.iter().max().unwrap() as f64;
         assert!((hi.value - true_max).abs() <= hi.max_error, "{} vs {true_max}", hi.value);
     }
@@ -404,8 +302,8 @@ mod tests {
     fn empty_range() {
         let ts = mixed_series(100, 6);
         let c = NeaTS::compress(&ts);
-        assert_eq!(c.sum_range_estimate(50, 0), Estimate { value: 0.0, max_error: 0.0 });
-        assert_eq!(c.sum_range_exact(50, 0), 0);
+        assert_eq!(c.view().sum_range_estimate(50, 0), Estimate { value: 0.0, max_error: 0.0 });
+        assert_eq!(c.view().sum_range_exact(50, 0), 0);
     }
 
     #[test]
@@ -414,9 +312,9 @@ mod tests {
         // evaluation and its error bound is just the flooring term.
         let ts = TimeSeries::from_values((0..100_000).map(|k| 7 * k + 3).collect());
         let c = NeaTS::compress(&ts);
-        assert_eq!(c.fragment_count(), 1);
-        let est = c.sum_range_estimate(0, 100_000);
-        let exact = c.sum_range_exact(0, 100_000) as f64;
+        assert_eq!(c.view().fragment_count(), 1);
+        let est = c.view().sum_range_estimate(0, 100_000);
+        let exact = c.view().sum_range_exact(0, 100_000) as f64;
         assert!((est.value - exact).abs() <= est.max_error);
         assert!(est.max_error <= 100_000.0 * 2.0);
     }

@@ -9,12 +9,13 @@
 //!   algorithm.
 //! * [`partition`] — Algorithm 1: the shortest-path partitioner minimising
 //!   the encoded size over all `(function, ε)` choices.
-//! * [`layout`] — the succinct compressed representation with full
-//!   decompression (Algorithm 2), O(1)-ish random access (Algorithm 3) and
-//!   range scans.
+//! * [`layout`] — the succinct compressed representation `⟨S, B, O, C, K,
+//!   P⟩`: its encoder, and [`NeaTSCompressed`], the encoded archive plus
+//!   the view over it.
 //! * [`lossy`] — NeaTS-L, the lossy variant with a maximum-error guarantee.
-//! * [`view`] — [`ArchiveView`], the zero-copy read path answering queries
-//!   straight from serialized archive bytes (the recommended serving path).
+//! * [`view`] — [`ArchiveView`], the one decoder: full decompression
+//!   (Algorithm 2), O(1)-ish random access (Algorithm 3), range scans and
+//!   aggregates, answered straight from serialized archive bytes.
 //! * [`variants`] — LeaTS (linear-only) and SNeaTS (model selection).
 //! * [`parallel`] / [`histogram`] — the std-only threading primitives
 //!   (work-stealing fan-out, closeable worker queue) and the wait-free
@@ -45,6 +46,7 @@ pub mod histogram;
 pub mod layout;
 pub mod lossy;
 pub mod obs;
+mod owned;
 pub mod parallel;
 pub mod partition;
 pub mod serial;
@@ -257,7 +259,7 @@ mod tests {
         let ts = walk(3000, 2);
         let c = NeaTS::leats().build(&ts);
         assert_eq!(c.decompress(), ts.values());
-        for (kind, count) in c.kind_histogram() {
+        for (kind, count) in c.view().kind_histogram() {
             if count > 0 {
                 assert_eq!(kind, Kind::Linear);
             }

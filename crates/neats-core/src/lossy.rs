@@ -6,12 +6,17 @@
 //! compression"). The partitioner minimises the storage of the function
 //! parameters alone, running in O(|F|·n).
 
-use crate::fit::{model_value, Fragment, Kind, Params};
+use crate::fit::Kind;
+use crate::owned::OwnedArchive;
 use crate::partition::{partition, positivity_shift, Partition, PartitionConfig};
-use succinct::{EliasFano, PackedVec, WaveletMatrix};
+use crate::serial::{self, ArchiveFlavor, ModelSections, SectionWriter};
+use crate::view::LossyView;
+use succinct::{EliasFano, Wire, WireError};
 use timeseries::TimeSeries;
 
-/// A lossy, randomly-accessible piecewise-nonlinear approximation.
+/// A lossy, randomly-accessible piecewise-nonlinear approximation: the
+/// serialized archive (shared, immutable — `Clone` is a reference-count
+/// bump) and the [`LossyView`] over it, which answers every query.
 ///
 /// ```
 /// use neats_core::{Kind, NeaTSLossy};
@@ -23,16 +28,7 @@ use timeseries::TimeSeries;
 /// assert!(lossy.size_in_bytes() < ts.uncompressed_bytes() / 20);
 /// ```
 #[derive(Clone, Debug)]
-pub struct NeaTSLossy {
-    n: usize,
-    shift: i64,
-    eps: u64,
-    starts: EliasFano,
-    kinds: WaveletMatrix,
-    kind_table: Vec<Kind>,
-    params: Vec<Vec<u64>>,
-    origin_deltas: PackedVec,
-}
+pub struct NeaTSLossy(OwnedArchive);
 
 impl NeaTSLossy {
     /// Compresses `ts` under the error bound `eps` using the given function
@@ -81,156 +77,87 @@ impl NeaTSLossy {
     }
 
     fn encode(part: &Partition, n: usize, shift: i64, eps: u64) -> Self {
-        let m = part.fragments.len();
-        let mut starts = Vec::with_capacity(m);
-        let mut kind_syms = Vec::with_capacity(m);
-        let mut origin_deltas = Vec::with_capacity(m);
-        let mut kind_table: Vec<Kind> = Vec::new();
-        let mut params: Vec<Vec<u64>> = Vec::new();
+        let mut starts = Vec::with_capacity(part.fragments.len());
+        let mut models = ModelSections::default();
         for frag in &part.fragments {
             starts.push(frag.start as u64);
-            let sym = match kind_table.iter().position(|&k| k == frag.kind) {
-                Some(s) => s,
-                None => {
-                    kind_table.push(frag.kind);
-                    params.push(Vec::new());
-                    kind_table.len() - 1
-                }
-            };
-            kind_syms.push(sym as u8);
-            let p = &mut params[sym];
-            p.push(frag.params.m.to_bits());
-            p.push(frag.params.b.to_bits());
-            if frag.kind.param_count() == 3 {
-                p.push(frag.params.extra.to_bits());
-            }
-            origin_deltas.push((frag.start - frag.origin) as u64);
+            models.push(frag);
         }
-        Self {
-            n,
-            shift,
-            eps,
-            starts: EliasFano::new(&starts),
-            kinds: WaveletMatrix::new(&kind_syms),
-            kind_table,
-            params,
-            origin_deltas: PackedVec::new(&origin_deltas),
+
+        // One container section per component, in the order
+        // `ArchiveFlavor::section_names` lists them.
+        let mut sw = SectionWriter::new();
+        sw.w.u64(n as u64);
+        sw.w.i64(shift);
+        sw.w.u64(eps);
+        sw.mark(); // header
+        EliasFano::new(&starts).write(&mut sw.w);
+        sw.mark(); // starts
+        models.write(&mut sw);
+        Self(OwnedArchive::from_encoder(serial::frame(ArchiveFlavor::Lossy, sw)))
+    }
+
+    /// Loads a buffer produced by [`Self::to_bytes`]: one copy of the bytes,
+    /// then [`crate::ArchiveView::open`] on the copy.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
+        let archive = OwnedArchive::open(data)?;
+        if archive.view().as_lossy().is_none() {
+            return Err(WireError::Corrupt("not a lossy archive"));
         }
+        Ok(Self(archive))
+    }
+
+    /// The archive as a self-contained, checksummed container frame.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
+
+    /// A copy of [`Self::as_bytes`].
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.as_bytes().to_vec()
+    }
+
+    /// The decoder over this archive's bytes. The methods below — the
+    /// interface PLA and AA share — are its; fragment inspection, range
+    /// scans and the aggregates are reached through it.
+    #[inline]
+    pub fn view(&self) -> &LossyView<'_> {
+        self.0.view().as_lossy().expect("flavor checked at construction")
     }
 
     /// Number of data points represented.
     pub fn len(&self) -> usize {
-        self.n
+        self.view().len()
     }
 
     /// Whether the approximation covers no points.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.view().is_empty()
     }
 
     /// The error bound the approximation was built under.
     pub fn eps(&self) -> u64 {
-        self.eps
-    }
-
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.origin_deltas.len()
-    }
-
-    /// Index of the fragment covering position `k`.
-    pub fn fragment_index_of(&self, k: usize) -> usize {
-        debug_assert!(k < self.n);
-        self.starts.rank_leq(k as u64) - 1
-    }
-
-    /// The global positivity shift stored in the header.
-    pub fn shift(&self) -> i64 {
-        self.shift
-    }
-
-    /// Reconstructs the fragment descriptor for fragment `i`.
-    pub fn fragment(&self, i: usize) -> Fragment {
-        let start = self.starts.get(i) as usize;
-        let end = if i + 1 < self.fragment_count() {
-            self.starts.get(i + 1) as usize
-        } else {
-            self.n
-        };
-        let sym = self.kinds.access(i);
-        let kind = self.kind_table[sym as usize];
-        let params = self.params_of(sym, self.kinds.rank(sym, i));
-        let origin = start - self.origin_deltas.get(i) as usize;
-        Fragment { kind, params, start, end, origin }
-    }
-
-    /// Parameters of the `rank`-th fragment of kind symbol `sym`.
-    #[inline]
-    fn params_of(&self, sym: u8, rank: usize) -> Params {
-        let pc = self.kind_table[sym as usize].param_count();
-        let base = rank * pc;
-        let arr = &self.params[sym as usize];
-        Params {
-            m: f64::from_bits(arr[base]),
-            b: f64::from_bits(arr[base + 1]),
-            extra: if pc == 3 { f64::from_bits(arr[base + 2]) } else { 0.0 },
-        }
+        self.view().eps()
     }
 
     /// The approximated value at position `k` (random access).
     pub fn approximate(&self, k: usize) -> i64 {
-        debug_assert!(k < self.n);
-        let i = self.starts.rank_leq(k as u64) - 1;
-        let frag = self.fragment(i);
-        model_value(&frag, k, self.shift)
+        self.view().approximate(k)
     }
 
     /// Materialises the whole approximated series.
-    ///
-    /// Sequential walk: fragment starts stream out of the Elias-Fano
-    /// iterator and per-kind parameter ranks are incremental counters, so no
-    /// per-fragment select/rank machinery runs.
     pub fn reconstruct(&self) -> Vec<i64> {
-        let m = self.fragment_count();
-        let mut out = Vec::with_capacity(self.n);
-        let mut ranks = vec![0usize; self.kind_table.len()];
-        let mut starts = self.starts.iter();
-        let mut start = starts.next().map(|v| v as usize).unwrap_or(0);
-        for i in 0..m {
-            let end = starts.next().map(|v| v as usize).unwrap_or(self.n);
-            let sym = self.kinds.access(i);
-            let kind = self.kind_table[sym as usize];
-            let params = self.params_of(sym, ranks[sym as usize]);
-            ranks[sym as usize] += 1;
-            let origin = start - self.origin_deltas.get(i) as usize;
-            let frag = Fragment { kind, params, start, end, origin };
-            for k in start..end {
-                out.push(model_value(&frag, k, self.shift));
-            }
-            start = end;
-        }
-        out
+        self.view().reconstruct()
     }
 
     /// Compressed size in bytes (parameters plus access structures).
     pub fn size_in_bytes(&self) -> usize {
-        let header = 8 + 8 + 8 + self.kind_table.len() + 8;
-        header
-            + self.starts.size_in_bytes()
-            + self.kinds.size_in_bytes()
-            + self.params.iter().map(|p| p.len() * 8).sum::<usize>()
-            + self.origin_deltas.size_in_bytes()
+        self.view().size_in_bytes()
     }
 
     /// Measured maximum absolute error against the original values.
     pub fn max_error(&self, original: &TimeSeries) -> u64 {
-        original
-            .values()
-            .iter()
-            .enumerate()
-            .map(|(k, &v)| v.abs_diff(self.approximate(k)))
-            .max()
-            .unwrap_or(0)
+        self.view().max_error(original)
     }
 
     /// Mean Absolute Percentage Error against the original values, in %
@@ -238,72 +165,6 @@ impl NeaTSLossy {
     /// handling).
     pub fn mape(&self, original: &TimeSeries) -> f64 {
         timeseries::mape_pct(original, &self.reconstruct())
-    }
-
-    /// Writes all components, marking one container section per component
-    /// (used by [`crate::serial`]).
-    pub(crate) fn write_wire(&self, sw: &mut crate::serial::SectionWriter) {
-        use succinct::Wire;
-        sw.w.u64(self.n as u64);
-        sw.w.i64(self.shift);
-        sw.w.u64(self.eps);
-        sw.mark(); // header
-        self.starts.write(&mut sw.w);
-        sw.mark(); // starts
-        self.kinds.write(&mut sw.w);
-        sw.mark(); // kinds
-        crate::serial::write_kind_table(&mut sw.w, &self.kind_table);
-        sw.mark(); // kind-table
-        crate::serial::write_params(&mut sw.w, &self.params);
-        sw.mark(); // params
-        self.origin_deltas.write(&mut sw.w);
-        sw.mark(); // origin-deltas
-    }
-
-    /// Reads and validates all components.
-    pub(crate) fn read_wire(
-        r: &mut succinct::WireReader<'_>,
-    ) -> Result<Self, succinct::WireError> {
-        use succinct::{Wire, WireError};
-        let n = r.read_len()?;
-        let shift = r.i64()?;
-        let eps = r.u64()?;
-        let starts = EliasFano::read(r)?;
-        let kinds = WaveletMatrix::read(r)?;
-        let (kind_table, params) = crate::serial::KindParams::read(r)?.into_owned_parts();
-        let origin_deltas = PackedVec::read(r)?;
-        let m = starts.len();
-        if kinds.len() != m || origin_deltas.len() != m {
-            return Err(WireError::Corrupt("fragment count mismatch"));
-        }
-        // n and m must be zero together, or fragment_of underflows on a
-        // crafted archive with points but no fragments.
-        if (m == 0) != (n == 0) {
-            return Err(WireError::Corrupt("fragment count vs series length"));
-        }
-        let mut prev = 0usize;
-        let mut counts = vec![0usize; kind_table.len()];
-        for i in 0..m {
-            let s = starts.get(i) as usize;
-            if (i == 0 && s != 0) || (i > 0 && s <= prev) || s >= n {
-                return Err(WireError::Corrupt("fragment starts"));
-            }
-            let sym = kinds.access(i) as usize;
-            if sym >= kind_table.len() {
-                return Err(WireError::Corrupt("kind symbol"));
-            }
-            counts[sym] += 1;
-            if origin_deltas.get(i) as usize > s {
-                return Err(WireError::Corrupt("origin delta"));
-            }
-            prev = s;
-        }
-        for (sym, &count) in counts.iter().enumerate() {
-            if params[sym].len() != count * kind_table[sym].param_count() {
-                return Err(WireError::Corrupt("params length"));
-            }
-        }
-        Ok(Self { n, shift, eps, starts, kinds, kind_table, params, origin_deltas })
     }
 }
 
@@ -371,10 +232,10 @@ mod tests {
         let small = NeaTSLossy::compress(&ts, &Kind::NEATS_DEFAULT, 8);
         let large = NeaTSLossy::compress(&ts, &Kind::NEATS_DEFAULT, 512);
         assert!(
-            large.fragment_count() < small.fragment_count(),
+            large.view().fragment_count() < small.view().fragment_count(),
             "{} !< {}",
-            large.fragment_count(),
-            small.fragment_count()
+            large.view().fragment_count(),
+            small.view().fragment_count()
         );
         assert!(large.size_in_bytes() < small.size_in_bytes());
     }
@@ -418,10 +279,10 @@ mod tests {
         let with_exp = NeaTSLossy::compress(&ts, &Kind::NEATS_DEFAULT, 4);
         let lin_only = NeaTSLossy::compress(&ts, &[Kind::Linear], 4);
         assert!(
-            with_exp.fragment_count() < lin_only.fragment_count(),
+            with_exp.view().fragment_count() < lin_only.view().fragment_count(),
             "exp {} !< linear {}",
-            with_exp.fragment_count(),
-            lin_only.fragment_count()
+            with_exp.view().fragment_count(),
+            lin_only.view().fragment_count()
         );
     }
 }

@@ -1,6 +1,5 @@
 //! Persistence of compressed series: the versioned, checksummed container
-//! frame shared by the owned (`to_bytes` / `from_bytes`) and the zero-copy
-//! ([`crate::view::ArchiveView`]) read paths.
+//! frame the encoders write and [`crate::view::ArchiveView`] reads.
 //!
 //! ## Container frame (version 2)
 //!
@@ -22,15 +21,16 @@
 //! The section table lets tools (`neats stat`) report the layout breakdown
 //! without decoding, and reserves room for section-level evolution.
 //!
-//! Deserialisation is *validating*: beyond the checksum, every structural
-//! invariant the query algorithms rely on is re-checked, so even a crafted
-//! buffer with a correct checksum can never cause a panic or out-of-bounds
-//! read.
+//! Opening untrusted bytes ([`crate::view::ArchiveView::open`], and through
+//! it both `from_bytes`) is *validating*: beyond the checksum, every
+//! structural invariant the query algorithms rely on is re-checked, so even
+//! a crafted buffer with a correct checksum can never cause a panic or
+//! out-of-bounds read.
 
-use crate::fit::{Kind, Params};
-use crate::layout::NeaTSCompressed;
-use crate::lossy::NeaTSLossy;
-use succinct::{Crc64, U64sView, WireError, WireReader, WireWriter};
+use crate::fit::{Fragment, Kind, Params};
+use succinct::{
+    Crc64, PackedVec, U64sView, WaveletMatrix, Wire, WireError, WireReader, WireWriter,
+};
 
 /// Container magic: the ASCII bytes `NeaTSFRM`, read as a little-endian u64.
 pub(crate) const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"NeaTSFRM");
@@ -40,9 +40,10 @@ pub(crate) const FRAME_VERSION: u64 = 2;
 /// Which compressed representation an archive holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArchiveFlavor {
-    /// A [`NeaTSCompressed`] archive (models + corrections, lossless).
+    /// A [`NeaTSCompressed`](crate::NeaTSCompressed) archive (models +
+    /// corrections, lossless).
     Lossless,
-    /// A [`NeaTSLossy`] archive (models only, ε-bounded).
+    /// A [`NeaTSLossy`](crate::NeaTSLossy) archive (models only, ε-bounded).
     Lossy,
 }
 
@@ -227,21 +228,6 @@ pub(crate) fn parse_frame(data: &[u8]) -> Result<Frame<'_>, WireError> {
     Ok(Frame { flavor, payload, header, table, stored_crc })
 }
 
-/// Parses the frame of `data`, verifies its checksum, and requires `want`
-/// as its flavor — the frame half of the owned `from_bytes` readers.
-fn checked_payload<'a>(
-    data: &'a [u8],
-    want: ArchiveFlavor,
-    wrong_flavor: &'static str,
-) -> Result<WireReader<'a>, WireError> {
-    let frame = parse_frame(data)?;
-    frame.verify_checksum()?;
-    if frame.flavor != want {
-        return Err(WireError::Corrupt(wrong_flavor));
-    }
-    Ok(WireReader::new(frame.payload))
-}
-
 /// Reads an archive's flavor and section table without decoding the payload
 /// (for tooling that only inspects the frame; `neats stat` uses
 /// [`crate::view::ArchiveView::open_with_sections`] to get the view and the
@@ -252,17 +238,58 @@ pub fn frame_info(data: &[u8]) -> Result<(ArchiveFlavor, Vec<Section>), WireErro
     Ok((frame.flavor, frame.sections()))
 }
 
-pub(crate) fn write_kind_table(w: &mut WireWriter, table: &[Kind]) {
-    w.u64(table.len() as u64);
-    for &k in table {
-        w.u8(k as u8);
-    }
+/// The per-fragment model columns both flavors end with, under
+/// construction: the kind string `K`, the kind table, the parameter arrays
+/// `P` and the fragment origins.
+#[derive(Default)]
+pub(crate) struct ModelSections {
+    kind_syms: Vec<u8>,
+    /// Distinct kinds in use; wavelet-matrix symbols index into this.
+    kind_table: Vec<Kind>,
+    /// Per kind-table entry: concatenated parameters, `param_count` f64 bit
+    /// patterns per fragment of that kind.
+    params: Vec<Vec<u64>>,
+    origin_deltas: Vec<u64>,
 }
 
-pub(crate) fn write_params(w: &mut WireWriter, params: &[Vec<u64>]) {
-    w.u64(params.len() as u64);
-    for p in params {
-        w.u64_slice(p);
+impl ModelSections {
+    /// Appends the next fragment's model.
+    pub(crate) fn push(&mut self, frag: &Fragment) {
+        let sym = match self.kind_table.iter().position(|&k| k == frag.kind) {
+            Some(s) => s,
+            None => {
+                self.kind_table.push(frag.kind);
+                self.params.push(Vec::new());
+                self.kind_table.len() - 1
+            }
+        };
+        self.kind_syms.push(sym as u8);
+        let p = &mut self.params[sym];
+        p.push(frag.params.m.to_bits());
+        p.push(frag.params.b.to_bits());
+        if frag.kind.param_count() == 3 {
+            p.push(frag.params.extra.to_bits());
+        }
+        self.origin_deltas.push((frag.start - frag.origin) as u64);
+    }
+
+    /// Writes the `kinds`, `kind-table`, `params` and `origin-deltas`
+    /// sections, in that order.
+    pub(crate) fn write(&self, sw: &mut SectionWriter) {
+        WaveletMatrix::new(&self.kind_syms).write(&mut sw.w);
+        sw.mark(); // kinds
+        sw.w.u64(self.kind_table.len() as u64);
+        for &k in &self.kind_table {
+            sw.w.u8(k as u8);
+        }
+        sw.mark(); // kind-table
+        sw.w.u64(self.params.len() as u64);
+        for p in &self.params {
+            sw.w.u64_slice(p);
+        }
+        sw.mark(); // params
+        PackedVec::new(&self.origin_deltas).write(&mut sw.w);
+        sw.mark(); // origin-deltas
     }
 }
 
@@ -330,58 +357,13 @@ impl<'a> KindParams<'a> {
         };
         (kind, params)
     }
-
-    /// Owned copies for the materialising decode path.
-    pub(crate) fn into_owned_parts(self) -> (Vec<Kind>, Vec<Vec<u64>>) {
-        (self.kinds().to_vec(), self.params().iter().map(|p| p.to_vec()).collect())
-    }
-}
-
-impl NeaTSCompressed {
-    /// Serialises the compressed series into a self-contained, checksummed
-    /// container frame (see the module docs for the layout).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut sw = SectionWriter::new();
-        self.write_wire(&mut sw);
-        frame(ArchiveFlavor::Lossless, sw)
-    }
-
-    /// Deserialises a buffer produced by [`Self::to_bytes`], verifying the
-    /// checksum and validating all structural invariants.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
-        let mut r = checked_payload(data, ArchiveFlavor::Lossless, "not a lossless archive")?;
-        let v = Self::read_wire(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(WireError::Corrupt("trailing bytes"));
-        }
-        Ok(v)
-    }
-}
-
-impl NeaTSLossy {
-    /// Serialises the lossy representation into the container frame.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut sw = SectionWriter::new();
-        self.write_wire(&mut sw);
-        frame(ArchiveFlavor::Lossy, sw)
-    }
-
-    /// Deserialises a buffer produced by [`Self::to_bytes`].
-    pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
-        let mut r = checked_payload(data, ArchiveFlavor::Lossy, "not a lossy archive")?;
-        let v = Self::read_wire(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(WireError::Corrupt("trailing bytes"));
-        }
-        Ok(v)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::view::ArchiveView;
-    use crate::NeaTS;
+    use crate::{NeaTS, NeaTSCompressed, NeaTSLossy};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use timeseries::{CompressedSeries, TimeSeries};
 
@@ -466,26 +448,31 @@ mod tests {
         let bytes = NeaTS::compress(&ts).to_bytes();
         for cut in (0..bytes.len()).step_by(7) {
             assert!(NeaTSCompressed::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-            assert!(ArchiveView::open(&bytes[..cut]).is_err(), "view cut {cut}");
         }
         let lossy = NeaTS::builder().build_lossy(&ts, 16).to_bytes();
         for cut in (0..lossy.len()).step_by(7) {
             assert!(NeaTSLossy::from_bytes(&lossy[..cut]).is_err(), "lossy cut {cut}");
-            assert!(ArchiveView::open(&lossy[..cut]).is_err(), "lossy view cut {cut}");
         }
     }
 
     #[test]
     fn every_single_byte_corruption_is_rejected() {
         // CRC-64 over header + payload: every single-byte corruption must be
-        // rejected by *both* read paths — exhaustively, not probabilistically.
+        // rejected — exhaustively, not probabilistically, and for both
+        // flavors. `from_bytes` is a copy followed by `ArchiveView::open`,
+        // so this is the suite for both.
         let ts = walk(400, 6);
         let bytes = NeaTS::compress(&ts).to_bytes();
         for pos in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[pos] ^= 1 << (pos % 8);
-            assert!(NeaTSCompressed::from_bytes(&corrupted).is_err(), "owned accepted flip at {pos}");
-            assert!(ArchiveView::open(&corrupted).is_err(), "view accepted flip at {pos}");
+            assert!(NeaTSCompressed::from_bytes(&corrupted).is_err(), "from_bytes accepted flip at {pos}");
+        }
+        let lossy = NeaTS::builder().build_lossy(&ts, 12).to_bytes();
+        for pos in 0..lossy.len() {
+            let mut corrupted = lossy.clone();
+            corrupted[pos] ^= 1 << (pos % 8);
+            assert!(NeaTSLossy::from_bytes(&corrupted).is_err(), "lossy from_bytes accepted flip at {pos}");
         }
     }
 
@@ -500,7 +487,6 @@ mod tests {
             let pos = rng.random_range(0..corrupted.len());
             corrupted[pos] ^= 1 << rng.random_range(0..8);
             assert!(NeaTSLossy::from_bytes(&corrupted).is_err(), "flip at {pos} accepted");
-            assert!(ArchiveView::open(&corrupted).is_err(), "view flip at {pos} accepted");
         }
     }
 
@@ -539,15 +525,13 @@ mod tests {
         // m == 0 but n > 0 (lossless, Elias-Fano mode).
         let mut crafted = NeaTS::compress(&TimeSeries::from_values(vec![])).to_bytes();
         patch_n(&mut crafted, 1000);
-        assert!(NeaTSCompressed::from_bytes(&crafted).is_err(), "owned accepted n>0, m=0");
-        assert!(ArchiveView::open(&crafted).is_err(), "view accepted n>0, m=0");
+        assert!(NeaTSCompressed::from_bytes(&crafted).is_err(), "from_bytes accepted n>0, m=0");
 
         // m == 0 but n > 0 (lossy).
         let mut crafted =
             NeaTS::builder().build_lossy(&TimeSeries::from_values(vec![]), 5).to_bytes();
         patch_n(&mut crafted, 1000);
-        assert!(NeaTSLossy::from_bytes(&crafted).is_err(), "lossy owned accepted n>0, m=0");
-        assert!(ArchiveView::open(&crafted).is_err(), "lossy view accepted n>0, m=0");
+        assert!(NeaTSLossy::from_bytes(&crafted).is_err(), "lossy from_bytes accepted n>0, m=0");
 
         // BitVector rank mode with n larger than the start bitvector: the
         // single constant fragment has correction width 0, so every stride
@@ -560,8 +544,7 @@ mod tests {
             .build(&ts);
         let mut crafted = c.to_bytes();
         patch_n(&mut crafted, 505);
-        assert!(NeaTSCompressed::from_bytes(&crafted).is_err(), "owned accepted short start bv");
-        assert!(ArchiveView::open(&crafted).is_err(), "view accepted short start bv");
+        assert!(NeaTSCompressed::from_bytes(&crafted).is_err(), "from_bytes accepted short start bv");
 
         // Sanity: the patch helper itself round-trips an unpatched archive.
         let mut untouched = c.to_bytes();

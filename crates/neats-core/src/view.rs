@@ -1,16 +1,16 @@
-//! The zero-copy read path: [`ArchiveView`] answers queries straight from
-//! serialized archive bytes.
+//! The read path: Algorithms 2 and 3, the range scan and the aggregate
+//! queries, answered straight from serialized archive bytes.
 //!
-//! [`NeaTSCompressed::from_bytes`](crate::NeaTSCompressed::from_bytes) fully
-//! materialises owned `Vec`s — an O(archive) allocation and copy — before
-//! the first query can run. A serving process handling point lookups over
-//! many archives cannot afford that per open. `ArchiveView::open` instead
-//! validates the container frame (checksum + structural invariants) *once*
-//! and then answers `at(k)`, `range(..)`, scans and the aggregate queries
-//! directly over the borrowed `&[u8]`, with no heap allocation at all: the
-//! succinct structures are read through the borrowed views of
-//! [`succinct::views`], whose rank/select directories are persisted in the
-//! archive rather than rebuilt.
+//! There is one decoder, and it is here. [`ArchiveView::open`] validates the
+//! container frame (checksum + structural invariants) *once* and then
+//! answers `at(k)`, `range(..)`, scans and the aggregate queries directly
+//! over the borrowed `&[u8]`, with no heap allocation at all: the succinct
+//! structures are read through the borrowed views of [`succinct::views`],
+//! whose rank/select directories are persisted in the archive rather than
+//! rebuilt. [`NeaTSCompressed`](crate::NeaTSCompressed) and
+//! [`NeaTSLossy`](crate::NeaTSLossy) are a frame plus the view over it and
+//! delegate every query here; the store borrows its segments' views from
+//! the pack buffer the same way.
 //!
 //! Opening is two steps, and [`ArchiveView::open`] is literally one after
 //! the other:
@@ -20,17 +20,19 @@
 //!   and panic-free on any bytes, no allocation.
 //! * [`ArchiveView::verify`] — O(bytes): the frame CRC, the rank/select
 //!   directories, the kind-symbol census and the fragment-geometry walk.
-//!   Only after it succeeds are queries guaranteed in bounds.
+//!   Only after it succeeds are queries guaranteed in bounds. This is the
+//!   one place an archive's structure is validated.
 //!
 //! Untrusted bytes go through `open`. `parse` alone is for a caller that
 //! holds bytes which already passed `open` and cannot have changed since —
 //! the store re-parses an immutable, already-verified segment on a cache
-//! miss instead of re-running the O(bytes) pass.
+//! miss instead of re-running the O(bytes) pass — or bytes the encoder in
+//! this process just produced.
 //!
-//! Query semantics are equal to the owned types **by differential testing**
-//! (`tests/view_differential.rs`), not merely by construction: every answer
-//! from a view is property-tested against the owned structure decoded from
-//! the same bytes, for lossless and lossy archives alike.
+//! Query semantics are held to the encoder's *input* by
+//! `tests/view_differential.rs`: every answer is property-tested against
+//! the series and the partition the archive was built from, for lossless
+//! and lossy archives alike.
 
 use crate::aggregate::{fragment_model_extremes, fragment_model_sum, Estimate};
 use crate::fit::{model_value, Fragment, Kind};
@@ -40,9 +42,10 @@ use succinct::{
     BitBufView, BitVectorView, EliasFanoIterView, EliasFanoView, OnesIterView, PackedVecView,
     WaveletMatrixView, WireError, WireReader,
 };
+use timeseries::TimeSeries;
 
-/// Borrowed fragment-start index `S` in either representation (mirrors the
-/// owned `StartIndex` of [`crate::layout`]).
+/// Borrowed fragment-start index `S` in either representation (see
+/// [`crate::RankMode`]).
 #[derive(Clone, Copy, Debug)]
 enum StartIndexView<'a> {
     Ef(EliasFanoView<'a>),
@@ -81,6 +84,14 @@ impl<'a> StartIndexView<'a> {
         match self {
             StartIndexView::Ef(ef) => ef.validate(),
             StartIndexView::Bv(bv) => bv.validate(),
+        }
+    }
+
+    /// Bytes of the index and its rank directories.
+    fn size_in_bytes(&self) -> usize {
+        match self {
+            StartIndexView::Ef(ef) => ef.size_in_bytes(),
+            StartIndexView::Bv(bv) => bv.size_in_bytes(),
         }
     }
 
@@ -342,8 +353,9 @@ impl<'a> ArchiveView<'a> {
     }
 }
 
-/// Zero-copy counterpart of [`crate::NeaTSCompressed`]: the full lossless
-/// query surface over borrowed bytes.
+/// The lossless query surface over borrowed bytes: Algorithm 2
+/// ([`Self::decompress`]), Algorithm 3 ([`Self::get`]), the range query of
+/// §IV-C4 ([`Self::scan_range`]) and the aggregates.
 #[derive(Clone, Debug)]
 pub struct LosslessView<'a> {
     /// The container frame the view was parsed from (for the CRC pass).
@@ -412,8 +424,9 @@ impl<'a> LosslessView<'a> {
         })
     }
 
-    /// Validates the payloads — the same invariants as the owned
-    /// `read_wire`, checked through the borrowed views.
+    /// Validates the payloads: every cross-structure invariant `get`,
+    /// `scan_range` and `decompress` rely on, so corrupted input can never
+    /// cause a panic or an out-of-bounds access later.
     fn verify(&self) -> Result<(), WireError> {
         let (n, m) = (self.n, self.widths.len());
         // Rank/select directories first, so the structural loop below (and
@@ -426,7 +439,7 @@ impl<'a> LosslessView<'a> {
         }
         verify_kind_symbols(&self.kinds, &self.kind_params, m)?;
         // Fragment geometry: one streaming pass over starts and offsets
-        // (no per-fragment select), mirroring the owned reader's checks.
+        // (no per-fragment select).
         let mut starts_it = self.starts.iter();
         let mut offsets_it = self.offsets.iter();
         let mut cur_start = starts_it.next();
@@ -473,6 +486,22 @@ impl<'a> LosslessView<'a> {
     /// The global positivity shift stored in the header.
     pub fn shift(&self) -> i64 {
         self.shift
+    }
+
+    /// Compressed size in bytes by the paper's accounting: the bits of
+    /// `S, B, O, C, K, P` with their rank directories plus the fixed header
+    /// fields — no container framing, which PLA, AA and the other
+    /// competitors do not carry either.
+    pub fn size_in_bytes(&self) -> usize {
+        let header = 8 + 8 + self.kind_params.kinds().len() + 8; // n, shift, kinds, misc
+        header
+            + self.starts.size_in_bytes()
+            + self.widths.size_in_bytes()
+            + self.offsets.size_in_bytes()
+            + self.corrections.size_in_bytes()
+            + self.kinds.size_in_bytes()
+            + self.kind_params.params().iter().map(|p| p.len() * 8).sum::<usize>()
+            + self.origin_deltas.size_in_bytes()
     }
 
     /// Number of fragments `m`.
@@ -558,8 +587,13 @@ impl<'a> LosslessView<'a> {
         }
     }
 
-    /// Algorithm 2: full decompression, fragment by fragment, with all
-    /// cursors streaming (no per-fragment select/rank machinery).
+    /// Algorithm 2: full decompression, fragment by fragment.
+    ///
+    /// The sequential pass avoids the per-fragment rank/select machinery of
+    /// the random-access path entirely: fragment starts stream out of the
+    /// Elias-Fano iterator, per-kind parameter ranks are incremental
+    /// counters, and the correction bit offset is a running cursor
+    /// (corrections are stored contiguously in fragment order).
     pub fn decompress(&self) -> Vec<i64> {
         let m = self.fragment_count();
         let mut out = Vec::with_capacity(self.n);
@@ -583,7 +617,15 @@ impl<'a> LosslessView<'a> {
     }
 
     /// Kind-dispatched emit over `[from, to)` reading `w`-bit corrections
-    /// starting at bit `o0` (mirrors the owned hot loop).
+    /// starting at bit `o0` — the shared inner loop of Algorithms 2 and 3's
+    /// scan.
+    ///
+    /// The function-kind dispatch is hoisted out of the loop (the paper
+    /// vectorises this loop with `std::experimental::simd`; we rely on the
+    /// monomorphised closure auto-vectorising). Each arm calls
+    /// `Kind::eval` with a *constant* kind so the computation is
+    /// bit-identical to [`model_value`], which encoding used — that identity
+    /// is what makes the scheme lossless.
     fn emit_loop_dispatch(
         &self,
         frag: &Fragment,
@@ -615,8 +657,8 @@ impl<'a> LosslessView<'a> {
     }
 
     /// The monomorphised emit loop shared by all kinds; `o0` is the bit
-    /// offset of the first correction to read. Identical arithmetic to the
-    /// owned loop — correction words are read through the unaligned view.
+    /// offset of the first correction to read (correction words are read
+    /// through the unaligned view).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn emit_loop<F: Fn(f64) -> f64>(
@@ -631,6 +673,8 @@ impl<'a> LosslessView<'a> {
     ) {
         let shift_sub = if frag.kind.log_domain() { self.shift } else { 0 };
         let origin = frag.origin;
+        // Pass 1: the pure floating-point model loop. Writing through a
+        // resized slice (not push) lets LLVM vectorise the polynomial kinds.
         let base = out.len();
         out.resize(base + (to - from), 0);
         let slice = &mut out[base..];
@@ -638,6 +682,8 @@ impl<'a> LosslessView<'a> {
             let f = eval((from + j - origin + 1) as f64);
             *v = crate::fit::floor_to_i64(f).wrapping_sub(shift_sub);
         }
+        // Pass 2: add the packed corrections with a register-resident word
+        // cursor (cheaper than recomputing word/bit from absolute offsets).
         if w > 0 {
             let bias = 1u64 << (w - 1);
             let words = self.corrections.words();
@@ -685,8 +731,10 @@ impl<'a> LosslessView<'a> {
         Some((lo, hi))
     }
 
-    /// Approximate range sum from the learned functions only (no correction
-    /// reads), bit-identical to the owned estimate.
+    /// Approximate range sum from the learned functions only, in
+    /// O(#overlapping fragments) for closed-form kinds and with no
+    /// correction reads. The bound accounts for the per-fragment correction
+    /// magnitude (`2^{w−1}`) plus one unit of flooring per point.
     pub fn sum_range_estimate(&self, start: usize, count: usize) -> Estimate {
         if count == 0 {
             return Estimate { value: 0.0, max_error: 0.0 };
@@ -718,7 +766,11 @@ impl<'a> LosslessView<'a> {
     }
 
     /// Approximate range minimum and maximum from the learned functions
-    /// only, each with a guaranteed error bound.
+    /// only (no correction reads), each with a guaranteed error bound of
+    /// the fragment's correction magnitude.
+    ///
+    /// Extremes of each fragment's model come from endpoint/stationary-point
+    /// analysis: O(1) per overlapping fragment.
     pub fn min_max_range_estimate(&self, start: usize, count: usize) -> (Estimate, Estimate) {
         assert!(count > 0, "min/max of an empty range is undefined");
         debug_assert!(start + count <= self.n);
@@ -747,8 +799,7 @@ impl<'a> LosslessView<'a> {
     }
 }
 
-/// Zero-copy counterpart of [`crate::NeaTSLossy`]: the ε-bounded query
-/// surface over borrowed bytes.
+/// The ε-bounded query surface of a NeaTS-L archive over borrowed bytes.
 #[derive(Clone, Debug)]
 pub struct LossyView<'a> {
     /// The container frame the view was parsed from (for the CRC pass).
@@ -785,8 +836,7 @@ impl<'a> LossyView<'a> {
         Ok(Self { frame, n, shift, eps, starts, kinds, kind_params, origin_deltas })
     }
 
-    /// Validates the payloads — the same invariants as the owned
-    /// `read_wire`, checked through the borrowed views.
+    /// Validates the payloads: every invariant the queries rely on.
     fn verify(&self) -> Result<(), WireError> {
         self.starts.validate()?;
         self.kinds.validate()?;
@@ -823,6 +873,17 @@ impl<'a> LossyView<'a> {
     /// The global positivity shift stored in the header.
     pub fn shift(&self) -> i64 {
         self.shift
+    }
+
+    /// Compressed size in bytes (parameters plus access structures; the
+    /// paper's accounting, without container framing).
+    pub fn size_in_bytes(&self) -> usize {
+        let header = 8 + 8 + 8 + self.kind_params.kinds().len() + 8;
+        header
+            + self.starts.size_in_bytes()
+            + self.kinds.size_in_bytes()
+            + self.kind_params.params().iter().map(|p| p.len() * 8).sum::<usize>()
+            + self.origin_deltas.size_in_bytes()
     }
 
     /// Number of fragments.
@@ -890,7 +951,11 @@ impl<'a> LossyView<'a> {
         }
     }
 
-    /// Materialises the whole approximated series (sequential walk).
+    /// Materialises the whole approximated series.
+    ///
+    /// Sequential walk: fragment starts stream out of the Elias-Fano
+    /// iterator and per-kind parameter ranks are incremental counters, so no
+    /// per-fragment select/rank machinery runs.
     pub fn reconstruct(&self) -> Vec<i64> {
         let m = self.fragment_count();
         let mut out = Vec::with_capacity(self.n);
@@ -951,8 +1016,20 @@ impl<'a> LossyView<'a> {
         })
     }
 
-    /// Approximate range sum from the lossy model: error bound
-    /// `count·(ε+2)`, bit-identical to the owned estimate.
+    /// Measured maximum absolute error against the original values.
+    pub fn max_error(&self, original: &TimeSeries) -> u64 {
+        original
+            .values()
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| v.abs_diff(self.approximate(k)))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Approximate range sum from the lossy model, with error bound
+    /// `count·(ε+2)`: ε from the NeaTS-L guarantee, +1 for flooring, +1 for
+    /// the closed form summing f instead of ⌊f⌋.
     pub fn sum_range_estimate(&self, start: usize, count: usize) -> Estimate {
         if count == 0 {
             return Estimate { value: 0.0, max_error: 0.0 };
@@ -994,11 +1071,15 @@ mod tests {
             let bytes = c.to_bytes();
             let view = ArchiveView::open(&bytes).unwrap();
             assert_eq!(view.len(), c.len());
-            assert_eq!(view.fragment_count(), c.fragment_count());
-            for k in 0..ts.len() {
-                assert_eq!(view.at(k), c.get(k), "{mode:?} at({k})");
+            assert_eq!(view.fragment_count(), c.view().fragment_count());
+            // A view opened from the bytes and the handle that owns them
+            // both decode to the input.
+            for (k, &y) in ts.values().iter().enumerate() {
+                assert_eq!(view.at(k), y, "{mode:?} at({k})");
+                assert_eq!(c.get(k), y, "{mode:?} get({k})");
             }
-            assert_eq!(view.materialize(), c.decompress(), "{mode:?}");
+            assert_eq!(view.materialize(), ts.values(), "{mode:?}");
+            assert_eq!(c.decompress(), ts.values(), "{mode:?}");
         }
     }
 
@@ -1010,8 +1091,9 @@ mod tests {
         let view = ArchiveView::open(&bytes).unwrap();
         let lossy = view.as_lossy().unwrap();
         assert_eq!(lossy.eps(), 25);
-        for k in 0..ts.len() {
+        for (k, &y) in ts.values().iter().enumerate() {
             assert_eq!(view.at(k), l.approximate(k), "at({k})");
+            assert!(y.abs_diff(view.at(k)) <= 26, "at({k}) outside eps + 1");
         }
         assert_eq!(view.materialize(), l.reconstruct());
     }

@@ -123,7 +123,7 @@ fn strictly_decreasing_series() {
     let ts = TimeSeries::from_values(values.clone());
     let c = NeaTS::compress(&ts);
     assert_eq!(c.decompress(), values);
-    assert!(c.fragment_count() < 100, "{} fragments on a near-line", c.fragment_count());
+    assert!(c.view().fragment_count() < 100, "{} fragments on a near-line", c.view().fragment_count());
 }
 
 #[test]
@@ -134,7 +134,7 @@ fn repeated_identical_fragments_share_kind_table() {
     let ts = TimeSeries::from_values(values.clone());
     let c = NeaTS::builder().kinds(&[Kind::Linear]).build(&ts);
     assert_eq!(c.decompress(), values);
-    let hist = c.kind_histogram();
+    let hist = c.view().kind_histogram();
     assert_eq!(hist.len(), 1);
     assert_eq!(hist[0].0, Kind::Linear);
 }
@@ -146,8 +146,8 @@ fn scan_range_all_boundaries() {
     let c = NeaTS::compress(&ts);
     // Every fragment boundary, exercised as scan start and end.
     let mut boundaries = vec![0usize, values.len()];
-    for i in 0..c.fragment_count() {
-        boundaries.push(c.fragment(i).start);
+    for i in 0..c.view().fragment_count() {
+        boundaries.push(c.view().fragment(i).start);
     }
     boundaries.sort_unstable();
     boundaries.dedup();

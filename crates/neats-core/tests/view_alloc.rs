@@ -1,35 +1,46 @@
-//! Asserts, via a counting global allocator, that the zero-copy read path
-//! performs no heap allocation at all: not `ArchiveView::parse` (what the
-//! store runs on every cache miss of an already-verified segment), not
+//! Asserts, via a counting global allocator, that the read path performs no
+//! heap allocation at all: not `ArchiveView::parse` (what the store runs on
+//! every cache miss of an already-verified segment), not
 //! `ArchiveView::open` (parse + verify), for either flavor and either rank
 //! mode, whatever the archive size — the kind table, parameter arrays and
 //! wavelet levels are held inline — and not a point query or an aggregate
 //! estimate through the view.
+//!
+//! The handles (`NeaTSCompressed`, `NeaTSLossy`) are that view plus their own
+//! copy of the frame, so the same holds for them with one exception, stated
+//! exactly: `from_bytes` makes one allocation, of the frame's size plus the
+//! `Arc` header. `Clone`, `get` / `approximate`, a scan into a reserved
+//! `Vec` and an aggregate estimate make none.
 
-use neats_core::{ArchiveView, Kind, NeaTS, RankMode};
+use neats_core::{ArchiveView, Kind, NeaTS, NeaTSCompressed, NeaTSLossy, RankMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use timeseries::TimeSeries;
+use timeseries::{CompressedSeries, TimeSeries};
 
-/// Counts every byte handed out (allocations only; frees are irrelevant for
-/// the "does open allocate O(archive)?" question).
+/// Counts every byte handed out and every call that handed some out
+/// (allocations only; frees are irrelevant for the "does open allocate
+/// O(archive)?" question).
 struct CountingAlloc;
 
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -46,6 +57,36 @@ fn allocated_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATED.load(Ordering::Relaxed);
     let out = f();
     (ALLOCATED.load(Ordering::Relaxed) - before, out)
+}
+
+/// `(calls, bytes)` allocated while running `f`.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> ((usize, usize), R) {
+    let calls = ALLOCATIONS.load(Ordering::Relaxed);
+    let (bytes, out) = allocated_during(f);
+    ((ALLOCATIONS.load(Ordering::Relaxed) - calls, bytes), out)
+}
+
+/// A handle costs one allocation to load — the frame plus the two reference
+/// counts of an `Arc` (and padding to their alignment) — and none to clone
+/// or query. `load` is its `from_bytes`; `query` clones it, reads points,
+/// scans half the series into the reserved `window` and takes an estimate.
+fn assert_handle_allocations<H>(
+    name: &str,
+    frame: &[u8],
+    load: impl FnOnce(&[u8]) -> H,
+    query: impl FnOnce(&H, &mut Vec<i64>) -> usize,
+) {
+    let ((calls, bytes), handle) = allocations_during(|| load(frame));
+    assert_eq!(calls, 1, "{name}: from_bytes made {calls} allocations");
+    assert!(
+        (frame.len() + 16..=frame.len() + 24).contains(&bytes),
+        "{name}: from_bytes allocated {bytes} bytes for a {} byte frame",
+        frame.len()
+    );
+    let mut window = Vec::with_capacity(1 << 16);
+    let (alloc_q, scanned) = allocated_during(|| query(&handle, &mut window));
+    assert_eq!(alloc_q, 0, "{name}: clone + point + scan + estimate allocated {alloc_q} bytes");
+    assert_eq!(window.len(), scanned);
 }
 
 fn series(n: usize) -> TimeSeries {
@@ -110,14 +151,22 @@ fn parse_and_open_never_allocate() {
     });
     assert_eq!(alloc_est, 0, "sum estimate allocated {alloc_est} bytes");
 
-    // Contrast — and a sanity check of the measurement itself: the owned
-    // decode path of the same archive *does* allocate at least the payload.
-    let (alloc_owned, owned) =
-        allocated_during(|| neats_core::NeaTSCompressed::from_bytes(&large).unwrap());
-    assert!(
-        alloc_owned >= large.len() / 2,
-        "owned open allocated only {alloc_owned} bytes for a {} byte archive",
-        large.len()
-    );
-    drop(owned);
+    // The handles. (The load count also checks the measurement itself: it
+    // is not zero.)
+    for (name, bytes) in [("small", &small), ("large", &large), ("bitvector starts", &bitvector)] {
+        assert_handle_allocations(name, bytes, |b| NeaTSCompressed::from_bytes(b).unwrap(), |handle, window| {
+            let (h, n) = (handle.clone(), handle.len());
+            let acc = (0..n).step_by(997).fold(0i64, |acc, k| acc.wrapping_add(h.get(k)));
+            h.view().scan_range(n / 4, n / 2, window);
+            std::hint::black_box((acc, h.view().sum_range_estimate(100, n - 200)));
+            n / 2
+        });
+    }
+    assert_handle_allocations("lossy", &lossy, |b| NeaTSLossy::from_bytes(b).unwrap(), |handle, window| {
+        let (h, n) = (handle.clone(), handle.len());
+        let acc = (0..n).step_by(997).fold(0i64, |acc, k| acc.wrapping_add(h.approximate(k)));
+        h.view().scan_range(n / 4, n / 2, window);
+        std::hint::black_box((acc, h.view().sum_range_estimate(100, n - 200)));
+        n / 2
+    });
 }

@@ -1,20 +1,35 @@
-//! Differential tests for the zero-copy read path: every answer from
-//! [`ArchiveView`] must equal the answer from the owned structure decoded
-//! from the *same* bytes, across arbitrary walks × rank modes ×
-//! lossless/lossy × partitioner thread counts, and archive bytes must
-//! round-trip unchanged through the container frame.
+//! The correctness argument for the read path, stated once, against ground
+//! truth: every answer of the decoder ([`ArchiveView`], [`LosslessView`],
+//! [`LossyView`]) is held to **what the encoder was given** — the input
+//! series and the `Partition` Algorithm 1 produced for it — across arbitrary
+//! walks × rank modes × lossless/lossy × partitioner thread counts.
 //!
-//! This suite is the correctness argument for `ArchiveView`: the view
-//! re-implements the query algorithms over borrowed bytes, so equivalence
-//! is established by property testing rather than by construction.
+//! * lossless: `at(k)`, `range`, `materialize` ≡ the input values;
+//!   `fragment(i)` ≡ fragment *i* of the partition; `correction_width_of(i)`
+//!   ≡ the width of that fragment's measured residual;
+//! * lossy: `approximate(k)` ≡ `model_value` over the partition's fragments
+//!   (inputs here stay within ±2^53, where the first fit is kept) and
+//!   `|approximate(k) − y_k| ≤ ε + 1`;
+//! * both: `sum_range_exact` / `min_max_range_exact` ≡ a naive fold over the
+//!   decoded slice, and every [`Estimate`] interval contains the exact
+//!   answer.
 //!
-//! It also covers the split of `open` into `parse` + `verify`: a view from
-//! `parse` alone over bytes that passed `open` answers exactly like the
-//! opened view, and `parse` alone on corrupted or truncated bytes returns
+//! Random access ≡ sequential decoding follows: both are held to the same
+//! series. Each archive is read three ways — `ArchiveView::open` of its
+//! bytes, `ArchiveView::parse` alone (the store's cache-miss path, valid
+//! because the bytes passed `open`), and the view inside the
+//! `NeaTSCompressed` / `NeaTSLossy` handle — and all three face the same
+//! oracle. Archive bytes must also round-trip unchanged through
+//! `from_bytes`, and `parse` alone on corrupted or truncated bytes returns
 //! `Err` or a view — it never panics (the per-byte suites that must *reject*
-//! corruption go through `open`; see `serial.rs`).
+//! corruption go through `from_bytes`; see `serial.rs`).
 
-use neats_core::{ArchiveView, Kind, NeaTS, NeaTSCompressed, NeaTSLossy, RankMode};
+use neats_core::fit::{max_abs_residual, model_value};
+use neats_core::partition::{partition, Partition, PartitionConfig};
+use neats_core::{
+    default_epsilons, positivity_shift, ArchiveView, Estimate, Kind, LosslessView, LossyView, NeaTS,
+    NeaTSCompressed, NeaTSLossy, RankMode,
+};
 use proptest::prelude::*;
 use timeseries::{CompressedSeries, TimeSeries};
 
@@ -40,83 +55,138 @@ fn ranges_within(seeds: &[(usize, usize)], n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Asserts that `parsed` (from [`ArchiveView::parse`] alone) answers `at`,
-/// `range` and every aggregate exactly like `opened` (from
-/// [`ArchiveView::open`] of the same bytes).
-fn assert_parse_equals_open(
-    parsed: &ArchiveView<'_>,
-    opened: &ArchiveView<'_>,
-    ranges: &[(usize, usize)],
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(parsed.len(), opened.len());
-    prop_assert_eq!(parsed.flavor(), opened.flavor());
-    prop_assert_eq!(parsed.shift(), opened.shift());
-    prop_assert_eq!(parsed.fragment_count(), opened.fragment_count());
-    prop_assert_eq!(parsed.kind_histogram(), opened.kind_histogram());
-    prop_assert_eq!(parsed.materialize(), opened.materialize());
-    for k in 0..opened.len() {
-        prop_assert_eq!(parsed.at(k), opened.at(k), "at({})", k);
+/// What `NeaTSBuilder::build` hands the encoder for `ts` under `kinds`
+/// (default ε set, no model selection): the positivity shift and the
+/// partition.
+fn lossless_inputs(ts: &TimeSeries, kinds: &[Kind]) -> (i64, Partition) {
+    let epsilons = default_epsilons(ts.delta());
+    let shift = positivity_shift(ts.values(), epsilons.iter().copied().max().unwrap_or(0));
+    (shift, partition(ts.values(), &PartitionConfig::lossless(kinds, &epsilons, shift).with_threads(1)))
+}
+
+/// What `NeaTSLossy::compress` hands the encoder on its first (and, within
+/// ±2^53, only) iteration.
+fn lossy_inputs(ts: &TimeSeries, kinds: &[Kind], eps: u64) -> (i64, Partition) {
+    let shift = positivity_shift(ts.values(), eps);
+    (shift, partition(ts.values(), &PartitionConfig::lossy(kinds, eps, shift).with_threads(1)))
+}
+
+/// The series a lossy archive must decode to: `model_value` over the
+/// partition's fragments.
+fn model_series(part: &Partition, shift: i64) -> Vec<i64> {
+    part.fragments.iter().flat_map(|f| (f.start..f.end).map(move |k| model_value(f, k, shift))).collect()
+}
+
+fn sum(slice: &[i64]) -> i128 {
+    slice.iter().map(|&v| v as i128).sum()
+}
+
+fn contains(est: Estimate, exact: f64) -> bool {
+    (est.value - exact).abs() <= est.max_error + 1e-9
+}
+
+/// `at`, `range`, `materialize` and the exact aggregates of `view` against
+/// the series it must decode to.
+fn check_decodes_to(view: &ArchiveView<'_>, expected: &[i64], ranges: &[(usize, usize)]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(view.len(), expected.len());
+    prop_assert_eq!(&view.materialize()[..], expected);
+    for (k, &want) in expected.iter().enumerate() {
+        prop_assert_eq!(view.at(k), want, "at({})", k);
     }
     for &(s, c) in ranges {
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        parsed.range(s..s + c, &mut got);
-        opened.range(s..s + c, &mut want);
-        prop_assert_eq!(got, want, "range({}..+{})", s, c);
-        prop_assert_eq!(parsed.sum_range_exact(s, c), opened.sum_range_exact(s, c));
-        prop_assert_eq!(parsed.sum_range_estimate(s, c), opened.sum_range_estimate(s, c));
-        prop_assert_eq!(parsed.min_max_range_exact(s, c), opened.min_max_range_exact(s, c));
+        let slice = &expected[s..s + c];
+        let mut got = Vec::new();
+        view.range(s..s + c, &mut got);
+        prop_assert_eq!(&got[..], slice, "range({}..+{})", s, c);
+        prop_assert_eq!(view.sum_range_exact(s, c), sum(slice), "sum_range_exact({}, {})", s, c);
+        let min_max = slice.iter().min().copied().zip(slice.iter().max().copied());
+        prop_assert_eq!(view.min_max_range_exact(s, c), min_max, "min_max_range_exact({}, {})", s, c);
     }
     Ok(())
 }
 
-/// Opens `bytes`, parses them again without verifying, and checks the two
-/// views agree ([`assert_parse_equals_open`]); returns the opened view.
-fn open_and_reparse<'a>(
-    bytes: &'a [u8],
-    ranges: &[(usize, usize)],
-) -> Result<ArchiveView<'a>, TestCaseError> {
-    let opened = ArchiveView::open(bytes).unwrap();
-    let parsed = ArchiveView::parse(bytes).unwrap();
-    assert_parse_equals_open(&parsed, &opened, ranges)?;
-    Ok(opened)
-}
-
-/// Compares the full lossless query surface of `view` against `owned`.
-fn assert_lossless_equivalent(
-    owned: &NeaTSCompressed,
-    view: &ArchiveView<'_>,
+/// The lossless query surface against the input values and the partition.
+fn check_lossless(
+    v: &LosslessView<'_>,
+    values: &[i64],
+    shift: i64,
+    part: &Partition,
     ranges: &[(usize, usize)],
 ) -> Result<(), TestCaseError> {
-    let v = view.as_lossless().expect("lossless archive");
-    prop_assert_eq!(view.len(), owned.len());
-    prop_assert_eq!(view.fragment_count(), owned.fragment_count());
-    prop_assert_eq!(v.shift(), owned.shift());
-    prop_assert_eq!(view.materialize(), owned.decompress());
-    prop_assert_eq!(view.kind_histogram(), owned.kind_histogram());
-    for k in 0..owned.len() {
-        prop_assert_eq!(view.at(k), owned.get(k), "at({})", k);
+    prop_assert_eq!((v.len(), v.shift(), v.fragment_count()), (values.len(), shift, part.fragments.len()));
+    prop_assert_eq!(&v.decompress()[..], values);
+    for (k, &y) in values.iter().enumerate() {
+        prop_assert_eq!(v.get(k), y, "get({})", k);
     }
-    for i in 0..owned.fragment_count() {
-        prop_assert_eq!(v.fragment(i), owned.fragment(i), "fragment({})", i);
-        prop_assert_eq!(v.correction_width_of(i), owned.correction_width_of(i));
+    for (i, frag) in part.fragments.iter().enumerate() {
+        prop_assert_eq!(&v.fragment(i), frag, "fragment({})", i);
+        let width = succinct::bits_for_residual_bound(max_abs_residual(values, frag, shift));
+        prop_assert_eq!(v.correction_width_of(i), width, "correction_width_of({})", i);
+        prop_assert_eq!((v.fragment_index_of(frag.start), v.fragment_index_of(frag.end - 1)), (i, i));
+    }
+    for (kind, count) in v.kind_histogram() {
+        prop_assert_eq!(count, part.fragments.iter().filter(|f| f.kind == kind).count());
+    }
+    for &(s, c) in ranges {
+        let slice = &values[s..s + c];
+        let mut got = Vec::new();
+        v.scan_range(s, c, &mut got);
+        prop_assert_eq!(&got[..], slice, "scan_range({}, {})", s, c);
+        let est = v.sum_range_estimate(s, c);
+        prop_assert!(contains(est, sum(slice) as f64), "sum {:?} misses {}", est, sum(slice));
+        let mean = v.mean_range_estimate(s, c);
+        prop_assert!(contains(mean, sum(slice) as f64 / c.max(1) as f64), "mean {:?}", mean);
+        if c > 0 {
+            let (lo, hi) = v.min_max_range_estimate(s, c);
+            let (min, max) = (*slice.iter().min().unwrap(), *slice.iter().max().unwrap());
+            prop_assert!(contains(lo, min as f64), "min {:?} misses {}", lo, min);
+            prop_assert!(contains(hi, max as f64), "max {:?} misses {}", hi, max);
+        }
+    }
+    Ok(())
+}
+
+/// The lossy query surface against the input values, ε and the partition.
+fn check_lossy(
+    v: &LossyView<'_>,
+    ts: &TimeSeries,
+    eps: u64,
+    shift: i64,
+    part: &Partition,
+    ranges: &[(usize, usize)],
+) -> Result<(), TestCaseError> {
+    let model = model_series(part, shift);
+    prop_assert_eq!((v.len(), v.eps(), v.shift()), (ts.len(), eps, shift));
+    prop_assert_eq!(v.fragment_count(), part.fragments.len());
+    prop_assert_eq!(&v.reconstruct(), &model);
+    for (k, &y) in ts.values().iter().enumerate() {
+        prop_assert_eq!(v.approximate(k), model[k], "approximate({})", k);
+        prop_assert!(y.abs_diff(model[k]) <= eps + 1, "|approximate({}) - y| > eps + 1", k);
+    }
+    prop_assert!(v.max_error(ts) <= eps + 1);
+    for (i, frag) in part.fragments.iter().enumerate() {
+        prop_assert_eq!(&v.fragment(i), frag, "fragment({})", i);
+        prop_assert_eq!(v.fragment_index_of(frag.start), i);
+    }
+    for (kind, count) in v.kind_histogram() {
+        prop_assert_eq!(count, part.fragments.iter().filter(|f| f.kind == kind).count());
     }
     for &(s, c) in ranges {
         let mut got = Vec::new();
         v.scan_range(s, c, &mut got);
-        let mut want = Vec::new();
-        owned.scan_range(s, c, &mut want);
-        prop_assert_eq!(got, want, "scan_range({}, {})", s, c);
-        prop_assert_eq!(v.sum_range_exact(s, c), owned.sum_range_exact(s, c));
-        prop_assert_eq!(v.sum_range_estimate(s, c), owned.sum_range_estimate(s, c));
-        prop_assert_eq!(v.mean_range_estimate(s, c), owned.mean_range_estimate(s, c));
-        if c > 0 {
-            prop_assert_eq!(
-                v.min_max_range_estimate(s, c),
-                owned.min_max_range_estimate(s, c)
-            );
-        }
+        prop_assert_eq!(&got[..], &model[s..s + c], "scan_range({}, {})", s, c);
+        // The estimate's guarantee is about the *original* values.
+        let exact = sum(&ts.values()[s..s + c]);
+        let est = v.sum_range_estimate(s, c);
+        prop_assert!(contains(est, exact as f64), "sum {:?} misses {}", est, exact);
     }
     Ok(())
+}
+
+/// The two ways bytes are opened: `open` (parse + verify), and `parse`
+/// alone, valid here because the same bytes just passed `open`.
+fn open_and_parse(bytes: &[u8]) -> [ArchiveView<'_>; 2] {
+    [ArchiveView::open(bytes).unwrap(), ArchiveView::parse(bytes).unwrap()]
 }
 
 proptest! {
@@ -139,12 +209,19 @@ proptest! {
 
         // Bytes round-trip unchanged through the container frame.
         let reread = NeaTSCompressed::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(reread.to_bytes(), bytes.clone());
+        prop_assert_eq!(reread.as_bytes(), &bytes[..]);
 
-        let n = ts.len();
-        let ranges = ranges_within(&range_seeds, n);
-        let view = open_and_reparse(&bytes, &ranges)?;
-        assert_lossless_equivalent(&owned, &view, &ranges)?;
+        let ranges = ranges_within(&range_seeds, ts.len());
+        let (shift, part) = lossless_inputs(&ts, &Kind::NEATS_DEFAULT);
+        for view in open_and_parse(&bytes) {
+            check_decodes_to(&view, ts.values(), &ranges)?;
+            check_lossless(view.as_lossless().expect("lossless archive"), ts.values(), shift, &part, &ranges)?;
+        }
+        // The handle the encoder returned and the one `from_bytes` built.
+        for handle in [&owned, &reread] {
+            check_lossless(handle.view(), ts.values(), shift, &part, &ranges)?;
+            prop_assert_eq!(&handle.decompress()[..], ts.values());
+        }
     }
 
     #[test]
@@ -161,41 +238,16 @@ proptest! {
         let bytes = owned.to_bytes();
 
         let reread = NeaTSLossy::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(reread.to_bytes(), bytes.clone());
+        prop_assert_eq!(reread.as_bytes(), &bytes[..]);
 
-        let n = ts.len();
-        let ranges = ranges_within(&range_seeds, n);
-        let view = open_and_reparse(&bytes, &ranges)?;
-        let v = view.as_lossy().expect("lossy archive");
-        prop_assert_eq!(view.len(), owned.len());
-        prop_assert_eq!(v.eps(), owned.eps());
-        prop_assert_eq!(view.fragment_count(), owned.fragment_count());
-        prop_assert_eq!(view.materialize(), owned.reconstruct());
-        prop_assert_eq!(view.kind_histogram(), {
-            // The owned NeaTSLossy exposes no histogram; derive it per fragment.
-            let mut counts: Vec<(neats_core::Kind, usize)> = Vec::new();
-            for i in 0..owned.fragment_count() {
-                let kind = owned.fragment(i).kind;
-                match counts.iter_mut().find(|(k, _)| *k == kind) {
-                    Some((_, c)) => *c += 1,
-                    None => counts.push((kind, 1)),
-                }
-            }
-            // Match the view's kind-table order (first-seen order).
-            counts
-        });
-        for k in 0..n {
-            prop_assert_eq!(view.at(k), owned.approximate(k), "approximate({})", k);
+        let ranges = ranges_within(&range_seeds, ts.len());
+        let (shift, part) = lossy_inputs(&ts, &Kind::NEATS_DEFAULT, eps);
+        for view in open_and_parse(&bytes) {
+            check_decodes_to(&view, &model_series(&part, shift), &ranges)?;
+            check_lossy(view.as_lossy().expect("lossy archive"), &ts, eps, shift, &part, &ranges)?;
         }
-        for i in 0..owned.fragment_count() {
-            prop_assert_eq!(v.fragment(i), owned.fragment(i), "fragment({})", i);
-        }
-        for &(s, c) in &ranges {
-            let mut got = Vec::new();
-            v.scan_range(s, c, &mut got);
-            let recon = owned.reconstruct();
-            prop_assert_eq!(&got[..], &recon[s..s + c], "scan_range({}, {})", s, c);
-            prop_assert_eq!(v.sum_range_estimate(s, c), owned.sum_range_estimate(s, c));
+        for handle in [&owned, &reread] {
+            check_lossy(handle.view(), &ts, eps, shift, &part, &ranges)?;
         }
     }
 
@@ -210,22 +262,21 @@ proptest! {
             .collect();
         prop_assert_eq!(&archives[0], &archives[1]);
         prop_assert_eq!(&archives[0], &archives[2]);
-        // And the view over the shared bytes answers like the 1-thread owned build.
-        let owned = NeaTS::builder().threads(1).build(&ts);
+        // And the shared bytes decode to the input.
         let view = ArchiveView::open(&archives[0]).unwrap();
         for k in (0..ts.len()).step_by(7) {
-            prop_assert_eq!(view.at(k), owned.get(k));
+            prop_assert_eq!(view.at(k), ts.values()[k]);
         }
     }
 }
 
-/// Deterministic differential sweep with richer kind pools and both rank
-/// modes, for the shapes proptest's uniform walks rarely produce.
+/// Deterministic sweep with richer kind pools and both rank modes, for the
+/// shapes proptest's uniform walks rarely produce.
 #[test]
 fn deterministic_shapes_differential() {
     // Extreme-magnitude values overflow the positivity shift of log-domain
     // kinds (a documented fitter precondition), so that shape fits with the
-    // linear family only, as in the owned-path edge-case tests.
+    // linear family only, as in the edge-case tests.
     let all: &[Kind] = &Kind::ALL;
     let linear: &[Kind] = &[Kind::Linear];
     let shapes: Vec<(&str, &[Kind], Vec<i64>)> = vec![
@@ -240,27 +291,31 @@ fn deterministic_shapes_differential() {
     for (name, kinds, values) in shapes {
         let ts = TimeSeries::from_values(values.clone());
         let whole = [(0, values.len()), (values.len() / 3, values.len() / 2)];
+        let (shift, part) = lossless_inputs(&ts, kinds);
         for mode in [RankMode::EliasFano, RankMode::BitVector] {
             let owned = NeaTS::builder().kinds(kinds).rank_mode(mode).build(&ts);
-            let bytes = owned.to_bytes();
-            let view = open_and_reparse(&bytes, &whole).unwrap();
-            assert_eq!(view.materialize(), values, "{name} {mode:?} materialize");
-            for k in 0..values.len() {
-                assert_eq!(view.at(k), owned.get(k), "{name} {mode:?} at({k})");
+            for view in open_and_parse(owned.as_bytes()) {
+                check_decodes_to(&view, &values, &whole)
+                    .and_then(|()| check_lossless(view.as_lossless().unwrap(), &values, shift, &part, &whole))
+                    .unwrap_or_else(|e| panic!("{name} {mode:?}: {e}"));
             }
-            let v = view.as_lossless().unwrap();
-            let n = values.len();
-            assert_eq!(v.sum_range_exact(0, n), owned.sum_range_exact(0, n), "{name} {mode:?}");
-            assert_eq!(
-                v.sum_range_estimate(0, n),
-                owned.sum_range_estimate(0, n),
-                "{name} {mode:?}"
-            );
         }
+        // "extremes" lies beyond ±2^53, where the lossy fit may be
+        // retightened and the partition is not reproducible from here: the
+        // opened views are held to the handle's reconstruction only (the ε
+        // contract out there is `lossy.rs`'s own regression test).
         let lossy = NeaTS::builder().kinds(kinds).build_lossy(&ts, 10);
-        let bytes = lossy.to_bytes();
-        let view = open_and_reparse(&bytes, &whole).unwrap();
-        assert_eq!(view.materialize(), lossy.reconstruct(), "{name} lossy");
+        let within_f64 = values.iter().all(|v| v.unsigned_abs() <= 1 << 53);
+        let (shift, part) = lossy_inputs(&ts, kinds, 10);
+        for view in open_and_parse(lossy.as_bytes()) {
+            let checked = if within_f64 {
+                check_decodes_to(&view, &model_series(&part, shift), &whole)
+                    .and_then(|()| check_lossy(view.as_lossy().unwrap(), &ts, 10, shift, &part, &whole))
+            } else {
+                check_decodes_to(&view, &lossy.reconstruct(), &whole)
+            };
+            checked.unwrap_or_else(|e| panic!("{name} lossy: {e}"));
+        }
     }
 }
 

@@ -51,9 +51,9 @@
 //! value frame carries its own CRC-64, the timestamp blob's CRC lives in the
 //! catalog) and the verdict is remembered for the life of the `Store`.
 //!
-//! The full byte-level offset tables, the catalog record grammar, how this
-//! read path compares to the owned and single-archive view paths, and the
-//! `segment.rs` unsafe-lifetime invariants are documented in
+//! The full byte-level offset tables, the catalog record grammar, how
+//! holding a segment's view here compares to a single-archive view or
+//! handle, and the `segment.rs` unsafe-lifetime invariants are documented in
 //! `ARCHITECTURE.md` at the repository root; the HTTP serving layer over
 //! this store is the `neats-serve` crate.
 //!

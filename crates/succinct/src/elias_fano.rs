@@ -144,21 +144,6 @@ impl EliasFano {
         (&self.high, &self.low, self.low_bits, self.len, self.universe)
     }
 
-    /// Rebuilds from persisted components, validating basic invariants.
-    /// Returns `None` on inconsistent parts.
-    pub fn from_raw_parts(
-        high: BitVector,
-        low: BitBuf,
-        low_bits: usize,
-        len: usize,
-        universe: u64,
-    ) -> Option<Self> {
-        if low.len() != len * low_bits || high.count_ones() != len {
-            return None;
-        }
-        Some(Self { high, low, low_bits, len, universe })
-    }
-
     /// Streaming iterator over the elements in order.
     ///
     /// A single forward scan of the high-bits words with a running low-bits

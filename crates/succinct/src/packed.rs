@@ -69,13 +69,6 @@ impl PackedVec {
     pub fn raw_buf(&self) -> &BitBuf {
         &self.buf
     }
-
-    /// Rebuilds from a persisted buffer; the caller must ensure
-    /// `buf.len() == len * width`.
-    pub fn from_raw_parts(buf: BitBuf, width: usize, len: usize) -> Self {
-        debug_assert_eq!(buf.len(), len * width);
-        Self { buf, width, len }
-    }
 }
 
 /// A packed vector of signed integers stored with a zig-zag transform.

@@ -125,24 +125,6 @@ impl WaveletMatrix {
     pub fn raw_parts(&self) -> (&[BitVector], &[usize], usize, usize) {
         (&self.levels, &self.zeros, self.len, self.bits)
     }
-
-    /// Rebuilds from persisted components, validating level consistency.
-    pub fn from_raw_parts(
-        levels: Vec<BitVector>,
-        zeros: Vec<usize>,
-        len: usize,
-        bits: usize,
-    ) -> Option<Self> {
-        if levels.len() != bits || zeros.len() != bits {
-            return None;
-        }
-        for (l, &z) in levels.iter().zip(&zeros) {
-            if l.len() != len || l.count_zeros() != z {
-                return None;
-            }
-        }
-        Some(Self { levels, zeros, len, bits })
-    }
 }
 
 #[cfg(test)]

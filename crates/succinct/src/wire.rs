@@ -2,16 +2,16 @@
 //! structures (and the compressed layouts built on them) to disk.
 //!
 //! Encoding conventions: little-endian fixed-width integers, `u64` lengths,
-//! no padding. Deserialisation is *validating*: truncated or corrupt input
-//! yields [`WireError`], never a panic or an out-of-bounds read.
+//! no padding. Writing is [`Wire::write`] on the owned structures; reading
+//! is the borrowed `*View::read` + `validate` of [`crate::views`], which is
+//! *validating*: truncated or corrupt input yields [`WireError`], never a
+//! panic or an out-of-bounds read.
 
 use crate::bits::BitBuf;
 use crate::bitvec::BitVector;
 use crate::elias_fano::EliasFano;
 use crate::packed::PackedVec;
-use crate::views::{
-    BitBufView, BitVectorView, EliasFanoView, PackedVecView, U16sView, U64sView, WaveletMatrixView,
-};
+use crate::views::{U16sView, U64sView};
 use crate::wavelet::WaveletMatrix;
 
 /// Error decoding a wire buffer.
@@ -115,7 +115,7 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed `Vec<u64>` (one copy of the borrowed bytes).
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, WireError> {
-        Ok(self.u64s_ref()?.to_vec())
+        Ok(self.u64s_ref()?.iter().collect())
     }
 
     /// Borrows a length-prefixed byte slice without copying.
@@ -205,29 +205,17 @@ impl WireWriter {
     }
 }
 
-/// Types that can be persisted with the wire format.
-pub trait Wire: Sized {
+/// Types that can be persisted with the wire format. The read half is the
+/// structure's borrowed view (`*View::read` in [`crate::views`]).
+pub trait Wire {
     /// Appends the encoding of `self` to `w`.
     fn write(&self, w: &mut WireWriter);
-
-    /// Decodes an instance, consuming from `r`.
-    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 
     /// Convenience: encodes to a fresh byte vector.
     fn to_wire_bytes(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         self.write(&mut w);
         w.finish()
-    }
-
-    /// Convenience: decodes from a byte slice, requiring full consumption.
-    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(data);
-        let v = Self::read(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(WireError::Corrupt("trailing bytes"));
-        }
-        Ok(v)
     }
 }
 
@@ -236,29 +224,17 @@ impl Wire for BitBuf {
         w.u64(self.len() as u64);
         w.u64_slice(self.words());
     }
-
-    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // Borrowed parse, then the single materialising copy.
-        Ok(BitBufView::read(r)?.to_bitbuf())
-    }
 }
 
 impl Wire for BitVector {
     fn write(&self, w: &mut WireWriter) {
         // The rank/select directories are persisted alongside the payload so
-        // the zero-copy views can answer rank/select without the O(n)
-        // directory rebuild an owned load performs.
+        // the zero-copy views can answer rank/select without an O(n)
+        // directory rebuild.
         w.u64(self.len() as u64);
         w.u64_slice(self.words());
         w.u64_slice(self.block_rank_slice());
         w.u16_slice(self.sub_rank_slice());
-    }
-
-    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // Borrowed parse, then one materialising copy; `to_bitvector`
-        // rebuilds the directories from the payload and rejects the input if
-        // the persisted ones disagree.
-        BitVectorView::read(r)?.to_bitvector()
     }
 }
 
@@ -272,10 +248,6 @@ impl Wire for EliasFano {
         high.write(w);
         low.write(w);
     }
-
-    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        EliasFanoView::read(r)?.to_elias_fano()
-    }
 }
 
 impl Wire for PackedVec {
@@ -283,10 +255,6 @@ impl Wire for PackedVec {
         w.u64(self.len() as u64);
         w.u64(self.width() as u64);
         self.raw_buf().write(w);
-    }
-
-    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(PackedVecView::read(r)?.to_packed_vec())
     }
 }
 
@@ -301,26 +269,49 @@ impl Wire for WaveletMatrix {
             l.write(w);
         }
     }
-
-    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        WaveletMatrixView::read(r)?.to_wavelet_matrix()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::views::{BitBufView, BitVectorView, EliasFanoView, PackedVecView, WaveletMatrixView};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn corrupt_check<T: Wire + std::fmt::Debug>(bytes: &[u8]) {
+    /// The read path of one structure: parse, verify the directories where
+    /// the structure has any, and require full consumption.
+    fn open<'a, V>(
+        bytes: &'a [u8],
+        read: impl Fn(&mut WireReader<'a>) -> Result<V, WireError>,
+    ) -> Result<V, WireError> {
+        let mut r = WireReader::new(bytes);
+        let v = read(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(WireError::Corrupt("trailing bytes"));
+        }
+        Ok(v)
+    }
+
+    fn bitvector<'a>(r: &mut WireReader<'a>) -> Result<BitVectorView<'a>, WireError> {
+        BitVectorView::read(r).and_then(|v| v.validate().map(|()| v))
+    }
+
+    fn elias_fano<'a>(r: &mut WireReader<'a>) -> Result<EliasFanoView<'a>, WireError> {
+        EliasFanoView::read(r).and_then(|v| v.validate().map(|()| v))
+    }
+
+    fn wavelet<'a>(r: &mut WireReader<'a>) -> Result<WaveletMatrixView<'a>, WireError> {
+        WaveletMatrixView::read(r).and_then(|v| v.validate().map(|()| v))
+    }
+
+    fn corrupt_check(bytes: &[u8], accepts: impl Fn(&[u8]) -> bool) {
         // Every truncation must fail cleanly, never panic.
         for cut in 0..bytes.len() {
-            assert!(T::from_wire_bytes(&bytes[..cut]).is_err(), "cut at {cut} accepted");
+            assert!(!accepts(&bytes[..cut]), "cut at {cut} accepted");
         }
         // Trailing garbage must be rejected.
         let mut extended = bytes.to_vec();
         extended.push(0);
-        assert!(T::from_wire_bytes(&extended).is_err());
+        assert!(!accepts(&extended));
     }
 
     #[test]
@@ -330,9 +321,12 @@ mod tests {
             b.push_bits(i % 32, 5);
         }
         let bytes = b.to_wire_bytes();
-        let back = BitBuf::from_wire_bytes(&bytes).unwrap();
-        assert_eq!(b, back);
-        corrupt_check::<BitBuf>(&bytes);
+        let back = open(&bytes, BitBufView::read).unwrap();
+        assert_eq!(back.len(), b.len());
+        for i in 0..100 {
+            assert_eq!(back.get_bits(i * 5, 5), b.get_bits(i * 5, 5));
+        }
+        corrupt_check(&bytes, |b| open(b, BitBufView::read).is_ok());
     }
 
     #[test]
@@ -340,57 +334,59 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let bits: Vec<bool> = (0..3000).map(|_| rng.random_bool(0.4)).collect();
         let bv = BitVector::from_bools(&bits);
-        let back = BitVector::from_wire_bytes(&bv.to_wire_bytes()).unwrap();
+        let bytes = bv.to_wire_bytes();
+        let back = open(&bytes, bitvector).unwrap();
         assert_eq!(back.len(), bv.len());
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(back.get(i), b);
             assert_eq!(back.rank1(i), bv.rank1(i));
         }
-        corrupt_check::<BitVector>(&bv.to_wire_bytes());
+        corrupt_check(&bytes, |b| open(b, bitvector).is_ok());
     }
 
     #[test]
     fn elias_fano_roundtrip() {
         let values: Vec<u64> = (0..500u64).map(|i| i * 37 + i % 5).collect();
         let ef = EliasFano::new(&values);
-        let back = EliasFano::from_wire_bytes(&ef.to_wire_bytes()).unwrap();
+        let bytes = ef.to_wire_bytes();
+        let back = open(&bytes, elias_fano).unwrap();
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(back.get(i), v);
         }
         assert_eq!(back.rank_leq(1000), ef.rank_leq(1000));
-        corrupt_check::<EliasFano>(&ef.to_wire_bytes());
+        corrupt_check(&bytes, |b| open(b, elias_fano).is_ok());
     }
 
     #[test]
     fn packed_roundtrip() {
         let values: Vec<u64> = (0..300).map(|i| i * 7 % 1000).collect();
         let p = PackedVec::new(&values);
-        let back = PackedVec::from_wire_bytes(&p.to_wire_bytes()).unwrap();
+        let bytes = p.to_wire_bytes();
+        let back = open(&bytes, PackedVecView::read).unwrap();
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(back.get(i), v);
         }
-        corrupt_check::<PackedVec>(&p.to_wire_bytes());
+        corrupt_check(&bytes, |b| open(b, PackedVecView::read).is_ok());
     }
 
     #[test]
     fn wavelet_roundtrip() {
         let symbols: Vec<u8> = (0..400).map(|i| (i % 7) as u8).collect();
         let wm = WaveletMatrix::new(&symbols);
-        let back = WaveletMatrix::from_wire_bytes(&wm.to_wire_bytes()).unwrap();
+        let bytes = wm.to_wire_bytes();
+        let back = open(&bytes, wavelet).unwrap();
         for (i, &s) in symbols.iter().enumerate() {
             assert_eq!(back.access(i), s);
             assert_eq!(back.rank(s, i), wm.rank(s, i));
         }
-        corrupt_check::<WaveletMatrix>(&wm.to_wire_bytes());
+        corrupt_check(&bytes, |b| open(b, wavelet).is_ok());
     }
 
     #[test]
     fn empty_structures_roundtrip() {
-        assert_eq!(BitBuf::from_wire_bytes(&BitBuf::new().to_wire_bytes()).unwrap(), BitBuf::new());
-        let ef = EliasFano::new(&[]);
-        assert_eq!(EliasFano::from_wire_bytes(&ef.to_wire_bytes()).unwrap().len(), 0);
-        let wm = WaveletMatrix::new(&[]);
-        assert_eq!(WaveletMatrix::from_wire_bytes(&wm.to_wire_bytes()).unwrap().len(), 0);
+        assert_eq!(open(&BitBuf::new().to_wire_bytes(), BitBufView::read).unwrap().len(), 0);
+        assert_eq!(open(&EliasFano::new(&[]).to_wire_bytes(), elias_fano).unwrap().len(), 0);
+        assert_eq!(open(&WaveletMatrix::new(&[]).to_wire_bytes(), wavelet).unwrap().len(), 0);
     }
 
     #[test]

@@ -1,7 +1,21 @@
-//! Property-based tests for the succinct substrate.
+//! Property-based tests for the succinct substrate: every owned structure
+//! against a naive model, and — since the wire format is read back only
+//! through the borrowed views — `write` → `*View::read` + `validate`
+//! against the same model.
 
 use proptest::prelude::*;
-use succinct::{BitBuf, BitVector, EliasFano, PackedIVec, PackedVec, WaveletMatrix};
+use succinct::{
+    BitBuf, BitBufView, BitVector, BitVectorView, EliasFano, EliasFanoView, PackedIVec, PackedVec,
+    PackedVecView, WaveletMatrix, WaveletMatrixView, Wire, WireError, WireReader,
+};
+
+/// Reads a structure back from its wire bytes, requiring full consumption.
+fn read_back<'a, V>(bytes: &'a [u8], read: impl Fn(&mut WireReader<'a>) -> Result<V, WireError>) -> V {
+    let mut r = WireReader::new(bytes);
+    let view = read(&mut r).unwrap();
+    assert!(r.is_exhausted());
+    view
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -18,32 +32,45 @@ proptest! {
             pos += w;
         }
         prop_assert_eq!(buf.len(), pos);
+        let bytes = buf.to_wire_bytes();
+        let view = read_back(&bytes, BitBufView::read);
+        prop_assert_eq!(view.len(), pos);
         for (p, w, v) in recorded {
             prop_assert_eq!(buf.get_bits(p, w), v);
+            prop_assert_eq!(view.get_bits(p, w), v);
         }
     }
 
     #[test]
     fn bitvec_rank_select_consistent(bits in prop::collection::vec(any::<bool>(), 0..2000)) {
         let bv = BitVector::from_bools(&bits);
+        let bytes = bv.to_wire_bytes();
+        let view = read_back(&bytes, BitVectorView::read);
+        view.validate().unwrap();
         prop_assert_eq!(bv.count_ones() + bv.count_zeros(), bits.len());
+        prop_assert_eq!((view.count_ones(), view.count_zeros()), (bv.count_ones(), bv.count_zeros()));
         // rank at every position matches a running counter
         let mut ones = 0;
         for (i, &b) in bits.iter().enumerate() {
             prop_assert_eq!(bv.rank1(i), ones);
+            prop_assert_eq!(view.rank1(i), ones);
+            prop_assert_eq!(view.get(i), b);
             if b { ones += 1; }
         }
         prop_assert_eq!(bv.rank1(bits.len()), ones);
+        prop_assert_eq!(view.rank1(bits.len()), ones);
         // select1 is the inverse of rank1 on one-positions
         for k in 0..bv.count_ones() {
             let p = bv.select1(k).unwrap();
             prop_assert!(bv.get(p));
             prop_assert_eq!(bv.rank1(p), k);
+            prop_assert_eq!(view.select1(k), Some(p));
         }
         for k in 0..bv.count_zeros() {
             let p = bv.select0(k).unwrap();
             prop_assert!(!bv.get(p));
             prop_assert_eq!(bv.rank0(p), k);
+            prop_assert_eq!(view.select0(k), Some(p));
         }
     }
 
@@ -52,22 +79,31 @@ proptest! {
         let mut acc = 0u64;
         let values: Vec<u64> = deltas.iter().map(|&d| { acc += d; acc }).collect();
         let ef = EliasFano::new(&values);
+        let bytes = ef.to_wire_bytes();
+        let view = read_back(&bytes, EliasFanoView::read);
+        view.validate().unwrap();
         for (i, &v) in values.iter().enumerate() {
             prop_assert_eq!(ef.get(i), v);
+            prop_assert_eq!(view.get(i), v);
         }
         // rank_leq at a few probe points
         let max = *values.last().unwrap();
         for probe in [0, max / 3, max / 2, max, max + 1] {
             let expected = values.iter().filter(|&&v| v <= probe).count();
             prop_assert_eq!(ef.rank_leq(probe), expected);
+            prop_assert_eq!(view.rank_leq(probe), expected);
         }
     }
 
     #[test]
     fn packed_roundtrip(values in prop::collection::vec(any::<u64>(), 0..300)) {
         let p = PackedVec::new(&values);
+        let bytes = p.to_wire_bytes();
+        let view = read_back(&bytes, PackedVecView::read);
+        prop_assert_eq!(view.len(), values.len());
         for (i, &v) in values.iter().enumerate() {
             prop_assert_eq!(p.get(i), v);
+            prop_assert_eq!(view.get(i), v);
         }
     }
 
@@ -82,16 +118,22 @@ proptest! {
     #[test]
     fn wavelet_access_rank(symbols in prop::collection::vec(0u8..12, 0..400)) {
         let wm = WaveletMatrix::new(&symbols);
+        let bytes = wm.to_wire_bytes();
+        let view = read_back(&bytes, WaveletMatrixView::read);
+        view.validate().unwrap();
         for (i, &s) in symbols.iter().enumerate() {
             prop_assert_eq!(wm.access(i), s);
+            prop_assert_eq!(view.access(i), s);
         }
         let mut counts = [0usize; 12];
         for (i, &s) in symbols.iter().enumerate() {
             prop_assert_eq!(wm.rank(s, i), counts[s as usize]);
+            prop_assert_eq!(view.access_rank(i), (s, counts[s as usize]));
             counts[s as usize] += 1;
         }
         for s in 0..12u8 {
             prop_assert_eq!(wm.rank(s, symbols.len()), counts[s as usize]);
+            prop_assert_eq!(view.rank(s, symbols.len()), counts[s as usize]);
         }
     }
 

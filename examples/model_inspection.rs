@@ -14,8 +14,8 @@ fn summarize(name: &str, ts: &TimeSeries) {
     let c = NeaTS::compress(ts);
     let ratio = 100.0 * c.size_in_bytes() as f64 / ts.uncompressed_bytes() as f64;
     let hist: Vec<(&str, usize)> =
-        c.kind_histogram().into_iter().map(|(k, n)| (k.name(), n)).collect();
-    println!("{name:<16} ratio {ratio:6.2}%  fragments {:5}  kinds {hist:?}", c.fragment_count());
+        c.view().kind_histogram().into_iter().map(|(k, n)| (k.name(), n)).collect();
+    println!("{name:<16} ratio {ratio:6.2}%  fragments {:5}  kinds {hist:?}", c.view().fragment_count());
 }
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
             "{name:<8} ratio {:6.2}%  compress {:7.1} ms  fragments {}",
             100.0 * c.size_in_bytes() as f64 / ts.uncompressed_bytes() as f64,
             dt.as_secs_f64() * 1e3,
-            c.fragment_count()
+            c.view().fragment_count()
         );
     }
 
@@ -58,7 +58,7 @@ fn main() {
         println!(
             "{label:<14} ratio {:6.2}%  fragments {}",
             100.0 * c.size_in_bytes() as f64 / ts.uncompressed_bytes() as f64,
-            c.fragment_count()
+            c.view().fragment_count()
         );
     }
 }

@@ -24,7 +24,7 @@ fn main() {
         "compression ratio: {:.2}%",
         100.0 * compressed.size_in_bytes() as f64 / ts.uncompressed_bytes() as f64
     );
-    println!("fragments:        {}", compressed.fragment_count());
+    println!("fragments:        {}", compressed.view().fragment_count());
 
     // Random access: any value, without touching the rest (Algorithm 3).
     assert_eq!(compressed.get(777), ts.values()[777]);
@@ -37,11 +37,11 @@ fn main() {
     // Inspect the learned piecewise model — which function covers what.
     println!("\nlearned fragments (first 10):");
     println!("{:>8} {:>8}  {:<12}", "start", "end", "kind");
-    for i in 0..compressed.fragment_count().min(10) {
-        let f = compressed.fragment(i);
+    for i in 0..compressed.view().fragment_count().min(10) {
+        let f = compressed.view().fragment(i);
         println!("{:>8} {:>8}  {:<12}", f.start, f.end, f.kind.name());
     }
-    let hist = compressed.kind_histogram();
+    let hist = compressed.view().kind_histogram();
     println!("\nfunction-kind histogram: {:?}",
         hist.iter().map(|(k, c)| (k.name(), *c)).collect::<Vec<_>>());
 

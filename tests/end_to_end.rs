@@ -142,7 +142,7 @@ fn sorted_integer_data_as_learned_index_substrate() {
     let keys: Vec<i64> = (0..50_000).map(|k| 3 * k + (k % 7)).collect();
     let ts = TimeSeries::from_values(keys);
     let c = NeaTS::builder().kinds(&[Kind::Linear]).build(&ts);
-    assert!(c.fragment_count() < 50, "too many fragments: {}", c.fragment_count());
+    assert!(c.view().fragment_count() < 50, "too many fragments: {}", c.view().fragment_count());
     let ratio = c.size_in_bytes() as f64 / ts.uncompressed_bytes() as f64;
     assert!(ratio < 0.10, "ratio {ratio}");
 }

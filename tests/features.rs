@@ -29,7 +29,7 @@ fn aggregates_accelerate_dashboards() {
     // Hourly means over a day, estimated from functions only.
     for hour in 0..24 {
         let start = hour * 2000;
-        let est = c.mean_range_estimate(start, 2000);
+        let est = c.view().mean_range_estimate(start, 2000);
         let exact: f64 =
             ts.values()[start..start + 2000].iter().map(|&v| v as f64).sum::<f64>() / 2000.0;
         assert!(
@@ -102,7 +102,7 @@ fn mixed_feature_composition() {
     for i in 0..chunked.chunk_count() {
         let bytes = chunked.chunk(i).to_bytes();
         let reloaded = NeaTSCompressed::from_bytes(&bytes).unwrap();
-        total += reloaded.sum_range_exact(0, reloaded.len());
+        total += reloaded.view().sum_range_exact(0, reloaded.len());
     }
     let expected: i128 = values.iter().map(|&v| v as i128).sum();
     assert_eq!(total, expected);

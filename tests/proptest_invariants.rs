@@ -105,8 +105,8 @@ proptest! {
         let c = NeaTS::compress(&ts);
         let start = ((ts.len() - 1) as f64 * frac) as usize;
         let count = ts.len() - start;
-        let est = c.sum_range_estimate(start, count);
-        let exact = c.sum_range_exact(start, count) as f64;
+        let est = c.view().sum_range_estimate(start, count);
+        let exact = c.view().sum_range_exact(start, count) as f64;
         prop_assert!((est.value - exact).abs() <= est.max_error,
             "est {} exact {exact} bound {}", est.value, est.max_error);
     }
