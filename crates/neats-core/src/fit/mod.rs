@@ -4,6 +4,15 @@
 //! the longest fragment starting at a given index that admits an
 //! ε-approximation — in optimal O(fragment length) time via the
 //! [`stab::StabbingLine`] reduction.
+//!
+//! There is one fragment-growing loop (`grow`), compiled once per kind so a
+//! kind's transform is inlined into it rather than re-dispatched per point,
+//! and three ways in: [`longest_fragment`] (values converted on the fly, a
+//! fresh fitter — the form the reference sweep uses), [`longest_fragment_in`]
+//! (a shared [`FitView`] and a caller-owned, reused fitter) and
+//! [`fragment_end_in`] (the same, returning only where the fragment ends —
+//! what stage 1 of the partitioner needs, so it never computes a solution
+//! nobody reads).
 
 pub mod kinds;
 pub mod stab;
@@ -44,11 +53,13 @@ impl Fragment {
     }
 }
 
-/// Applies the global positivity shift to a raw value for log-domain kinds.
+/// Applies the global positivity shift to a raw value for log-domain kinds
+/// (saturating: a shift near `i64::MAX` clamps the large values, which the
+/// corrections then absorb).
 #[inline]
 fn shifted(kind: Kind, y: i64, shift: i64) -> f64 {
     if kind.log_domain() {
-        (y + shift) as f64
+        y.saturating_add(shift) as f64
     } else {
         y as f64
     }
@@ -62,7 +73,8 @@ fn shifted(kind: Kind, y: i64, shift: i64) -> f64 {
 /// Algorithm 1 re-reads every point once per pair: the same `as f64` cast
 /// (and `+ shift` for log-domain kinds) is then repeated `|F|·|E|` times.
 /// A `FitView` hoists both conversions out of the inner fit loops — `plain`
-/// holds `values[k] as f64`, `shifted` holds `(values[k] + shift) as f64` —
+/// holds `values[k] as f64`, `shifted` holds `(values[k] + shift) as f64`
+/// (the sum saturating) —
 /// producing bit-identical inputs to the transforms.
 pub struct FitView<'a> {
     values: &'a [i64],
@@ -78,7 +90,7 @@ impl<'a> FitView<'a> {
     pub fn new(values: &'a [i64], shift: i64, with_log_domain: bool) -> Self {
         let plain = values.iter().map(|&y| y as f64).collect();
         let shifted = if with_log_domain {
-            values.iter().map(|&y| (y + shift) as f64).collect()
+            values.iter().map(|&y| y.saturating_add(shift) as f64).collect()
         } else {
             Vec::new()
         };
@@ -105,14 +117,14 @@ impl<'a> FitView<'a> {
         self.shift
     }
 
-    /// The (possibly shifted) value `kind`'s transform reads at index `k`.
+    /// The (possibly shifted) values `kind`'s transform reads.
     #[inline]
-    fn y(&self, kind: Kind, k: usize) -> f64 {
+    fn plane(&self, kind: Kind) -> &[f64] {
         if kind.log_domain() {
             debug_assert!(!self.shifted.is_empty(), "view built without the log-domain plane");
-            self.shifted[k]
+            &self.shifted
         } else {
-            self.plain[k]
+            &self.plain
         }
     }
 }
@@ -199,74 +211,122 @@ pub fn longest_fragment(
     eps: u64,
     shift: i64,
 ) -> Option<Fragment> {
-    longest_fragment_impl(values.len(), |k| shifted(kind, values[k], shift), start, kind, eps)
+    let y_at = |k: usize| shifted(kind, values[k], shift);
+    let mut line = StabbingLine::new();
+    let end = grow_kind(kind, &mut line, values.len(), y_at, start, eps as f64)?;
+    Some(fitted(&line, kind, y_at(start), start, end))
 }
 
 /// [`longest_fragment`] reading from a shared [`FitView`] instead of
-/// converting values on the fly — the form the two-stage partitioner uses so
-/// the `i64 → f64` (and shift) work is done once per series, not once per
-/// `(f, ε)` pair. Bit-identical results to [`longest_fragment`].
+/// converting values on the fly, and fitting in a caller-owned `line` (which
+/// it clears first) — the form the two-stage partitioner uses so the
+/// `i64 → f64` (and shift) work is done once per series, not once per
+/// `(f, ε)` pair, and the hull buffers are allocated once per pair, not once
+/// per fragment. Bit-identical results to [`longest_fragment`].
 pub fn longest_fragment_in(
     view: &FitView<'_>,
+    line: &mut StabbingLine,
     start: usize,
     kind: Kind,
     eps: u64,
 ) -> Option<Fragment> {
-    longest_fragment_impl(view.len(), |k| view.y(kind, k), start, kind, eps)
+    let end = fragment_end_in(view, line, start, kind, eps)?;
+    Some(fitted(line, kind, view.plane(kind)[start], start, end))
 }
 
-/// Shared core of the two entry points above; `y_at(k)` yields the
-/// (possibly shifted) f64 value at index `k`.
-fn longest_fragment_impl(
+/// Where [`longest_fragment_in`]'s fragment ends, without computing its
+/// parameters. Leaves the fitted state in `line`.
+pub fn fragment_end_in(
+    view: &FitView<'_>,
+    line: &mut StabbingLine,
+    start: usize,
+    kind: Kind,
+    eps: u64,
+) -> Option<usize> {
+    let ys = view.plane(kind);
+    grow_kind(kind, line, ys.len(), |k| ys[k], start, eps as f64)
+}
+
+/// The fragment `[start, end)` that `line` holds the fit of; `y0` is the
+/// (possibly shifted) value at `start`, the anchor of three-parameter kinds.
+fn fitted(line: &StabbingLine, kind: Kind, y0: f64, start: usize, end: usize) -> Fragment {
+    // No segment at all: an anchored fragment of its anchor alone.
+    let (m, b) = line.solution().map_or((0.0, 0.0), |l| (l.slope, l.intercept));
+    Fragment { kind, params: kind.finish_params(m, b, y0), start, end, origin: start }
+}
+
+/// Runs [`grow`] compiled for `kind`.
+#[inline]
+fn grow_kind(
+    kind: Kind,
+    line: &mut StabbingLine,
     len: usize,
     y_at: impl Fn(usize) -> f64,
     start: usize,
-    kind: Kind,
-    eps: u64,
-) -> Option<Fragment> {
-    debug_assert!(start < len);
-    let epsf = eps as f64;
-    let mut line = StabbingLine::new();
-    let mut end = start;
+    epsf: f64,
+) -> Option<usize> {
+    macro_rules! dispatch {
+        ($($k:ident),*) => {
+            match kind {
+                $(Kind::$k => grow::<{ Kind::$k as u8 }>(line, len, y_at, start, epsf),)*
+            }
+        };
+    }
+    dispatch!(
+        Linear, Quadratic, Exponential, Sqrt, Logarithmic, Power, QuadOffset, QuadLinear,
+        CubicLinear, CubicQuad, Gaussian
+    )
+}
 
-    if kind.anchored() {
-        let y0 = y_at(start);
+/// The one fragment-growing loop: clears `line`, feeds it the transformed
+/// constraints of points `start, start + 1, …` (`y_at(k)` yields the
+/// possibly shifted f64 value at index `k < len`) until one is refused, and
+/// returns the fragment's end — `None` if the kind's transform is undefined
+/// at `start`. `TAG` is the kind's `repr(u8)` tag, a constant here so the
+/// transform's `match` folds away.
+#[inline]
+fn grow<const TAG: u8>(
+    line: &mut StabbingLine,
+    len: usize,
+    y_at: impl Fn(usize) -> f64,
+    start: usize,
+    epsf: f64,
+) -> Option<usize> {
+    let kind = const { Kind::ALL[TAG as usize] };
+    debug_assert!(kind as u8 == TAG && start < len);
+    line.clear();
+    let y0 = y_at(start);
+    // An anchor is always represented exactly and constrains nothing.
+    let first = if kind.anchored() {
         if kind.log_domain() && y0 <= 0.0 {
             return None;
         }
-        end = start + 1; // the anchor itself is always represented exactly
-        while end < len {
-            let u = (end - start + 1) as f64;
-            let y = y_at(end);
-            let Some((t, lo, hi)) = kind.transform_anchored(u, y, y0, epsf) else { break };
-            if !line.try_add(t, lo, hi) {
-                break;
+        start + 1
+    } else {
+        start
+    };
+    let mut k = first;
+    // `extend` draws segments at three places (first, second, the rest);
+    // left to its own judgement the compiler calls this out of line and the
+    // segment travels through memory — a third of the fit's time.
+    let accepted = line.extend(
+        #[inline(always)]
+        || {
+            if k >= len {
+                return None;
             }
-            end += 1;
-        }
-        let (m, b) = match line.solution() {
-            Some(l) => (l.slope, l.intercept),
-            None => (0.0, 0.0), // single-point fragment: constant anchor
-        };
-        let params = kind.finish_params(m, b, y0);
-        return Some(Fragment { kind, params, start, end, origin: start });
-    }
-
-    while end < len {
-        let u = (end - start + 1) as f64;
-        let y = y_at(end);
-        let Some((t, lo, hi)) = kind.transform(u, y, epsf) else { break };
-        if !line.try_add(t, lo, hi) {
-            break;
-        }
-        end += 1;
-    }
-    if end == start {
-        return None; // transform undefined at the first point
-    }
-    let l = line.solution().expect("at least one segment accepted");
-    let params = Params { m: l.slope, b: l.intercept, extra: 0.0 };
-    Some(Fragment { kind, params, start, end, origin: start })
+            let u = (k - start + 1) as f64;
+            let y = y_at(k);
+            k += 1;
+            if kind.anchored() {
+                kind.transform_anchored(u, y, y0, epsf)
+            } else {
+                kind.transform(u, y, epsf)
+            }
+        },
+    );
+    let end = first + accepted;
+    (end > start).then_some(end)
 }
 
 /// Greedy piecewise approximation (Corollary 1): repeatedly take the longest
@@ -502,12 +562,13 @@ mod tests {
         };
         let shift = crate::partition::positivity_shift(&values, 8);
         let view = FitView::new(&values, shift, true);
+        let mut line = StabbingLine::new(); // one fitter, reused across kinds and ε
         for kind in Kind::ALL {
             for eps in [0u64, 2, 8] {
                 let mut start = 0;
                 while start < values.len() {
                     let a = longest_fragment(&values, start, kind, eps, shift);
-                    let b = longest_fragment_in(&view, start, kind, eps);
+                    let b = longest_fragment_in(&view, &mut line, start, kind, eps);
                     assert_eq!(a, b, "{kind:?} eps={eps} start={start}");
                     start = a.map_or(start + 1, |f| f.end);
                 }

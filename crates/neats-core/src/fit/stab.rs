@@ -19,6 +19,25 @@
 //!   (candidate left supports for future `line_max` rotations).
 //! * `ceil_hull` — the lower convex hull of ceiling endpoints (candidate
 //!   left supports for future `line_min` rotations).
+//!
+//! ## One fitter, many fragments
+//!
+//! Algorithm 1 grows millions of short fragments (a handful of points each
+//! on noisy data), so whatever a fitter costs to set up is paid millions of
+//! times. A [`StabbingLine`] is therefore built once and reused:
+//! [`StabbingLine::clear`] empties it but keeps both hull buffers, and
+//! [`StabbingLine::extend`] is the one place segments are fed in — it handles
+//! the first and second segment (which only set the state up) before
+//! entering a loop that knows two extreme lines exist, so that loop carries
+//! no per-segment case analysis. [`StabbingLine::try_add`] is `extend` over
+//! a single segment.
+//!
+//! Every extreme line remembers the slope it was built with, and a rotation
+//! carries the slope it just compared into the next comparison and into the
+//! new support. These are the same divisions of the same operands the
+//! textbook formulation repeats at every use, done once: accept/refuse
+//! decisions, hull contents and [`StabbingLine::solution`] are bit-identical
+//! to recomputing them.
 
 /// A 2D point in the transformed (t, value) space.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,12 +46,6 @@ pub struct Point {
     pub t: f64,
     /// Transformed ordinate (`α_k` or `ω_k`).
     pub v: f64,
-}
-
-impl Point {
-    fn new(t: f64, v: f64) -> Self {
-        Self { t, v }
-    }
 }
 
 /// A line `y = slope·t + intercept` in the transformed space, i.e. a pair
@@ -64,23 +77,26 @@ fn cross(a: Point, b: Point, c: Point) -> f64 {
     (b.t - a.t) * (c.v - a.v) - (b.v - a.v) * (c.t - a.t)
 }
 
-/// A support pair defining an extreme line: the line through `left` and
-/// `right` (left.t < right.t).
+/// An extreme line: through `left` with the slope towards the right support
+/// it was built from.
 #[derive(Clone, Copy, Debug)]
 struct Support {
     left: Point,
-    right: Point,
+    slope: f64,
 }
 
 impl Support {
+    /// Placeholder until two segments exist; never read before then.
+    const UNSET: Support = Support { left: Point { t: 0.0, v: 0.0 }, slope: 0.0 };
+
     #[inline]
-    fn slope(&self) -> f64 {
-        slope_between(self.left, self.right)
+    fn through(left: Point, right: Point) -> Self {
+        Self { left, slope: slope_between(left, right) }
     }
 
     #[inline]
     fn at(&self, t: f64) -> f64 {
-        self.left.v + self.slope() * (t - self.left.t)
+        self.left.v + self.slope * (t - self.left.t)
     }
 }
 
@@ -94,10 +110,10 @@ pub struct StabbingLine {
     /// Lower hull of ceiling points, front-trimmed by `ceil_start`.
     ceil_hull: Vec<Point>,
     ceil_start: usize,
-    line_max: Option<Support>,
-    line_min: Option<Support>,
+    /// The extreme lines; meaningful once two segments are in.
+    line_max: Support,
+    line_min: Support,
     count: usize,
-    first: Option<(Point, Point)>, // (floor, ceil) of the first segment
     last_t: f64,
 }
 
@@ -115,12 +131,23 @@ impl StabbingLine {
             floor_start: 0,
             ceil_hull: Vec::new(),
             ceil_start: 0,
-            line_max: None,
-            line_min: None,
+            line_max: Support::UNSET,
+            line_min: Support::UNSET,
             count: 0,
-            first: None,
             last_t: f64::NEG_INFINITY,
         }
+    }
+
+    /// Forgets every segment, keeping the hull buffers: a cleared fitter
+    /// behaves exactly like a new one and allocates nothing until a fragment
+    /// outgrows the longest one it has held.
+    pub fn clear(&mut self) {
+        self.floor_hull.clear();
+        self.floor_start = 0;
+        self.ceil_hull.clear();
+        self.ceil_start = 0;
+        self.count = 0;
+        self.last_t = f64::NEG_INFINITY;
     }
 
     /// Number of segments accepted so far.
@@ -143,81 +170,121 @@ impl StabbingLine {
     /// `t` must be strictly greater than the previous abscissa and
     /// `lo ≤ hi`; non-finite inputs are rejected.
     pub fn try_add(&mut self, t: f64, lo: f64, hi: f64) -> bool {
-        if !(t.is_finite() && lo.is_finite() && hi.is_finite()) || lo > hi || t <= self.last_t {
-            return false;
-        }
-        let floor = Point::new(t, lo);
-        let ceil = Point::new(t, hi);
-        match self.count {
-            0 => {
-                self.first = Some((floor, ceil));
+        let mut segment = Some((t, lo, hi));
+        self.extend(|| segment.take()) == 1
+    }
+
+    /// Adds the segments `(t, lo, hi)` that `next` yields, in order, until
+    /// one is refused (as [`Self::try_add`] would refuse it; the state then
+    /// holds exactly the accepted ones) or `next` returns `None`. Returns
+    /// how many were accepted.
+    #[inline]
+    pub fn extend(&mut self, mut next: impl FnMut() -> Option<(f64, f64, f64)>) -> usize {
+        let before = self.count;
+        if self.count < 2 {
+            let (first_floor, first_ceil) = if self.count == 0 {
+                let Some((floor, ceil)) = self.admit(&mut next) else { return 0 };
                 self.floor_hull.push(floor);
                 self.ceil_hull.push(ceil);
-            }
-            1 => {
-                let (f1, c1) = self.first.expect("set at count 1");
-                // Max-slope line: from the first floor up to the new ceiling.
-                self.line_max = Some(Support { left: f1, right: ceil });
-                // Min-slope line: from the first ceiling down to the new floor.
-                self.line_min = Some(Support { left: c1, right: floor });
-                self.push_floor(floor);
-                self.push_ceil(ceil);
-            }
-            _ => {
-                let lmax = self.line_max.expect("set from count 2");
-                let lmin = self.line_min.expect("set from count 2");
-                // Feasibility: even the extreme lines must reach the segment.
-                if lmax.at(t) < lo || lmin.at(t) > hi {
-                    return false;
-                }
-                // The new floor may force the min slope to rotate upwards.
-                if lmin.at(t) < lo {
-                    let anchor = self.rotate_min(floor);
-                    self.line_min = Some(Support { left: anchor, right: floor });
-                }
-                // The new ceiling may force the max slope to rotate downwards.
-                if lmax.at(t) > hi {
-                    let anchor = self.rotate_max(ceil);
-                    self.line_max = Some(Support { left: anchor, right: ceil });
-                }
-                self.push_floor(floor);
-                self.push_ceil(ceil);
-            }
+                self.accepted(floor.t);
+                (floor, ceil)
+            } else {
+                // The hulls hold exactly the one segment's endpoints.
+                (self.floor_hull[0], self.ceil_hull[0])
+            };
+            let Some((floor, ceil)) = self.admit(&mut next) else { return self.count - before };
+            // Max-slope line: from the first floor up to the new ceiling.
+            self.line_max = Support::through(first_floor, ceil);
+            // Min-slope line: from the first ceiling down to the new floor.
+            self.line_min = Support::through(first_ceil, floor);
+            self.floor_hull.push(floor);
+            self.ceil_hull.push(ceil);
+            self.accepted(floor.t);
         }
+        while let Some((floor, ceil)) = self.admit(&mut next) {
+            let t = floor.t;
+            let (at_max, at_min) = (self.line_max.at(t), self.line_min.at(t));
+            // Feasibility: even the extreme lines must reach the segment.
+            if at_max < floor.v || at_min > ceil.v {
+                break;
+            }
+            // The new floor may force the min slope to rotate upwards.
+            if at_min < floor.v {
+                self.line_min = self.rotate_min(floor);
+            }
+            // The new ceiling may force the max slope to rotate downwards.
+            if at_max > ceil.v {
+                self.line_max = self.rotate_max(ceil);
+            }
+            self.push_floor(floor);
+            self.push_ceil(ceil);
+            self.accepted(t);
+        }
+        self.count - before
+    }
+
+    /// The next segment as its (floor, ceiling) endpoints, if there is one
+    /// and it is well-formed: finite, `lo ≤ hi`, to the right of the last.
+    /// Called at three places in `extend`; out of line, the four values come
+    /// back through the stack on every segment.
+    #[inline(always)]
+    fn admit(&self, next: &mut impl FnMut() -> Option<(f64, f64, f64)>) -> Option<(Point, Point)> {
+        let (t, lo, hi) = next()?;
+        if !(t.is_finite() && lo.is_finite() && hi.is_finite()) || lo > hi || t <= self.last_t {
+            return None;
+        }
+        Some((Point { t, v: lo }, Point { t, v: hi }))
+    }
+
+    #[inline(always)]
+    fn accepted(&mut self, t: f64) {
         self.count += 1;
         self.last_t = t;
-        true
     }
 
-    /// Finds the ceiling-hull point maximising the slope towards `p`
-    /// (the new left support of `line_min`), advancing the hull front.
-    fn rotate_min(&mut self, p: Point) -> Point {
+    /// The new `line_min` through `p`: its left support is the ceiling-hull
+    /// point maximising the slope towards `p`; advances the hull front.
+    #[inline]
+    fn rotate_min(&mut self, p: Point) -> Support {
         let hull = &self.ceil_hull;
         let mut i = self.ceil_start;
-        while i + 1 < hull.len() && slope_between(hull[i + 1], p) >= slope_between(hull[i], p) {
-            i += 1;
+        let mut slope = slope_between(hull[i], p);
+        while i + 1 < hull.len() {
+            let next = slope_between(hull[i + 1], p);
+            if next >= slope {
+                (i, slope) = (i + 1, next);
+            } else {
+                break;
+            }
         }
         self.ceil_start = i;
-        hull[i]
+        Support { left: hull[i], slope }
     }
 
-    /// Finds the floor-hull point minimising the slope towards `p`
-    /// (the new left support of `line_max`), advancing the hull front.
-    fn rotate_max(&mut self, p: Point) -> Point {
+    /// The new `line_max` through `p`: its left support is the floor-hull
+    /// point minimising the slope towards `p`; advances the hull front.
+    #[inline]
+    fn rotate_max(&mut self, p: Point) -> Support {
         let hull = &self.floor_hull;
         let mut i = self.floor_start;
-        while i + 1 < hull.len() && slope_between(hull[i + 1], p) <= slope_between(hull[i], p) {
-            i += 1;
+        let mut slope = slope_between(hull[i], p);
+        while i + 1 < hull.len() {
+            let next = slope_between(hull[i + 1], p);
+            if next <= slope {
+                (i, slope) = (i + 1, next);
+            } else {
+                break;
+            }
         }
         self.floor_start = i;
-        hull[i]
+        Support { left: hull[i], slope }
     }
 
     /// Inserts a floor point into the upper hull (clockwise turns only).
+    #[inline]
     fn push_floor(&mut self, p: Point) {
-        while self.floor_hull.len() >= self.floor_start + 2 {
-            let n = self.floor_hull.len();
-            if cross(self.floor_hull[n - 2], self.floor_hull[n - 1], p) >= 0.0 {
+        while let [.., a, b] = self.floor_hull[self.floor_start..] {
+            if cross(a, b, p) >= 0.0 {
                 self.floor_hull.pop();
             } else {
                 break;
@@ -228,10 +295,10 @@ impl StabbingLine {
 
     /// Inserts a ceiling point into the lower hull (counter-clockwise turns
     /// only).
+    #[inline]
     fn push_ceil(&mut self, p: Point) {
-        while self.ceil_hull.len() >= self.ceil_start + 2 {
-            let n = self.ceil_hull.len();
-            if cross(self.ceil_hull[n - 2], self.ceil_hull[n - 1], p) <= 0.0 {
+        while let [.., a, b] = self.ceil_hull[self.ceil_start..] {
+            if cross(a, b, p) <= 0.0 {
                 self.ceil_hull.pop();
             } else {
                 break;
@@ -250,13 +317,13 @@ impl StabbingLine {
         match self.count {
             0 => None,
             1 => {
-                let (f, c) = self.first.expect("single segment");
+                // The hulls hold exactly the one segment's endpoints.
+                let (f, c) = (self.floor_hull[0], self.ceil_hull[0]);
                 Some(Line { slope: 0.0, intercept: (f.v + c.v) / 2.0 })
             }
             _ => {
-                let lmax = self.line_max.expect("two or more segments");
-                let lmin = self.line_min.expect("two or more segments");
-                let (smax, smin) = (lmax.slope(), lmin.slope());
+                let (lmax, lmin) = (self.line_max, self.line_min);
+                let (smax, smin) = (lmax.slope, lmin.slope);
                 let slope = 0.5 * (smax + smin);
                 // Intersection of the two extreme lines.
                 let bmax = lmax.left.v - smax * lmax.left.t;
@@ -276,7 +343,7 @@ impl StabbingLine {
     /// The current feasible slope interval `[min, max]`; `None` with fewer
     /// than two segments (where the slope is unconstrained).
     pub fn slope_interval(&self) -> Option<(f64, f64)> {
-        Some((self.line_min?.slope(), self.line_max?.slope()))
+        (self.count >= 2).then_some((self.line_min.slope, self.line_max.slope))
     }
 }
 
@@ -434,6 +501,72 @@ mod tests {
                     accepted.len()
                 );
             }
+        }
+    }
+
+    /// A stream of segments, some malformed: non-finite fields, `t` that
+    /// repeats or steps back, `lo > hi`, and magnitudes where f64 no longer
+    /// holds every integer.
+    fn hostile_stream(rng: &mut StdRng) -> Vec<(f64, f64, f64)> {
+        let n = rng.random_range(0..60);
+        let scale = [1.0, 1e3, (1u64 << 55) as f64][rng.random_range(0..3)];
+        let slope = rng.random_range(-4.0..4.0) * scale;
+        let mut t = rng.random_range(-50.0..50.0);
+        (0..n)
+            .map(|_| {
+                t += match rng.random_range(0..20) {
+                    0 => 0.0,                           // equal t
+                    1 => -rng.random_range(0.1..2.0), // decreasing t
+                    _ => rng.random_range(0.1..3.0),
+                };
+                let mid = slope * t + rng.random_range(-2.0..2.0) * scale;
+                let half = rng.random_range(0.0..3.0) * scale;
+                let (lo, hi) = (mid - half, mid + half);
+                match rng.random_range(0..40) {
+                    0 => (f64::NAN, lo, hi),
+                    1 => (t, f64::NEG_INFINITY, hi),
+                    2 => (t, lo, f64::INFINITY),
+                    3 => (t, f64::NAN, f64::NAN),
+                    4 => (t, hi + scale, lo), // lo > hi
+                    _ => (t, lo, hi),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cleared_fitter_is_indistinguishable_from_a_fresh_one() {
+        let bits = |l: Option<Line>| l.map(|l| (l.slope.to_bits(), l.intercept.to_bits()));
+        let mut rng = StdRng::seed_from_u64(0xC1EA2);
+        let mut reused = StabbingLine::new();
+        for trial in 0..2000 {
+            // Whatever stream A left behind — hull contents, fronts, extreme
+            // lines, a refusal — must not show through after `clear()`.
+            let stream = hostile_stream(&mut rng);
+            reused.clear();
+            let mut fresh = StabbingLine::new();
+            assert!(reused.is_empty() && reused.solution().is_none());
+            for (k, &(t, lo, hi)) in stream.iter().enumerate() {
+                // Unlike a fragment, keep feeding after a refusal: the state
+                // a refusal leaves must be the same too.
+                assert_eq!(
+                    reused.try_add(t, lo, hi),
+                    fresh.try_add(t, lo, hi),
+                    "trial {trial}: segment {k} = ({t}, {lo}, {hi})"
+                );
+                assert_eq!(reused.len(), fresh.len(), "trial {trial} after segment {k}");
+                assert_eq!(bits(reused.solution()), bits(fresh.solution()), "trial {trial} after segment {k}");
+                assert_eq!(reused.slope_interval(), fresh.slope_interval(), "trial {trial} after segment {k}");
+            }
+            // And feeding the stream in one `extend` is the same as one
+            // `try_add` per segment up to the first refusal.
+            let mut batch = StabbingLine::new();
+            let mut feed = stream.iter().copied();
+            let accepted = batch.extend(|| feed.next());
+            let mut single = StabbingLine::new();
+            let expect = stream.iter().take_while(|&&(t, lo, hi)| single.try_add(t, lo, hi)).count();
+            assert_eq!(accepted, expect, "trial {trial}");
+            assert_eq!(bits(batch.solution()), bits(single.solution()), "trial {trial}");
         }
     }
 

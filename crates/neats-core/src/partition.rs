@@ -19,16 +19,26 @@
 //! pair contributes are exactly its greedy tiling of the series.
 //! [`partition`] exploits this by splitting Algorithm 1 into
 //!
-//! 1. **stage 1** — compute each pair's greedy fragment list, with the pairs
-//!    fanned out across threads ([`crate::parallel`]) over a shared
-//!    [`FitView`] (the hoisted f64 view of the values), and
-//! 2. **stage 2** — a cheap sequential sweep that replays the prefix/suffix
-//!    edge relaxations from the precomputed lists.
+//! 1. **stage 1** — compute each pair's greedy tiling, with the pairs fanned
+//!    out across threads ([`crate::parallel`]) over a shared [`FitView`]
+//!    (the hoisted f64 view of the values). A tiling keeps one reusable
+//!    fitter for all its fragments and asks only where each ends
+//!    ([`fragment_end_in`]): the sweep weighs spans, not parameters.
+//! 2. **stage 2** — a sequential shortest-path sweep over those span lists
+//!    (`sweep`). It is event-driven: a pair is looked at only where one of
+//!    its spans starts or ends; in between it is two running costs that a
+//!    dense pass per node advances. The few winning edges are refitted at
+//!    the end, from their origins, for their parameters.
 //!
-//! The result is bit-identical to the original one-pass sweep, which is kept
-//! as [`partition_reference`] and asserted equivalent in the test suite.
+//! The result is bit-identical to the original one-pass sweep — same costs,
+//! and among equal costs the same winner, because the order in which the
+//! reference tries edges is reproduced (see `sweep`). The original is kept
+//! as [`partition_reference`], the executable specification, and asserted
+//! equivalent in the test suite.
 
-use crate::fit::{longest_fragment, longest_fragment_in, FitView, Fragment, Kind};
+use crate::fit::{
+    fragment_end_in, longest_fragment, longest_fragment_in, FitView, Fragment, Kind, StabbingLine,
+};
 use crate::parallel::{effective_threads, parallel_map_indexed};
 use succinct::bits_for_residual_bound;
 
@@ -109,20 +119,29 @@ pub const DEFAULT_OVERHEAD_BITS: u64 = 64;
 /// The paper's positivity shift (footnote 2): a constant `s` such that
 /// `y + s − ε ≥ 1` for every value and every ε in use, enabling log-domain
 /// transforms. Zero when the data is already sufficiently positive.
+///
+/// Saturates at `i64::MAX` where no such constant exists (an ε or a value
+/// range near the width of `i64`); the fit then sees clamped log-domain
+/// inputs and the corrections absorb the difference.
 pub fn positivity_shift(values: &[i64], max_eps: u64) -> i64 {
     match values.iter().min() {
-        Some(&min) => (max_eps as i64 + 1).saturating_sub(min).max(0),
+        Some(&min) => {
+            let above_eps = i64::try_from(max_eps).unwrap_or(i64::MAX).saturating_add(1);
+            above_eps.saturating_sub(min).max(0)
+        }
         None => 0,
     }
 }
 
 /// The paper's default error-bound set `E = {0, 2¹, 2², …, 2^⌈log Δ⌉}`
-/// (§III-B complexity analysis).
+/// (§III-B complexity analysis), strictly increasing. The ladder stops at
+/// 2⁶³, the last power of two a `u64` holds — which only cuts it short for
+/// Δ > 2⁶³, a series spanning more than half of `i64`.
 pub fn default_epsilons(delta: u64) -> Vec<u64> {
     let mut eps = vec![0u64];
     if delta > 1 {
         let top = 64 - (delta - 1).leading_zeros(); // ⌈log₂ Δ⌉
-        eps.extend((1..=top).map(|i| 1u64 << i));
+        eps.extend((1..=top.min(63)).map(|i| 1u64 << i));
     }
     eps
 }
@@ -168,14 +187,15 @@ pub struct Partition {
 /// traffic. The backtrack refits the few winners instead.
 fn pair_plan(view: &FitView<'_>, pair: Pair) -> Vec<(u32, u32)> {
     let n = view.len();
+    let mut line = StabbingLine::new(); // one fitter for the whole tiling
     let mut plan = Vec::new();
     let mut k = 0usize;
     while k < n {
-        match longest_fragment_in(view, k, pair.kind, pair.eps) {
-            Some(f) => {
-                debug_assert!(f.end > k && f.origin == k);
-                plan.push((k as u32, f.end as u32));
-                k = f.end;
+        match fragment_end_in(view, &mut line, k, pair.kind, pair.eps) {
+            Some(end) => {
+                debug_assert!(end > k);
+                plan.push((k as u32, end as u32));
+                k = end;
             }
             None => k += 1,
         }
@@ -208,54 +228,176 @@ pub fn partition(values: &[i64], config: &PartitionConfig) -> Partition {
     let plans: Vec<Vec<(u32, u32)>> =
         parallel_map_indexed(config.pairs.len(), threads, |pi| pair_plan(&view, config.pairs[pi]));
 
-    // Stage 2: the sequential shortest-path sweep, replaying each pair's
-    // span list instead of fitting inline.
+    // Stage 2: the sequential shortest-path sweep over the span lists.
+    let (dist, prev) = sweep(n, &plans, config);
+
+    let mut line = StabbingLine::new();
+    backtrack(n, &dist, &prev, &config.pairs, |origin, pair| {
+        longest_fragment_in(&view, &mut line, origin, pair.kind, pair.eps)
+    })
+}
+
+/// "No pair" in the sweep's `u32` links.
+const NIL: u32 = u32::MAX;
+
+/// "No such edge" among the running costs. It keeps growing by `cw` per node
+/// like a real cost, so it sits where that can neither overflow nor come
+/// down to one: a path costs under 2^32 nodes · (64 + κ) bits.
+const NO_EDGE: u64 = 1 << 62;
+
+/// What the sweep keeps per pair: the cost, into the node it stands on, of
+/// the two kinds of edge the pair's current span contributes.
+#[derive(Clone, Copy)]
+struct Running {
+    /// Bits per covered point: what both costs grow by from node to node.
+    cw: u64,
+    /// The prefix edge `(start, k)`: `dist[start] + κ + (k − start)·cw`.
+    /// [`NO_EDGE`] or more when the pair has no live span or `start` is
+    /// unreachable.
+    prefix: u64,
+    /// The cheapest suffix edge `(j, k)` over the span's nodes `j < k`, κ
+    /// not yet added: `min dist[j] + (k − j)·cw`. [`NO_EDGE`] or more while
+    /// no such `j` is reachable.
+    suffix: u64,
+    /// The first `j` attaining `suffix`.
+    suffix_from: u32,
+}
+
+/// Stage 2: shortest-path distances and incoming edges of every node, from
+/// the per-pair span lists of stage 1.
+///
+/// The reference sweep visits every pair twice at every node and decides
+/// each time what state it is in. Here a pair is *visited* only when one of
+/// its spans starts or ends — the events, found through per-node buckets —
+/// and everything in between is two numbers per pair ([`Running`]) that one
+/// branch-light pass per node advances by `+cw`: the cost of the pair's
+/// prefix edge into the node, and the cost of its cheapest suffix edge had
+/// the span ended at the node. The pass min-scans the first; the second is
+/// read once, where the span does end (every suffix edge `(j, end)` of a
+/// span is relaxed there in one go, not one per node `j`).
+///
+/// ## Tie-break
+///
+/// The reference relaxes with a strict `<`, so among equal-cost edges into a
+/// node the first one it tries wins, and it tries them in this order: the
+/// suffix edges, by source node then pair index (they are relaxed while the
+/// sweep stands on their source), then — standing on the node itself — the
+/// prefix edges by pair index. The sweep reproduces exactly that: a span
+/// keeps the *first* source attaining its cheapest suffix edge, a node takes
+/// the least candidate among ending spans under `(cost, from, pair)`, and a
+/// prefix edge replaces it only if strictly cheaper, the first pair winning
+/// among equals. Unreachable nodes (`dist == u64::MAX`) source no edges.
+fn sweep(
+    n: usize,
+    plans: &[Vec<(u32, u32)>],
+    config: &PartitionConfig,
+) -> (Vec<u64>, Vec<Option<PrevEdge>>) {
+    let pairs = plans.len();
     let mut dist = vec![u64::MAX; n + 1];
     let mut prev: Vec<Option<PrevEdge>> = vec![None; n + 1];
     dist[0] = 0;
 
-    // Per-pair live span (the edge overlapping the sweep node).
-    let mut live: Vec<Option<(u32, u32)>> = vec![None; config.pairs.len()];
-    let mut cursor = vec![0usize; config.pairs.len()];
-    let weights: Vec<(u64, u64)> = config
+    let kappa: Vec<u64> = config.pairs.iter().map(|p| config.kappa(p.kind)).collect();
+    let mut running: Vec<Running> = config
         .pairs
         .iter()
-        .map(|p| (config.correction_width(p.eps), config.kappa(p.kind)))
+        .map(|p| Running {
+            cw: config.correction_width(p.eps),
+            prefix: NO_EDGE,
+            suffix: NO_EDGE,
+            suffix_from: 0,
+        })
         .collect();
+    // The span each pair is in, or — parked — will be in next.
+    let mut span = vec![(0u32, 0u32); pairs];
+    let mut cursor = vec![0usize; pairs];
 
-    for k in 0..n {
-        for pi in 0..config.pairs.len() {
-            let needs_new = live[pi].is_none_or(|(_, end)| end as usize <= k);
-            if needs_new {
-                // The sweep would fit at node k; the plan has that fragment
-                // iff the fit succeeded (its start is exactly k).
-                live[pi] = match plans[pi].get(cursor[pi]) {
-                    Some(&(s, e)) if s as usize == k => {
-                        cursor[pi] += 1;
-                        Some((s, e))
-                    }
-                    _ => None,
-                };
-            } else if let Some((s, _)) = live[pi] {
-                // Relax the prefix edge (start, k); stage-1 fragments are
-                // fit at their own start, so the origin is the start.
-                let (cw, kappa) = weights[pi];
-                relax(&mut dist, &mut prev, s as usize, k, cw, kappa, pi as u32, s);
-            }
-        }
-        for pi in 0..config.pairs.len() {
-            if let Some((s, e)) = live[pi] {
-                // Relax the suffix edge (k, end) — the full edge when
-                // k == start.
-                let (cw, kappa) = weights[pi];
-                relax(&mut dist, &mut prev, k, e as usize, cw, kappa, pi as u32, s);
-            }
+    // bucket[k]: the pairs with an event at node k (their span ends there,
+    // or their parked span starts there), chained through `chain`. A pair
+    // has one span at a time, so it sits in at most one bucket.
+    let mut bucket = vec![NIL; n + 1];
+    let mut chain = vec![NIL; pairs];
+    let mut starting: Vec<u32> = Vec::with_capacity(pairs);
+    for (p, plan) in plans.iter().enumerate() {
+        if let Some(&first) = plan.first() {
+            (span[p], cursor[p]) = (first, 1);
+            chain[p] = std::mem::replace(&mut bucket[first.0 as usize], p as u32);
         }
     }
 
-    backtrack(n, &dist, &prev, &config.pairs, |origin, pair| {
-        longest_fragment_in(&view, origin, pair.kind, pair.eps)
-    })
+    for k in 0..=n {
+        // The pass: fold in the suffix edges out of the node just left (its
+        // distance is final), bring both costs forward to k, and find the
+        // cheapest prefix edge, first pair winning. Pairs between spans ride
+        // along — a start resets them. So does the prefix cost of a span
+        // ending at k, which is no prefix edge; but it costs what the span's
+        // suffix edge from its start does, so it cannot win below.
+        let behind = if k == 0 { u64::MAX } else { dist[k - 1] };
+        let behind_at = (k as u32).wrapping_sub(1);
+        let (mut least, mut winner) = (NO_EDGE, NIL);
+        for (p, r) in running.iter_mut().enumerate() {
+            let cheaper = behind < r.suffix;
+            r.suffix = if cheaper { behind } else { r.suffix } + r.cw;
+            r.suffix_from = if cheaper { behind_at } else { r.suffix_from };
+            r.prefix += r.cw;
+            if r.prefix < least {
+                (least, winner) = (r.prefix, p as u32);
+            }
+        }
+
+        // Events. Ending spans offer their cheapest suffix edge into k and
+        // roll over to the pair's next span, which starts here or is parked
+        // (the transform was undefined for a stretch) until it does.
+        let mut best: Option<(u64, u32, u32, u32)> = None; // (cost, from, pair, origin)
+        let mut event = std::mem::replace(&mut bucket[k], NIL);
+        while event != NIL {
+            let p = event as usize;
+            let following = chain[p];
+            let (start, end) = span[p];
+            if end as usize == k {
+                let r = &mut running[p];
+                if r.suffix < NO_EDGE {
+                    let candidate = (r.suffix + kappa[p], r.suffix_from, event, start);
+                    if best.is_none_or(|b| candidate < b) {
+                        best = Some(candidate);
+                    }
+                }
+                r.prefix = NO_EDGE;
+                if let Some(&next) = plans[p].get(cursor[p]) {
+                    (span[p], cursor[p]) = (next, cursor[p] + 1);
+                    if next.0 as usize == k {
+                        starting.push(event);
+                    } else {
+                        chain[p] = std::mem::replace(&mut bucket[next.0 as usize], event);
+                    }
+                }
+            } else {
+                debug_assert_eq!(start as usize, k);
+                starting.push(event);
+            }
+            event = following;
+        }
+
+        // Suffix edges were relaxed first; a prefix edge must beat them.
+        if winner != NIL && least < best.map_or(u64::MAX, |b| b.0) {
+            let start = span[winner as usize].0;
+            dist[k] = least;
+            prev[k] = Some(PrevEdge { from: start, origin: start, pair: winner });
+        } else if let Some((cost, from, pair, origin)) = best {
+            dist[k] = cost;
+            prev[k] = Some(PrevEdge { from, origin, pair });
+        }
+
+        // dist[k] is final: spans starting here take it as their base.
+        for event in starting.drain(..) {
+            let p = event as usize;
+            let reachable = dist[k] != u64::MAX;
+            running[p].prefix = if reachable { dist[k] + kappa[p] } else { NO_EDGE };
+            running[p].suffix = NO_EDGE;
+            chain[p] = std::mem::replace(&mut bucket[span[p].1 as usize], event);
+        }
+    }
+    (dist, prev)
 }
 
 /// The original inline one-pass sweep of Algorithm 1, kept as the executable
@@ -318,7 +460,7 @@ fn backtrack(
     dist: &[u64],
     prev: &[Option<PrevEdge>],
     pairs: &[Pair],
-    refit: impl Fn(usize, Pair) -> Option<Fragment>,
+    mut refit: impl FnMut(usize, Pair) -> Option<Fragment>,
 ) -> Partition {
     let mut fragments = Vec::new();
     let mut epsilons = Vec::new();

@@ -4,7 +4,7 @@
 //! numerics (values near i64 extremes, log-domain underflow).
 
 use neats_core::fit::{longest_fragment, max_abs_residual, stab::StabbingLine};
-use neats_core::{Kind, NeaTS, RankMode};
+use neats_core::{default_epsilons, positivity_shift, Kind, NeaTS, RankMode};
 use timeseries::{CompressedSeries, TimeSeries};
 
 #[test]
@@ -57,6 +57,39 @@ fn near_i64_extremes_compress_losslessly() {
             assert_eq!(c.get(k), v);
         }
     }
+}
+
+#[test]
+fn full_i64_range_compresses_losslessly() {
+    // Δ = hi − lo + 1 overflows u64 on the first input and ⌈log₂ Δ⌉ = 64 on
+    // the second: the automatic ladder and shift must saturate, not wrap
+    // (release) or panic (debug).
+    for values in [vec![i64::MIN, i64::MAX, 0], vec![i64::MIN, 0, 1, 2, 3]] {
+        let ts = TimeSeries::from_values(values.clone());
+        let c = NeaTS::compress(&ts);
+        assert_eq!(c.decompress(), values);
+        for (k, &v) in values.iter().enumerate() {
+            assert_eq!(c.get(k), v, "{values:?} at {k}");
+        }
+    }
+    assert_eq!(TimeSeries::from_values(vec![i64::MIN, i64::MAX, 0]).delta(), u64::MAX);
+}
+
+#[test]
+fn default_epsilons_never_wrap_or_repeat() {
+    for delta in [0, 1, 2, 3, 1 << 20, (1 << 62) + 1, 1 << 63, (1 << 63) + 1, u64::MAX] {
+        let eps = default_epsilons(delta);
+        assert_eq!(eps[0], 0);
+        assert!(eps.windows(2).all(|w| w[0] < w[1]), "Δ={delta}: {eps:?}");
+        assert!(eps[1..].iter().all(|e| e.is_power_of_two()), "Δ={delta}: {eps:?}");
+    }
+    assert_eq!(default_epsilons(1 << 63).last(), Some(&(1 << 63)));
+    assert_eq!(default_epsilons(u64::MAX).last(), Some(&(1 << 63)));
+    assert_eq!(default_epsilons(u64::MAX).len(), 64);
+    // A ladder topping out at 2⁶³ needs a shift no i64 holds: it saturates.
+    assert_eq!(positivity_shift(&[5], 1 << 63), i64::MAX - 5);
+    assert_eq!(positivity_shift(&[-5], 1 << 63), i64::MAX);
+    assert_eq!(positivity_shift(&[i64::MIN], 0), i64::MAX);
 }
 
 #[test]

@@ -132,6 +132,95 @@ fn empty_and_tiny_inputs_agree() {
     }
 }
 
+/// The whole `Partition`, field by field, parameters by their bits (so a
+/// `-0.0` for a `0.0` or one NaN for another would show).
+fn assert_bit_identical(a: &Partition, b: &Partition, what: &str) {
+    assert_identical(a, b, what);
+    for (i, (fa, fb)) in a.fragments.iter().zip(&b.fragments).enumerate() {
+        let bits = |f: &neats_core::Fragment| [f.params.m, f.params.b, f.params.extra].map(f64::to_bits);
+        assert_eq!(bits(fa), bits(fb), "{what}: fragment {i} params");
+    }
+}
+
+/// Inputs where many edges into a node cost the same, so the *order* in
+/// which the sweep relaxes them — not their cost — decides which fragment,
+/// origin and ε end up in the partition.
+fn tie_heavy_series() -> Vec<(&'static str, Vec<i64>)> {
+    vec![
+        // Every default kind fits the whole of these at ε = 0; linear,
+        // exponential and sqrt also share κ, so only pair order separates them.
+        ("constant", vec![7; 300]),
+        ("exact line", (0..300).map(|k| 5 * k + 11).collect()),
+        ("two-level step", (0..300).map(|k| if k < 137 { 40 } else { 90 }).collect()),
+        ("period 2", (0..301).map(|k| [10, 250][k % 2]).collect()),
+        ("period 3", (0..301).map(|k| [10, 250, 90][k % 3]).collect()),
+        ("n = 1", vec![3]),
+        ("n = 2", vec![3, 1000]),
+        ("n = 3", vec![3, 1000, 4]),
+        // Long runs of equal values broken by single spikes: whole families
+        // of equal-cost prefix and suffix edges around each spike.
+        ("plateaus", (0..400).map(|k| if k % 57 == 56 { 900 } else { 100 + (k / 57) as i64 }).collect()),
+    ]
+}
+
+#[test]
+fn ties_are_broken_like_the_reference() {
+    let eps_sets: [&[u64]; 3] = [&[0], &[0, 2, 8], &[0, 2, 4, 8, 16, 32, 64, 128, 256]];
+    for (name, values) in tie_heavy_series() {
+        for epsilons in eps_sets {
+            let shift = positivity_shift(&values, *epsilons.last().unwrap());
+            for base in [
+                PartitionConfig::lossless(&Kind::NEATS_DEFAULT, epsilons, shift),
+                PartitionConfig::lossless(&Kind::ALL, epsilons, shift),
+                // Lossy: every edge of a kind costs κ alone, whatever its
+                // length — nothing but ties.
+                PartitionConfig::lossy(&Kind::NEATS_DEFAULT, *epsilons.last().unwrap(), shift),
+            ] {
+                let reference = partition_reference(&values, &base);
+                for threads in THREAD_COUNTS {
+                    let swept = partition(&values, &base.clone().with_threads(threads));
+                    let what = format!(
+                        "{name} eps={epsilons:?} pairs={} lossless={} threads={threads}",
+                        base.pairs.len(),
+                        base.lossless
+                    );
+                    assert_bit_identical(&swept, &reference, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn undefined_log_domain_stretches_agree() {
+    // shift = 0 over values that dip to zero and below: the log-domain
+    // pairs' transforms are undefined wherever y − ε ≤ 0, so their span
+    // lists have gaps (and start late, or never) while the other kinds
+    // cover every node. The sweep parks such a pair until its next span.
+    let mut rng = StdRng::seed_from_u64(404);
+    let dipping: Vec<i64> = (0..500)
+        .map(|k| {
+            let base = 60.0 * ((k as f64) / 23.0).sin() + 25.0; // crosses zero every ~72 points
+            base as i64 + rng.random_range(-3..4)
+        })
+        .collect();
+    let islands: Vec<i64> = (0..400).map(|k| if (k / 40) % 2 == 0 { -5 - (k % 7) as i64 } else { 300 + 3 * (k % 40) as i64 }).collect();
+    let never: Vec<i64> = (0..200).map(|k| -(k as i64) - 1).collect();
+    for (name, values) in [("dipping", dipping), ("islands", islands), ("never positive", never)] {
+        for kinds in [&Kind::NEATS_DEFAULT[..], &Kind::ALL[..], &[Kind::Exponential, Kind::Linear, Kind::Power, Kind::Gaussian][..]] {
+            for epsilons in [&[0u64, 2, 8][..], &[0, 4, 64][..]] {
+                let base = PartitionConfig::lossless(kinds, epsilons, 0);
+                let reference = partition_reference(&values, &base);
+                for threads in THREAD_COUNTS {
+                    let swept = partition(&values, &base.clone().with_threads(threads));
+                    let what = format!("{name} kinds={} eps={epsilons:?} threads={threads}", kinds.len());
+                    assert_bit_identical(&swept, &reference, &what);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn archive_bytes_are_thread_count_invariant() {
     // End-to-end determinism: the serialised archive must be byte-identical

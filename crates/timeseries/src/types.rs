@@ -103,9 +103,10 @@ impl TimeSeries {
     }
 
     /// The paper's Δ: one plus the difference between the maximum and
-    /// minimum value (§III-B complexity analysis). Zero for an empty series.
+    /// minimum value (§III-B complexity analysis). Zero for an empty series;
+    /// saturates at `u64::MAX` for a series spanning all of `i64`.
     pub fn delta(&self) -> u64 {
-        self.min_max().map_or(0, |(lo, hi)| hi.abs_diff(lo) + 1)
+        self.min_max().map_or(0, |(lo, hi)| hi.abs_diff(lo).saturating_add(1))
     }
 }
 
