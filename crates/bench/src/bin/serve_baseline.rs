@@ -45,7 +45,7 @@
 use bench::json::Json;
 use bench::{env_usize, env_usize_list, query_indices};
 use neats_core::AtomicHistogram;
-use neats_serve::{ReactorMode, ServeConfig, Server};
+use neats_serve::{ServeConfig, Server};
 use neats_store::{Store, StoreConfig, StoreWriter};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -396,7 +396,6 @@ fn main() {
                 let store = Arc::new(Store::open(pack.clone()).expect("open server store"));
                 let cfg = ServeConfig {
                     threads,
-                    reactor: ReactorMode::Reactor,
                     // This sweep measures multiplexing, not admission
                     // control: every parked connection must be admitted.
                     max_connections: conns + clients + 64,
@@ -405,7 +404,7 @@ fn main() {
                 };
                 let server = Server::bind(Arc::clone(&store), "127.0.0.1:0", cfg).expect("bind");
                 let addr = server.local_addr();
-                let shards = server.shards();
+                let shards = server.threads();
                 let handle = server.handle();
                 let running = std::thread::spawn(move || server.run());
 

@@ -64,7 +64,7 @@
 #![warn(missing_docs)]
 use neats_core::{ArchiveView, Kind, NeaTS, NeaTSBuilder, NeaTSCompressed};
 use neats_ingest::{BackgroundConfig, FsyncPolicy, IngestConfig, Ingestor};
-use neats_serve::{ReactorMode, ServeConfig, Server};
+use neats_serve::{ServeConfig, Server};
 use neats_store::{CacheSharding, Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
 use std::path::Path;
 use timeseries::{io::load_fixed_precision, CompressedSeries};
@@ -1004,14 +1004,15 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                     .map_err(|e| CliError(format!("bind {addr}: {e}")))?;
                 (server, None, series, points)
             };
-            let (discipline, pool) = match server.mode() {
-                ReactorMode::Reactor => ("reactor shard(s)", server.shards()),
-                _ => ("worker(s)", server.threads()),
+            let discipline = match server.mode() {
+                "reactor" => "reactor shard(s)",
+                _ => "worker(s)",
             };
             writeln!(
                 out,
-                "serving {series} series ({points} points) {} {pack} with {pool} {discipline}",
+                "serving {series} series ({points} points) {} {pack} with {} {discipline}",
                 if live { "live from" } else { "from" },
+                server.threads(),
             )?;
             // The smoke scripts scrape this exact line for the bound port.
             writeln!(out, "listening on {}", server.local_addr())?;

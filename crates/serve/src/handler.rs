@@ -484,7 +484,7 @@ fn stats_json(src: &Source, stats: &ServerStats, obs: &Obs, threads: usize) -> R
     out.push_str(&format!("  \"uptime_s\": {:.3},\n", stats.uptime_s()));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"mode\": \"{}\",\n", obs.mode));
-    out.push_str(&format!("  \"shards\": {},\n", obs.shards));
+    out.push_str(&format!("  \"shards\": {threads},\n"));
     out.push_str(&format!(
         "  \"source\": {},\n",
         json_string(&obs.source_label)
@@ -842,7 +842,6 @@ mod tests {
             shard_depths: Vec::new(),
             source_label: "demo.pack".into(),
             mode: "threaded",
-            shards: 1,
         };
         stats.register(&obs.registry);
         src.register_metrics(&obs.registry);

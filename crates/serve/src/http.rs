@@ -1,20 +1,18 @@
-//! A minimal, defensive HTTP/1.1 subset: request reading and response
-//! writing over a `TcpStream`.
+//! A minimal, defensive HTTP/1.1 subset: request-head parsing and response
+//! serialization over byte slices.
 //!
 //! This is not a general HTTP implementation — it parses exactly what
 //! `docs/PROTOCOL.md` (at the repository root) promises: request line,
 //! headers, optional `Content-Length` body, keep-alive and pipelining — and
-//! rejects everything else with a 4xx/501 instead of guessing. Every limit
-//! is explicit ([`Limits`]), every read is bounded, and malformed input can
+//! rejects everything else with a 4xx/501 instead of guessing. Nothing here
+//! touches a socket: `crate::conn` accumulates bytes, applies the explicit
+//! [`Limits`] and calls in once a head is complete. Malformed input can
 //! never panic the worker: the fuzz suite (`tests/serve_fuzz.rs`) feeds
 //! this parser garbage, oversized heads, truncated bodies and pipelined
 //! junk and asserts the connection always ends in a clean error response or
 //! close.
 
 use crate::render::push_u64;
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::time::Instant;
 
 /// Hard bounds on what a single request may occupy.
 #[derive(Clone, Copy, Debug)]
@@ -79,211 +77,8 @@ impl HttpError {
     }
 }
 
-/// The outcome of waiting for a request on a kept-alive connection.
-pub enum ReadOutcome {
-    /// A complete request was read.
-    Request(Request),
-    /// The peer closed (or the server is shutting down) between requests.
-    Closed,
-}
-
-/// A buffered connection reader that supports keep-alive and pipelining:
-/// bytes past the current request stay in the buffer for the next
-/// [`read_request`](Self::read_request) call.
-pub struct Conn {
-    stream: TcpStream,
-    /// Bytes received but not yet consumed by a request.
-    buf: Vec<u8>,
-}
-
-impl Conn {
-    /// Wraps `stream`. The caller must have set a read timeout — it is the
-    /// poll tick at which `should_abort` is consulted.
-    pub fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    /// The underlying stream (for writing responses).
-    pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-
-    /// Whether a complete pipelined request head is already buffered —
-    /// used by the shutdown drain to finish what the client fully sent
-    /// before closing.
-    pub fn has_buffered_request(&self) -> bool {
-        find_head_end(&self.buf).is_some()
-    }
-
-    /// Reads one complete request, blocking between requests until bytes
-    /// arrive, the peer closes, or `should_abort` returns true at a poll
-    /// tick. Once a request's first byte is in, the whole request must
-    /// complete within `limits.request_timeout`.
-    pub fn read_request(
-        &mut self,
-        limits: &Limits,
-        should_abort: &dyn Fn() -> bool,
-    ) -> Result<ReadOutcome, HttpError> {
-        let head_end = match self.fill_until_head(limits, should_abort)? {
-            Some(end) => end,
-            None => return Ok(ReadOutcome::Closed),
-        };
-        let head: Vec<u8> = self.buf[..head_end].to_vec();
-        let consumed = head_end;
-        let parsed = {
-            // The parse stage of a request trace (no-op without a span).
-            let _parse = neats_core::obs::stage(neats_core::obs::Stage::Parse);
-            parse_head(&head)
-        };
-        // Drain the head bytes even when parsing fails, so a pipelined
-        // follow-up can't replay them (the connection closes anyway).
-        self.buf.drain(..consumed);
-        let (method, path, query, keep_alive, content_length, expects_continue) = parsed?;
-
-        if content_length > limits.max_body_bytes {
-            return Err(HttpError::new(413, "body too large"));
-        }
-        if expects_continue && content_length > 0 {
-            // Minimal 100-continue support so curl-style clients don't stall.
-            let _ = self.stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
-        }
-        let body = self.fill_body(content_length, limits, should_abort)?;
-        let wire_bytes = consumed + body.len();
-        Ok(ReadOutcome::Request(Request {
-            method,
-            path,
-            query,
-            keep_alive,
-            body,
-            wire_bytes,
-        }))
-    }
-
-    /// Accumulates bytes until the buffer holds a full head (returning its
-    /// length including the blank line), the peer closes cleanly before a
-    /// request starts (`None`), or a limit trips.
-    fn fill_until_head(
-        &mut self,
-        limits: &Limits,
-        should_abort: &dyn Fn() -> bool,
-    ) -> Result<Option<usize>, HttpError> {
-        let mut started_at: Option<Instant> = if self.buf.is_empty() {
-            None
-        } else {
-            Some(Instant::now())
-        };
-        let idle_since = Instant::now();
-        loop {
-            if let Some(end) = find_head_end(&self.buf) {
-                // The limit applies even when the oversized head arrived in
-                // one read, terminator and all.
-                if end > limits.max_header_bytes {
-                    return Err(HttpError::new(431, "request head too large"));
-                }
-                return Ok(Some(end));
-            }
-            if self.buf.len() > limits.max_header_bytes {
-                return Err(HttpError::new(431, "request head too large"));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(HttpError::new(400, "truncated request head"))
-                    };
-                }
-                Ok(n) => {
-                    if started_at.is_none() {
-                        started_at = Some(Instant::now());
-                    }
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    // Enforce the deadline on successful reads too: a
-                    // slow-drip client that lands a byte inside every poll
-                    // tick must not bypass the request timeout (or pin a
-                    // worker across shutdown).
-                    if let Some(t0) = started_at {
-                        if find_head_end(&self.buf).is_none()
-                            && (t0.elapsed() > limits.request_timeout || should_abort())
-                        {
-                            return Err(HttpError::new(408, "request head timed out"));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    match started_at {
-                        // Idle between requests: wait up to the idle
-                        // deadline, and let a shutting-down server close
-                        // the connection immediately.
-                        None if should_abort() => return Ok(None),
-                        None if idle_since.elapsed() > limits.idle_timeout => {
-                            return Err(HttpError::new(408, "idle connection timed out"));
-                        }
-                        None => {}
-                        Some(t0) if t0.elapsed() > limits.request_timeout => {
-                            return Err(HttpError::new(408, "request head timed out"));
-                        }
-                        Some(_) if should_abort() => {
-                            return Err(HttpError::new(408, "server shutting down"));
-                        }
-                        Some(_) => {}
-                    }
-                }
-                Err(_) => return Ok(None),
-            }
-        }
-    }
-
-    /// Reads exactly `len` body bytes (the head is already drained), within
-    /// the request timeout.
-    fn fill_body(
-        &mut self,
-        len: usize,
-        limits: &Limits,
-        should_abort: &dyn Fn() -> bool,
-    ) -> Result<Vec<u8>, HttpError> {
-        let t0 = Instant::now();
-        while self.buf.len() < len {
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(HttpError::new(400, "truncated request body")),
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    // Same slow-drip guard as the head: progress does not
-                    // extend the deadline, and shutdown interrupts a body
-                    // that is still incomplete.
-                    if self.buf.len() < len
-                        && (t0.elapsed() > limits.request_timeout || should_abort())
-                    {
-                        return Err(HttpError::new(408, "request body timed out"));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if t0.elapsed() > limits.request_timeout {
-                        return Err(HttpError::new(408, "request body timed out"));
-                    }
-                    if should_abort() {
-                        return Err(HttpError::new(408, "server shutting down"));
-                    }
-                }
-                Err(_) => return Err(HttpError::new(400, "connection error mid-body")),
-            }
-        }
-        let body: Vec<u8> = self.buf[..len].to_vec();
-        self.buf.drain(..len);
-        Ok(body)
-    }
-}
-
 /// Index one past the head terminator (`\r\n\r\n`, or the lenient bare
-/// `\n\n`), if the buffer holds a complete head. Shared by this blocking
-/// reader and the reactor's per-connection state machine.
+/// `\n\n`), if the buffer holds a complete head.
 pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
     let lf = buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
@@ -299,7 +94,7 @@ pub(crate) type ParsedHead = (Method, String, String, bool, usize, bool);
 /// `(method, decoded path, raw query, keep_alive, content_length,
 /// expects_continue)`. Deliberately incremental-friendly: it takes a
 /// complete head slice (found by [`find_head_end`]) and nothing else, so
-/// the blocking reader and the reactor share one strict parser.
+/// the connection state machine can call it whenever one has accumulated.
 pub(crate) fn parse_head(head: &[u8]) -> Result<ParsedHead, HttpError> {
     let text =
         std::str::from_utf8(head).map_err(|_| HttpError::new(400, "request head is not UTF-8"))?;
@@ -502,10 +297,8 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Appends the serialized response head to `out` — the one head writer,
-/// shared by the reactor's write buffer and the blocking path. `keep_alive`
-/// controls the `Connection` header; the caller decides whether to actually
-/// close.
+/// Appends the serialized response head to `out`. `keep_alive` controls
+/// the `Connection` header; the caller decides whether to actually close.
 fn write_head(out: &mut Vec<u8>, resp: &Response, keep_alive: bool) {
     out.extend_from_slice(b"HTTP/1.1 ");
     push_u64(out, u64::from(resp.status));
@@ -528,29 +321,8 @@ fn write_head(out: &mut Vec<u8>, resp: &Response, keep_alive: bool) {
     });
 }
 
-/// Serializes `resp` onto `stream`, returning the bytes written (head +
-/// body; feeds the `bytes_out` counter). `head` is the caller's reusable
-/// buffer for the serialized head. The caller is expected to have set a
-/// write timeout on the stream — without one, a client that stops reading
-/// (write-side slowloris) would pin the writing thread forever.
-pub(crate) fn write_response(
-    stream: &mut TcpStream,
-    resp: &Response,
-    keep_alive: bool,
-    head: &mut Vec<u8>,
-) -> std::io::Result<usize> {
-    // Two writes instead of concatenating — a large range body would
-    // otherwise be copied a second time on every response.
-    head.clear();
-    write_head(head, resp, keep_alive);
-    stream.write_all(head)?;
-    stream.write_all(&resp.body)?;
-    stream.flush()?;
-    Ok(head.len() + resp.body.len())
-}
-
-/// Appends the serialized `resp` to `out` — the reactor's per-connection
-/// write buffer, flushed by write-readiness instead of blocking writes.
+/// Appends the serialized `resp` to `out` — a connection's write buffer,
+/// flushed as the socket takes it.
 pub(crate) fn append_response(out: &mut Vec<u8>, resp: &Response, keep_alive: bool) {
     write_head(out, resp, keep_alive);
     out.extend_from_slice(&resp.body);

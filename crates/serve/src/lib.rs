@@ -3,9 +3,10 @@
 //! The paper's headline feature — random access into learned-compressed
 //! series — pays off at system scale when queries are served concurrently
 //! over the wire. This crate is that serving frontend: a std-only (zero
-//! dependencies beyond the workspace) TCP server — an epoll readiness
-//! reactor on Linux, a thread-per-connection pool elsewhere — that mounts
-//! a packfile via [`neats_store::Store`] and speaks a minimal HTTP/1.1
+//! dependencies beyond the workspace) TCP server — one connection state
+//! machine, driven by an epoll readiness reactor on Linux and by a
+//! thread-per-connection pool where there is no poller — that mounts a
+//! packfile via [`neats_store::Store`] and speaks a minimal HTTP/1.1
 //! subset:
 //!
 //! | Endpoint | Answer |
@@ -32,26 +33,27 @@
 //!
 //! ## Design
 //!
-//! * **Two serving disciplines behind one switch** —
-//!   [`ServeConfig::reactor`] selects between an epoll readiness reactor
-//!   (the Linux default under [`ReactorMode::Auto`]; `NEATS_SERVE_REACTOR`
-//!   overrides) and a thread-per-connection worker pool (the portable
-//!   fallback). Both speak the same strict HTTP subset through the same
-//!   parser and handler; every integration suite runs against both.
-//! * **The reactor** — the accept loop round-robins admitted connections
-//!   into per-shard inboxes; each of [`ServeConfig::shards`] reactor
-//!   threads multiplexes *all* of its connections over one epoll instance
-//!   (the std-only `polling` shim in `vendor/`). Per connection: a
-//!   slab-indexed non-blocking state machine, a write buffer that
-//!   re-registers for writability when the socket backs up, and idle /
-//!   request / write deadlines on a timer wheel — an idle keep-alive
-//!   connection costs a slab entry, never a thread, and a stalled reader
-//!   is disconnected at the write deadline.
-//! * **The threaded fallback** — [`Server::run`] feeds a closeable queue
-//!   drained by `threads` workers ([`neats_core::parallel::Queue`]); one
-//!   worker owns a connection for its keep-alive lifetime. Thread counts
-//!   resolve from the explicit knob, else `NEATS_SERVE_THREADS`, else all
-//!   cores.
+//! * **One server, two drivers** — one accept loop and one sans-I/O
+//!   connection state machine (the `conn` module: strict parsing, limits,
+//!   pipelining, `100-continue`, idle / request / write deadlines, a
+//!   bounded write buffer, the shutdown-drain rule) run under whichever
+//!   driver the platform gives; a driver only moves bytes and time. Which
+//!   one is observed at [`Server::bind`] ([`Server::mode`]), not
+//!   configured. [`ServeConfig::threads`] is the serving-thread count
+//!   under either (explicit, else `NEATS_SERVE_THREADS`, else all cores).
+//! * **The readiness driver** (Linux) — the accept loop round-robins
+//!   admitted connections into per-shard inboxes; each serving thread
+//!   multiplexes *all* of its connections over one epoll instance (the
+//!   std-only `polling` shim in `vendor/`): a slab of non-blocking
+//!   sockets, oneshot interest re-armed as each connection asks, and a
+//!   timer wheel of deadlines — an idle keep-alive connection costs a
+//!   slab entry, never a thread, and a stalled reader is disconnected at
+//!   the write deadline.
+//! * **The blocking driver** (no poller) — [`Server::run`] feeds a
+//!   closeable queue drained by `threads` workers
+//!   ([`neats_core::parallel::Queue`]); one worker runs a connection's
+//!   state machine for its keep-alive lifetime, waking at most every
+//!   [`ServeConfig::poll_interval`] for deadlines and shutdown.
 //! * **Zero-copy serving, one rendering path** — every shard/worker
 //!   borrows the one `Arc<Store>`; responses are rendered straight from the
 //!   store's zero-copy [`neats_core::ArchiveView`]s via
@@ -122,6 +124,7 @@
 
 #![warn(missing_docs)]
 
+mod conn;
 mod handler;
 mod http;
 mod reactor;
@@ -133,8 +136,8 @@ mod stats;
 pub use http::{Limits, Method, Request, Response};
 pub use render::{Scratch, SCRATCH_RETAIN_BYTES};
 pub use server::{
-    ReactorMode, ServeConfig, Server, ServerHandle, MAX_CONNS_ENV, REACTOR_ENV, SHARDS_ENV,
-    SHED_WATERMARK_ENV, SLOW_QUERY_ENV, THREADS_ENV, TRACE_RING_ENV,
+    ServeConfig, Server, ServerHandle, MAX_CONNS_ENV, SHED_WATERMARK_ENV, SLOW_QUERY_ENV,
+    THREADS_ENV, TRACE_RING_ENV,
 };
 pub use source::Source;
 pub use stats::{Endpoint, EndpointStats, ServerStats};

@@ -1,25 +1,30 @@
-//! The server: a bound listener, an accept loop, and one of two serving
-//! disciplines behind it.
+//! The server: a bound listener, one accept loop, and one of two drivers
+//! moving bytes for the connection state machine behind it.
 //!
 //! ## Threading model
 //!
-//! [`Server::run`] blocks the calling thread on `accept()` and serves
-//! connections in one of two modes, selected by [`ServeConfig::reactor`]
-//! (default [`ReactorMode::Auto`]: the reactor wherever epoll exists,
-//! i.e. Linux):
+//! [`Server::run`] blocks the calling thread on `accept()` and hands every
+//! admitted connection to one of `threads` serving threads. What a
+//! connection *is* — parsing, limits, pipelining, the idle / request /
+//! write deadlines, backpressure, the shutdown rule — is `crate::conn`'s
+//! `Connection`, the same under both drivers; a driver only moves bytes
+//! and time. Which driver runs is observed at [`Server::bind`], never
+//! configured:
 //!
-//! * **Reactor (default on Linux)** — `shards` event-loop threads (the
-//!   `crate::reactor` module), each owning an epoll poller, a slab of
-//!   non-blocking connections, and a timer wheel for idle/request/write
-//!   deadlines. A shard multiplexes thousands of mostly-idle keep-alive
-//!   connections; an idle client costs a slab entry, never a thread.
-//! * **Thread-per-connection (fallback)** — accepted connections are pushed
-//!   onto a closeable blocking queue ([`neats_core::parallel::Queue`]);
-//!   each of `threads` workers pops one connection and owns it for its
-//!   whole keep-alive lifetime. Simple and portable, but W idle keep-alive
-//!   clients occupy all W workers.
+//! * **Readiness (wherever the `polling` shim has a backend, i.e. Linux)** —
+//!   each serving thread is an event loop (the `crate::reactor` module)
+//!   owning an epoll poller, a slab of non-blocking connections, and a
+//!   timer wheel of their deadlines. A shard multiplexes thousands of
+//!   mostly-idle keep-alive connections; an idle client costs a slab
+//!   entry, never a thread.
+//! * **Blocking (everywhere else)** — admitted connections are pushed onto
+//!   a closeable blocking queue ([`neats_core::parallel::Queue`]); each
+//!   serving thread pops one connection and runs it for its whole
+//!   keep-alive lifetime, waking from a read at most every
+//!   [`ServeConfig::poll_interval`]. Simple and portable, but W idle
+//!   keep-alive clients occupy all W workers.
 //!
-//! In both modes requests on one connection are handled serially (HTTP/1.1
+//! Under both, requests on one connection are handled serially (HTTP/1.1
 //! semantics), requests on different connections in parallel, and the
 //! [`Store`] is shared behind an `Arc`: queries run zero-copy against the
 //! shared pack bytes, so serving threads never copy archive data.
@@ -28,24 +33,27 @@
 //!
 //! [`ServerHandle::shutdown`] is the SIGTERM-equivalent: it sets the
 //! shutdown flag and wakes the accept loop with a loopback connection. The
-//! accept loop stops accepting; both modes then drain — already accepted
-//! connections finish the request in flight (plus any pipelined requests
-//! the client already sent in full), answer them with `Connection: close`,
-//! and close. `run` returns once the drain completes.
+//! accept loop stops accepting; the serving threads then drain — already
+//! accepted connections finish the request in flight (plus any pipelined
+//! requests the client already sent in full), answer them with
+//! `Connection: close`, and close. `run` returns once the drain completes.
+//!
+//! [`Store`]: neats_store::Store
 
-use crate::http::{Conn, HttpError, Limits, ReadOutcome, Request, Response};
+use crate::conn::{Connection, Env, Next};
+use crate::handler;
+use crate::http::{Limits, Request, Response};
+use crate::reactor::{self, Shard};
 use crate::render::Scratch;
 use crate::source::Source;
 use crate::stats::{Obs, ServerStats};
-use crate::{handler, http, reactor};
 use neats_core::parallel::{effective_threads_env, Queue};
 use neats_core::{Registry, TraceRing};
-use std::io::Write as _;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Environment variable naming the default worker-thread count.
 pub const THREADS_ENV: &str = "NEATS_SERVE_THREADS";
@@ -53,13 +61,6 @@ pub const THREADS_ENV: &str = "NEATS_SERVE_THREADS";
 pub const MAX_CONNS_ENV: &str = "NEATS_SERVE_MAX_CONNS";
 /// Environment variable naming the default worker-queue shed watermark.
 pub const SHED_WATERMARK_ENV: &str = "NEATS_SERVE_SHED_WATERMARK";
-/// Environment variable selecting the serving mode when
-/// [`ServeConfig::reactor`] is [`ReactorMode::Auto`]: `on`/`reactor`/`1`
-/// forces the epoll reactor, `off`/`threaded`/`0` forces
-/// thread-per-connection, anything else keeps automatic detection.
-pub const REACTOR_ENV: &str = "NEATS_SERVE_REACTOR";
-/// Environment variable naming the default reactor shard count.
-pub const SHARDS_ENV: &str = "NEATS_SERVE_SHARDS";
 /// Environment variable naming the default slow-query threshold in
 /// microseconds (requests at or above it are logged to stderr and flagged
 /// in `/debug/requests`); `0` or unset disables the log.
@@ -68,27 +69,13 @@ pub const SLOW_QUERY_ENV: &str = "NEATS_SLOW_QUERY_US";
 /// requests kept for `GET /debug/requests`); `0` disables tracing.
 pub const TRACE_RING_ENV: &str = "NEATS_TRACE_RING";
 
-/// How [`Server::run`] multiplexes connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReactorMode {
-    /// Use the epoll readiness reactor where the platform supports it
-    /// (Linux), else fall back to thread-per-connection. [`REACTOR_ENV`]
-    /// overrides the detection.
-    #[default]
-    Auto,
-    /// Require the reactor: [`Server::run`] fails with
-    /// [`std::io::ErrorKind::Unsupported`] on platforms without epoll.
-    Reactor,
-    /// Force the blocking thread-per-connection path (one worker owns each
-    /// connection for its whole keep-alive lifetime).
-    Threaded,
-}
-
 /// Server tuning knobs. `Default` matches the documented configuration
 /// table in the README.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads (`0` = automatic: [`THREADS_ENV`], else all cores).
+    /// Serving threads — reactor shards or pool workers, whichever driver
+    /// the platform gives (`0` = automatic: [`THREADS_ENV`], else all
+    /// cores).
     pub threads: usize,
     /// Maximum request-head bytes before a 431.
     pub max_header_bytes: usize,
@@ -96,8 +83,9 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Maximum time a started request may take to arrive before a 408.
     pub request_timeout: Duration,
-    /// Poll tick at which blocked reads re-check the shutdown flag; bounds
-    /// how long shutdown waits for idle keep-alive connections.
+    /// Longest a blocking-driver worker sleeps in one read or write before
+    /// re-checking deadlines and the shutdown flag; bounds how long
+    /// shutdown waits for idle keep-alive connections there.
     pub poll_interval: Duration,
     /// Maximum time a keep-alive connection may sit idle between requests
     /// before it is closed with a 408.
@@ -109,20 +97,12 @@ pub struct ServeConfig {
     /// Worker-queue depth above which new connections are shed (`0` =
     /// automatic: [`SHED_WATERMARK_ENV`], else `4 × threads`, capped at
     /// 64). A deep queue means every worker is busy and new arrivals would
-    /// only wait — shedding keeps latency flat for admitted requests. In
-    /// reactor mode the watermark bounds the not-yet-registered shard
-    /// inbox backlog instead (shards drain their inboxes within one poll
-    /// wake-up, so it only trips when the event loops themselves stall).
+    /// only wait — shedding keeps latency flat for admitted requests.
+    /// Under the readiness driver the watermark bounds the
+    /// not-yet-registered shard inbox backlog instead (shards drain their
+    /// inboxes within one poll wake-up, so it only trips when the event
+    /// loops themselves stall).
     pub queue_watermark: usize,
-    /// Serving discipline: epoll reactor, thread-per-connection, or
-    /// automatic platform detection (the default; [`REACTOR_ENV`]
-    /// overrides).
-    pub reactor: ReactorMode,
-    /// Reactor event-loop shards (`0` = automatic: [`SHARDS_ENV`], else
-    /// the resolved `threads` count). Each shard runs one event loop and —
-    /// when the store is opened with thread-sharded caching — owns its own
-    /// slice of the segment-view cache. Ignored in threaded mode.
-    pub shards: usize,
     /// Slow-query threshold in microseconds: a request whose traced total
     /// reaches it is logged to stderr and flagged in `/debug/requests`.
     /// `None` = automatic ([`SLOW_QUERY_ENV`], else off); `Some(0)` = off.
@@ -148,25 +128,10 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(60),
             max_connections: 0,
             queue_watermark: 0,
-            reactor: ReactorMode::Auto,
-            shards: 0,
             slow_query_us: None,
             trace_ring: None,
             source_label: String::new(),
         }
-    }
-}
-
-/// Applies the [`REACTOR_ENV`] override to an [`ReactorMode::Auto`]
-/// configuration; explicit modes win over the environment.
-fn resolve_mode(configured: ReactorMode) -> ReactorMode {
-    match configured {
-        ReactorMode::Auto => match std::env::var(REACTOR_ENV).ok().as_deref().map(str::trim) {
-            Some("on") | Some("reactor") | Some("1") => ReactorMode::Reactor,
-            Some("off") | Some("threaded") | Some("0") => ReactorMode::Threaded,
-            _ => ReactorMode::Auto,
-        },
-        explicit => explicit,
     }
 }
 
@@ -206,14 +171,9 @@ fn build_obs(
     stats: &ServerStats,
     cfg: &ServeConfig,
     threads: usize,
-    shards: usize,
+    mode: &'static str,
 ) -> Obs {
     let registry = Arc::new(Registry::new());
-    let mode = match resolve_mode(cfg.reactor) {
-        ReactorMode::Auto if cfg!(target_os = "linux") => "reactor",
-        ReactorMode::Reactor => "reactor",
-        ReactorMode::Auto | ReactorMode::Threaded => "threaded",
-    };
     let source_label = cfg.source_label.clone();
     registry.gauge_fn(
         "neats_build_info",
@@ -234,11 +194,11 @@ fn build_obs(
         .store(threads as u64, Ordering::Relaxed);
     registry
         .gauge("neats_serve_shards", "Resolved reactor shard count.", &[])
-        .store(shards as u64, Ordering::Relaxed);
+        .store(threads as u64, Ordering::Relaxed);
     stats.register(&registry);
     source.register_metrics(&registry);
     let shard_depths: Vec<Arc<AtomicU64>> = if mode == "reactor" {
-        (0..shards)
+        (0..threads)
             .map(|i| {
                 let idx = i.to_string();
                 registry.gauge(
@@ -258,7 +218,6 @@ fn build_obs(
         shard_depths,
         source_label,
         mode,
-        shards,
     }
 }
 
@@ -270,11 +229,24 @@ pub(crate) struct Shared {
     pub(crate) accept_exited: AtomicBool,
     /// Connections currently owned by the server (queued or being served).
     pub(crate) open_conns: AtomicU64,
-    /// Connections accepted but not yet popped by a worker (threaded mode)
-    /// or not yet registered by their shard (reactor mode).
+    /// Connections accepted but not yet popped by a worker (blocking
+    /// driver) or not yet registered by their shard (readiness driver).
     pub(crate) queued: AtomicU64,
     pub(crate) stats: ServerStats,
     pub(crate) obs: Obs,
+}
+
+impl Shared {
+    pub(crate) fn new(stats: ServerStats, obs: Obs) -> Self {
+        Self {
+            shutdown: AtomicBool::new(false),
+            accept_exited: AtomicBool::new(false),
+            open_conns: AtomicU64::new(0),
+            queued: AtomicU64::new(0),
+            stats,
+            obs,
+        }
+    }
 }
 
 /// A bound, not-yet-running server. [`Server::run`] serves until a
@@ -286,7 +258,9 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     threads: usize,
-    shards: usize,
+    /// The readiness driver's event loops; `None` where the platform has
+    /// no poller, and the blocking driver serves instead.
+    shards: Option<Vec<Shard>>,
     cfg: ServeConfig,
 }
 
@@ -350,11 +324,23 @@ impl Server {
     /// Binds a listener on `addr` (use port 0 for an ephemeral port) over
     /// `source` — an `Arc<Store>` (read-only pack) or an
     /// `Arc<neats_ingest::Ingestor>` (live directory; enables
-    /// `POST /write`). The worker count is resolved at [`Self::run`].
+    /// `POST /write`). The serving-thread count is resolved here.
     pub fn bind(
         source: impl Into<Source>,
         addr: impl ToSocketAddrs,
+        cfg: ServeConfig,
+    ) -> std::io::Result<Server> {
+        Self::bind_on(source, addr, cfg, true)
+    }
+
+    /// [`Self::bind`], with the readiness driver optionally left untried —
+    /// how in-crate tests reach the blocking driver on a platform that has
+    /// a poller.
+    pub(crate) fn bind_on(
+        source: impl Into<Source>,
+        addr: impl ToSocketAddrs,
         mut cfg: ServeConfig,
+        try_readiness: bool,
     ) -> std::io::Result<Server> {
         // A zero poll interval would make set_read_timeout fail (leaving
         // sockets blocking, which breaks shutdown) and turn the accept
@@ -363,21 +349,21 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let threads = effective_threads_env(cfg.threads, THREADS_ENV);
-        let shards = resolve_knob(cfg.shards, SHARDS_ENV, threads);
+        // The driver is observed, not chosen: one poller per serving
+        // thread if the platform makes them, the blocking pool if not.
+        let shards = try_readiness.then(|| Shard::create(threads).ok()).flatten();
+        let mode = if shards.is_some() {
+            "reactor"
+        } else {
+            "threaded"
+        };
         let source = source.into();
         let stats = ServerStats::new();
-        let obs = build_obs(&source, &stats, &cfg, threads, shards);
+        let obs = build_obs(&source, &stats, &cfg, threads, mode);
         Ok(Server {
             listener,
             source,
-            shared: Arc::new(Shared {
-                shutdown: AtomicBool::new(false),
-                accept_exited: AtomicBool::new(false),
-                open_conns: AtomicU64::new(0),
-                queued: AtomicU64::new(0),
-                stats,
-                obs,
-            }),
+            shared: Arc::new(Shared::new(stats, obs)),
             addr,
             threads,
             shards,
@@ -390,27 +376,17 @@ impl Server {
         self.addr
     }
 
-    /// The resolved worker-thread count (threaded mode's pool size).
+    /// The resolved serving-thread count: event-loop shards under the
+    /// readiness driver, pool workers under the blocking one.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The resolved reactor shard count (reactor mode's event-loop count).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The serving discipline [`Self::run`] will use, after applying the
-    /// [`REACTOR_ENV`] override and platform detection — never
-    /// [`ReactorMode::Auto`]. (If epoll unexpectedly fails at runtime on a
-    /// platform that compiles with it, `run` under `Auto` still falls back
-    /// to the threaded path even though this reported the reactor.)
-    pub fn mode(&self) -> ReactorMode {
-        match resolve_mode(self.cfg.reactor) {
-            ReactorMode::Auto if cfg!(target_os = "linux") => ReactorMode::Reactor,
-            ReactorMode::Auto => ReactorMode::Threaded,
-            explicit => explicit,
-        }
+    /// Which driver [`Self::run`] will use, as `/stats` and
+    /// `neats_build_info` print it: `"reactor"` (readiness) or
+    /// `"threaded"` (blocking).
+    pub fn mode(&self) -> &'static str {
+        self.shared.obs.mode
     }
 
     /// A shutdown handle; obtain it before calling [`Self::run`].
@@ -438,9 +414,10 @@ impl Server {
         )
     }
 
-    /// Serves until shutdown: the calling thread runs the accept loop; the
-    /// reactor shards or the worker pool handle connections (per
-    /// [`ServeConfig::reactor`]). Returns after the drain completes.
+    /// Serves until shutdown: the calling thread runs the accept loop,
+    /// `threads` scoped threads run the connections — as event loops or
+    /// as a blocking pool, whichever [`Self::mode`] says. Returns after
+    /// the drain completes.
     pub fn run(self) -> std::io::Result<()> {
         let Server {
             listener,
@@ -463,118 +440,116 @@ impl Server {
             SHED_WATERMARK_ENV,
             (4 * threads).min(64),
         ) as u64;
-        let mode = resolve_mode(cfg.reactor);
-        if mode != ReactorMode::Threaded {
-            match reactor::run(
-                &listener, &source, &shared, &cfg, &limits, shards, max_conns, watermark,
-            ) {
-                // No epoll on this platform: Auto falls back to the
-                // threaded path below (the listener is untouched — the
-                // reactor probes its pollers before accepting anything).
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::Unsupported && mode == ReactorMode::Auto => {
+        // Each serving thread's render buffers outlive its connections.
+        let env = || Env {
+            source: &source,
+            shared: &shared,
+            limits: &limits,
+            threads,
+            scratch: Scratch::new(),
+        };
+        // The blocking driver's hand-off: workers pop, the accept loop pushes.
+        let queue: Queue<TcpStream> = Queue::new();
+        std::thread::scope(|s| match &shards {
+            Some(shards) => {
+                for (idx, shard) in shards.iter().enumerate() {
+                    let env = env();
+                    s.spawn(move || reactor::shard_loop(shard, idx, env));
                 }
-                served => return served,
+                let mut next_shard = 0usize;
+                accept_loop(&listener, &shared, &cfg, max_conns, watermark, |conn| {
+                    let shard = &shards[next_shard % shards.len()];
+                    next_shard = next_shard.wrapping_add(1);
+                    shard.offer(conn)
+                });
+                shards.iter().for_each(Shard::close);
             }
-        }
-        run_threaded(
-            listener, source, &shared, &cfg, &limits, threads, max_conns, watermark,
-        );
+            None => {
+                for _ in 0..threads {
+                    let (mut env, queue) = (env(), &queue);
+                    s.spawn(move || {
+                        while let Some(conn) = queue.pop() {
+                            env.shared.queued.fetch_sub(1, Ordering::Relaxed);
+                            serve_blocking(conn, &mut env, cfg.poll_interval);
+                        }
+                    });
+                }
+                accept_loop(&listener, &shared, &cfg, max_conns, watermark, |conn| {
+                    queue.push(conn)
+                });
+                queue.close();
+            }
+        });
         Ok(())
     }
 }
 
-/// The blocking fallback: a fixed worker pool draining a closeable queue
-/// of accepted connections, each worker owning one connection at a time.
-#[allow(clippy::too_many_arguments)]
-fn run_threaded(
-    listener: TcpListener,
-    source: Source,
-    shared: &Arc<Shared>,
+/// The accept loop, the same under both drivers: admission control at the
+/// connection cap and the queue watermark, then `hand_off` — into a shard
+/// inbox or onto the worker queue; it answers `false` once that is closed.
+fn accept_loop(
+    listener: &TcpListener,
+    shared: &Shared,
     cfg: &ServeConfig,
-    limits: &Limits,
-    threads: usize,
     max_conns: u64,
     watermark: u64,
+    mut hand_off: impl FnMut(TcpStream) -> bool,
 ) {
-    let queue: Queue<TcpStream> = Queue::new();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // The worker's render buffers outlive its connections, as a
-                // reactor shard's do.
-                let mut scratch = Scratch::new();
-                while let Some(conn) = queue.pop() {
+    // Non-blocking accept with a short idle sleep: the loop observes the
+    // shutdown flag even if the wake-up connect in ServerHandle::shutdown
+    // never lands (wildcard binds, full backlog), so run() can never hang
+    // on accept(). The tick is deliberately much shorter than
+    // poll_interval — it bounds *accept latency* for every new
+    // connection, not just shutdown responsiveness.
+    let accept_tick = Duration::from_millis(2).min(cfg.poll_interval);
+    let nonblocking = listener.set_nonblocking(true).is_ok();
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match listener.accept() {
+            Ok((conn, _peer)) => {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    break; // likely the wake-up connection; drop it
+                }
+                // Admission control: past the connection cap or the queue
+                // watermark, every serving thread is saturated and an
+                // admitted connection would only queue — answer a canned
+                // 503 now so the client can back off, and admitted
+                // requests keep their flat latency.
+                if shared.open_conns.load(Ordering::Relaxed) >= max_conns
+                    || shared.queued.load(Ordering::Relaxed) >= watermark
+                {
+                    shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    shed_connection(conn);
+                    continue;
+                }
+                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                shared.open_conns.fetch_add(1, Ordering::Relaxed);
+                shared.queued.fetch_add(1, Ordering::Relaxed);
+                if !hand_off(conn) {
+                    // Closed between the shutdown check and the push: the
+                    // connection was dropped, never served. Undo the
+                    // optimistic accounting above or /stats lies for the
+                    // whole drain (and open_conns never returns to zero).
+                    shared.stats.accepted.fetch_sub(1, Ordering::Relaxed);
+                    shared.open_conns.fetch_sub(1, Ordering::Relaxed);
                     shared.queued.fetch_sub(1, Ordering::Relaxed);
-                    serve_connection(&source, shared, cfg, limits, threads, conn, &mut scratch);
-                }
-            });
-        }
-        // Non-blocking accept with a short idle sleep: the loop
-        // observes the shutdown flag even if the wake-up connect in
-        // ServerHandle::shutdown never lands (wildcard binds, full
-        // backlog), so run() can never hang on accept(). The tick is
-        // deliberately much shorter than poll_interval — it bounds
-        // *accept latency* for every new connection, not just shutdown
-        // responsiveness.
-        let accept_tick = Duration::from_millis(2).min(cfg.poll_interval);
-        let nonblocking = listener.set_nonblocking(true).is_ok();
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((conn, _peer)) => {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break; // likely the wake-up connection; drop it
-                    }
-                    // Workers rely on read timeouts, which need a
-                    // blocking socket (some platforms inherit the
-                    // listener's non-blocking flag).
-                    if conn.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    // Admission control: past the connection cap or the
-                    // queue watermark, every worker is saturated and an
-                    // admitted connection would only queue — answer a
-                    // canned 503 now so the client can back off, and
-                    // admitted requests keep their flat latency.
-                    if shared.open_conns.load(Ordering::Relaxed) >= max_conns
-                        || shared.queued.load(Ordering::Relaxed) >= watermark
-                    {
-                        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                        shed_connection(conn);
-                        continue;
-                    }
-                    shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    shared.open_conns.fetch_add(1, Ordering::Relaxed);
-                    shared.queued.fetch_add(1, Ordering::Relaxed);
-                    if !queue.push(conn) {
-                        // The queue closed between the shutdown check
-                        // and the push: the connection was dropped, not
-                        // queued. Undo the optimistic accounting above
-                        // or /stats lies for the whole drain (and
-                        // open_conns never returns to zero).
-                        shared.stats.accepted.fetch_sub(1, Ordering::Relaxed);
-                        shared.open_conns.fetch_sub(1, Ordering::Relaxed);
-                        shared.queued.fetch_sub(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && nonblocking => {
-                    std::thread::sleep(accept_tick);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Transient accept failure (e.g. fd exhaustion):
-                    // back off briefly instead of spinning.
-                    std::thread::sleep(cfg.poll_interval);
+                    break;
                 }
             }
+            Err(e) if e.kind() == ErrorKind::WouldBlock && nonblocking => {
+                std::thread::sleep(accept_tick);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => {
+                // Transient accept failure (e.g. fd exhaustion): back off
+                // briefly instead of spinning.
+                std::thread::sleep(cfg.poll_interval);
+            }
         }
-        shared.accept_exited.store(true, Ordering::SeqCst);
-        queue.close();
-    });
+    }
+    shared.accept_exited.store(true, Ordering::SeqCst);
 }
 
 /// Sheds one connection at accept time with a canned raw `503` (no parsing,
@@ -586,7 +561,7 @@ fn run_threaded(
 /// slow-to-read shed client. The 131-byte response virtually always fits
 /// the empty send buffer of a fresh connection; a peer whose buffer cannot
 /// take it is already misbehaving and just gets the close.
-pub(crate) fn shed_connection(conn: TcpStream) {
+fn shed_connection(conn: TcpStream) {
     const SHED_RESPONSE: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\n\
         Content-Type: text/plain\r\n\
         Content-Length: 9\r\n\
@@ -605,89 +580,96 @@ pub(crate) fn shed_connection(conn: TcpStream) {
     // small request that landed before accept — deliver the response
     // cleanly.
     let mut sink = [0u8; 4096];
-    let _ = std::io::Read::read(&mut conn, &mut sink);
+    let _ = conn.read(&mut sink);
 }
 
-/// Serves one connection for its whole keep-alive lifetime.
-fn serve_connection(
-    source: &Source,
-    shared: &Shared,
-    cfg: &ServeConfig,
-    limits: &Limits,
-    threads: usize,
-    stream: TcpStream,
-    scratch: &mut Scratch,
-) {
+/// A blocking socket's `Write` that gives up at `at`: each `write` call is
+/// bounded by the socket's write timeout, this bounds a whole flush, so a
+/// reader that trickles cannot keep a worker inside one past its tick.
+struct Until<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Write for Until<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if Instant::now() >= self.at {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The blocking driver: runs one connection for its whole keep-alive
+/// lifetime on the calling worker. Each wake is one bounded wait — a read,
+/// or while response bytes are pending the flush itself — for at most
+/// `poll_interval` or until the connection's next deadline, whichever is
+/// sooner; then the same process → flush → expire → settle the readiness
+/// driver runs per event.
+fn serve_blocking(stream: TcpStream, env: &mut Env<'_>, poll_interval: Duration) {
+    let shared = env.shared;
     shared.stats.active.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
-    // The read timeout is the poll tick: blocked reads wake this often to
-    // re-check the shutdown flag.
-    let _ = stream.set_read_timeout(Some(cfg.poll_interval));
-    // The write deadline is the write-side slowloris defense: a client that
-    // stops *reading* while a response is in flight fails the stalled
-    // write_all and loses the connection, instead of pinning this worker
-    // forever. (Per-syscall, so a trickle-reader can stretch a single large
-    // response further — the reactor's wall-clock write deadline is the
-    // strict version.)
-    let _ = stream.set_write_timeout(Some(cfg.request_timeout));
-    let mut conn = Conn::new(stream);
-    let mut head = Vec::new();
-    let should_abort = || shared.shutdown.load(Ordering::SeqCst);
-    loop {
-        // Arm the request trace before reading: the parse stage runs inside
-        // read_request. Only stage-guarded code accumulates, so time blocked
-        // waiting for the next keep-alive request attributes nowhere.
-        neats_core::obs::span_begin();
-        match conn.read_request(limits, &should_abort) {
-            Ok(ReadOutcome::Request(req)) => {
-                // A handler panic must not take down the worker (the pool is
-                // fixed — a dead worker would shrink capacity forever); the
-                // panicking request gets a 500 and its connection closes.
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    handler::handle(source, &shared.stats, &shared.obs, threads, &req, scratch)
-                }));
-                let (resp, close_after) = match result {
-                    Ok(resp) => (resp, false),
-                    Err(_) => {
-                        shared.stats.panics.fetch_add(1, Ordering::Relaxed);
-                        (Response::error(500, "internal error"), true)
-                    }
-                };
-                // On shutdown, drain: requests the client already pipelined
-                // in full are still answered before the close.
-                let keep = req.keep_alive
-                    && !close_after
-                    && (!should_abort() || conn.has_buffered_request());
-                let written = http::write_response(conn.stream(), &resp, keep, &mut head);
-                scratch.reclaim(resp);
-                match written {
-                    Ok(n) => {
-                        shared.stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                        if !keep {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
-                }
+    let now = Instant::now();
+    let mut conn = Connection::new(now, env.limits);
+    // Read and write timeouts need a blocking socket (some platforms
+    // inherit the listener's non-blocking flag).
+    if stream.set_nonblocking(false).is_err() {
+        conn.broken();
+    }
+    let mut next = conn.settle(now, env.limits);
+    let mut chunk = [0u8; 4096];
+    let mut timeouts_set = Duration::ZERO;
+    while let Next::Wait {
+        read,
+        write,
+        deadline,
+    } = next
+    {
+        let tick = poll_interval
+            .min(deadline.saturating_duration_since(Instant::now()))
+            .max(Duration::from_millis(1));
+        if tick != timeouts_set {
+            let set = stream
+                .set_read_timeout(Some(tick))
+                .and_then(|()| stream.set_write_timeout(Some(tick)));
+            if set.is_err() {
+                break; // an unbounded wait could pin this worker forever
             }
-            Ok(ReadOutcome::Closed) => break,
-            Err(HttpError { status, reason }) => {
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                if status == 408 {
-                    // Slow-drip or idle deadline — the slowloris defenses.
-                    shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                let resp = Response::error(status, &reason);
-                if let Ok(n) = http::write_response(conn.stream(), &resp, false, &mut head) {
-                    shared.stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                }
-                break;
+            timeouts_set = tick;
+        }
+        if read && !write {
+            match (&stream).read(&mut chunk) {
+                Ok(0) => conn.peer_closed(),
+                Ok(n) => conn.received(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => conn.broken(),
             }
         }
+        let now = Instant::now();
+        let mut out = Until {
+            stream: &stream,
+            at: now + tick,
+        };
+        conn.service(env, &mut out);
+        let expired = conn.expire(now, &shared.stats);
+        let drained = shared.shutdown.load(Ordering::SeqCst) && conn.drain(&shared.stats);
+        if expired || drained {
+            conn.flush(&mut out, &shared.stats);
+        }
+        next = conn.settle(now, env.limits);
     }
-    // Discard any span left armed by a request that never reached the
-    // handler — this worker thread is pooled.
-    let _ = neats_core::obs::span_take();
     shared.stats.active.fetch_sub(1, Ordering::Relaxed);
     shared.open_conns.fetch_sub(1, Ordering::Relaxed);
 }
+
+#[cfg(test)]
+mod tests;

@@ -283,21 +283,19 @@ impl ServerStats {
 /// and threaded to the handler through the shared server state: the metric
 /// registry `/metrics` renders, the recent-request trace ring behind
 /// `/debug/requests`, the slow-query threshold, and the serving metadata
-/// `/stats` reports (source label, resolved mode, shard count).
+/// `/stats` reports (source label, observed driver).
 pub(crate) struct Obs {
     pub(crate) registry: Arc<Registry>,
     pub(crate) ring: TraceRing,
     /// Slow-query threshold in microseconds; `0` disables the log.
     pub(crate) slow_query_us: u64,
-    /// Per-shard registered-connection gauges (reactor mode; empty when
-    /// threaded).
+    /// Per-shard registered-connection gauges (readiness driver; empty
+    /// under the blocking one).
     pub(crate) shard_depths: Vec<Arc<AtomicU64>>,
     /// What the server is serving (pack path or ingest directory).
     pub(crate) source_label: String,
-    /// The resolved serving discipline (`"reactor"` / `"threaded"`).
+    /// The driver observed at bind (`"reactor"` / `"threaded"`).
     pub(crate) mode: &'static str,
-    /// Resolved reactor shard count (the threaded pool size when threaded).
-    pub(crate) shards: usize,
 }
 
 impl Obs {
@@ -312,7 +310,6 @@ impl Obs {
             shard_depths: Vec::new(),
             source_label: String::new(),
             mode: "threaded",
-            shards: 1,
         }
     }
 }

@@ -10,7 +10,7 @@
 mod common;
 
 use common::{demo_store, Client};
-use neats_serve::{ReactorMode, ServeConfig, Server};
+use neats_serve::{ServeConfig, Server};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -65,16 +65,6 @@ fn assert_clean_rejection(reply: &[u8], input: &[u8]) {
 
 #[test]
 fn malformed_inputs_never_panic_the_server() {
-    fuzz_one_mode(ReactorMode::Threaded);
-}
-
-#[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reactor mode requires epoll")]
-fn malformed_inputs_never_panic_the_reactor() {
-    fuzz_one_mode(ReactorMode::Reactor);
-}
-
-fn fuzz_one_mode(reactor: ReactorMode) {
     let store = demo_store();
     // Small limits and a short request timeout keep the truncation cases fast.
     let cfg = ServeConfig {
@@ -83,7 +73,6 @@ fn fuzz_one_mode(reactor: ReactorMode) {
         max_body_bytes: 4096,
         request_timeout: Duration::from_millis(300),
         poll_interval: Duration::from_millis(20),
-        reactor,
         ..ServeConfig::default()
     };
     let server = Server::bind(Arc::clone(&store), "127.0.0.1:0", cfg).unwrap();

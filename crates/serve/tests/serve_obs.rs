@@ -1,13 +1,12 @@
 //! Observability over the wire: `GET /metrics` exposition diffed against
 //! known traffic, `GET /debug/requests` stage breakdowns, and the
-//! slow-query threshold — all through real loopback sockets, in both
-//! serving disciplines.
+//! slow-query threshold — all through real loopback sockets.
 
 mod common;
 
 use common::{demo_store, Client};
 use neats_ingest::{IngestConfig, Ingestor};
-use neats_serve::{ReactorMode, ServeConfig, Server, ServerHandle};
+use neats_serve::{ServeConfig, Server, ServerHandle};
 use neats_store::{Store, StoreOptions};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -90,10 +89,10 @@ fn sample(samples: &[(String, f64)], key: &str) -> f64 {
 /// Drives known traffic at the server and diffs `/metrics` against it:
 /// the exposition must be valid Prometheus text whose counters equal the
 /// requests actually made, reading the same atomics as `/stats`.
-fn metrics_diff_against_known_traffic(reactor: ReactorMode) {
+#[test]
+fn metrics_match_known_traffic_reactor() {
     let (handle, running) = start_with(ServeConfig {
         threads: 2,
-        reactor,
         source_label: "demo.pack".into(),
         ..ServeConfig::default()
     });
@@ -174,18 +173,6 @@ fn metrics_diff_against_known_traffic(reactor: ReactorMode) {
     assert!(stats.contains("\"requests\": 4"), "{stats}");
 
     stop(handle, running);
-}
-
-#[test]
-fn metrics_match_known_traffic_threaded() {
-    metrics_diff_against_known_traffic(ReactorMode::Threaded);
-}
-
-#[test]
-fn metrics_match_known_traffic_reactor() {
-    // Auto resolves to the reactor on Linux and falls back to the worker
-    // pool elsewhere — either way the exposition contract must hold.
-    metrics_diff_against_known_traffic(ReactorMode::Auto);
 }
 
 /// Cache misses and segment verifications are different things: with the
@@ -300,10 +287,10 @@ fn debug_requests_stage_breakdown() {
 /// A range's value decode and timestamp scan are traced under `decode` and
 /// its text rendering under `render` — with every segment already cached,
 /// so the `decode` time seen is the range's own, not a segment open.
-fn range_stages_are_traced(reactor: ReactorMode) {
+#[test]
+fn range_stages_are_traced_reactor() {
     let (handle, running) = start_with(ServeConfig {
         threads: 1,
-        reactor,
         trace_ring: Some(8),
         ..ServeConfig::default()
     });
@@ -334,16 +321,6 @@ fn range_stages_are_traced(reactor: ReactorMode) {
         );
     }
     stop(handle, running);
-}
-
-#[test]
-fn range_stages_are_traced_threaded() {
-    range_stages_are_traced(ReactorMode::Threaded);
-}
-
-#[test]
-fn range_stages_are_traced_reactor() {
-    range_stages_are_traced(ReactorMode::Auto);
 }
 
 /// With the threshold at 1µs every request is slow: the counter moves, the

@@ -1,11 +1,13 @@
 //! Overload-protection integration tests: accept-time shedding at the
-//! connection cap and the worker-queue watermark, recovery once load
-//! drops, and the idle keep-alive deadline — all over real sockets.
+//! connection cap, recovery once load drops, and the idle keep-alive
+//! deadline — all over real sockets. (Shedding at the worker-queue
+//! watermark needs a connection that pins a worker, which only the
+//! blocking driver has; it is tested in-crate, `server/tests.rs`.)
 
 mod common;
 
 use common::{demo_store, Client};
-use neats_serve::{ReactorMode, ServeConfig, Server, ServerHandle};
+use neats_serve::{ServeConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
@@ -59,22 +61,11 @@ fn stat(body: &str, key: &str) -> u64 {
 
 #[test]
 fn connection_cap_sheds_with_503_then_recovers() {
-    connection_cap_sheds(ReactorMode::Threaded);
-}
-
-#[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reactor mode requires epoll")]
-fn connection_cap_sheds_with_503_then_recovers_reactor() {
-    connection_cap_sheds(ReactorMode::Reactor);
-}
-
-fn connection_cap_sheds(reactor: ReactorMode) {
     let cfg = ServeConfig {
         threads: 2,
         max_connections: 1,
         queue_watermark: 1000,
         poll_interval: Duration::from_millis(10),
-        reactor,
         ..ServeConfig::default()
     };
     let (handle, running) = start(cfg);
@@ -121,60 +112,11 @@ fn connection_cap_sheds(reactor: ReactorMode) {
 }
 
 #[test]
-fn queue_watermark_sheds_when_workers_saturated() {
-    // Pinned to the threaded path on purpose: the scenario (one worker held
-    // hostage by a keep-alive connection, the next connection queued behind
-    // it) only exists when a connection pins a worker. In reactor mode an
-    // idle connection costs nothing and the watermark guards the shard
-    // inboxes instead, which a functioning event loop drains immediately.
-    let cfg = ServeConfig {
-        threads: 1,
-        queue_watermark: 1,
-        poll_interval: Duration::from_millis(10),
-        reactor: ReactorMode::Threaded,
-        ..ServeConfig::default()
-    };
-    let (handle, running) = start(cfg);
-    let addr = handle.addr();
-
-    // The single worker owns this keep-alive connection for its lifetime.
-    let mut busy = Client::connect(addr);
-    assert_eq!(busy.get("/series").status, 200);
-
-    // The next connection is admitted but queues (no worker free)...
-    let mut queued = Client::connect(addr);
-    std::thread::sleep(Duration::from_millis(100)); // let the accept loop queue it
-
-    // ...and with the queue at the watermark, further arrivals are shed.
-    let resp = read_shed_response(addr);
-    assert_eq!(resp.status, 503, "{resp:?}");
-    assert_eq!(resp.retry_after, Some(1));
-
-    // Freeing the worker drains the queue: the queued connection is served.
-    drop(busy);
-    let resp = queued.get("/q/cpu?idx=0");
-    assert_eq!(resp.status, 200, "{resp:?}");
-    drop(queued);
-    stop(handle, running);
-}
-
-#[test]
 fn idle_keep_alive_connection_times_out_with_408() {
-    idle_times_out(ReactorMode::Threaded);
-}
-
-#[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reactor mode requires epoll")]
-fn idle_keep_alive_connection_times_out_with_408_reactor() {
-    idle_times_out(ReactorMode::Reactor);
-}
-
-fn idle_times_out(reactor: ReactorMode) {
     let cfg = ServeConfig {
         threads: 2,
         idle_timeout: Duration::from_millis(200),
         poll_interval: Duration::from_millis(20),
-        reactor,
         ..ServeConfig::default()
     };
     let (handle, running) = start(cfg);

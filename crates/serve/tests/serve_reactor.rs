@@ -1,14 +1,15 @@
-//! Reactor-mode integration tests: the C10K regression this mode exists
-//! for (idle keep-alive connections must not starve new clients), the
+//! Readiness-driver integration tests: the C10K regression it exists for
+//! (idle keep-alive connections must not starve new clients), the
 //! write-side slowloris defense (a stalled reader is disconnected), and
-//! graceful-drain connection accounting in both serving modes.
+//! graceful-drain connection accounting. The blocking driver's versions of
+//! the last two are in-crate (`server/tests.rs`).
 
 #![cfg(target_os = "linux")] // every test here drives the epoll reactor
 
 mod common;
 
 use common::{demo_store, Client};
-use neats_serve::{ReactorMode, ServeConfig, Server, ServerHandle};
+use neats_serve::{ServeConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread::JoinHandle;
@@ -45,7 +46,6 @@ fn idle_keep_alive_connections_do_not_starve_new_clients() {
     let threads = 2;
     let cfg = ServeConfig {
         threads,
-        reactor: ReactorMode::Reactor,
         ..ServeConfig::default()
     };
     let request_timeout = cfg.request_timeout;
@@ -94,22 +94,10 @@ fn idle_keep_alive_connections_do_not_starve_new_clients() {
 /// response drains at the attacker's chosen (zero) pace.
 #[test]
 fn stalled_reader_is_disconnected() {
-    stalled_reader(ReactorMode::Reactor, true);
-}
-
-/// The blocking path has the same defense via a per-write-syscall timeout
-/// (a fully stalled reader fails the first blocked write).
-#[test]
-fn stalled_reader_is_disconnected_threaded() {
-    stalled_reader(ReactorMode::Threaded, false);
-}
-
-fn stalled_reader(reactor: ReactorMode, expect_timeout_stat: bool) {
     let cfg = ServeConfig {
         threads: 2,
         request_timeout: Duration::from_millis(500),
         poll_interval: Duration::from_millis(20),
-        reactor,
         ..ServeConfig::default()
     };
     let (handle, running) = start(cfg);
@@ -152,11 +140,9 @@ fn stalled_reader(reactor: ReactorMode, expect_timeout_stat: bool) {
 
     // The defense is observable and the server is unharmed.
     let mut c = Client::connect(addr);
-    if expect_timeout_stat {
-        let resp = c.get("/stats");
-        assert_eq!(resp.status, 200);
-        assert!(stat(&resp.body, "timeouts") >= 1, "{}", resp.body);
-    }
+    let resp = c.get("/stats");
+    assert_eq!(resp.status, 200);
+    assert!(stat(&resp.body, "timeouts") >= 1, "{}", resp.body);
     assert_eq!(c.get("/q/cpu?idx=1").status, 200);
     drop(c);
 
@@ -169,28 +155,15 @@ fn stalled_reader(reactor: ReactorMode, expect_timeout_stat: bool) {
     );
 }
 
-/// Graceful drain accounting, both modes: idle keep-alive connections are
+/// Graceful drain accounting: idle keep-alive connections are
 /// closed, a half-sent request is answered `408 server shutting down`, and
 /// — the counter-leak regression — `open_connections` returns to exactly
 /// zero once `run` returns.
 #[test]
 fn graceful_drain_accounts_for_every_connection() {
-    graceful_drain(ReactorMode::Reactor);
-}
-
-#[test]
-fn graceful_drain_accounts_for_every_connection_threaded() {
-    graceful_drain(ReactorMode::Threaded);
-}
-
-fn graceful_drain(reactor: ReactorMode) {
     let cfg = ServeConfig {
-        // Four connections participate; in threaded mode each pins a worker
-        // for its whole keep-alive lifetime (the very starvation the
-        // reactor removes), so the pool must cover all of them.
         threads: 4,
         poll_interval: Duration::from_millis(10),
-        reactor,
         ..ServeConfig::default()
     };
     let (handle, running) = start(cfg);

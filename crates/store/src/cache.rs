@@ -6,11 +6,13 @@
 //! costs a header parse and an allocation, about a microsecond; serving a
 //! point query from an opened view costs a handful of rank/select probes.
 //! A server answering many queries against a working set of segments
-//! therefore still wants opened views kept around. The cache is sharded to keep lock hold times short under concurrent readers: a key
-//! maps to one of up to [`MAX_SHARDS`] independently locked maps, and
-//! eviction is least-recently-used per shard (exact LRU via a monotone
-//! global tick; the per-shard scan is over at most `capacity / shards`
-//! entries).
+//! therefore still wants opened views kept around.
+//!
+//! The cache is sharded to keep lock hold times short under concurrent
+//! readers: a key maps to one of up to [`MAX_SHARDS`] independently locked
+//! maps, and eviction is least-recently-used per shard (exact LRU via a
+//! monotone global tick; the per-shard scan is over at most
+//! `capacity / shards` entries).
 //!
 //! Two [`CacheSharding`] policies decide *which* shard a lookup touches:
 //!

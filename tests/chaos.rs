@@ -16,7 +16,7 @@
 //! serialize on a static lock and clear the registry on exit.
 
 use neats::ingest::{BackgroundConfig, FsyncPolicy, IngestConfig, Ingestor};
-use neats::serve::{ReactorMode, ServeConfig, Server, ServerHandle};
+use neats::serve::{ServeConfig, Server, ServerHandle};
 use neats::store::{Store, StoreConfig, StoreWriter};
 use neats_core::failpoint;
 use std::io::{Read, Write};
@@ -139,25 +139,12 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 /// pinning connections go away.
 #[test]
 fn overload_sheds_cleanly_and_recovers() {
-    // Both serving disciplines must satisfy the same shed contract; the
-    // explicit modes keep this coverage even if the Auto default changes.
-    overload_chaos(ReactorMode::Threaded);
-}
-
-#[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reactor mode requires epoll")]
-fn overload_sheds_cleanly_and_recovers_reactor() {
-    overload_chaos(ReactorMode::Reactor);
-}
-
-fn overload_chaos(reactor: ReactorMode) {
     let _guard = serialized();
     let cfg = ServeConfig {
         threads: 2,
         max_connections: 2,
         queue_watermark: 1000,
         poll_interval: Duration::from_millis(10),
-        reactor,
         ..ServeConfig::default()
     };
     let server = Server::bind(demo_pack(&[("cpu", 500)]), "127.0.0.1:0", cfg).unwrap();
