@@ -1,5 +1,6 @@
-//! The in-memory mutable head of one series: a raw tail plus
-//! SNeaTS-compressed chunks, positioned after the sealed pack data.
+//! The in-memory mutable head of one series: a raw tail plus chunks
+//! compressed with the configured `IngestConfig::builder`, positioned after
+//! the sealed pack data.
 
 use neats_core::NeaTSCompressed;
 use timeseries::CompressedSeries;

@@ -7,7 +7,7 @@ use crate::manifest::{self, Manifest};
 use crate::wal::{FsyncPolicy, Wal, WalOp};
 use neats_core::{AtomicHistogram, NeaTSBuilder};
 use neats_store::{
-    CacheSharding, CacheStats, RangeScratch, Store, StoreConfig, StoreError, StoreMode,
+    check_stamps, CacheSharding, CacheStats, RangeScratch, Store, StoreConfig, StoreError, StoreMode,
     StoreOptions, StoreWriter,
 };
 use std::collections::HashSet;
@@ -24,7 +24,7 @@ use timeseries::TimeSeries;
 #[derive(Clone, Debug)]
 pub struct IngestConfig {
     /// Points per compressed head chunk: the head's raw tail is compressed
-    /// with the SNeaTS streaming pipeline whenever it reaches this size.
+    /// with [`Self::builder`] whenever it reaches this size.
     pub chunk_points: usize,
     /// Background auto-seal threshold: seal when the compressed (chunked)
     /// head points across all series reach this count.
@@ -409,14 +409,9 @@ impl Ingestor {
         if self.degraded_flag.load(Ordering::SeqCst) {
             return Err(self.degraded_error());
         }
-        for (i, w) in stamps.windows(2).enumerate() {
-            if w[1] <= w[0] {
-                return Err(StoreError::TimestampOrder {
-                    series: series.to_string(),
-                    index: i + 1,
-                });
-            }
-        }
+        // Before the WAL: a logged batch is an acknowledged one, so it must
+        // be one a seal can encode. The floor is checked under the lock.
+        check_stamps(series, stamps, None)?;
 
         let mut w = lockm(&self.writer);
         // Degraded mode is entered and cleared under this lock, so this
@@ -1389,6 +1384,7 @@ impl Drop for BackgroundHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neats_store::MAX_TIMESTAMP;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -1473,6 +1469,36 @@ mod tests {
         let ing = Ingestor::open(&dir, small_cfg()).unwrap();
         assert_eq!(ing.get("a", 0).unwrap(), 99);
         assert_eq!(ing.len("a").unwrap(), 1);
+        drop(ing);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An acknowledged batch must be sealable. A span of `u64::MAX` is not:
+    /// its Elias-Fano universe overflows, so the seal would panic under the
+    /// writer lock or write a timestamp blob that never verifies (the series
+    /// `Quarantined` for ever, across reopens).
+    #[test]
+    fn timestamp_u64_max_is_rejected_before_the_wal() {
+        let dir = tmp_dir("stamp_max");
+        let ing = Ingestor::open(&dir, small_cfg()).unwrap();
+        assert_eq!(
+            ing.append("s", &[0, u64::MAX], &[1, 2]),
+            Err(StoreError::TimestampUnrepresentable { series: "s".into(), index: 1 })
+        );
+        assert!(ing.series_names().is_empty(), "a rejected batch leaves no trace");
+        // The widest span there is seals, reopens and reads back.
+        ing.append("s", &[0, MAX_TIMESTAMP], &[1, 2]).unwrap();
+        assert_eq!(ing.flush().unwrap(), 1);
+        drop(ing);
+        let ing = Ingestor::open(&dir, small_cfg()).unwrap();
+        assert_eq!(ing.len("s").unwrap(), 2);
+        assert_eq!(ing.get("s", 1).unwrap(), 2);
+        assert_eq!(ing.timestamp("s", 1).unwrap(), MAX_TIMESTAMP);
+        assert_eq!(ing.at_time("s", MAX_TIMESTAMP).unwrap(), Some(2));
+        assert_eq!(ing.at_time("s", u64::MAX).unwrap(), None);
+        let mut out = Vec::new();
+        ing.range_by_time("s", 1, u64::MAX, &mut out).unwrap();
+        assert_eq!(out, vec![(MAX_TIMESTAMP, 2)]);
         drop(ing);
         fs::remove_dir_all(&dir).unwrap();
     }

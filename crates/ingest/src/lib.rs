@@ -20,9 +20,9 @@
 //!   a consistent generation.
 //!
 //! In memory, each series keeps a mutable **head**: recent points held as a
-//! raw tail plus SNeaTS-compressed chunks (the
-//! [`neats_core::NeaTSWriter`] streaming layout). When enough chunks
-//! accumulate, [`Ingestor::seal`] folds them into the pack as
+//! raw tail plus chunks compressed with the configured
+//! [`IngestConfig::builder`] (full-pool NeaTS by default), each a
+//! self-contained archive frame. When enough chunks accumulate, [`Ingestor::seal`] folds them into the pack as
 //! pre-compressed segments — no recompression — writes a rotated WAL
 //! carrying only the unsealed tails, commits the new generation, and swaps
 //! the readers' view. Readers never block on any of this: a query takes one

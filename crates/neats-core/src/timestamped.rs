@@ -52,6 +52,13 @@ pub enum TimestampError {
         /// Length of the value column.
         values: usize,
     },
+    /// A timestamp above [`EliasFano::MAX_VALUE`]: `u64::MAX` is reserved,
+    /// because the index's universe — the time span plus one — must fit a
+    /// `u64`.
+    Unrepresentable {
+        /// Position of the offending timestamp.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for TimestampError {
@@ -62,6 +69,9 @@ impl std::fmt::Display for TimestampError {
             }
             TimestampError::LengthMismatch { timestamps, values } => {
                 write!(f, "{timestamps} timestamps vs {values} values")
+            }
+            TimestampError::Unrepresentable { index } => {
+                write!(f, "timestamp at index {index} exceeds the largest storable timestamp")
             }
         }
     }
@@ -87,6 +97,10 @@ impl TimestampedNeaTS {
             if w[1] <= w[0] {
                 return Err(TimestampError::NotStrictlyIncreasing { index: i + 1 });
             }
+        }
+        // Strictly increasing, so only the last stamp can be the reserved one.
+        if timestamps.last().is_some_and(|&t| t > EliasFano::MAX_VALUE) {
+            return Err(TimestampError::Unrepresentable { index: timestamps.len() - 1 });
         }
         let base = timestamps.first().copied().unwrap_or(0);
         let rebased: Vec<u64> = timestamps.iter().map(|&t| t - base).collect();
@@ -155,10 +169,9 @@ impl TimestampedNeaTS {
         }
         let mut values = Vec::with_capacity(end - first);
         self.values.scan_range(first, end - first, &mut values);
-        out.reserve(end - first);
-        for (off, v) in values.into_iter().enumerate() {
-            out.push((self.base + self.timestamps.get(first + off), v));
-        }
+        // One seek, then a sequential walk of the stamp column.
+        let stamps = self.timestamps.iter_from(first).map(|t| self.base + t);
+        out.extend(stamps.zip(values));
     }
 
     /// The underlying compressed value column.
@@ -245,6 +258,15 @@ mod tests {
         assert_eq!(err, TimestampError::NotStrictlyIncreasing { index: 1 });
         let err = TimestampedNeaTS::compress(&[1, 2], &values, &NeaTS::builder()).unwrap_err();
         assert!(matches!(err, TimestampError::LengthMismatch { .. }));
+        let err = TimestampedNeaTS::compress(&[0, 1, u64::MAX], &values, &NeaTS::builder()).unwrap_err();
+        assert_eq!(err, TimestampError::Unrepresentable { index: 2 });
+        // The widest span there is stays queryable.
+        let widest = [0, 1, EliasFano::MAX_VALUE];
+        let c = TimestampedNeaTS::compress(&widest, &values, &NeaTS::builder()).unwrap();
+        assert_eq!(c.get_at(EliasFano::MAX_VALUE), Some(3));
+        let mut out = Vec::new();
+        c.range_by_time(1, u64::MAX, &mut out);
+        assert_eq!(out, vec![(1, 2), (EliasFano::MAX_VALUE, 3)]);
     }
 
     #[test]

@@ -944,6 +944,36 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One request must not be able to lose acknowledged data: a batch
+    /// spanning `0..=u64::MAX` cannot be sealed (its Elias-Fano universe
+    /// overflows), so it is refused rather than answered `#0 ok 2`.
+    #[test]
+    fn write_of_timestamp_u64_max_is_a_400_and_leaves_the_series_untouched() {
+        let dir = std::env::temp_dir().join(format!("neats-serve-stampmax-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let src = Source::from(Ingestor::open(&dir, IngestConfig::default()).unwrap());
+        let stats = ServerStats::new();
+        let obs = Obs::disabled();
+
+        let resp = call(&src, &stats, &obs, 1, &post("/write", b"s 0 1\ns 18446744073709551615 2"));
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8(resp.body).unwrap();
+        assert!(text.starts_with("#0 err 400 "), "{text}");
+        assert!(text.contains("largest storable timestamp"), "{text}");
+        assert!(text.ends_with("#done 1\n"), "{text}");
+        // The batch is all-or-nothing: not even its first point exists.
+        assert_eq!(query(&src, "s", "idx=0").unwrap_err().0, 404);
+
+        // One below the reserved stamp is stored, sealed and served.
+        let resp = call(&src, &stats, &obs, 1, &post("/write", b"s 0 1\ns 18446744073709551614 2"));
+        assert!(resp.body.starts_with(b"#0 ok 2\n"));
+        src.live().unwrap().flush().unwrap();
+        let (body, _) = query(&src, "s", "t=18446744073709551614").unwrap();
+        assert_eq!(body, b"2\n");
+        drop(src);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn write_line_parser() {
         assert_eq!(parse_write_line("cpu 12 -3").unwrap(), ("cpu", 12, -3));

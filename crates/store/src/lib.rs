@@ -82,9 +82,16 @@ mod writer;
 pub use cache::{CacheSharding, CacheStats};
 pub use format::{SegmentMeta, SeriesEntry, StoreMode};
 pub use store::{RangeScratch, Store, StoreOptions};
-pub use writer::{StoreConfig, StoreWriter, DEFAULT_SEGMENT_POINTS};
+pub use writer::{check_stamps, StoreConfig, StoreWriter, DEFAULT_SEGMENT_POINTS};
 
-use succinct::WireError;
+use succinct::{EliasFano, WireError};
+
+/// The largest timestamp a pack can hold. A segment's stamps are stored as
+/// an Elias-Fano sequence rebased to the segment's first, whose universe —
+/// the time span plus one — must itself fit a `u64`; reserving `u64::MAX`
+/// keeps every span representable however a series is later cut into
+/// segments.
+pub const MAX_TIMESTAMP: u64 = EliasFano::MAX_VALUE;
 
 /// Errors from building, opening, or querying a pack.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,6 +122,13 @@ pub enum StoreError {
     /// An ingested batch whose timestamps do not strictly increase (within
     /// the batch, or relative to the series' last stored timestamp).
     TimestampOrder {
+        /// The series being ingested.
+        series: String,
+        /// Position of the offending timestamp within the batch.
+        index: usize,
+    },
+    /// An ingested timestamp above [`MAX_TIMESTAMP`].
+    TimestampUnrepresentable {
         /// The series being ingested.
         series: String,
         /// Position of the offending timestamp within the batch.
@@ -176,6 +190,12 @@ impl std::fmt::Display for StoreError {
                 write!(
                     f,
                     "series {series:?}: timestamp at batch index {index} does not increase"
+                )
+            }
+            StoreError::TimestampUnrepresentable { series, index } => {
+                write!(
+                    f,
+                    "series {series:?}: timestamp at batch index {index} exceeds the largest storable timestamp {MAX_TIMESTAMP}"
                 )
             }
             StoreError::LengthMismatch { timestamps, values } => {

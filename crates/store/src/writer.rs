@@ -1,7 +1,7 @@
 //! Building packs: batch ingestion, segmentation, and parallel compression.
 
 use crate::format::{self, SegmentMeta, SeriesEntry, StoreMode};
-use crate::StoreError;
+use crate::{StoreError, MAX_TIMESTAMP};
 use neats_core::parallel::{effective_threads, parallel_map_indexed};
 use neats_core::{ArchiveFlavor, ArchiveView, NeaTSBuilder};
 use succinct::{crc64, EliasFano, Wire, WireWriter};
@@ -60,6 +60,33 @@ impl WriterSeries {
             .or_else(|| self.pending_sealed.last().and_then(|(_, t)| t.last().copied()))
             .or_else(|| self.committed.last().map(|m| m.t_max))
     }
+}
+
+/// The timestamp rules of every write path, for one batch of `name`: each
+/// stamp must exceed its predecessor (`last`, the series' newest stored
+/// stamp, for the first) and none may exceed [`MAX_TIMESTAMP`].
+pub fn check_stamps(name: &str, stamps: &[u64], mut last: Option<u64>) -> Result<(), StoreError> {
+    for (index, &t) in stamps.iter().enumerate() {
+        if last.is_some_and(|p| t <= p) {
+            return Err(StoreError::TimestampOrder { series: name.to_string(), index });
+        }
+        if t > MAX_TIMESTAMP {
+            return Err(StoreError::TimestampUnrepresentable { series: name.to_string(), index });
+        }
+        last = Some(t);
+    }
+    Ok(())
+}
+
+/// A segment's timestamp blob: its first stamp, then the stamps rebased to
+/// it as an Elias-Fano sequence (the universe is the time *span*).
+fn timestamp_blob(stamps: &[u64]) -> Vec<u8> {
+    let base_t = stamps[0];
+    let rebased: Vec<u64> = stamps.iter().map(|&x| x - base_t).collect();
+    let mut w = WireWriter::new();
+    w.u64(base_t);
+    EliasFano::new(&rebased).write(&mut w);
+    w.finish()
 }
 
 /// Builds a pack: ingests `(series, timestamps, values)` batches, splits
@@ -154,13 +181,7 @@ impl StoreWriter {
             }
         };
         let s = &mut self.series[slot];
-        let mut last = s.last_timestamp();
-        for (i, &t) in timestamps.iter().enumerate() {
-            if last.map(|p| t <= p).unwrap_or(false) {
-                return Err(StoreError::TimestampOrder { series: name.to_string(), index: i });
-            }
-            last = Some(t);
-        }
+        check_stamps(name, timestamps, s.last_timestamp())?;
         s.pending_t.extend_from_slice(timestamps);
         s.pending_v.extend_from_slice(values);
         Ok(())
@@ -228,13 +249,7 @@ impl StoreWriter {
         if !s.pending_t.is_empty() {
             return Err(StoreError::Corrupt("pre-compressed segment after raw pending batch"));
         }
-        let mut last = s.last_timestamp();
-        for (i, &t) in stamps.iter().enumerate() {
-            if last.map(|p| t <= p).unwrap_or(false) {
-                return Err(StoreError::TimestampOrder { series: name.to_string(), index: i });
-            }
-            last = Some(t);
-        }
+        check_stamps(name, stamps, s.last_timestamp())?;
         s.pending_sealed.push((frame.to_vec(), stamps.to_vec()));
         Ok(())
     }
@@ -295,12 +310,7 @@ impl StoreWriter {
                 StoreMode::Lossless => inner.build(&ts).to_bytes(),
                 StoreMode::Lossy { eps } => inner.build_lossy(&ts, eps).to_bytes(),
             };
-            let base_t = t.stamps[0];
-            let rebased: Vec<u64> = t.stamps.iter().map(|&x| x - base_t).collect();
-            let mut w = WireWriter::new();
-            w.u64(base_t);
-            EliasFano::new(&rebased).write(&mut w);
-            (frame, w.finish())
+            (frame, timestamp_blob(t.stamps))
         });
 
         // Append blobs in task order and assemble the catalog.
@@ -321,12 +331,7 @@ impl StoreWriter {
                 let first_index = entry.len();
                 let data_offset = base.len();
                 base.extend_from_slice(frame);
-                let base_t = stamps[0];
-                let rebased: Vec<u64> = stamps.iter().map(|&x| x - base_t).collect();
-                let mut w = WireWriter::new();
-                w.u64(base_t);
-                EliasFano::new(&rebased).write(&mut w);
-                let ts_blob = w.finish();
+                let ts_blob = timestamp_blob(stamps);
                 let ts_offset = base.len();
                 base.extend_from_slice(&ts_blob);
                 entry.segments.push(SegmentMeta {
@@ -391,6 +396,17 @@ mod tests {
             Err(StoreError::TimestampOrder { index: 0, .. })
         ));
         w.ingest("a", &[4], &[40]).unwrap();
+        // `u64::MAX` is reserved, in a raw batch and beside a sealed frame.
+        assert_eq!(
+            w.ingest("a", &[5, u64::MAX], &[1, 2]),
+            Err(StoreError::TimestampUnrepresentable { series: "a".into(), index: 1 })
+        );
+        let frame = StoreConfig::default().builder.build(&TimeSeries::from_values(vec![1, 2])).to_bytes();
+        assert_eq!(
+            w.append_compressed_segment("b", &frame, &[0, u64::MAX]),
+            Err(StoreError::TimestampUnrepresentable { series: "b".into(), index: 1 })
+        );
+        w.ingest("a", &[MAX_TIMESTAMP], &[50]).unwrap();
     }
 
     #[test]

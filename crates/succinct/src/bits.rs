@@ -2,16 +2,20 @@
 //!
 //! The corrections stream `C` of the NeaTS layout (paper §III-C) is a plain
 //! bit string where the i-th fragment's residuals occupy a contiguous run of
-//! fixed-width codes. [`BitBuf`] provides the append (compression-time) and
-//! random-access read (query-time) operations over a `Vec<u64>` backing store.
+//! fixed-width codes. [`BitBuf`] provides the append (compression-time)
+//! operation over owned words and the random-access read (query-time)
+//! operation over any [`Words`] storage.
 
-/// An append-only, randomly-readable bit buffer.
+use crate::views::{U64sView, Words};
+use crate::wire::{Wire, WireError, WireReader, WireWriter};
+
+/// A randomly-readable bit string; append-only while its words are owned.
 ///
 /// Bits are stored LSB-first within each 64-bit word: the bit at global
 /// position `p` lives in word `p / 64` at bit `p % 64`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BitBuf {
-    words: Vec<u64>,
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BitBuf<W = Vec<u64>> {
+    words: W,
     /// Number of valid bits.
     len: usize,
 }
@@ -25,21 +29,6 @@ impl BitBuf {
     /// Creates an empty buffer with room for `bits` bits.
     pub fn with_capacity(bits: usize) -> Self {
         Self { words: Vec::with_capacity(bits.div_ceil(64)), len: 0 }
-    }
-
-    /// Number of bits written so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer contains no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Size of the backing store in bytes (capacity-trimmed).
-    pub fn size_in_bytes(&self) -> usize {
-        self.len.div_ceil(8)
     }
 
     /// Appends the `width` low bits of `value` (`width` ≤ 64).
@@ -68,6 +57,34 @@ impl BitBuf {
         self.push_bits(bit as u64, 1);
     }
 
+    /// Builds a buffer from raw words and a bit length.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert!(len <= words.len() * 64);
+        Self { words, len }
+    }
+
+    /// Shrinks the backing allocation to fit.
+    pub fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+    }
+}
+
+impl<W: Words> BitBuf<W> {
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the buffer contains no bits.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Size of the bit string in bytes (capacity-trimmed).
+    pub fn size_in_bytes(&self) -> usize {
+        self.len.div_ceil(8)
+    }
+
     /// Reads `width` bits starting at bit position `pos` (`width` ≤ 64).
     ///
     /// # Panics
@@ -81,12 +98,8 @@ impl BitBuf {
         }
         let word = pos / 64;
         let bit = pos % 64;
-        let lo = self.words[word] >> bit;
-        let value = if bit + width <= 64 {
-            lo
-        } else {
-            lo | (self.words[word + 1] << (64 - bit))
-        };
+        let lo = self.words.get(word) >> bit;
+        let value = if bit + width <= 64 { lo } else { lo | (self.words.get(word + 1) << (64 - bit)) };
         if width == 64 {
             value
         } else {
@@ -98,23 +111,37 @@ impl BitBuf {
     #[inline]
     pub fn get_bit(&self, pos: usize) -> bool {
         debug_assert!(pos < self.len);
-        (self.words[pos / 64] >> (pos % 64)) & 1 == 1
+        (self.words.get(pos / 64) >> (pos % 64)) & 1 == 1
     }
 
-    /// The raw backing words (the final word may contain garbage above `len`).
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    /// The raw backing words (the final word of an owned buffer may contain
+    /// garbage above `len`).
+    pub fn words(&self) -> W::Cursor<'_> {
+        self.words.cursor()
     }
 
-    /// Builds a buffer from raw words and a bit length.
-    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
-        assert!(len <= words.len() * 64);
-        Self { words, len }
+    /// The same bits behind a `Copy` handle, for iterators to hold.
+    pub(crate) fn cursor(&self) -> BitBuf<W::Cursor<'_>> {
+        BitBuf { words: self.words.cursor(), len: self.len }
     }
+}
 
-    /// Shrinks the backing allocation to fit.
-    pub fn shrink_to_fit(&mut self) {
-        self.words.shrink_to_fit();
+impl Wire for BitBuf {
+    fn write(&self, w: &mut WireWriter) {
+        w.u64(self.len as u64);
+        w.u64_slice(&self.words);
+    }
+}
+
+impl<'a> BitBuf<U64sView<'a>> {
+    /// Parses the wire encoding, borrowing the payload.
+    pub fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        let len = r.read_len()?;
+        let words = r.u64s_ref()?;
+        if len > words.len() * 64 || (len > 0 && words.len() > len.div_ceil(64)) {
+            return Err(WireError::Corrupt("BitBuf length"));
+        }
+        Ok(Self { words, len })
     }
 }
 

@@ -9,19 +9,22 @@
 //! `rank` on `S` plus wavelet-matrix traversals) cares about.
 
 use crate::bits::BitBuf;
+use crate::views::{Halves, U16sView, U64sView, Words};
+use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
 const WORDS_PER_BLOCK: usize = 8; // 512-bit superblocks
 
 /// An immutable bitvector supporting `rank1`, `rank0`, `select1`, `select0`.
-#[derive(Clone, Debug)]
-pub struct BitVector {
-    words: Vec<u64>,
+#[derive(Clone, Copy, Debug)]
+pub struct BitVector<W = Vec<u64>, H = Vec<u16>> {
+    words: W,
     len: usize,
-    /// `block_rank[i]` = number of ones before bit `i * 512`.
-    block_rank: Vec<u64>,
+    /// `block_rank[i]` = number of ones before bit `i * 512`, plus the total
+    /// as a last entry.
+    block_rank: W,
     /// `sub_rank[i]` = ones in the superblock of word `i` before word `i`,
     /// relative to the superblock start (fits in 9 bits; stored flat).
-    sub_rank: Vec<u16>,
+    sub_rank: H,
     ones: usize,
 }
 
@@ -66,6 +69,14 @@ impl BitVector {
         let ones = total as usize;
         Self { words, len, block_rank, sub_rank, ones }
     }
+}
+
+impl<W: Words, H: Halves> BitVector<W, H> {
+    /// Filler for the unused tail of [`crate::WaveletMatrix`]'s inline level
+    /// array; never probed.
+    pub(crate) fn unused() -> Self {
+        Self { words: W::default(), len: 0, block_rank: W::default(), sub_rank: H::default(), ones: 0 }
+    }
 
     /// Number of bits.
     pub fn len(&self) -> usize {
@@ -91,7 +102,7 @@ impl BitVector {
     #[inline]
     pub fn get(&self, pos: usize) -> bool {
         debug_assert!(pos < self.len);
-        (self.words[pos / 64] >> (pos % 64)) & 1 == 1
+        (self.words.get(pos / 64) >> (pos % 64)) & 1 == 1
     }
 
     /// Number of ones strictly before `pos`. `pos` may equal `len`.
@@ -106,8 +117,13 @@ impl BitVector {
         if word == self.words.len() {
             return self.ones;
         }
-        let base = self.block_rank[word / WORDS_PER_BLOCK] as usize + self.sub_rank[word] as usize;
-        let partial = if bit == 0 { 0 } else { (self.words[word] & ((1u64 << bit) - 1)).count_ones() as usize };
+        let base = self.block_rank.get(word / WORDS_PER_BLOCK) as usize
+            + self.sub_rank.get(word) as usize;
+        let partial = if bit == 0 {
+            0
+        } else {
+            (self.words.get(word) & ((1u64 << bit) - 1)).count_ones() as usize
+        };
         base + partial
     }
 
@@ -117,46 +133,57 @@ impl BitVector {
         pos - self.rank1(pos)
     }
 
-    /// Position of the `k`-th one (0-based). Returns `None` if `k >= count_ones()`.
+    /// Position of the `k`-th one (0-based), or `None` if `k >= count_ones()`.
     ///
     /// Binary search over the rank directory (superblocks, then the ≤8
     /// relative counts of one superblock, then one word): O(log n) probes
-    /// touching at most three cache lines, with a sampled starting hint.
+    /// touching at most three cache lines.
     pub fn select1(&self, k: usize) -> Option<usize> {
         if k >= self.ones {
             return None;
         }
-        // Superblock: largest blk with block_rank[blk] ≤ k.
-        let blk = self.block_rank.partition_point(|&r| r as usize <= k) - 1;
+        // Superblock: largest blk with block_rank[blk] ≤ k (partition point).
+        let mut lo = 0usize;
+        let mut hi = self.block_rank.len();
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.block_rank.get(mid) as usize <= k {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let blk = lo - 1;
         // Word within the superblock via the u16 relative counts.
-        let base = self.block_rank[blk] as usize;
+        let base = self.block_rank.get(blk) as usize;
         let rel = k - base;
         let w_lo = blk * WORDS_PER_BLOCK;
         let w_hi = (w_lo + WORDS_PER_BLOCK).min(self.words.len());
         let mut w = w_lo;
         for cand in (w_lo + 1)..w_hi {
-            if (self.sub_rank[cand] as usize) <= rel {
+            if (self.sub_rank.get(cand) as usize) <= rel {
                 w = cand;
             } else {
                 break;
             }
         }
-        let count = base + self.sub_rank[w] as usize;
-        Some(w * 64 + select_in_word(self.words[w], k - count))
+        let count = base + self.sub_rank.get(w) as usize;
+        Some(w * 64 + select_in_word(self.words.get(w), k - count))
     }
 
-    /// Position of the `k`-th zero (0-based). Returns `None` if `k >= count_zeros()`.
+    /// Position of the `k`-th zero (0-based), or `None` if `k >= count_zeros()`.
     pub fn select0(&self, k: usize) -> Option<usize> {
         if k >= self.len - self.ones {
             return None;
         }
-        // zeros before superblock blk = blk·512 − block_rank[blk]; manual
-        // binary search since the key is derived, not stored.
+        // zeros before superblock blk = blk·512 − block_rank[blk]; the key is
+        // derived, not stored.
         let mut lo = 0usize;
         let mut hi = self.block_rank.len() - 1; // block_rank has n_blocks+1 entries
         while lo + 1 < hi {
             let mid = (lo + hi) / 2;
-            let zeros_before = (mid * WORDS_PER_BLOCK * 64).min(self.len) - self.block_rank[mid] as usize;
+            let zeros_before =
+                (mid * WORDS_PER_BLOCK * 64).min(self.len) - self.block_rank.get(mid) as usize;
             if zeros_before <= k {
                 lo = mid;
             } else {
@@ -164,38 +191,26 @@ impl BitVector {
             }
         }
         let blk = lo;
-        let base = (blk * WORDS_PER_BLOCK * 64).min(self.len) - self.block_rank[blk] as usize;
+        let base = (blk * WORDS_PER_BLOCK * 64).min(self.len) - self.block_rank.get(blk) as usize;
         let rel = k - base;
         let w_lo = blk * WORDS_PER_BLOCK;
         let w_hi = (w_lo + WORDS_PER_BLOCK).min(self.words.len());
         let mut w = w_lo;
         for cand in (w_lo + 1)..w_hi {
-            let zeros_in_prefix = (cand - w_lo) * 64 - self.sub_rank[cand] as usize;
+            let zeros_in_prefix = (cand - w_lo) * 64 - self.sub_rank.get(cand) as usize;
             if zeros_in_prefix <= rel {
                 w = cand;
             } else {
                 break;
             }
         }
-        let count = base + (w - w_lo) * 64 - self.sub_rank[w] as usize;
-        Some(w * 64 + select_in_word(!self.words[w], k - count))
+        let count = base + (w - w_lo) * 64 - self.sub_rank.get(w) as usize;
+        Some(w * 64 + select_in_word(!self.words.get(w), k - count))
     }
 
-    /// The raw payload words (for persistence; directories are rebuilt on
-    /// load).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// The superblock rank directory (one absolute count per 512 bits, plus
-    /// the total), persisted so zero-copy views can rank without a rebuild.
-    pub(crate) fn block_rank_slice(&self) -> &[u64] {
-        &self.block_rank
-    }
-
-    /// The per-word relative rank directory (see [`Self::block_rank_slice`]).
-    pub(crate) fn sub_rank_slice(&self) -> &[u16] {
-        &self.sub_rank
+    /// The raw payload words.
+    pub fn words(&self) -> W::Cursor<'_> {
+        self.words.cursor()
     }
 
     /// Streaming iterator over the positions of all set bits, in order.
@@ -203,29 +218,105 @@ impl BitVector {
     /// A single forward scan of the payload words — O(len/64 + ones) for the
     /// whole walk with no directory probes, versus `select1` per element
     /// (a binary search each). Use for sequential decompression-style walks.
-    pub fn iter_ones(&self) -> OnesIter<'_> {
-        OnesIter { words: &self.words, word_idx: 0, cur: self.words.first().copied().unwrap_or(0), remaining: self.ones }
+    pub fn iter_ones(&self) -> OnesIter<W::Cursor<'_>> {
+        OnesIter {
+            words: self.words.cursor(),
+            word_idx: 0,
+            cur: if self.words.is_empty() { 0 } else { self.words.get(0) },
+            remaining: self.ones,
+        }
     }
 
-    /// Heap size of the structure in bytes (payload + directories).
+    /// [`Self::iter_ones`] starting at the `k`-th one (0-based): one
+    /// [`Self::select1`] to seek, then the same forward scan. Empty when
+    /// `k >= count_ones()`.
+    pub fn iter_ones_from(&self, k: usize) -> OnesIter<W::Cursor<'_>> {
+        let (word_idx, cur) = match self.select1(k) {
+            Some(pos) => (pos / 64, self.words.get(pos / 64) & (!0u64 << (pos % 64))),
+            None => (0, 0),
+        };
+        OnesIter { words: self.words.cursor(), word_idx, cur, remaining: self.ones.saturating_sub(k) }
+    }
+
+    /// Payload plus rank directories in bytes.
     pub fn size_in_bytes(&self) -> usize {
-        self.words.len() * 8
-            + self.block_rank.len() * 8
-            + self.sub_rank.len() * 2
+        self.words.len() * 8 + self.block_rank.len() * 8 + self.sub_rank.len() * 2
     }
 }
 
-/// Streaming iterator over set-bit positions (see [`BitVector::iter_ones`]).
-#[derive(Clone, Debug)]
-pub struct OnesIter<'a> {
-    words: &'a [u64],
+impl Wire for BitVector {
+    fn write(&self, w: &mut WireWriter) {
+        // The rank/select directories are persisted alongside the payload so
+        // a borrowed read answers rank/select without an O(n) rebuild.
+        w.u64(self.len as u64);
+        w.u64_slice(&self.words);
+        w.u64_slice(&self.block_rank);
+        w.u16_slice(&self.sub_rank);
+    }
+}
+
+impl<'a> BitVector<U64sView<'a>, U16sView<'a>> {
+    /// Parses the wire encoding, borrowing payload and directories. Checks
+    /// every *structural* invariant (exact section lengths, masked trailing
+    /// bits); directory *contents* are checked by [`Self::validate`].
+    pub fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        let len = r.read_len()?;
+        let words = r.u64s_ref()?;
+        let block_rank = r.u64s_ref()?;
+        let sub_rank = r.u16s_ref()?;
+        if words.len() != len.div_ceil(64) {
+            return Err(WireError::Corrupt("BitVector word count"));
+        }
+        if !len.is_multiple_of(64) && !words.is_empty() && words.get(words.len() - 1) >> (len % 64) != 0 {
+            return Err(WireError::Corrupt("BitVector garbage bits"));
+        }
+        if block_rank.len() != words.len().div_ceil(WORDS_PER_BLOCK) + 1 {
+            return Err(WireError::Corrupt("BitVector block directory size"));
+        }
+        if sub_rank.len() != words.len() {
+            return Err(WireError::Corrupt("BitVector sub directory size"));
+        }
+        let ones = block_rank.get(block_rank.len() - 1);
+        if ones as usize > len {
+            return Err(WireError::Corrupt("BitVector ones count"));
+        }
+        Ok(Self { words, len, block_rank, sub_rank, ones: ones as usize })
+    }
+
+    /// Verifies the persisted directories against the payload in one
+    /// streaming popcount pass (no allocation). After this succeeds, every
+    /// `rank`/`select` probe is in bounds by construction.
+    pub fn validate(&self) -> Result<(), WireError> {
+        let mut total = 0u64;
+        for w in 0..self.words.len() {
+            let blk = w / WORDS_PER_BLOCK;
+            if w % WORDS_PER_BLOCK == 0 && self.block_rank.get(blk) != total {
+                return Err(WireError::Corrupt("BitVector block directory"));
+            }
+            if self.sub_rank.get(w) as u64 != total - self.block_rank.get(blk) {
+                return Err(WireError::Corrupt("BitVector sub directory"));
+            }
+            total += self.words.get(w).count_ones() as u64;
+        }
+        if self.block_rank.get(self.block_rank.len() - 1) != total {
+            return Err(WireError::Corrupt("BitVector ones count"));
+        }
+        Ok(())
+    }
+}
+
+/// Streaming iterator over set-bit positions (see [`BitVector::iter_ones`]);
+/// `C` is the `Copy` word source — `&[u64]` or [`U64sView`].
+#[derive(Clone, Copy, Debug)]
+pub struct OnesIter<C> {
+    words: C,
     word_idx: usize,
     /// Unconsumed set bits of `words[word_idx]`.
     cur: u64,
     remaining: usize,
 }
 
-impl Iterator for OnesIter<'_> {
+impl<C: Words> Iterator for OnesIter<C> {
     type Item = usize;
 
     #[inline]
@@ -235,7 +326,7 @@ impl Iterator for OnesIter<'_> {
         }
         while self.cur == 0 {
             self.word_idx += 1;
-            self.cur = self.words[self.word_idx];
+            self.cur = self.words.get(self.word_idx);
         }
         let pos = self.word_idx * 64 + self.cur.trailing_zeros() as usize;
         self.cur &= self.cur - 1;
@@ -248,7 +339,7 @@ impl Iterator for OnesIter<'_> {
     }
 }
 
-impl ExactSizeIterator for OnesIter<'_> {}
+impl<C: Words> ExactSizeIterator for OnesIter<C> {}
 
 /// `select_in_byte[k * 256 + b]` = position of the `(k+1)`-th set bit of
 /// byte `b` (0 when `b` has fewer than `k+1` set bits — callers guarantee

@@ -7,29 +7,38 @@
 //! followed by a binary search within the bucket.
 
 use crate::bits::{bits_for, BitBuf};
-use crate::bitvec::BitVector;
+use crate::bitvec::{BitVector, OnesIter};
+use crate::views::{Halves, U16sView, U64sView, Words};
+use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// An Elias-Fano-coded monotone sequence.
-#[derive(Clone, Debug)]
-pub struct EliasFano {
+#[derive(Clone, Copy, Debug)]
+pub struct EliasFano<W = Vec<u64>, H = Vec<u16>> {
     /// Unary-coded high parts: for element i with high part h, bit
     /// `i + h` is set; zeros delimit buckets.
-    high: BitVector,
+    high: BitVector<W, H>,
     /// Packed low parts, `low_bits` each.
-    low: BitBuf,
+    low: BitBuf<W>,
     low_bits: usize,
     len: usize,
     universe: u64,
 }
 
 impl EliasFano {
+    /// The largest value a sequence may hold: the universe `last + 1` must
+    /// itself fit a `u64`.
+    pub const MAX_VALUE: u64 = u64::MAX - 1;
+
     /// Encodes `values`, which must be non-decreasing.
     ///
     /// # Panics
-    /// Panics if the sequence is decreasing.
+    /// Panics (in every build profile) if the sequence is decreasing or its
+    /// last value exceeds [`Self::MAX_VALUE`].
     pub fn new(values: &[u64]) -> Self {
         let len = values.len();
-        let universe = values.last().copied().map_or(0, |v| v + 1);
+        let universe = values.last().map_or(0, |&v| {
+            v.checked_add(1).expect("EliasFano values must not exceed EliasFano::MAX_VALUE")
+        });
         let low_bits = if len == 0 {
             0
         } else {
@@ -63,7 +72,9 @@ impl EliasFano {
         }
         Self { high: BitVector::from_bitbuf(&high), low, low_bits, len, universe }
     }
+}
 
+impl<W: Words, H: Halves> EliasFano<W, H> {
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.len
@@ -133,15 +144,9 @@ impl EliasFano {
         }
     }
 
-    /// Heap size in bytes.
+    /// High and low parts in bytes.
     pub fn size_in_bytes(&self) -> usize {
         self.high.size_in_bytes() + self.low.size_in_bytes()
-    }
-
-    /// Exposes the internal components for persistence
-    /// (`(high, low, low_bits, len, universe)`).
-    pub fn raw_parts(&self) -> (&BitVector, &BitBuf, usize, usize, u64) {
-        (&self.high, &self.low, self.low_bits, self.len, self.universe)
     }
 
     /// Streaming iterator over the elements in order.
@@ -150,45 +155,98 @@ impl EliasFano {
     /// cursor — O(len + high_words) for the full walk — instead of an O(1)
     /// but directory-probing `select1` per element. Sequential decompression
     /// walks the fragment `starts`/`offsets` arrays this way.
-    pub fn iter(&self) -> EliasFanoIter<'_> {
-        EliasFanoIter { ef: self, i: 0, ones: self.high.iter_ones() }
+    pub fn iter(&self) -> EliasFanoIter<W::Cursor<'_>> {
+        self.iter_from(0)
+    }
+
+    /// A sequential cursor over the elements from index `i` on
+    /// (`i <= len()`; `iter_from(len())` is empty): one `select1` to seek,
+    /// then the forward scan of [`Self::iter`] — reading `k` consecutive
+    /// elements costs one random access plus `k` sequential steps, where
+    /// `k` calls of [`Self::get`] cost `k` random accesses.
+    pub fn iter_from(&self, i: usize) -> EliasFanoIter<W::Cursor<'_>> {
+        debug_assert!(i <= self.len);
+        EliasFanoIter {
+            low: self.low.cursor(),
+            low_bits: self.low_bits,
+            len: self.len,
+            i,
+            // A full walk pays no seek.
+            ones: if i == 0 { self.high.iter_ones() } else { self.high.iter_ones_from(i) },
+        }
+    }
+}
+
+impl Wire for EliasFano {
+    fn write(&self, w: &mut WireWriter) {
+        w.u64(self.len as u64);
+        w.u64(self.universe);
+        w.u64(self.low_bits as u64);
+        self.high.write(w);
+        self.low.write(w);
+    }
+}
+
+impl<'a> EliasFano<U64sView<'a>, U16sView<'a>> {
+    /// Parses the wire encoding, borrowing the components.
+    pub fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        let len = r.read_len()?;
+        let universe = r.u64()?;
+        let low_bits = r.read_len()?;
+        if low_bits > 64 {
+            return Err(WireError::Corrupt("EliasFano low_bits"));
+        }
+        let high = BitVector::read(r)?;
+        let low = BitBuf::read(r)?;
+        if len.checked_mul(low_bits) != Some(low.len()) || high.count_ones() != len {
+            return Err(WireError::Corrupt("EliasFano parts"));
+        }
+        Ok(Self { high, low, low_bits, len, universe })
+    }
+
+    /// Verifies the high-bits rank directories (see
+    /// [`BitVector::validate`]).
+    pub fn validate(&self) -> Result<(), WireError> {
+        self.high.validate()
     }
 }
 
 /// Streaming iterator over an [`EliasFano`] sequence (see
-/// [`EliasFano::iter`]).
-#[derive(Clone, Debug)]
-pub struct EliasFanoIter<'a> {
-    ef: &'a EliasFano,
+/// [`EliasFano::iter_from`]); `C` is the `Copy` word source — `&[u64]` or
+/// [`U64sView`].
+#[derive(Clone, Copy, Debug)]
+pub struct EliasFanoIter<C> {
+    low: BitBuf<C>,
+    low_bits: usize,
+    len: usize,
     /// Next element index.
     i: usize,
     /// Forward scan over the unary-coded high parts.
-    ones: crate::bitvec::OnesIter<'a>,
+    ones: OnesIter<C>,
 }
 
-impl Iterator for EliasFanoIter<'_> {
+impl<C: Words> Iterator for EliasFanoIter<C> {
     type Item = u64;
 
     #[inline]
     fn next(&mut self) -> Option<u64> {
-        if self.i == self.ef.len {
+        if self.i == self.len {
             return None;
         }
         let pos = self.ones.next().expect("high bits hold one set bit per element");
         let h = (pos - self.i) as u64;
-        let lb = self.ef.low_bits;
-        let v = (h << lb) | self.ef.low.get_bits(self.i * lb, lb);
+        let v = (h << self.low_bits) | self.low.get_bits(self.i * self.low_bits, self.low_bits);
         self.i += 1;
         Some(v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.ef.len - self.i;
+        let rem = self.len - self.i;
         (rem, Some(rem))
     }
 }
 
-impl ExactSizeIterator for EliasFanoIter<'_> {}
+impl<C: Words> ExactSizeIterator for EliasFanoIter<C> {}
 
 #[cfg(test)]
 mod tests {
@@ -284,6 +342,23 @@ mod tests {
     #[should_panic(expected = "non-decreasing")]
     fn rejects_decreasing() {
         EliasFano::new(&[5, 3]);
+    }
+
+    /// `universe = last + 1` must not wrap: a wrapped universe of 0 builds
+    /// a structure that validates and answers 0 for every `get`. Run in
+    /// release too (CI's hardened job), where `+` would wrap silently.
+    #[test]
+    #[should_panic(expected = "MAX_VALUE")]
+    fn rejects_u64_max_in_every_profile() {
+        EliasFano::new(&[0, u64::MAX]);
+    }
+
+    #[test]
+    fn max_value_is_representable() {
+        let ef = EliasFano::new(&[0, EliasFano::MAX_VALUE]);
+        assert_eq!((ef.get(0), ef.get(1)), (0, EliasFano::MAX_VALUE));
+        assert_eq!(ef.rank_leq(u64::MAX), 2);
+        assert_eq!(ef.rank_leq(EliasFano::MAX_VALUE - 1), 1);
     }
 
     #[test]

@@ -7,18 +7,28 @@
 //! * [`bits::BitBuf`] — append-only, randomly-readable bit buffer (the
 //!   corrections stream `C`).
 //! * [`bitvec::BitVector`] — plain bitvector with constant-time `rank` and
-//!   sampled `select` (rank9-style directory).
-//! * [`elias_fano::EliasFano`] — monotone sequences with O(1) `get` and fast
-//!   `rank_leq` (the arrays `S` and `O`).
-//! * [`packed::PackedVec`] / [`packed::PackedIVec`] — fixed-width packed
-//!   integer vectors (the array `B`, parameter arrays).
+//!   directory-guided `select` (rank9-style directory).
+//! * [`elias_fano::EliasFano`] — monotone sequences with O(1) `get`, fast
+//!   `rank_leq` and a sequential cursor (the arrays `S` and `O`, and the
+//!   store's timestamp column).
+//! * [`packed::PackedVec`] — fixed-width packed integer vectors (the array
+//!   `B`, parameter arrays).
 //! * [`wavelet::WaveletMatrix`] — `access`/`rank_c` over small alphabets
 //!   (the function-kind string `K`).
-//! * [`views`] — borrowed, zero-copy counterparts of all of the above that
-//!   answer queries straight from serialized bytes (the `ArchiveView` read
-//!   path in `neats-core`).
 //! * [`crc`] — the CRC-64 used by the archive container frame.
+//!
+//! Each structure is **one** generic type whose queries are written once
+//! over *where its words live* ([`views::Words`]): `Vec<u64>` when it was
+//! just built (`BitVector`, `EliasFano`, … — the default parameters; these
+//! have the constructors and [`wire::Wire::write`]), or little-endian bytes
+//! borrowed from a serialized archive (`BitVectorView<'a>`,
+//! `EliasFanoView<'a>`, … — aliases of the same types over
+//! [`views::U64sView`]; these have `read` and `validate`, and are the
+//! `ArchiveView` read path of `neats-core`). Everything is monomorphised:
+//! there is no second implementation to keep in step and no dynamic
+//! dispatch.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod bits;
 pub mod bitvec;
@@ -33,10 +43,10 @@ pub use bits::{bits_for, bits_for_residual_bound, BitBuf};
 pub use bitvec::{BitVector, OnesIter};
 pub use crc::{crc64, Crc64};
 pub use elias_fano::{EliasFano, EliasFanoIter};
-pub use packed::{zigzag_decode, zigzag_encode, PackedIVec, PackedVec};
+pub use packed::{zigzag_decode, zigzag_encode, PackedVec};
 pub use views::{
-    BitBufView, BitVectorView, EliasFanoIterView, EliasFanoView, OnesIterView, PackedVecView,
-    U16sView, U64sView, WaveletMatrixView,
+    BitBufView, BitVectorView, EliasFanoIterView, EliasFanoView, Halves, OnesIterView,
+    PackedVecView, U16sView, U64sView, WaveletMatrixView, Words,
 };
 pub use wavelet::WaveletMatrix;
 pub use wire::{Wire, WireError, WireReader, WireWriter};

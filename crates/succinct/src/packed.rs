@@ -7,11 +7,13 @@
 //! random access.
 
 use crate::bits::{bits_for, BitBuf};
+use crate::views::{U64sView, Words};
+use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// An immutable vector of `len` integers, each stored in `width` bits.
-#[derive(Clone, Debug)]
-pub struct PackedVec {
-    buf: BitBuf,
+#[derive(Clone, Copy, Debug)]
+pub struct PackedVec<W = Vec<u64>> {
+    buf: BitBuf<W>,
     width: usize,
     len: usize,
 }
@@ -32,7 +34,9 @@ impl PackedVec {
         }
         Self { buf, width, len: values.len() }
     }
+}
 
+impl<W: Words> PackedVec<W> {
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.len
@@ -55,7 +59,7 @@ impl PackedVec {
         self.buf.get_bits(i * self.width, self.width)
     }
 
-    /// Heap size in bytes.
+    /// Size of the packed payload in bytes.
     pub fn size_in_bytes(&self) -> usize {
         self.buf.size_in_bytes()
     }
@@ -64,45 +68,29 @@ impl PackedVec {
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.len).map(move |i| self.get(i))
     }
+}
 
-    /// The underlying bit buffer, for persistence.
-    pub fn raw_buf(&self) -> &BitBuf {
-        &self.buf
+impl Wire for PackedVec {
+    fn write(&self, w: &mut WireWriter) {
+        w.u64(self.len as u64);
+        w.u64(self.width as u64);
+        self.buf.write(w);
     }
 }
 
-/// A packed vector of signed integers stored with a zig-zag transform.
-#[derive(Clone, Debug)]
-pub struct PackedIVec {
-    inner: PackedVec,
-}
-
-impl PackedIVec {
-    /// Packs signed `values` via zig-zag encoding at minimum width.
-    pub fn new(values: &[i64]) -> Self {
-        let zz: Vec<u64> = values.iter().map(|&v| zigzag_encode(v)).collect();
-        Self { inner: PackedVec::new(&zz) }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// The `i`-th element.
-    #[inline]
-    pub fn get(&self, i: usize) -> i64 {
-        zigzag_decode(self.inner.get(i))
-    }
-
-    /// Heap size in bytes.
-    pub fn size_in_bytes(&self) -> usize {
-        self.inner.size_in_bytes()
+impl<'a> PackedVec<U64sView<'a>> {
+    /// Parses the wire encoding, borrowing the payload.
+    pub fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        let len = r.read_len()?;
+        let width = r.read_len()?;
+        if width > 64 {
+            return Err(WireError::Corrupt("PackedVec width"));
+        }
+        let buf = BitBuf::read(r)?;
+        if len.checked_mul(width) != Some(buf.len()) {
+            return Err(WireError::Corrupt("PackedVec payload size"));
+        }
+        Ok(Self { buf, width, len })
     }
 }
 
@@ -171,10 +159,11 @@ mod tests {
 
     #[test]
     fn signed_roundtrip() {
-        let values: Vec<i64> = vec![-5, 3, 0, -100, 100, i64::MIN / 2];
-        let p = PackedIVec::new(&values);
+        // Signed columns are zig-zag mapped, then packed (what DAC stores).
+        let values = [-5i64, 3, 0, -100, 100, i64::MIN / 2];
+        let p = PackedVec::new(&values.map(zigzag_encode));
         for (i, &v) in values.iter().enumerate() {
-            assert_eq!(p.get(i), v);
+            assert_eq!(zigzag_decode(p.get(i)), v);
         }
     }
 

@@ -8,13 +8,20 @@
 
 use crate::bits::bits_for;
 use crate::bitvec::BitVector;
+use crate::views::{Halves, U16sView, U64sView, Words};
+use crate::wire::{Wire, WireError, WireReader, WireWriter};
+
+/// The deepest matrix a `u8` alphabet needs.
+const MAX_LEVELS: usize = 8;
 
 /// A wavelet matrix supporting `access` and `rank_c` over `u8` symbols.
-#[derive(Clone, Debug)]
-pub struct WaveletMatrix {
-    levels: Vec<BitVector>,
+#[derive(Clone, Copy, Debug)]
+pub struct WaveletMatrix<W = Vec<u64>, H = Vec<u16>> {
+    /// At most 8 levels (`bits ≤ 8`), held inline so parsing never
+    /// allocates; only the first `bits` entries are meaningful.
+    levels: [BitVector<W, H>; MAX_LEVELS],
     /// Number of zeros at each level.
-    zeros: Vec<usize>,
+    zeros: [usize; MAX_LEVELS],
     len: usize,
     bits: usize,
 }
@@ -26,22 +33,29 @@ impl WaveletMatrix {
         let len = symbols.len();
         let max = symbols.iter().copied().max().unwrap_or(0);
         let bits = bits_for(max as u64).max(1);
-        let mut levels = Vec::with_capacity(bits);
-        let mut zeros = Vec::with_capacity(bits);
+        let mut levels = std::array::from_fn(|_| BitVector::unused());
+        let mut zeros = [0usize; MAX_LEVELS];
         let mut cur: Vec<u8> = symbols.to_vec();
         for level in 0..bits {
             let shift = bits - 1 - level;
             let lvl_bits: Vec<bool> = cur.iter().map(|&s| (s >> shift) & 1 == 1).collect();
             let bv = BitVector::from_bools(&lvl_bits);
-            zeros.push(bv.count_zeros());
+            zeros[level] = bv.count_zeros();
             // Stable partition: zeros first, then ones.
             let mut next = Vec::with_capacity(len);
             next.extend(cur.iter().copied().filter(|&s| (s >> shift) & 1 == 0));
             next.extend(cur.iter().copied().filter(|&s| (s >> shift) & 1 == 1));
             cur = next;
-            levels.push(bv);
+            levels[level] = bv;
         }
         Self { levels, zeros, len, bits }
+    }
+}
+
+impl<W: Words, H: Halves> WaveletMatrix<W, H> {
+    /// The levels in use, most significant bit first.
+    fn levels(&self) -> &[BitVector<W, H>] {
+        &self.levels[..self.bits]
     }
 
     /// Number of symbols.
@@ -59,7 +73,7 @@ impl WaveletMatrix {
         debug_assert!(i < self.len);
         let mut i = i;
         let mut sym = 0u8;
-        for (level, bv) in self.levels.iter().enumerate() {
+        for (level, bv) in self.levels().iter().enumerate() {
             let bit = bv.get(i);
             sym = (sym << 1) | bit as u8;
             i = if bit { self.zeros[level] + bv.rank1(i) } else { bv.rank0(i) };
@@ -79,7 +93,7 @@ impl WaveletMatrix {
         let mut pos = i;
         let mut bucket = 0usize; // start of the symbol's bucket at this level
         let mut sym = 0u8;
-        for (level, bv) in self.levels.iter().enumerate() {
+        for (level, bv) in self.levels().iter().enumerate() {
             let bit = bv.get(pos);
             sym = (sym << 1) | bit as u8;
             if bit {
@@ -102,7 +116,7 @@ impl WaveletMatrix {
         }
         let mut s = 0usize;
         let mut e = pos;
-        for (level, bv) in self.levels.iter().enumerate() {
+        for (level, bv) in self.levels().iter().enumerate() {
             let shift = self.bits - 1 - level;
             if (sym >> shift) & 1 == 0 {
                 s = bv.rank0(s);
@@ -115,15 +129,55 @@ impl WaveletMatrix {
         e - s
     }
 
-    /// Heap size in bytes.
+    /// Levels plus the per-level zero counts in bytes.
     pub fn size_in_bytes(&self) -> usize {
-        self.levels.iter().map(|l| l.size_in_bytes()).sum::<usize>() + self.zeros.len() * 8
+        self.levels().iter().map(BitVector::size_in_bytes).sum::<usize>() + self.bits * 8
+    }
+}
+
+impl Wire for WaveletMatrix {
+    fn write(&self, w: &mut WireWriter) {
+        w.u64(self.len as u64);
+        w.u64(self.bits as u64);
+        w.u64_slice(&self.zeros[..self.bits].iter().map(|&z| z as u64).collect::<Vec<_>>());
+        w.u64(self.bits as u64);
+        for l in self.levels() {
+            l.write(w);
+        }
+    }
+}
+
+impl<'a> WaveletMatrix<U64sView<'a>, U16sView<'a>> {
+    /// Parses the wire encoding, borrowing the levels.
+    pub fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        let len = r.read_len()?;
+        let bits = r.read_len()?;
+        let zeros_wire = r.u64s_ref()?;
+        let n_levels = r.read_len()?;
+        if n_levels != bits || zeros_wire.len() != bits || bits > MAX_LEVELS {
+            return Err(WireError::Corrupt("WaveletMatrix level count"));
+        }
+        let mut zeros = [0usize; MAX_LEVELS];
+        for (slot, z) in zeros.iter_mut().zip(zeros_wire.iter()) {
+            *slot = usize::try_from(z).map_err(|_| WireError::Corrupt("WaveletMatrix zeros"))?;
+        }
+        let mut levels = [BitVector::unused(); MAX_LEVELS];
+        for (slot, &level_zeros) in levels.iter_mut().zip(&zeros).take(n_levels) {
+            let l = BitVector::read(r)?;
+            if l.len() != len {
+                return Err(WireError::Corrupt("WaveletMatrix level length"));
+            }
+            if l.count_zeros() != level_zeros {
+                return Err(WireError::Corrupt("WaveletMatrix zeros"));
+            }
+            *slot = l;
+        }
+        Ok(Self { levels, zeros, len, bits })
     }
 
-    /// Exposes the internal components for persistence
-    /// (`(levels, zeros, len, bits)`).
-    pub fn raw_parts(&self) -> (&[BitVector], &[usize], usize, usize) {
-        (&self.levels, &self.zeros, self.len, self.bits)
+    /// Verifies every level's rank directories.
+    pub fn validate(&self) -> Result<(), WireError> {
+        self.levels().iter().try_for_each(BitVector::validate)
     }
 }
 

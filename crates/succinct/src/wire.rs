@@ -2,17 +2,13 @@
 //! structures (and the compressed layouts built on them) to disk.
 //!
 //! Encoding conventions: little-endian fixed-width integers, `u64` lengths,
-//! no padding. Writing is [`Wire::write`] on the owned structures; reading
-//! is the borrowed `*View::read` + `validate` of [`crate::views`], which is
-//! *validating*: truncated or corrupt input yields [`WireError`], never a
-//! panic or an out-of-bounds read.
+//! no padding. Writing is [`Wire::write`], implemented by each structure
+//! over owned words; reading is `read` + `validate` on its borrowed
+//! instantiation (see [`crate::views`]), which is *validating*: truncated
+//! or corrupt input yields [`WireError`], never a panic or an out-of-bounds
+//! read.
 
-use crate::bits::BitBuf;
-use crate::bitvec::BitVector;
-use crate::elias_fano::EliasFano;
-use crate::packed::PackedVec;
 use crate::views::{U16sView, U64sView};
-use crate::wavelet::WaveletMatrix;
 
 /// Error decoding a wire buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -205,8 +201,8 @@ impl WireWriter {
     }
 }
 
-/// Types that can be persisted with the wire format. The read half is the
-/// structure's borrowed view (`*View::read` in [`crate::views`]).
+/// Types that can be persisted with the wire format. The read half is
+/// `read` on the structure's borrowed instantiation (see [`crate::views`]).
 pub trait Wire {
     /// Appends the encoding of `self` to `w`.
     fn write(&self, w: &mut WireWriter);
@@ -219,62 +215,11 @@ pub trait Wire {
     }
 }
 
-impl Wire for BitBuf {
-    fn write(&self, w: &mut WireWriter) {
-        w.u64(self.len() as u64);
-        w.u64_slice(self.words());
-    }
-}
-
-impl Wire for BitVector {
-    fn write(&self, w: &mut WireWriter) {
-        // The rank/select directories are persisted alongside the payload so
-        // the zero-copy views can answer rank/select without an O(n)
-        // directory rebuild.
-        w.u64(self.len() as u64);
-        w.u64_slice(self.words());
-        w.u64_slice(self.block_rank_slice());
-        w.u16_slice(self.sub_rank_slice());
-    }
-}
-
-impl Wire for EliasFano {
-    fn write(&self, w: &mut WireWriter) {
-        // Re-encoding from values would be wasteful; persist components.
-        let (high, low, low_bits, len, universe) = self.raw_parts();
-        w.u64(len as u64);
-        w.u64(universe);
-        w.u64(low_bits as u64);
-        high.write(w);
-        low.write(w);
-    }
-}
-
-impl Wire for PackedVec {
-    fn write(&self, w: &mut WireWriter) {
-        w.u64(self.len() as u64);
-        w.u64(self.width() as u64);
-        self.raw_buf().write(w);
-    }
-}
-
-impl Wire for WaveletMatrix {
-    fn write(&self, w: &mut WireWriter) {
-        let (levels, zeros, len, bits) = self.raw_parts();
-        w.u64(len as u64);
-        w.u64(bits as u64);
-        w.u64_slice(&zeros.iter().map(|&z| z as u64).collect::<Vec<_>>());
-        w.u64(levels.len() as u64);
-        for l in levels {
-            l.write(w);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::views::{BitBufView, BitVectorView, EliasFanoView, PackedVecView, WaveletMatrixView};
+    use crate::{BitBuf, BitVector, EliasFano, PackedVec, WaveletMatrix};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// The read path of one structure: parse, verify the directories where

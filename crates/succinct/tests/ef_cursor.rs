@@ -1,24 +1,33 @@
-//! The sequential Elias-Fano cursor: `EliasFanoView::iter_from(i)` must
-//! yield exactly `(i..len).map(get)` for every `i` in `0..=len`, whatever
-//! the shape of the sequence — it is what the store zips with decoded values
-//! to answer a time range, so one off-by-one here mislabels every point.
+//! The sequential Elias-Fano cursor: `iter_from(i)` must yield exactly
+//! `(i..len).map(get)` for every `i` in `0..=len`, whatever the shape of the
+//! sequence and wherever its words live — it is what the store zips with
+//! decoded values to answer a time range, so one off-by-one here mislabels
+//! every point.
 
-use succinct::{BitVector, BitVectorView, EliasFano, EliasFanoView, Wire, WireReader};
+use succinct::{
+    BitVector, BitVectorView, EliasFano, EliasFanoView, Halves, Wire, WireReader, Words,
+};
 
-fn check(label: &str, values: &[u64]) {
-    let bytes = EliasFano::new(values).to_wire_bytes();
-    let mut r = WireReader::new(&bytes);
-    let view = EliasFanoView::read(&mut r).unwrap();
-    view.validate().unwrap();
-    assert_eq!(view.len(), values.len(), "{label}");
+fn cursor_props<W: Words, H: Halves>(label: &str, ef: &EliasFano<W, H>, values: &[u64]) {
+    assert_eq!(ef.len(), values.len(), "{label}");
     for i in 0..=values.len() {
-        let cursor = view.iter_from(i);
+        let cursor = ef.iter_from(i);
         assert_eq!(cursor.len(), values.len() - i, "{label}: size hint at {i}");
         let got: Vec<u64> = cursor.collect();
-        let by_get: Vec<u64> = (i..values.len()).map(|k| view.get(k)).collect();
+        let by_get: Vec<u64> = (i..values.len()).map(|k| ef.get(k)).collect();
         assert_eq!(got, by_get, "{label}: iter_from({i})");
         assert_eq!(got, &values[i..], "{label}: iter_from({i}) vs input");
     }
+}
+
+fn check(label: &str, values: &[u64]) {
+    let ef = EliasFano::new(values);
+    cursor_props(&format!("{label} (owned)"), &ef, values);
+    let bytes = ef.to_wire_bytes();
+    let mut r = WireReader::new(&bytes);
+    let view = EliasFanoView::read(&mut r).unwrap();
+    view.validate().unwrap();
+    cursor_props(&format!("{label} (view)"), &view, values);
 }
 
 #[test]
@@ -55,19 +64,25 @@ fn iter_from_equals_get_for_every_start() {
     check("empty", &[]);
 }
 
+fn ones_cursor_props<W: Words, H: Halves>(n: usize, bv: &BitVector<W, H>) {
+    let all: Vec<usize> = bv.iter_ones().collect();
+    // One past `count_ones()` too: seeking beyond the end is empty.
+    for k in 0..=all.len() + 1 {
+        let tail: Vec<usize> = bv.iter_ones_from(k).collect();
+        assert_eq!(tail, &all[k.min(all.len())..], "n={n} k={k}");
+    }
+}
+
 #[test]
 fn iter_ones_from_equals_the_tail_of_iter_ones() {
     for n in [0usize, 1, 63, 64, 65, 511, 512, 513, 3000] {
         let bits: Vec<bool> = (0..n).map(|i| (i * 7 + i / 64) % 5 < 2).collect();
-        let bytes = BitVector::from_bools(&bits).to_wire_bytes();
+        let bv = BitVector::from_bools(&bits);
+        ones_cursor_props(n, &bv);
+        let bytes = bv.to_wire_bytes();
         let mut r = WireReader::new(&bytes);
         let view = BitVectorView::read(&mut r).unwrap();
         view.validate().unwrap();
-        let all: Vec<usize> = view.iter_ones().collect();
-        // One past `count_ones()` too: seeking beyond the end is empty.
-        for k in 0..=all.len() + 1 {
-            let tail: Vec<usize> = view.iter_ones_from(k).collect();
-            assert_eq!(tail, &all[k.min(all.len())..], "n={n} k={k}");
-        }
+        ones_cursor_props(n, &view);
     }
 }
