@@ -51,6 +51,7 @@
 //!   `store_baseline` / `serve_baseline` (defaults `BENCH_partition.json` /
 //!   `BENCH_store.json` / `BENCH_serve.json`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod json;
 pub mod suite;

@@ -61,6 +61,7 @@
 //! paper's datasets ship in) or `timestamp,value` CSV lines (timestamps
 //! must strictly increase); `--digits` sets the fixed-precision scaling.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 use neats_core::{ArchiveView, Kind, NeaTS, NeaTSBuilder, NeaTSCompressed};
 use neats_ingest::{BackgroundConfig, FsyncPolicy, IngestConfig, Ingestor};
@@ -778,8 +779,8 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 100.0 * bytes.len() as f64 / (view.len() * 8).max(1) as f64
             )?;
             writeln!(out, "shift:         {}", view.shift())?;
-            if let Some(l) = view.as_lossy() {
-                writeln!(out, "eps:           {}", l.eps())?;
+            if let Some(eps) = view.eps() {
+                writeln!(out, "eps:           {eps}")?;
             }
             for (kind, count) in view.kind_histogram() {
                 writeln!(out, "kind {:<12} {count} fragments", kind.name())?;

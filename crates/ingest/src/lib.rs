@@ -53,6 +53,7 @@
 //! lossy series in an adopted pack is a
 //! [`ModeMismatch`](neats_store::StoreError::ModeMismatch) error.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod failpoint;

@@ -18,6 +18,7 @@
 //! Stream codecs without native random access are lifted with
 //! [`stream::Blockwise`], the paper's 1000-value-block protocol (§IV-A2).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod alp;
 pub mod chimp;

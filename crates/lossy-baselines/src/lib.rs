@@ -10,6 +10,7 @@
 //! (compress / approximate / reconstruct / size / max_error / MAPE), so the
 //! Table II harness treats the three uniformly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod aa;
 pub mod pla;

@@ -8,7 +8,9 @@
 //! * **exactly**, by scanning (one random access + sequential decode); or
 //! * **approximately in O(fragments)**, by summing the functions in closed
 //!   form and never touching the corrections — with a hard error bound
-//!   derived from each fragment's correction width (`Σ len·(2^{w−1}+1)`).
+//!   derived from each fragment's residual bound: `Σ len·(2^{w−1}+1)` from
+//!   the correction widths of a lossless archive, `count·(ε+2)` for a lossy
+//!   one, whose residuals were dropped under ε.
 //!
 //! Polynomial families (linear, the quadratics, the cubics) and the
 //! exponential family admit O(1) closed-form range sums; the remaining
@@ -16,8 +18,8 @@
 //! the correction stream entirely.
 //!
 //! This module is the per-fragment arithmetic; the queries that walk an
-//! archive's fragments with it are [`crate::view::LosslessView`]'s and
-//! [`crate::view::LossyView`]'s `*_range_exact` / `*_range_estimate`.
+//! archive's fragments with it are [`crate::view::ArchiveView`]'s
+//! `*_range_exact` / `*_range_estimate`, the same for both flavors.
 
 use crate::fit::{model_value, Fragment, Kind};
 

@@ -13,9 +13,9 @@
 //!
 //! [`NeaTSCompressed::encode`] builds the six components and writes them
 //! into the container frame of [`crate::serial`]. A [`NeaTSCompressed`] *is*
-//! that frame plus the [`LosslessView`] parsed from it: nothing here
-//! decodes. [`CompressedSeries::decompress`] is the view's Algorithm 2,
-//! [`CompressedSeries::get`] its Algorithm 3 and
+//! that frame plus the [`ArchiveView`] parsed from it: nothing here
+//! decodes. [`CompressedSeries::decompress`] is the view's Algorithm 2
+//! (`materialize`), [`CompressedSeries::get`] its Algorithm 3 (`at`) and
 //! [`CompressedSeries::scan_range`] its range query (§IV-C4) — see
 //! [`crate::view`].
 
@@ -23,7 +23,7 @@ use crate::fit::{max_abs_residual, model_value};
 use crate::owned::OwnedArchive;
 use crate::partition::Partition;
 use crate::serial::{self, ArchiveFlavor, ModelSections, SectionWriter};
-use crate::view::LosslessView;
+use crate::view::ArchiveView;
 use succinct::{bits_for_residual_bound, BitBuf, BitVector, EliasFano, PackedVec, Wire, WireError};
 use timeseries::CompressedSeries;
 
@@ -50,7 +50,7 @@ fn start_bitvector(starts: &[u64], n: usize) -> BitVector {
 
 /// A NeaTS-compressed time series with lossless random access: the
 /// serialized archive (shared, immutable — `Clone` is a reference-count
-/// bump) and the [`LosslessView`] over it, which answers every query.
+/// bump) and the [`ArchiveView`] over it, which answers every query.
 #[derive(Clone, Debug)]
 pub struct NeaTSCompressed(OwnedArchive);
 
@@ -117,9 +117,10 @@ impl NeaTSCompressed {
     /// Loads a buffer produced by [`Self::to_bytes`]: one copy of the bytes,
     /// then [`crate::ArchiveView::open`] on the copy — the checksum and
     /// every structural invariant are verified before any query can run.
+    /// A lossy archive is rejected here, once, so no query has to ask.
     pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
         let archive = OwnedArchive::open(data)?;
-        if archive.view().as_lossless().is_none() {
+        if archive.view().eps().is_some() {
             return Err(WireError::Corrupt("not a lossless archive"));
         }
         Ok(Self(archive))
@@ -141,8 +142,8 @@ impl NeaTSCompressed {
     /// `kind_histogram`, …) and the aggregates (`sum_range_exact`,
     /// `sum_range_estimate`, …) are its methods.
     #[inline]
-    pub fn view(&self) -> &LosslessView<'_> {
-        self.0.view().as_lossless().expect("flavor checked at construction")
+    pub fn view(&self) -> &ArchiveView<'_> {
+        self.0.view()
     }
 }
 
@@ -156,11 +157,11 @@ impl CompressedSeries for NeaTSCompressed {
     }
 
     fn decompress(&self) -> Vec<i64> {
-        self.view().decompress()
+        self.view().materialize()
     }
 
     fn get(&self, k: usize) -> i64 {
-        self.view().get(k)
+        self.view().at(k)
     }
 
     fn scan_range(&self, start: usize, count: usize, out: &mut Vec<i64>) {

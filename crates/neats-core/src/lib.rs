@@ -37,6 +37,8 @@
 //! assert_eq!(compressed.get(123), ts.values()[123]);
 //! ```
 
+// `owned` is the one module allowed `unsafe` (see its docs).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 pub mod aggregate;
 pub mod backoff;
@@ -46,6 +48,7 @@ pub mod histogram;
 pub mod layout;
 pub mod lossy;
 pub mod obs;
+#[allow(unsafe_code)]
 mod owned;
 pub mod parallel;
 pub mod partition;
@@ -68,7 +71,7 @@ pub use serial::{frame_info, ArchiveFlavor, Section};
 pub use streaming::{ChunkedNeaTS, NeaTSWriter};
 pub use timestamped::{TimestampError, TimestampedNeaTS};
 pub use variants::ModelSelection;
-pub use view::{ArchiveView, LosslessView, LossyView};
+pub use view::ArchiveView;
 
 use timeseries::{Compressor, TimeSeries};
 

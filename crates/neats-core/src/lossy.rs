@@ -5,18 +5,23 @@
 //! `|y − ⌊f(u)⌋| ≤ ε` guaranteed (paper §III-B, "Partitioning for lossy
 //! compression"). The partitioner minimises the storage of the function
 //! parameters alone, running in O(|F|·n).
+//!
+//! This module is that partitioning and the encoder of the lossy frame (the
+//! lossless section sequence minus `B`, `O`, `C`, plus ε in the header).
+//! Decoding is [`crate::view::ArchiveView`], the same body that decodes a
+//! lossless archive whose every correction width is 0.
 
 use crate::fit::Kind;
 use crate::owned::OwnedArchive;
 use crate::partition::{partition, positivity_shift, Partition, PartitionConfig};
 use crate::serial::{self, ArchiveFlavor, ModelSections, SectionWriter};
-use crate::view::LossyView;
+use crate::view::ArchiveView;
 use succinct::{EliasFano, Wire, WireError};
 use timeseries::TimeSeries;
 
 /// A lossy, randomly-accessible piecewise-nonlinear approximation: the
 /// serialized archive (shared, immutable — `Clone` is a reference-count
-/// bump) and the [`LossyView`] over it, which answers every query.
+/// bump) and the [`ArchiveView`] over it, which answers every query.
 ///
 /// ```
 /// use neats_core::{Kind, NeaTSLossy};
@@ -28,7 +33,12 @@ use timeseries::TimeSeries;
 /// assert!(lossy.size_in_bytes() < ts.uncompressed_bytes() / 20);
 /// ```
 #[derive(Clone, Debug)]
-pub struct NeaTSLossy(OwnedArchive);
+pub struct NeaTSLossy {
+    archive: OwnedArchive,
+    /// The archive's ε, read once at construction — where a frame that
+    /// states none (a lossless one) is turned away.
+    eps: u64,
+}
 
 impl NeaTSLossy {
     /// Compresses `ts` under the error bound `eps` using the given function
@@ -94,22 +104,20 @@ impl NeaTSLossy {
         EliasFano::new(&starts).write(&mut sw.w);
         sw.mark(); // starts
         models.write(&mut sw);
-        Self(OwnedArchive::from_encoder(serial::frame(ArchiveFlavor::Lossy, sw)))
+        Self { archive: OwnedArchive::from_encoder(serial::frame(ArchiveFlavor::Lossy, sw)), eps }
     }
 
     /// Loads a buffer produced by [`Self::to_bytes`]: one copy of the bytes,
     /// then [`crate::ArchiveView::open`] on the copy.
     pub fn from_bytes(data: &[u8]) -> Result<Self, WireError> {
         let archive = OwnedArchive::open(data)?;
-        if archive.view().as_lossy().is_none() {
-            return Err(WireError::Corrupt("not a lossy archive"));
-        }
-        Ok(Self(archive))
+        let eps = archive.view().eps().ok_or(WireError::Corrupt("not a lossy archive"))?;
+        Ok(Self { archive, eps })
     }
 
     /// The archive as a self-contained, checksummed container frame.
     pub fn as_bytes(&self) -> &[u8] {
-        self.0.as_bytes()
+        self.archive.as_bytes()
     }
 
     /// A copy of [`Self::as_bytes`].
@@ -121,8 +129,8 @@ impl NeaTSLossy {
     /// interface PLA and AA share — are its; fragment inspection, range
     /// scans and the aggregates are reached through it.
     #[inline]
-    pub fn view(&self) -> &LossyView<'_> {
-        self.0.view().as_lossy().expect("flavor checked at construction")
+    pub fn view(&self) -> &ArchiveView<'_> {
+        self.archive.view()
     }
 
     /// Number of data points represented.
@@ -137,17 +145,17 @@ impl NeaTSLossy {
 
     /// The error bound the approximation was built under.
     pub fn eps(&self) -> u64 {
-        self.view().eps()
+        self.eps
     }
 
     /// The approximated value at position `k` (random access).
     pub fn approximate(&self, k: usize) -> i64 {
-        self.view().approximate(k)
+        self.view().at(k)
     }
 
     /// Materialises the whole approximated series.
     pub fn reconstruct(&self) -> Vec<i64> {
-        self.view().reconstruct()
+        self.view().materialize()
     }
 
     /// Compressed size in bytes (parameters plus access structures).

@@ -2,7 +2,8 @@
 //! [`NeaTSCompressed`](crate::NeaTSCompressed) and
 //! [`NeaTSLossy`](crate::NeaTSLossy) are.
 //!
-//! This is the one place the crate uses `unsafe`. An [`OwnedArchive`] must
+//! This is the one place the crate uses `unsafe` (the crate root denies it
+//! everywhere else). An [`OwnedArchive`] must
 //! hold both the `Arc<[u8]>` that owns the frame bytes *and* an
 //! [`ArchiveView`] that borrows from those bytes — a self-referential pair
 //! Rust's lifetimes can't express directly (the same pair, for the same

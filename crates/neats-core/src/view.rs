@@ -1,13 +1,23 @@
 //! The read path: Algorithms 2 and 3, the range scan and the aggregate
 //! queries, answered straight from serialized archive bytes.
 //!
-//! There is one decoder, and it is here. [`ArchiveView::open`] validates the
-//! container frame (checksum + structural invariants) *once* and then
-//! answers `at(k)`, `range(..)`, scans and the aggregate queries directly
-//! over the borrowed `&[u8]`, with no heap allocation at all: the succinct
-//! structures are read through the borrowed views of [`succinct::views`],
-//! whose rank/select directories are persisted in the archive rather than
-//! rebuilt. [`NeaTSCompressed`](crate::NeaTSCompressed) and
+//! There is one decoder, and it is [`ArchiveView`]: one struct, one body per
+//! algorithm, for both products of the paper. A lossy archive is a lossless
+//! archive with its corrections dropped — the residuals are stored "or
+//! simply discard\[ed\] to obtain a lossy time series representation with
+//! maximum error guarantees" — so the only thing the decoder knows about
+//! flavor is which of the two its [`Residuals`] are: the `B`, `O`, `C`
+//! columns, or the bound ε they were discarded under. A lossy fragment
+//! decodes exactly like a lossless fragment whose fit was exact (correction
+//! width 0): the model values, nothing added.
+//!
+//! [`ArchiveView::open`] validates the container frame (checksum +
+//! structural invariants) *once* and then answers `at(k)`, `range(..)`,
+//! scans and the aggregate queries directly over the borrowed `&[u8]`, with
+//! no heap allocation at all: the succinct structures are read through the
+//! borrowed views of [`succinct::views`], whose rank/select directories are
+//! persisted in the archive rather than rebuilt.
+//! [`NeaTSCompressed`](crate::NeaTSCompressed) and
 //! [`NeaTSLossy`](crate::NeaTSLossy) are a frame plus the view over it and
 //! delegate every query here; the store borrows its segments' views from
 //! the pack buffer the same way.
@@ -16,8 +26,10 @@
 //! the other:
 //!
 //! * [`ArchiveView::parse`] — O(sections): frame header, section table,
-//!   every structure's header and the cross-structure counts. Bounds-checked
-//!   and panic-free on any bytes, no allocation.
+//!   every structure's header and the cross-structure counts, reading the
+//!   section sequence of the frame's flavor
+//!   ([`ArchiveFlavor::section_names`]). Bounds-checked and panic-free on
+//!   any bytes, no allocation.
 //! * [`ArchiveView::verify`] — O(bytes): the frame CRC, the rank/select
 //!   directories, the kind-symbol census and the fragment-geometry walk.
 //!   Only after it succeeds are queries guaranteed in bounds. This is the
@@ -35,7 +47,7 @@
 //! and lossy archives alike.
 
 use crate::aggregate::{fragment_model_extremes, fragment_model_sum, Estimate};
-use crate::fit::{model_value, Fragment, Kind};
+use crate::fit::{floor_to_i64, model_value, Fragment, Kind};
 use crate::serial::{self, ArchiveFlavor, Frame, KindParams, Section};
 use std::ops::Range;
 use succinct::{
@@ -144,6 +156,28 @@ fn verify_kind_symbols(
     Ok(())
 }
 
+/// What became of the residuals `y − ⌊f(u)⌋`: the one thing the two flavors
+/// differ in.
+#[derive(Clone, Copy, Debug)]
+enum Residuals<'a> {
+    /// Lossless: stored, as the correction columns of §III-C.
+    Stored {
+        /// `B`: per-fragment correction bit widths.
+        widths: PackedVecView<'a>,
+        /// `O`: cumulative correction bit offsets.
+        offsets: EliasFanoView<'a>,
+        /// `C`: the packed, bias-coded corrections.
+        bits: BitBufView<'a>,
+    },
+    /// Lossy: discarded, each of them within `eps + 1` (the bound the fit
+    /// ran under, plus one for flooring).
+    Dropped { eps: u64 },
+}
+
+/// Values decoded per step of the exact aggregates: the whole of their
+/// working memory (2 KiB of stack), whatever the range.
+const FOLD_BLOCK: usize = 256;
+
 /// A zero-copy view over a serialized archive of either flavor.
 ///
 /// ```
@@ -157,13 +191,25 @@ fn verify_kind_symbols(
 /// let mut window = Vec::new();
 /// view.range(100..164, &mut window);
 /// assert_eq!(window, &ts.values()[100..164]);
+///
+/// // The same view over the lossy product: the same queries, within ε + 1.
+/// let lossy = NeaTS::builder().build_lossy(&ts, 20).to_bytes();
+/// let view = ArchiveView::open(&lossy).unwrap();
+/// assert_eq!(view.eps(), Some(20));
+/// assert!(view.at(1234).abs_diff(ts.values()[1234]) <= 21);
 /// ```
 #[derive(Clone, Debug)]
-pub enum ArchiveView<'a> {
-    /// A lossless archive (models + corrections).
-    Lossless(LosslessView<'a>),
-    /// A lossy archive (models only, ε-bounded).
-    Lossy(LossyView<'a>),
+pub struct ArchiveView<'a> {
+    /// The container frame the view was parsed from (for the CRC pass).
+    frame: Frame<'a>,
+    n: usize,
+    shift: i64,
+    starts: StartIndexView<'a>,
+    residuals: Residuals<'a>,
+    kinds: WaveletMatrixView<'a>,
+    /// Distinct kinds in use and their parameter words, held inline.
+    kind_params: KindParams<'a>,
+    origin_deltas: PackedVecView<'a>,
 }
 
 impl<'a> ArchiveView<'a> {
@@ -183,7 +229,7 @@ impl<'a> ArchiveView<'a> {
     /// one parse and one checksum pass serve both (the `neats stat` path).
     pub fn open_with_sections(data: &'a [u8]) -> Result<(Self, Vec<Section>), WireError> {
         let view = Self::open(data)?;
-        let sections = view.frame().sections();
+        let sections = view.frame.sections();
         Ok((view, sections))
     }
 
@@ -203,199 +249,46 @@ impl<'a> ArchiveView<'a> {
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         let frame = serial::parse_frame(data)?;
         let mut r = WireReader::new(frame.payload);
-        let view = match frame.flavor {
-            ArchiveFlavor::Lossless => ArchiveView::Lossless(LosslessView::parse(frame, &mut r)?),
-            ArchiveFlavor::Lossy => ArchiveView::Lossy(LossyView::parse(frame, &mut r)?),
+        let n = r.read_len()?;
+        let shift = r.i64()?;
+        // The rest of the header, then the sections only one flavor has: a
+        // lossless frame tags its start index and carries `B`, `O`, `C`; a
+        // lossy frame states ε and always indexes starts with Elias-Fano.
+        let (starts, residuals) = match frame.flavor {
+            ArchiveFlavor::Lossless => {
+                let starts = match r.u8()? {
+                    0 => StartIndexView::Ef(EliasFanoView::read(&mut r)?),
+                    1 => StartIndexView::Bv(BitVectorView::read(&mut r)?),
+                    _ => return Err(WireError::Corrupt("start index tag")),
+                };
+                let widths = PackedVecView::read(&mut r)?;
+                let offsets = EliasFanoView::read(&mut r)?;
+                let bits = BitBufView::read(&mut r)?;
+                (starts, Residuals::Stored { widths, offsets, bits })
+            }
+            ArchiveFlavor::Lossy => {
+                let eps = r.u64()?;
+                (StartIndexView::Ef(EliasFanoView::read(&mut r)?), Residuals::Dropped { eps })
+            }
         };
+        let kinds = WaveletMatrixView::read(&mut r)?;
+        let kind_params = KindParams::read(&mut r)?;
+        let origin_deltas = PackedVecView::read(&mut r)?;
         if !r.is_exhausted() {
             return Err(WireError::Corrupt("trailing bytes"));
         }
-        Ok(view)
-    }
 
-    /// The O(bytes) half of [`Self::open`], over the bytes this view was
-    /// parsed from: the frame CRC, then every invariant the query algorithms
-    /// rely on (rank/select directories, kind symbols within the table and
-    /// matching the parameter arrays, fragments tiling `0..len` with
-    /// consistent correction offsets and origins).
-    pub fn verify(&self) -> Result<(), WireError> {
-        self.frame().verify_checksum()?;
-        match self {
-            ArchiveView::Lossless(v) => v.verify(),
-            ArchiveView::Lossy(v) => v.verify(),
-        }
-    }
-
-    fn frame(&self) -> &Frame<'a> {
-        match self {
-            ArchiveView::Lossless(v) => &v.frame,
-            ArchiveView::Lossy(v) => &v.frame,
-        }
-    }
-
-    /// Number of data points represented.
-    pub fn len(&self) -> usize {
-        match self {
-            ArchiveView::Lossless(v) => v.len(),
-            ArchiveView::Lossy(v) => v.len(),
-        }
-    }
-
-    /// Whether the archive covers no points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Which representation the archive holds.
-    pub fn flavor(&self) -> ArchiveFlavor {
-        match self {
-            ArchiveView::Lossless(_) => ArchiveFlavor::Lossless,
-            ArchiveView::Lossy(_) => ArchiveFlavor::Lossy,
-        }
-    }
-
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        match self {
-            ArchiveView::Lossless(v) => v.fragment_count(),
-            ArchiveView::Lossy(v) => v.fragment_count(),
-        }
-    }
-
-    /// The global positivity shift stored in the header.
-    pub fn shift(&self) -> i64 {
-        match self {
-            ArchiveView::Lossless(v) => v.shift(),
-            ArchiveView::Lossy(v) => v.shift(),
-        }
-    }
-
-    /// The value at position `k`: exact for lossless archives, the ε-bounded
-    /// approximation for lossy ones.
-    pub fn at(&self, k: usize) -> i64 {
-        match self {
-            ArchiveView::Lossless(v) => v.get(k),
-            ArchiveView::Lossy(v) => v.approximate(k),
-        }
-    }
-
-    /// Appends the values in `range` to `out` (one fragment rank, then a
-    /// sequential scan).
-    pub fn range(&self, range: Range<usize>, out: &mut Vec<i64>) {
-        match self {
-            ArchiveView::Lossless(v) => v.scan_range(range.start, range.len(), out),
-            ArchiveView::Lossy(v) => v.scan_range(range.start, range.len(), out),
-        }
-    }
-
-    /// Materialises the whole series (decompression for lossless archives,
-    /// reconstruction for lossy ones).
-    pub fn materialize(&self) -> Vec<i64> {
-        match self {
-            ArchiveView::Lossless(v) => v.decompress(),
-            ArchiveView::Lossy(v) => v.reconstruct(),
-        }
-    }
-
-    /// Approximate range sum from the learned functions only, with a
-    /// guaranteed error bound.
-    pub fn sum_range_estimate(&self, start: usize, count: usize) -> Estimate {
-        match self {
-            ArchiveView::Lossless(v) => v.sum_range_estimate(start, count),
-            ArchiveView::Lossy(v) => v.sum_range_estimate(start, count),
-        }
-    }
-
-    /// Exact range sum of the archive's values (the stored values for
-    /// lossless archives, the ε-bounded approximations for lossy ones), as
-    /// `i128` to avoid overflow. Used by the multi-series store to push sums
-    /// down to individual segments and stitch across their boundaries.
-    pub fn sum_range_exact(&self, start: usize, count: usize) -> i128 {
-        match self {
-            ArchiveView::Lossless(v) => v.sum_range_exact(start, count),
-            ArchiveView::Lossy(v) => v.sum_range_exact(start, count),
-        }
-    }
-
-    /// Exact minimum and maximum over `[start, start + count)` of the
-    /// archive's values (`None` for an empty range). Like
-    /// [`Self::sum_range_exact`], this is the segment-local aggregate the
-    /// store's cross-segment pushdown folds over.
-    pub fn min_max_range_exact(&self, start: usize, count: usize) -> Option<(i64, i64)> {
-        match self {
-            ArchiveView::Lossless(v) => v.min_max_range_exact(start, count),
-            ArchiveView::Lossy(v) => v.min_max_range_exact(start, count),
-        }
-    }
-
-    /// Per-kind fragment counts.
-    pub fn kind_histogram(&self) -> Vec<(Kind, usize)> {
-        match self {
-            ArchiveView::Lossless(v) => v.kind_histogram(),
-            ArchiveView::Lossy(v) => v.kind_histogram(),
-        }
-    }
-
-    /// The lossless view, if this archive is lossless.
-    pub fn as_lossless(&self) -> Option<&LosslessView<'a>> {
-        match self {
-            ArchiveView::Lossless(v) => Some(v),
-            ArchiveView::Lossy(_) => None,
-        }
-    }
-
-    /// The lossy view, if this archive is lossy.
-    pub fn as_lossy(&self) -> Option<&LossyView<'a>> {
-        match self {
-            ArchiveView::Lossy(v) => Some(v),
-            ArchiveView::Lossless(_) => None,
-        }
-    }
-}
-
-/// The lossless query surface over borrowed bytes: Algorithm 2
-/// ([`Self::decompress`]), Algorithm 3 ([`Self::get`]), the range query of
-/// §IV-C4 ([`Self::scan_range`]) and the aggregates.
-#[derive(Clone, Debug)]
-pub struct LosslessView<'a> {
-    /// The container frame the view was parsed from (for the CRC pass).
-    frame: Frame<'a>,
-    n: usize,
-    shift: i64,
-    starts: StartIndexView<'a>,
-    widths: PackedVecView<'a>,
-    offsets: EliasFanoView<'a>,
-    corrections: BitBufView<'a>,
-    kinds: WaveletMatrixView<'a>,
-    /// Distinct kinds in use and their parameter words, held inline.
-    kind_params: KindParams<'a>,
-    origin_deltas: PackedVecView<'a>,
-}
-
-impl<'a> LosslessView<'a> {
-    /// Parses the lossless payload: every structure's header plus the
-    /// cross-structure counts that need no probe into a payload.
-    fn parse(frame: Frame<'a>, r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let n = r.read_len()?;
-        let shift = r.i64()?;
-        let starts = match r.u8()? {
-            0 => StartIndexView::Ef(EliasFanoView::read(r)?),
-            1 => StartIndexView::Bv(BitVectorView::read(r)?),
-            _ => return Err(WireError::Corrupt("start index tag")),
-        };
-        let widths = PackedVecView::read(r)?;
-        let offsets = EliasFanoView::read(r)?;
-        let corrections = BitBufView::read(r)?;
-        let kinds = WaveletMatrixView::read(r)?;
-        let kind_params = KindParams::read(r)?;
-        let origin_deltas = PackedVecView::read(r)?;
-
-        let m = widths.len();
-        if starts.len() != m || kinds.len() != m || origin_deltas.len() != m {
+        let m = origin_deltas.len();
+        if starts.len() != m || kinds.len() != m {
             return Err(WireError::Corrupt("fragment count mismatch"));
         }
-        if offsets.len() != m + 1 {
-            return Err(WireError::Corrupt("offsets length"));
+        if let Residuals::Stored { widths, offsets, .. } = &residuals {
+            if widths.len() != m {
+                return Err(WireError::Corrupt("fragment count mismatch"));
+            }
+            if offsets.len() != m + 1 {
+                return Err(WireError::Corrupt("offsets length"));
+            }
         }
         // Every point must be covered by a fragment and vice versa: a
         // crafted archive with n > 0 but m == 0 would make fragment_of
@@ -410,40 +303,42 @@ impl<'a> LosslessView<'a> {
                 return Err(WireError::Corrupt("start bitvector length"));
             }
         }
-        Ok(Self {
-            frame,
-            n,
-            shift,
-            starts,
-            widths,
-            offsets,
-            corrections,
-            kinds,
-            kind_params,
-            origin_deltas,
-        })
+        Ok(Self { frame, n, shift, starts, residuals, kinds, kind_params, origin_deltas })
     }
 
-    /// Validates the payloads: every cross-structure invariant `get`,
-    /// `scan_range` and `decompress` rely on, so corrupted input can never
-    /// cause a panic or an out-of-bounds access later.
-    fn verify(&self) -> Result<(), WireError> {
-        let (n, m) = (self.n, self.widths.len());
+    /// The O(bytes) half of [`Self::open`], over the bytes this view was
+    /// parsed from: the frame CRC, then every invariant the query algorithms
+    /// rely on (rank/select directories, kind symbols within the table and
+    /// matching the parameter arrays, fragments tiling `0..len` with
+    /// consistent origins and — where corrections are stored — consistent
+    /// widths and offsets), so corrupted input can never cause a panic or
+    /// an out-of-bounds access later.
+    pub fn verify(&self) -> Result<(), WireError> {
+        self.frame.verify_checksum()?;
+        let (n, m) = (self.n, self.fragment_count());
         // Rank/select directories first, so the structural loop below (and
         // every later query) probes in bounds.
         self.starts.validate()?;
-        self.offsets.validate()?;
         self.kinds.validate()?;
-        if m > 0 && self.offsets.get(m) as usize > self.corrections.len() {
-            return Err(WireError::Corrupt("corrections overflow"));
-        }
+        // Where corrections are stored: their widths, and a cursor over
+        // their offsets with the offset it last yielded.
+        let mut stored = match &self.residuals {
+            Residuals::Stored { widths, offsets, bits } => {
+                offsets.validate()?;
+                if m > 0 && offsets.get(m) as usize > bits.len() {
+                    return Err(WireError::Corrupt("corrections overflow"));
+                }
+                let mut offsets_it = offsets.iter();
+                let first = offsets_it.next().unwrap_or(0) as usize;
+                Some((widths, offsets_it, first))
+            }
+            Residuals::Dropped { .. } => None,
+        };
         verify_kind_symbols(&self.kinds, &self.kind_params, m)?;
         // Fragment geometry: one streaming pass over starts and offsets
         // (no per-fragment select).
         let mut starts_it = self.starts.iter();
-        let mut offsets_it = self.offsets.iter();
         let mut cur_start = starts_it.next();
-        let mut o_prev = offsets_it.next().unwrap_or(0) as usize;
         for i in 0..m {
             let start = cur_start.expect("length checked at parse");
             if i == 0 && start != 0 {
@@ -457,15 +352,17 @@ impl<'a> LosslessView<'a> {
             if end <= start || end > n {
                 return Err(WireError::Corrupt("fragment bounds"));
             }
-            let w = self.widths.get(i) as usize;
-            if w > 64 {
-                return Err(WireError::Corrupt("correction width"));
+            if let Some((widths, offsets_it, o_prev)) = &mut stored {
+                let w = widths.get(i) as usize;
+                if w > 64 {
+                    return Err(WireError::Corrupt("correction width"));
+                }
+                let o_next = offsets_it.next().expect("length checked at parse") as usize;
+                if o_next < *o_prev || o_next - *o_prev != (end - start) * w {
+                    return Err(WireError::Corrupt("offset stride"));
+                }
+                *o_prev = o_next;
             }
-            let o_next = offsets_it.next().expect("length checked at parse") as usize;
-            if o_next < o_prev || o_next - o_prev != (end - start) * w {
-                return Err(WireError::Corrupt("offset stride"));
-            }
-            o_prev = o_next;
             if self.origin_deltas.get(i) as usize > start {
                 return Err(WireError::Corrupt("origin delta"));
             }
@@ -473,14 +370,33 @@ impl<'a> LosslessView<'a> {
         Ok(())
     }
 
-    /// Number of data points.
+    /// Number of data points represented.
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether the series is empty.
+    /// Whether the archive covers no points.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Which representation the archive holds (the frame's flavor byte).
+    pub fn flavor(&self) -> ArchiveFlavor {
+        self.frame.flavor
+    }
+
+    /// The error bound a lossy archive was built under; `None` for a
+    /// lossless archive, whose values are exact.
+    pub fn eps(&self) -> Option<u64> {
+        match self.residuals {
+            Residuals::Stored { .. } => None,
+            Residuals::Dropped { eps } => Some(eps),
+        }
+    }
+
+    /// This view, if the archive is lossless.
+    pub fn as_lossless(&self) -> Option<&Self> {
+        self.eps().is_none().then_some(self)
     }
 
     /// The global positivity shift stored in the header.
@@ -489,16 +405,21 @@ impl<'a> LosslessView<'a> {
     }
 
     /// Compressed size in bytes by the paper's accounting: the bits of
-    /// `S, B, O, C, K, P` with their rank directories plus the fixed header
-    /// fields — no container framing, which PLA, AA and the other
-    /// competitors do not carry either.
+    /// `S, B, O, C, K, P` with their rank directories (a lossy archive has
+    /// no `B, O, C`; its ε counts instead) plus the fixed header fields — no
+    /// container framing, which PLA, AA and the other competitors do not
+    /// carry either.
     pub fn size_in_bytes(&self) -> usize {
         let header = 8 + 8 + self.kind_params.kinds().len() + 8; // n, shift, kinds, misc
+        let residuals = match &self.residuals {
+            Residuals::Stored { widths, offsets, bits } => {
+                widths.size_in_bytes() + offsets.size_in_bytes() + bits.size_in_bytes()
+            }
+            Residuals::Dropped { .. } => 8,
+        };
         header
             + self.starts.size_in_bytes()
-            + self.widths.size_in_bytes()
-            + self.offsets.size_in_bytes()
-            + self.corrections.size_in_bytes()
+            + residuals
             + self.kinds.size_in_bytes()
             + self.kind_params.params().iter().map(|p| p.len() * 8).sum::<usize>()
             + self.origin_deltas.size_in_bytes()
@@ -506,7 +427,7 @@ impl<'a> LosslessView<'a> {
 
     /// Number of fragments `m`.
     pub fn fragment_count(&self) -> usize {
-        self.widths.len()
+        self.origin_deltas.len()
     }
 
     /// Index of the fragment covering position `k`.
@@ -515,32 +436,55 @@ impl<'a> LosslessView<'a> {
         self.starts.fragment_of(k)
     }
 
-    /// The correction bit width `B[i]` of fragment `i`.
+    /// The correction bit width `B[i]` of fragment `i`: 0 for an exact fit,
+    /// and for every fragment of a lossy archive.
     pub fn correction_width_of(&self, i: usize) -> usize {
-        self.widths.get(i) as usize
+        match &self.residuals {
+            Residuals::Stored { widths, .. } => widths.get(i) as usize,
+            Residuals::Dropped { .. } => 0,
+        }
     }
 
-    /// Reconstructs the fragment descriptor for fragment `i`.
-    pub fn fragment(&self, i: usize) -> Fragment {
-        let start = self.starts.start_of(i);
-        let end = if i + 1 < self.fragment_count() { self.starts.start_of(i + 1) } else { self.n };
+    /// The largest magnitude a residual of fragment `i` can have: `2^(w−1)`
+    /// where `w`-bit corrections are stored, `ε + 1` where they were
+    /// dropped. What every estimate's error bound is made of.
+    fn residual_bound(&self, i: usize) -> f64 {
+        match &self.residuals {
+            Residuals::Stored { widths, .. } => match widths.get(i) {
+                0 => 0.0,
+                w => (1u64 << (w - 1)) as f64,
+            },
+            Residuals::Dropped { eps } => *eps as f64 + 1.0,
+        }
+    }
+
+    /// Where fragment `i`'s corrections from its local position `skip` on
+    /// are: the bit string, their width and the first one's bit offset.
+    /// `None` when there is nothing to add to the model — an exact fit, or
+    /// a lossy archive.
+    #[inline]
+    fn corrections_from(&self, i: usize, skip: usize) -> Option<(&BitBufView<'a>, usize, usize)> {
+        let Residuals::Stored { widths, offsets, bits } = &self.residuals else {
+            return None;
+        };
+        let w = widths.get(i) as usize;
+        (w > 0).then(|| (bits, w, offsets.get(i) as usize + skip * w))
+    }
+
+    /// The descriptor of fragment `i`, whose bounds the caller has.
+    #[inline]
+    fn model_of(&self, i: usize, start: usize, end: usize) -> Fragment {
         let (sym, rank) = self.kinds.access_rank(i);
         let (kind, params) = self.kind_params.model(sym, rank);
         let origin = start - self.origin_deltas.get(i) as usize;
         Fragment { kind, params, start, end, origin }
     }
 
-    /// Reads the correction for position `k` of fragment `i` starting at
-    /// `start`.
-    #[inline]
-    fn correction(&self, i: usize, start: usize, k: usize) -> i64 {
-        let w = self.widths.get(i) as usize;
-        if w == 0 {
-            return 0;
-        }
-        let o = self.offsets.get(i) as usize + (k - start) * w;
-        let bias = 1u64 << (w - 1);
-        self.corrections.get_bits(o, w).wrapping_sub(bias) as i64
+    /// Reconstructs the fragment descriptor for fragment `i`.
+    pub fn fragment(&self, i: usize) -> Fragment {
+        let start = self.starts.start_of(i);
+        let end = if i + 1 < self.fragment_count() { self.starts.start_of(i + 1) } else { self.n };
+        self.model_of(i, start, end)
     }
 
     /// Per-kind fragment counts.
@@ -554,208 +498,170 @@ impl<'a> LosslessView<'a> {
             .collect()
     }
 
-    /// Algorithm 3: random access to the value at position `k`.
-    pub fn get(&self, k: usize) -> i64 {
+    /// Algorithm 3: random access to the value at position `k` — exact for
+    /// a lossless archive, within ε + 1 of the original for a lossy one.
+    pub fn at(&self, k: usize) -> i64 {
         debug_assert!(k < self.n);
         let i = self.starts.fragment_of(k);
         let start = self.starts.start_of(i);
-        let (sym, rank) = self.kinds.access_rank(i);
-        let (kind, params) = self.kind_params.model(sym, rank);
-        let origin = start - self.origin_deltas.get(i) as usize;
-        let frag = Fragment { kind, params, start, end: self.n, origin };
-        model_value(&frag, k, self.shift).wrapping_add(self.correction(i, start, k))
+        // Evaluating the model never reads the fragment's end: passing `n`
+        // saves the select that would find it.
+        let frag = self.model_of(i, start, self.n);
+        let correction = match self.corrections_from(i, k - start) {
+            Some((bits, w, o)) => bits.get_bits(o, w).wrapping_sub(1u64 << (w - 1)) as i64,
+            None => 0,
+        };
+        model_value(&frag, k, self.shift).wrapping_add(correction)
     }
 
-    /// Range query: one rank to locate the first fragment, then a sequential
-    /// scan across fragments.
-    pub fn scan_range(&self, start: usize, count: usize, out: &mut Vec<i64>) {
-        if count == 0 {
-            return;
-        }
+    /// Appends the values in `range` to `out`: [`Self::scan_range`] by
+    /// bounds instead of start and count.
+    pub fn range(&self, range: Range<usize>, out: &mut Vec<i64>) {
+        self.scan_range(range.start, range.len(), out)
+    }
+
+    /// The pieces `[start, start + count)` falls into, in order: each the
+    /// index and descriptor of a fragment and the part of the range inside
+    /// it. One rank to locate the first fragment, then a sequential walk —
+    /// the shape of every range query below.
+    fn pieces(
+        &self,
+        start: usize,
+        count: usize,
+    ) -> impl Iterator<Item = (usize, Fragment, Range<usize>)> + '_ {
         debug_assert!(start + count <= self.n);
         let end = start + count;
-        let mut i = self.starts.fragment_of(start);
         let mut pos = start;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            let w = self.widths.get(i) as usize;
-            let o0 = self.offsets.get(i) as usize + (pos - frag.start) * w;
-            self.emit_loop_dispatch(&frag, pos, to, w, o0, out);
-            pos = to;
-            i += 1;
+        let mut i = if count == 0 { 0 } else { self.starts.fragment_of(start) };
+        std::iter::from_fn(move || {
+            (pos < end).then(|| {
+                let frag = self.fragment(i);
+                let piece = pos..frag.end.min(end);
+                let item = (i, frag, piece.clone());
+                pos = piece.end;
+                i += 1;
+                item
+            })
+        })
+    }
+
+    /// Decodes positions `from..from + out.len()` of fragment `i` into
+    /// `out`: the model values, plus the stored corrections if there are
+    /// any.
+    fn decode_piece(&self, i: usize, frag: &Fragment, from: usize, out: &mut [i64]) {
+        model_values(frag, self.shift, from, out);
+        if let Some((bits, w, o)) = self.corrections_from(i, from - frag.start) {
+            add_corrections(bits, w, o, out);
         }
     }
 
-    /// Algorithm 2: full decompression, fragment by fragment.
+    /// Range query (§IV-C4): appends the values in `[start, start + count)`
+    /// to `out`.
+    pub fn scan_range(&self, start: usize, count: usize, out: &mut Vec<i64>) {
+        let base = out.len();
+        out.resize(base + count, 0);
+        let window = &mut out[base..];
+        for (i, frag, piece) in self.pieces(start, count) {
+            self.decode_piece(i, &frag, piece.start, &mut window[piece.start - start..piece.end - start]);
+        }
+    }
+
+    /// Algorithm 2: the whole series, fragment by fragment (decompression of
+    /// a lossless archive, reconstruction of a lossy one).
     ///
     /// The sequential pass avoids the per-fragment rank/select machinery of
     /// the random-access path entirely: fragment starts stream out of the
-    /// Elias-Fano iterator, per-kind parameter ranks are incremental
+    /// start index's iterator, per-kind parameter ranks are incremental
     /// counters, and the correction bit offset is a running cursor
     /// (corrections are stored contiguously in fragment order).
-    pub fn decompress(&self) -> Vec<i64> {
-        let m = self.fragment_count();
-        let mut out = Vec::with_capacity(self.n);
+    pub fn materialize(&self) -> Vec<i64> {
+        let mut out = vec![0i64; self.n];
         let mut ranks = [0usize; Kind::ALL.len()];
         let mut o = 0usize;
         let mut starts = self.starts.iter();
         let mut start = starts.next().unwrap_or(0);
-        for i in 0..m {
+        for i in 0..self.fragment_count() {
             let end = starts.next().unwrap_or(self.n);
             let sym = self.kinds.access(i);
             let (kind, params) = self.kind_params.model(sym, ranks[sym as usize]);
             ranks[sym as usize] += 1;
             let origin = start - self.origin_deltas.get(i) as usize;
             let frag = Fragment { kind, params, start, end, origin };
-            let w = self.widths.get(i) as usize;
-            self.emit_loop_dispatch(&frag, start, end, w, o, &mut out);
-            o += (end - start) * w;
+            let piece = &mut out[start..end];
+            model_values(&frag, self.shift, start, piece);
+            if let Residuals::Stored { widths, bits, .. } = &self.residuals {
+                let w = widths.get(i) as usize;
+                if w > 0 {
+                    add_corrections(bits, w, o, piece);
+                }
+                o += (end - start) * w;
+            }
             start = end;
         }
         out
     }
 
-    /// Kind-dispatched emit over `[from, to)` reading `w`-bit corrections
-    /// starting at bit `o0` — the shared inner loop of Algorithms 2 and 3's
-    /// scan.
-    ///
-    /// The function-kind dispatch is hoisted out of the loop (the paper
-    /// vectorises this loop with `std::experimental::simd`; we rely on the
-    /// monomorphised closure auto-vectorising). Each arm calls
-    /// `Kind::eval` with a *constant* kind so the computation is
-    /// bit-identical to [`model_value`], which encoding used — that identity
-    /// is what makes the scheme lossless.
-    fn emit_loop_dispatch(
+    /// Streaming fold over the values in `[start, start + count)`, decoded
+    /// a [`FOLD_BLOCK`] at a time: no allocation, and memory independent of
+    /// `count`.
+    fn fold_range<A>(
         &self,
-        frag: &Fragment,
-        from: usize,
-        to: usize,
-        w: usize,
-        o0: usize,
-        out: &mut Vec<i64>,
-    ) {
-        let p = frag.params;
-        macro_rules! dispatch {
-            ($kind:expr) => {
-                self.emit_loop(|u| $kind.eval(p, u), frag, from, to, w, o0, out)
-            };
-        }
-        match frag.kind {
-            Kind::Linear => dispatch!(Kind::Linear),
-            Kind::Quadratic => dispatch!(Kind::Quadratic),
-            Kind::Exponential => dispatch!(Kind::Exponential),
-            Kind::Sqrt => dispatch!(Kind::Sqrt),
-            Kind::Logarithmic => dispatch!(Kind::Logarithmic),
-            Kind::Power => dispatch!(Kind::Power),
-            Kind::QuadOffset => dispatch!(Kind::QuadOffset),
-            Kind::QuadLinear => dispatch!(Kind::QuadLinear),
-            Kind::CubicLinear => dispatch!(Kind::CubicLinear),
-            Kind::CubicQuad => dispatch!(Kind::CubicQuad),
-            Kind::Gaussian => dispatch!(Kind::Gaussian),
-        }
-    }
-
-    /// The monomorphised emit loop shared by all kinds; `o0` is the bit
-    /// offset of the first correction to read (correction words are read
-    /// through the unaligned view).
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn emit_loop<F: Fn(f64) -> f64>(
-        &self,
-        eval: F,
-        frag: &Fragment,
-        from: usize,
-        to: usize,
-        w: usize,
-        o0: usize,
-        out: &mut Vec<i64>,
-    ) {
-        let shift_sub = if frag.kind.log_domain() { self.shift } else { 0 };
-        let origin = frag.origin;
-        // Pass 1: the pure floating-point model loop. Writing through a
-        // resized slice (not push) lets LLVM vectorise the polynomial kinds.
-        let base = out.len();
-        out.resize(base + (to - from), 0);
-        let slice = &mut out[base..];
-        for (j, v) in slice.iter_mut().enumerate() {
-            let f = eval((from + j - origin + 1) as f64);
-            *v = crate::fit::floor_to_i64(f).wrapping_sub(shift_sub);
-        }
-        // Pass 2: add the packed corrections with a register-resident word
-        // cursor (cheaper than recomputing word/bit from absolute offsets).
-        if w > 0 {
-            let bias = 1u64 << (w - 1);
-            let words = self.corrections.words();
-            let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-            let mut word_idx = o0 / 64;
-            let mut bit = o0 % 64;
-            let mut cur = words.get(word_idx);
-            for v in &mut out[base..] {
-                let mut raw = cur >> bit;
-                if bit + w > 64 {
-                    raw |= words.get(word_idx + 1) << (64 - bit);
-                }
-                *v = v.wrapping_add((raw & mask).wrapping_sub(bias) as i64);
-                bit += w;
-                if bit >= 64 {
-                    bit -= 64;
-                    word_idx += 1;
-                    cur = if word_idx < words.len() { words.get(word_idx) } else { 0 };
-                }
+        start: usize,
+        count: usize,
+        mut acc: A,
+        mut f: impl FnMut(A, i64) -> A,
+    ) -> A {
+        let mut block = [0i64; FOLD_BLOCK];
+        for (i, frag, piece) in self.pieces(start, count) {
+            for from in piece.clone().step_by(FOLD_BLOCK) {
+                let buf = &mut block[..(piece.end - from).min(FOLD_BLOCK)];
+                self.decode_piece(i, &frag, from, buf);
+                acc = buf.iter().fold(acc, |acc, &v| f(acc, v));
             }
         }
+        acc
     }
 
-    /// Exact range sum (scan-based), as `i128` to avoid overflow.
+    /// Exact range sum of the archive's values (the stored values for a
+    /// lossless archive, the ε-bounded approximations for a lossy one), as
+    /// `i128` to avoid overflow. Used by the multi-series store to push sums
+    /// down to individual segments and stitch across their boundaries.
     pub fn sum_range_exact(&self, start: usize, count: usize) -> i128 {
-        let mut out = Vec::with_capacity(count);
-        self.scan_range(start, count, &mut out);
-        out.iter().map(|&v| v as i128).sum()
+        self.fold_range(start, count, 0i128, |acc, v| acc + v as i128)
     }
 
-    /// Exact range minimum and maximum (scan-based); `None` when `count` is
-    /// zero.
+    /// Exact minimum and maximum over `[start, start + count)` of the
+    /// archive's values (`None` for an empty range). Like
+    /// [`Self::sum_range_exact`], this is the segment-local aggregate the
+    /// store's cross-segment pushdown folds over.
     pub fn min_max_range_exact(&self, start: usize, count: usize) -> Option<(i64, i64)> {
-        if count == 0 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(count);
-        self.scan_range(start, count, &mut out);
-        let mut lo = i64::MAX;
-        let mut hi = i64::MIN;
-        for &v in &out {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        Some((lo, hi))
+        self.fold_range(start, count, None, |acc: Option<(i64, i64)>, v| match acc {
+            Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
+            None => Some((v, v)),
+        })
+    }
+
+    /// Measured maximum absolute error against the original values (0 for
+    /// a lossless archive, at most ε + 1 for a lossy one).
+    pub fn max_error(&self, original: &TimeSeries) -> u64 {
+        let mut originals = original.values().iter();
+        self.fold_range(0, self.n, 0u64, |worst, v| {
+            originals.next().map_or(worst, |y| worst.max(y.abs_diff(v)))
+        })
     }
 
     /// Approximate range sum from the learned functions only, in
     /// O(#overlapping fragments) for closed-form kinds and with no
-    /// correction reads. The bound accounts for the per-fragment correction
-    /// magnitude (`2^{w−1}`) plus one unit of flooring per point.
+    /// correction reads. The bound charges every point its fragment's
+    /// residual bound (`2^{w−1}` stored, `ε + 1` dropped) plus one unit for
+    /// the closed form summing `f` instead of `⌊f⌋`.
     pub fn sum_range_estimate(&self, start: usize, count: usize) -> Estimate {
-        if count == 0 {
-            return Estimate { value: 0.0, max_error: 0.0 };
+        let mut sum = Estimate { value: 0.0, max_error: 0.0 };
+        for (i, frag, piece) in self.pieces(start, count) {
+            sum.value += fragment_model_sum(&frag, piece.start, piece.end, self.shift);
+            sum.max_error += piece.len() as f64 * (self.residual_bound(i) + 1.0);
         }
-        debug_assert!(start + count <= self.n);
-        let end = start + count;
-        let mut i = self.fragment_index_of(start);
-        let mut pos = start;
-        let mut value = 0.0f64;
-        let mut max_error = 0.0f64;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            value += fragment_model_sum(&frag, pos, to, self.shift);
-            let w = self.correction_width_of(i);
-            let bias = if w == 0 { 0.0 } else { (1u64 << (w - 1)) as f64 };
-            max_error += (to - pos) as f64 * (bias + 1.0);
-            pos = to;
-            i += 1;
-        }
-        Estimate { value, max_error }
+        sum
     }
 
     /// Approximate range mean with the same guarantee, scaled by `1/count`.
@@ -766,31 +672,19 @@ impl<'a> LosslessView<'a> {
     }
 
     /// Approximate range minimum and maximum from the learned functions
-    /// only (no correction reads), each with a guaranteed error bound of
-    /// the fragment's correction magnitude.
+    /// only (no correction reads), each within the largest residual bound
+    /// of the fragments the range overlaps.
     ///
     /// Extremes of each fragment's model come from endpoint/stationary-point
     /// analysis: O(1) per overlapping fragment.
     pub fn min_max_range_estimate(&self, start: usize, count: usize) -> (Estimate, Estimate) {
         assert!(count > 0, "min/max of an empty range is undefined");
-        debug_assert!(start + count <= self.n);
-        let end = start + count;
-        let mut i = self.fragment_index_of(start);
-        let mut pos = start;
-        let mut lo = i64::MAX;
-        let mut hi = i64::MIN;
-        let mut bound = 0.0f64;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            let (flo, fhi) = fragment_model_extremes(&frag, pos, to, self.shift);
+        let (mut lo, mut hi, mut bound) = (i64::MAX, i64::MIN, 0.0f64);
+        for (i, frag, piece) in self.pieces(start, count) {
+            let (flo, fhi) = fragment_model_extremes(&frag, piece.start, piece.end, self.shift);
             lo = lo.min(flo);
             hi = hi.max(fhi);
-            let w = self.correction_width_of(i);
-            let bias = if w == 0 { 0.0 } else { (1u64 << (w - 1)) as f64 };
-            bound = bound.max(bias);
-            pos = to;
-            i += 1;
+            bound = bound.max(self.residual_bound(i));
         }
         (
             Estimate { value: lo as f64, max_error: bound },
@@ -799,254 +693,69 @@ impl<'a> LosslessView<'a> {
     }
 }
 
-/// The ε-bounded query surface of a NeaTS-L archive over borrowed bytes.
-#[derive(Clone, Debug)]
-pub struct LossyView<'a> {
-    /// The container frame the view was parsed from (for the CRC pass).
-    frame: Frame<'a>,
-    n: usize,
-    shift: i64,
-    eps: u64,
-    starts: EliasFanoView<'a>,
-    kinds: WaveletMatrixView<'a>,
-    kind_params: KindParams<'a>,
-    origin_deltas: PackedVecView<'a>,
+/// The model values `⌊f(u)⌋ − shift` of `frag` at positions
+/// `from..from + out.len()` — the inner loop of Algorithm 2 and of every
+/// scan.
+///
+/// The function-kind dispatch is hoisted out of the loop (the paper
+/// vectorises this loop with `std::experimental::simd`; we rely on the
+/// monomorphised closure auto-vectorising). Each arm calls `Kind::eval` with
+/// a *constant* kind so the computation is bit-identical to [`model_value`],
+/// which encoding used — that identity is what makes the scheme lossless.
+fn model_values(frag: &Fragment, shift: i64, from: usize, out: &mut [i64]) {
+    /// The loop itself, monomorphised per kind. Writing through a slice
+    /// (not `push`) lets LLVM vectorise the polynomial kinds.
+    #[inline(always)]
+    fn fill(eval: impl Fn(f64) -> f64, first_u: usize, shift_sub: i64, out: &mut [i64]) {
+        for (j, v) in out.iter_mut().enumerate() {
+            *v = floor_to_i64(eval((first_u + j) as f64)).wrapping_sub(shift_sub);
+        }
+    }
+    let p = frag.params;
+    let first_u = from - frag.origin + 1;
+    let shift_sub = if frag.kind.log_domain() { shift } else { 0 };
+    macro_rules! dispatch {
+        ($kind:expr) => {
+            fill(|u| $kind.eval(p, u), first_u, shift_sub, out)
+        };
+    }
+    match frag.kind {
+        Kind::Linear => dispatch!(Kind::Linear),
+        Kind::Quadratic => dispatch!(Kind::Quadratic),
+        Kind::Exponential => dispatch!(Kind::Exponential),
+        Kind::Sqrt => dispatch!(Kind::Sqrt),
+        Kind::Logarithmic => dispatch!(Kind::Logarithmic),
+        Kind::Power => dispatch!(Kind::Power),
+        Kind::QuadOffset => dispatch!(Kind::QuadOffset),
+        Kind::QuadLinear => dispatch!(Kind::QuadLinear),
+        Kind::CubicLinear => dispatch!(Kind::CubicLinear),
+        Kind::CubicQuad => dispatch!(Kind::CubicQuad),
+        Kind::Gaussian => dispatch!(Kind::Gaussian),
+    }
 }
 
-impl<'a> LossyView<'a> {
-    /// Parses the lossy payload: every structure's header plus the
-    /// cross-structure counts that need no probe into a payload.
-    fn parse(frame: Frame<'a>, r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let n = r.read_len()?;
-        let shift = r.i64()?;
-        let eps = r.u64()?;
-        let starts = EliasFanoView::read(r)?;
-        let kinds = WaveletMatrixView::read(r)?;
-        let kind_params = KindParams::read(r)?;
-        let origin_deltas = PackedVecView::read(r)?;
-        let m = starts.len();
-        if kinds.len() != m || origin_deltas.len() != m {
-            return Err(WireError::Corrupt("fragment count mismatch"));
+/// Adds to `out` the `w`-bit bias-coded corrections (`w ≥ 1`) stored from
+/// bit `o0` of `bits` on, with a register-resident word cursor (cheaper
+/// than recomputing word/bit from absolute offsets).
+fn add_corrections(bits: &BitBufView<'_>, w: usize, o0: usize, out: &mut [i64]) {
+    let bias = 1u64 << (w - 1);
+    let words = bits.words();
+    let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
+    let mut word_idx = o0 / 64;
+    let mut bit = o0 % 64;
+    let mut cur = words.get(word_idx);
+    for v in out {
+        let mut raw = cur >> bit;
+        if bit + w > 64 {
+            raw |= words.get(word_idx + 1) << (64 - bit);
         }
-        // See the lossless parser: n and m must be zero together, or
-        // fragment_of underflows on a crafted archive.
-        if (m == 0) != (n == 0) {
-            return Err(WireError::Corrupt("fragment count vs series length"));
+        *v = v.wrapping_add((raw & mask).wrapping_sub(bias) as i64);
+        bit += w;
+        if bit >= 64 {
+            bit -= 64;
+            word_idx += 1;
+            cur = if word_idx < words.len() { words.get(word_idx) } else { 0 };
         }
-        Ok(Self { frame, n, shift, eps, starts, kinds, kind_params, origin_deltas })
-    }
-
-    /// Validates the payloads: every invariant the queries rely on.
-    fn verify(&self) -> Result<(), WireError> {
-        self.starts.validate()?;
-        self.kinds.validate()?;
-        verify_kind_symbols(&self.kinds, &self.kind_params, self.starts.len())?;
-        let mut prev = 0usize;
-        for (i, s) in self.starts.iter().enumerate() {
-            let s = s as usize;
-            if (i == 0 && s != 0) || (i > 0 && s <= prev) || s >= self.n {
-                return Err(WireError::Corrupt("fragment starts"));
-            }
-            if self.origin_deltas.get(i) as usize > s {
-                return Err(WireError::Corrupt("origin delta"));
-            }
-            prev = s;
-        }
-        Ok(())
-    }
-
-    /// Number of data points represented.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the approximation covers no points.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The error bound the approximation was built under.
-    pub fn eps(&self) -> u64 {
-        self.eps
-    }
-
-    /// The global positivity shift stored in the header.
-    pub fn shift(&self) -> i64 {
-        self.shift
-    }
-
-    /// Compressed size in bytes (parameters plus access structures; the
-    /// paper's accounting, without container framing).
-    pub fn size_in_bytes(&self) -> usize {
-        let header = 8 + 8 + 8 + self.kind_params.kinds().len() + 8;
-        header
-            + self.starts.size_in_bytes()
-            + self.kinds.size_in_bytes()
-            + self.kind_params.params().iter().map(|p| p.len() * 8).sum::<usize>()
-            + self.origin_deltas.size_in_bytes()
-    }
-
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.origin_deltas.len()
-    }
-
-    /// Index of the fragment covering position `k`.
-    pub fn fragment_index_of(&self, k: usize) -> usize {
-        debug_assert!(k < self.n);
-        self.starts.rank_leq(k as u64) - 1
-    }
-
-    /// Reconstructs the fragment descriptor for fragment `i`.
-    pub fn fragment(&self, i: usize) -> Fragment {
-        let start = self.starts.get(i) as usize;
-        let end = if i + 1 < self.fragment_count() {
-            self.starts.get(i + 1) as usize
-        } else {
-            self.n
-        };
-        let sym = self.kinds.access(i);
-        let (kind, params) = self.kind_params.model(sym, self.kinds.rank(sym, i));
-        let origin = start - self.origin_deltas.get(i) as usize;
-        Fragment { kind, params, start, end, origin }
-    }
-
-    /// The approximated value at position `k` (random access).
-    pub fn approximate(&self, k: usize) -> i64 {
-        debug_assert!(k < self.n);
-        let i = self.starts.rank_leq(k as u64) - 1;
-        let frag = self.fragment(i);
-        model_value(&frag, k, self.shift)
-    }
-
-    /// Per-kind fragment counts.
-    pub fn kind_histogram(&self) -> Vec<(Kind, usize)> {
-        let m = self.fragment_count();
-        self.kind_params
-            .kinds()
-            .iter()
-            .enumerate()
-            .map(|(sym, &kind)| (kind, self.kinds.rank(sym as u8, m)))
-            .collect()
-    }
-
-    /// Appends the approximated values in `[start, start + count)` to `out`:
-    /// one rank, then a sequential fragment walk.
-    pub fn scan_range(&self, start: usize, count: usize, out: &mut Vec<i64>) {
-        if count == 0 {
-            return;
-        }
-        debug_assert!(start + count <= self.n);
-        let end = start + count;
-        let mut i = self.fragment_index_of(start);
-        let mut pos = start;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            for k in pos..to {
-                out.push(model_value(&frag, k, self.shift));
-            }
-            pos = to;
-            i += 1;
-        }
-    }
-
-    /// Materialises the whole approximated series.
-    ///
-    /// Sequential walk: fragment starts stream out of the Elias-Fano
-    /// iterator and per-kind parameter ranks are incremental counters, so no
-    /// per-fragment select/rank machinery runs.
-    pub fn reconstruct(&self) -> Vec<i64> {
-        let m = self.fragment_count();
-        let mut out = Vec::with_capacity(self.n);
-        let mut ranks = [0usize; Kind::ALL.len()];
-        let mut starts = self.starts.iter();
-        let mut start = starts.next().map(|v| v as usize).unwrap_or(0);
-        for i in 0..m {
-            let end = starts.next().map(|v| v as usize).unwrap_or(self.n);
-            let sym = self.kinds.access(i);
-            let (kind, params) = self.kind_params.model(sym, ranks[sym as usize]);
-            ranks[sym as usize] += 1;
-            let origin = start - self.origin_deltas.get(i) as usize;
-            let frag = Fragment { kind, params, start, end, origin };
-            for k in start..end {
-                out.push(model_value(&frag, k, self.shift));
-            }
-            start = end;
-        }
-        out
-    }
-
-    /// Streaming fold over the approximated values in
-    /// `[start, start + count)`: one rank, then a fragment walk evaluating
-    /// the models directly — no allocation.
-    fn fold_range<A>(&self, start: usize, count: usize, mut acc: A, f: impl Fn(A, i64) -> A) -> A {
-        if count == 0 {
-            return acc;
-        }
-        debug_assert!(start + count <= self.n);
-        let end = start + count;
-        let mut i = self.fragment_index_of(start);
-        let mut pos = start;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            for k in pos..to {
-                acc = f(acc, model_value(&frag, k, self.shift));
-            }
-            pos = to;
-            i += 1;
-        }
-        acc
-    }
-
-    /// Exact range sum of the ε-bounded approximations, as `i128` to avoid
-    /// overflow (a streaming fragment walk, no allocation).
-    pub fn sum_range_exact(&self, start: usize, count: usize) -> i128 {
-        self.fold_range(start, count, 0i128, |acc, v| acc + v as i128)
-    }
-
-    /// Exact range minimum and maximum of the ε-bounded approximations;
-    /// `None` when `count` is zero (a streaming fragment walk, no
-    /// allocation).
-    pub fn min_max_range_exact(&self, start: usize, count: usize) -> Option<(i64, i64)> {
-        self.fold_range(start, count, None, |acc: Option<(i64, i64)>, v| match acc {
-            Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
-            None => Some((v, v)),
-        })
-    }
-
-    /// Measured maximum absolute error against the original values.
-    pub fn max_error(&self, original: &TimeSeries) -> u64 {
-        original
-            .values()
-            .iter()
-            .enumerate()
-            .map(|(k, &v)| v.abs_diff(self.approximate(k)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Approximate range sum from the lossy model, with error bound
-    /// `count·(ε+2)`: ε from the NeaTS-L guarantee, +1 for flooring, +1 for
-    /// the closed form summing f instead of ⌊f⌋.
-    pub fn sum_range_estimate(&self, start: usize, count: usize) -> Estimate {
-        if count == 0 {
-            return Estimate { value: 0.0, max_error: 0.0 };
-        }
-        debug_assert!(start + count <= self.n);
-        let end = start + count;
-        let mut i = self.fragment_index_of(start);
-        let mut pos = start;
-        let mut value = 0.0f64;
-        while pos < end {
-            let frag = self.fragment(i);
-            let to = frag.end.min(end);
-            value += fragment_model_sum(&frag, pos, to, self.shift);
-            pos = to;
-            i += 1;
-        }
-        Estimate { value, max_error: count as f64 * (self.eps as f64 + 2.0) }
     }
 }
 
@@ -1071,6 +780,7 @@ mod tests {
             let bytes = c.to_bytes();
             let view = ArchiveView::open(&bytes).unwrap();
             assert_eq!(view.len(), c.len());
+            assert_eq!(view.eps(), None);
             assert_eq!(view.fragment_count(), c.view().fragment_count());
             // A view opened from the bytes and the handle that owns them
             // both decode to the input.
@@ -1089,8 +799,8 @@ mod tests {
         let l = NeaTS::builder().build_lossy(&ts, 25);
         let bytes = l.to_bytes();
         let view = ArchiveView::open(&bytes).unwrap();
-        let lossy = view.as_lossy().unwrap();
-        assert_eq!(lossy.eps(), 25);
+        assert_eq!(view.eps(), Some(25));
+        assert!(view.as_lossless().is_none());
         for (k, &y) in ts.values().iter().enumerate() {
             assert_eq!(view.at(k), l.approximate(k), "at({k})");
             assert!(y.abs_diff(view.at(k)) <= 26, "at({k}) outside eps + 1");
@@ -1120,5 +830,33 @@ mod tests {
             view.range(s..s + l, &mut out);
             assert_eq!(out, &ts.values()[s..s + l], "range [{s}, {})", s + l);
         }
+    }
+
+    #[test]
+    fn exact_aggregates_cross_fold_blocks_and_fragments() {
+        // Ranges longer than a fold block, starting and ending inside
+        // fragments: the block boundaries must not show in the answer.
+        let ts = walk(5 * FOLD_BLOCK + 77, 5);
+        let lossless = NeaTS::compress(&ts);
+        let lossy = NeaTS::builder().build_lossy(&ts, 30);
+        for (view, decoded) in [
+            (lossless.view(), ts.values().to_vec()),
+            (lossy.view(), lossy.reconstruct()),
+        ] {
+            for (s, c) in [(0, decoded.len()), (3, FOLD_BLOCK), (FOLD_BLOCK - 1, 2 * FOLD_BLOCK + 2), (9, 0)] {
+                let slice = &decoded[s..s + c];
+                assert_eq!(view.sum_range_exact(s, c), slice.iter().map(|&v| v as i128).sum::<i128>());
+                let min_max = slice.iter().min().copied().zip(slice.iter().max().copied());
+                assert_eq!(view.min_max_range_exact(s, c), min_max);
+            }
+        }
+    }
+
+    #[test]
+    fn view_is_no_larger_than_the_enum_it_replaced() {
+        // The store's segment cache holds one of these per entry. The
+        // two-variant enum this struct replaced was 1200 bytes (the size of
+        // its lossless variant); the budget is that plus an `Option<u64>`.
+        assert!(std::mem::size_of::<ArchiveView<'_>>() <= 1200 + 16, "{}", std::mem::size_of::<ArchiveView<'_>>());
     }
 }

@@ -1,15 +1,15 @@
 //! The correctness argument for the read path, stated once, against ground
-//! truth: every answer of the decoder ([`ArchiveView`], [`LosslessView`],
-//! [`LossyView`]) is held to **what the encoder was given** — the input
-//! series and the `Partition` Algorithm 1 produced for it — across arbitrary
-//! walks × rank modes × lossless/lossy × partitioner thread counts.
+//! truth: every answer of the decoder ([`ArchiveView`]) is held to **what
+//! the encoder was given** — the input series and the `Partition`
+//! Algorithm 1 produced for it — across arbitrary walks × rank modes ×
+//! lossless/lossy × partitioner thread counts.
 //!
 //! * lossless: `at(k)`, `range`, `materialize` ≡ the input values;
 //!   `fragment(i)` ≡ fragment *i* of the partition; `correction_width_of(i)`
 //!   ≡ the width of that fragment's measured residual;
-//! * lossy: `approximate(k)` ≡ `model_value` over the partition's fragments
+//! * lossy: `at(k)` ≡ `model_value` over the partition's fragments
 //!   (inputs here stay within ±2^53, where the first fit is kept) and
-//!   `|approximate(k) − y_k| ≤ ε + 1`;
+//!   `|at(k) − y_k| ≤ ε + 1`;
 //! * both: `sum_range_exact` / `min_max_range_exact` ≡ a naive fold over the
 //!   decoded slice, and every [`Estimate`] interval contains the exact
 //!   answer.
@@ -27,8 +27,8 @@
 use neats_core::fit::{max_abs_residual, model_value};
 use neats_core::partition::{partition, Partition, PartitionConfig};
 use neats_core::{
-    default_epsilons, positivity_shift, ArchiveView, Estimate, Kind, LosslessView, LossyView, NeaTS,
-    NeaTSCompressed, NeaTSLossy, RankMode,
+    default_epsilons, positivity_shift, ArchiveView, Estimate, Kind, NeaTS, NeaTSCompressed,
+    NeaTSLossy, RankMode,
 };
 use proptest::prelude::*;
 use timeseries::{CompressedSeries, TimeSeries};
@@ -107,16 +107,17 @@ fn check_decodes_to(view: &ArchiveView<'_>, expected: &[i64], ranges: &[(usize, 
 
 /// The lossless query surface against the input values and the partition.
 fn check_lossless(
-    v: &LosslessView<'_>,
+    v: &ArchiveView<'_>,
     values: &[i64],
     shift: i64,
     part: &Partition,
     ranges: &[(usize, usize)],
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!((v.len(), v.shift(), v.fragment_count()), (values.len(), shift, part.fragments.len()));
-    prop_assert_eq!(&v.decompress()[..], values);
+    prop_assert_eq!(v.eps(), None);
+    prop_assert_eq!(&v.materialize()[..], values);
     for (k, &y) in values.iter().enumerate() {
-        prop_assert_eq!(v.get(k), y, "get({})", k);
+        prop_assert_eq!(v.at(k), y, "at({})", k);
     }
     for (i, frag) in part.fragments.iter().enumerate() {
         prop_assert_eq!(&v.fragment(i), frag, "fragment({})", i);
@@ -148,7 +149,7 @@ fn check_lossless(
 
 /// The lossy query surface against the input values, ε and the partition.
 fn check_lossy(
-    v: &LossyView<'_>,
+    v: &ArchiveView<'_>,
     ts: &TimeSeries,
     eps: u64,
     shift: i64,
@@ -156,12 +157,12 @@ fn check_lossy(
     ranges: &[(usize, usize)],
 ) -> Result<(), TestCaseError> {
     let model = model_series(part, shift);
-    prop_assert_eq!((v.len(), v.eps(), v.shift()), (ts.len(), eps, shift));
+    prop_assert_eq!((v.len(), v.eps(), v.shift()), (ts.len(), Some(eps), shift));
     prop_assert_eq!(v.fragment_count(), part.fragments.len());
-    prop_assert_eq!(&v.reconstruct(), &model);
+    prop_assert_eq!(&v.materialize(), &model);
     for (k, &y) in ts.values().iter().enumerate() {
-        prop_assert_eq!(v.approximate(k), model[k], "approximate({})", k);
-        prop_assert!(y.abs_diff(model[k]) <= eps + 1, "|approximate({}) - y| > eps + 1", k);
+        prop_assert_eq!(v.at(k), model[k], "at({})", k);
+        prop_assert!(y.abs_diff(model[k]) <= eps + 1, "|at({}) - y| > eps + 1", k);
     }
     prop_assert!(v.max_error(ts) <= eps + 1);
     for (i, frag) in part.fragments.iter().enumerate() {
@@ -175,10 +176,19 @@ fn check_lossy(
         let mut got = Vec::new();
         v.scan_range(s, c, &mut got);
         prop_assert_eq!(&got[..], &model[s..s + c], "scan_range({}, {})", s, c);
-        // The estimate's guarantee is about the *original* values.
-        let exact = sum(&ts.values()[s..s + c]);
+        // The estimates' guarantee is about the *original* values.
+        let original = &ts.values()[s..s + c];
+        let exact = sum(original);
         let est = v.sum_range_estimate(s, c);
         prop_assert!(contains(est, exact as f64), "sum {:?} misses {}", est, exact);
+        let mean = v.mean_range_estimate(s, c);
+        prop_assert!(contains(mean, exact as f64 / c.max(1) as f64), "mean {:?}", mean);
+        if c > 0 {
+            let (lo, hi) = v.min_max_range_estimate(s, c);
+            let (min, max) = (*original.iter().min().unwrap(), *original.iter().max().unwrap());
+            prop_assert!(contains(lo, min as f64), "min {:?} misses {}", lo, min);
+            prop_assert!(contains(hi, max as f64), "max {:?} misses {}", hi, max);
+        }
     }
     Ok(())
 }
@@ -244,7 +254,8 @@ proptest! {
         let (shift, part) = lossy_inputs(&ts, &Kind::NEATS_DEFAULT, eps);
         for view in open_and_parse(&bytes) {
             check_decodes_to(&view, &model_series(&part, shift), &ranges)?;
-            check_lossy(view.as_lossy().expect("lossy archive"), &ts, eps, shift, &part, &ranges)?;
+            prop_assert!(view.as_lossless().is_none());
+            check_lossy(&view, &ts, eps, shift, &part, &ranges)?;
         }
         for handle in [&owned, &reread] {
             check_lossy(handle.view(), &ts, eps, shift, &part, &ranges)?;
@@ -310,7 +321,7 @@ fn deterministic_shapes_differential() {
         for view in open_and_parse(lossy.as_bytes()) {
             let checked = if within_f64 {
                 check_decodes_to(&view, &model_series(&part, shift), &whole)
-                    .and_then(|()| check_lossy(view.as_lossy().unwrap(), &ts, 10, shift, &part, &whole))
+                    .and_then(|()| check_lossy(&view, &ts, 10, shift, &part, &whole))
             } else {
                 check_decodes_to(&view, &lossy.reconstruct(), &whole)
             };

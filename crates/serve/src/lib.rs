@@ -122,6 +122,7 @@
 //! running.join().unwrap().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod conn;

@@ -57,6 +57,17 @@ impl StoreMode {
             StoreMode::Lossy { eps } => eps,
         }
     }
+
+    /// The mode `frame` was compressed under. A series' catalog mode is a
+    /// promise about every value it serves (exact, or within `eps`), so the
+    /// writer and the segment parser both hold each frame to it: flavor
+    /// *and* bound must be equal.
+    pub(crate) fn of(frame: &neats_core::ArchiveView<'_>) -> Self {
+        match frame.eps() {
+            None => StoreMode::Lossless,
+            Some(eps) => StoreMode::Lossy { eps },
+        }
+    }
 }
 
 /// One segment's catalog entry: where its two blobs live in the pack, and

@@ -71,10 +71,13 @@
 //! assert_eq!(store.at_time("cpu", stamps[500]).unwrap(), Some(values[500]));
 //! ```
 
+// `segment` is the one module allowed `unsafe` (see its docs).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
 mod format;
+#[allow(unsafe_code)]
 mod segment;
 mod store;
 mod writer;

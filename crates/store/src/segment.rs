@@ -1,14 +1,15 @@
 //! An opened segment: the zero-copy value view and timestamp index,
 //! borrowed from the pack's shared byte buffer.
 //!
-//! This is the one place the crate uses `unsafe`. A [`SegmentView`] must
+//! This is the one place the crate uses `unsafe` (the crate root denies it
+//! everywhere else). A [`SegmentView`] must
 //! hold both the `Arc<[u8]>` that owns the pack bytes *and* views that
 //! borrow from those bytes — a self-referential pair Rust's lifetimes can't
 //! express directly. The views are transmuted to `'static` internally and
 //! **never exposed at that lifetime**: every accessor reborrows them at the
 //! lifetime of `&self`, so callers cannot outlive the buffer.
 
-use crate::format::SegmentMeta;
+use crate::format::{SegmentMeta, StoreMode};
 use crate::StoreError;
 use neats_core::ArchiveView;
 use std::sync::Arc;
@@ -19,7 +20,9 @@ use succinct::{crc64, EliasFanoView, WireReader};
 ///
 /// Opening has two halves. [`Self::parse`] is O(sections): it reads the
 /// headers of the value frame and the timestamp blob and checks them
-/// against the catalog entry. [`Self::verify`] is O(bytes): both checksums,
+/// against the catalog entry — point counts, time base, and the series'
+/// mode: a frame of another flavor, or built under another ε than the
+/// catalog advertises, is corrupt. [`Self::verify`] is O(bytes): both checksums,
 /// the rank/select directories, the fragment geometry, strict timestamp
 /// monotonicity and the time span. [`Self::open`] — the only entry point for
 /// a segment not verified before — is one after the other. Pack bytes are
@@ -43,24 +46,36 @@ pub(crate) struct SegmentView {
 impl SegmentView {
     /// Opens and fully validates one segment of `pack`: [`Self::parse`],
     /// then [`Self::verify`].
-    pub(crate) fn open(pack: &Arc<[u8]>, meta: &SegmentMeta) -> Result<Self, StoreError> {
-        let seg = Self::parse(pack, meta)?;
+    pub(crate) fn open(
+        pack: &Arc<[u8]>,
+        meta: &SegmentMeta,
+        mode: StoreMode,
+    ) -> Result<Self, StoreError> {
+        let seg = Self::parse(pack, meta, mode)?;
         seg.verify(meta)?;
         Ok(seg)
     }
 
     /// Parses the headers of the value frame and the timestamp blob and
-    /// checks them against the catalog entry (point counts, time base)
-    /// without reading either payload. Never panics, whatever the bytes.
-    /// On its own, valid only for a segment of this very `pack` buffer that
-    /// already passed [`Self::open`] (see [`ArchiveView::parse`]).
-    pub(crate) fn parse(pack: &Arc<[u8]>, meta: &SegmentMeta) -> Result<Self, StoreError> {
+    /// checks them against the catalog entry (point counts, time base, the
+    /// series' `mode`) without reading either payload. Never panics,
+    /// whatever the bytes. On its own, valid only for a segment of this
+    /// very `pack` buffer that already passed [`Self::open`] (see
+    /// [`ArchiveView::parse`]).
+    pub(crate) fn parse(
+        pack: &Arc<[u8]>,
+        meta: &SegmentMeta,
+        mode: StoreMode,
+    ) -> Result<Self, StoreError> {
         // Blob bounds were validated against the data region at catalog
         // parse time.
         let frame = &pack[meta.data_offset..meta.data_offset + meta.data_len];
         let view = ArchiveView::parse(frame)?;
         if view.len() != meta.count {
             return Err(StoreError::Corrupt("segment frame point count"));
+        }
+        if StoreMode::of(&view) != mode {
+            return Err(StoreError::Corrupt("segment frame mode"));
         }
 
         let mut r = WireReader::new(Self::ts_blob(pack, meta));

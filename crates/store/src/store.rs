@@ -223,7 +223,7 @@ impl Store {
         if Self::is_quarantined(slot) {
             return Err(self.quarantine_error(si, seg));
         }
-        let meta = &self.series[si].segments()[seg];
+        let (mode, meta) = (self.series[si].mode(), &self.series[si].segments()[seg]);
         let opened = self.cache.get_or_open((si as u32, seg as u32), || {
             if neats_core::failpoint::triggered("store.open_segment") {
                 return Err(StoreError::Corrupt(
@@ -231,10 +231,10 @@ impl Store {
                 ));
             }
             if slot.load(Ordering::Relaxed) == state::VERIFIED {
-                return SegmentView::parse(&self.data, meta);
+                return SegmentView::parse(&self.data, meta, mode);
             }
             self.verifications.fetch_add(1, Ordering::Relaxed);
-            let view = SegmentView::open(&self.data, meta)?;
+            let view = SegmentView::open(&self.data, meta, mode)?;
             // Leaves a quarantine set by a racing (injected) failure alone.
             let _ = slot.compare_exchange(
                 state::UNVERIFIED,
@@ -661,7 +661,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StoreConfig, StoreWriter};
+    use crate::{StoreConfig, StoreMode, StoreWriter};
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -1077,7 +1077,8 @@ mod tests {
                 let mut bad = pack.to_vec();
                 bad[pos] ^= 0x40;
                 let bad: Arc<[u8]> = bad.into();
-                SegmentView::parse(&bad, meta).is_ok() && SegmentView::open(&bad, meta).is_err()
+                SegmentView::parse(&bad, meta, StoreMode::Lossless).is_ok()
+                    && SegmentView::open(&bad, meta, StoreMode::Lossless).is_err()
             })
             .expect("a payload byte past the blob's midpoint")
     }
@@ -1192,5 +1193,50 @@ mod tests {
         assert_eq!(store.segment_verifications(), 9);
         assert_eq!(store.clear_quarantine(), 1);
         assert_eq!(store.clear_quarantine(), 0, "nothing left to clear");
+    }
+    #[test]
+    fn segment_built_under_another_mode_is_quarantined() {
+        use neats_core::NeaTS;
+        use timeseries::TimeSeries;
+
+        // A lossy series advertised as ε = 1, four segments.
+        let stamps: Vec<u64> = (0..512u64).map(|i| 50 + i * 2).collect();
+        let values: Vec<i64> = (0..512).map(|k: i64| (k * 37 % 101) * 40 + k).collect();
+        let mut w = StoreWriter::new(StoreConfig {
+            segment_points: 128,
+            mode: StoreMode::Lossy { eps: 1 },
+            ..Default::default()
+        });
+        w.ingest("s", &stamps, &values).unwrap();
+        let pack = w.finish().unwrap();
+
+        // What some other writer could have produced: segment 1's frame
+        // replaced by one built from the same values under ε = 1000, or by a
+        // lossless one, with the catalog and footer checksums recomputed —
+        // every byte of the pack checks out, only the promise does not.
+        let chunk = TimeSeries::from_values(values[128..256].to_vec());
+        let wrong_eps = NeaTS::builder().build_lossy(&chunk, 1000);
+        assert!(wrong_eps.max_error(&chunk) > 2, "the spliced frame must actually be looser");
+        for frame in [wrong_eps.to_bytes(), NeaTS::compress(&chunk).to_bytes()] {
+            let (mut entries, catalog_offset) = format::parse_pack(&pack).unwrap();
+            let mut data = pack[..catalog_offset].to_vec();
+            let meta = &mut entries[0].segments[1];
+            meta.data_offset = data.len();
+            meta.data_len = frame.len();
+            data.extend_from_slice(&frame);
+            let store = Store::open(format::seal(data, &entries)).unwrap();
+            assert_eq!(store.series("s").unwrap().mode(), StoreMode::Lossy { eps: 1 });
+
+            assert_eq!(
+                store.get("s", 130),
+                Err(StoreError::Quarantined { series: "s".into(), segment: 1 })
+            );
+            assert_eq!(store.quarantined(), vec![("s".to_string(), 1)]);
+            // Its neighbours keep serving, inside the advertised bound.
+            for k in (0..128).chain(256..512) {
+                assert!(store.get("s", k).unwrap().abs_diff(values[k]) <= 2, "get({k})");
+            }
+            assert_eq!(store.quarantined_count(), 1);
+        }
     }
 }

@@ -3,7 +3,7 @@
 use crate::format::{self, SegmentMeta, SeriesEntry, StoreMode};
 use crate::{StoreError, MAX_TIMESTAMP};
 use neats_core::parallel::{effective_threads, parallel_map_indexed};
-use neats_core::{ArchiveFlavor, ArchiveView, NeaTSBuilder};
+use neats_core::{ArchiveView, NeaTSBuilder};
 use succinct::{crc64, EliasFano, Wire, WireWriter};
 use timeseries::TimeSeries;
 
@@ -192,9 +192,10 @@ impl StoreWriter {
     /// produced by the compressors' `to_bytes` — e.g. a chunk a live head
     /// already compressed with the streaming writer — and `stamps` its
     /// per-point timestamps. The frame is validated (it must open, its point
-    /// count must equal `stamps.len()`, and its flavor must match the
-    /// series mode) and then carried into the pack verbatim at
-    /// [`Self::finish`], skipping re-compression.
+    /// count must equal `stamps.len()`, and its flavor *and* error bound
+    /// must equal the series mode, so the `eps` the catalog advertises is
+    /// the one every segment was built under) and then carried into the
+    /// pack verbatim at [`Self::finish`], skipping re-compression.
     ///
     /// Pre-compressed segments land *between* the committed segments and any
     /// raw pending batch, so for a given series all calls to this method
@@ -219,6 +220,9 @@ impl StoreWriter {
         if stamps.is_empty() {
             return Err(StoreError::Corrupt("pre-compressed segment has no points"));
         }
+        if StoreMode::of(&view) != self.cfg.mode {
+            return Err(StoreError::ModeMismatch { series: name.to_string() });
+        }
         let slot = match self.series.iter().position(|s| s.name == name) {
             Some(i) => {
                 if self.series[i].mode != self.cfg.mode {
@@ -238,13 +242,6 @@ impl StoreWriter {
                 self.series.len() - 1
             }
         };
-        let flavor_ok = match self.cfg.mode {
-            StoreMode::Lossless => view.flavor() == ArchiveFlavor::Lossless,
-            StoreMode::Lossy { .. } => view.flavor() == ArchiveFlavor::Lossy,
-        };
-        if !flavor_ok {
-            return Err(StoreError::ModeMismatch { series: name.to_string() });
-        }
         let s = &mut self.series[slot];
         if !s.pending_t.is_empty() {
             return Err(StoreError::Corrupt("pre-compressed segment after raw pending batch"));
@@ -516,6 +513,30 @@ mod tests {
             w.append_compressed_segment("s", &frame, &next),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn pre_compressed_segment_must_match_the_mode_bound_included() {
+        let ts = TimeSeries::from_values((0..50).map(|k| k * k % 97).collect::<Vec<i64>>());
+        let stamps: Vec<u64> = (0..50).collect();
+        let lossy = |eps| neats_core::NeaTS::builder().build_lossy(&ts, eps).to_bytes();
+        let cfg = StoreConfig { mode: StoreMode::Lossy { eps: 1 }, ..StoreConfig::default() };
+
+        let mut w = StoreWriter::new(cfg);
+        // The right flavor under a looser bound than the series advertises,
+        // and the wrong flavor altogether.
+        for frame in [lossy(1000), neats_core::NeaTS::compress(&ts).to_bytes()] {
+            assert_eq!(
+                w.append_compressed_segment("s", &frame, &stamps),
+                Err(StoreError::ModeMismatch { series: "s".into() })
+            );
+        }
+        // A refusal leaves nothing behind: no series, no pending segment.
+        assert!(w.series_names().is_empty());
+        w.append_compressed_segment("s", &lossy(1), &stamps).unwrap();
+        let (entries, _) = format::parse_pack(&w.finish().unwrap()).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].mode(), entries[0].segments().len()), (StoreMode::Lossy { eps: 1 }, 1));
     }
 
     #[test]

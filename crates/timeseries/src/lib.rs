@@ -12,6 +12,7 @@
 //! * [`io`] — loading real fixed-precision text data with the paper's
 //!   `× 10^digits` transform.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod datasets;
 pub mod gen;
