@@ -1,7 +1,8 @@
 //! `bench_all` — the unified codec × shape matrix behind `neats bench all`.
 //!
-//! Sweeps every [`bench::suite::Codec`] (NeaTS lossless/lossy/streaming
-//! plus all twelve baselines) over every [`bench::suite::Shape`]
+//! Sweeps every codec of [`bench::suite::all_codecs`] (NeaTS
+//! lossless/lossy/streaming plus all twelve baselines) over every
+//! [`bench::suite::Shape`]
 //! (the 16 paper datasets plus 8 adversarial generators), checks
 //! conformance inline, and writes `BENCH_all.json` + `BENCHMARKS.md`.
 //!

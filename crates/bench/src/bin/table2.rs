@@ -32,6 +32,19 @@ fn crossover_eps(ts: &TimeSeries, lossless_bytes: usize) -> u64 {
     hi
 }
 
+/// One lossy codec on one series: ratio %, compression MB/s,
+/// decompression MB/s, MAPE %.
+fn measure<A: CompressedSeries>(ts: &TimeSeries, build: impl FnOnce() -> A) -> [f64; 4] {
+    let raw = ts.uncompressed_bytes() as f64;
+    let t0 = Instant::now();
+    let archive = build();
+    let compress_mbs = raw / t0.elapsed().as_secs_f64() / 1e6;
+    let t0 = Instant::now();
+    std::hint::black_box(archive.decompress());
+    let decompress_mbs = raw / t0.elapsed().as_secs_f64() / 1e6;
+    [100.0 * archive.size_in_bytes() as f64 / raw, compress_mbs, decompress_mbs, archive.mape(ts)]
+}
+
 fn main() {
     let n = bench_n();
     println!("Table II reproduction — lossy compressors, n = {n} per dataset");
@@ -40,40 +53,18 @@ fn main() {
         "data", "eps(%rng)", "AA", "PLA", "NeaTS-L", "impr.AA%", "impr.PLA%"
     );
 
-    let mut mape_aa = Vec::new();
-    let mut mape_pla = Vec::new();
-    let mut mape_nl = Vec::new();
-    let mut speeds: Vec<(f64, f64, f64)> = Vec::new(); // (comp MB/s) aa, pla, neats-l
-    let mut dspeeds: Vec<(f64, f64, f64)> = Vec::new();
+    // Per dataset, `measure` of each codec.
+    let (mut aa, mut pla, mut nl) = (Vec::new(), Vec::new(), Vec::new());
     let mut improvements: Vec<(f64, f64)> = Vec::new();
 
     for (ds, ts) in all_datasets(n) {
         let lossless = NeaTS::compress(&ts).size_in_bytes();
         let eps = crossover_eps(&ts, lossless);
-        let raw = ts.uncompressed_bytes() as f64;
+        let a = measure(&ts, || AdaptiveApprox::compress(&ts, eps));
+        let p = measure(&ts, || Pla::compress(&ts, eps));
+        let l = measure(&ts, || NeaTSLossy::compress(&ts, &neats_core::Kind::NEATS_DEFAULT, eps));
 
-        let t0 = Instant::now();
-        let aa = AdaptiveApprox::compress(&ts, eps);
-        let aa_ct = raw / t0.elapsed().as_secs_f64() / 1e6;
-        let t0 = Instant::now();
-        let pla = Pla::compress(&ts, eps);
-        let pla_ct = raw / t0.elapsed().as_secs_f64() / 1e6;
-        let t0 = Instant::now();
-        let nl = NeaTSLossy::compress(&ts, &neats_core::Kind::NEATS_DEFAULT, eps);
-        let nl_ct = raw / t0.elapsed().as_secs_f64() / 1e6;
-
-        let t0 = Instant::now();
-        std::hint::black_box(aa.reconstruct());
-        let aa_dt = raw / t0.elapsed().as_secs_f64() / 1e6;
-        let t0 = Instant::now();
-        std::hint::black_box(pla.reconstruct());
-        let pla_dt = raw / t0.elapsed().as_secs_f64() / 1e6;
-        let t0 = Instant::now();
-        std::hint::black_box(nl.reconstruct());
-        let nl_dt = raw / t0.elapsed().as_secs_f64() / 1e6;
-
-        let r = |b: usize| 100.0 * b as f64 / raw;
-        let (ra, rp, rn) = (r(aa.size_in_bytes()), r(pla.size_in_bytes()), r(nl.size_in_bytes()));
+        let (ra, rp, rn) = (a[0], p[0], l[0]);
         let eps_pct = 100.0 * eps as f64 / ts.delta() as f64;
         let impr_aa = 100.0 * (ra - rn) / ra;
         let impr_pla = 100.0 * (rp - rn) / rp;
@@ -88,52 +79,33 @@ fn main() {
             impr_aa,
             impr_pla
         );
-
-        mape_aa.push(aa.mape(&ts));
-        mape_pla.push(pla.mape(&ts));
-        mape_nl.push(nl.mape(&ts));
-        speeds.push((aa_ct, pla_ct, nl_ct));
-        dspeeds.push((aa_dt, pla_dt, nl_dt));
+        aa.push(a);
+        pla.push(p);
+        nl.push(l);
     }
 
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    // Average of one `measure` column over the datasets.
+    let col = |rows: &[[f64; 4]], i: usize| avg(&rows.iter().map(|r| r[i]).collect::<Vec<_>>());
     let (ia, ip): (Vec<f64>, Vec<f64>) = improvements.into_iter().unzip();
     println!("\naverage NeaTS-L improvement: {:.2}% vs AA, {:.2}% vs PLA", avg(&ia), avg(&ip));
     println!("(paper: 11.77% vs AA, 7.02% vs PLA)");
     println!(
         "\nMAPE averages: AA {:.2}%  NeaTS-L {:.2}%  PLA {:.2}%   (paper: 2.47 / 2.85 / 4.37)",
-        avg(&mape_aa),
-        avg(&mape_nl),
-        avg(&mape_pla)
-    );
-    let c: (Vec<f64>, Vec<f64>, Vec<f64>) = speeds.iter().fold(
-        (vec![], vec![], vec![]),
-        |(mut a, mut b, mut c), &(x, y, z)| {
-            a.push(x);
-            b.push(y);
-            c.push(z);
-            (a, b, c)
-        },
+        col(&aa, 3),
+        col(&nl, 3),
+        col(&pla, 3)
     );
     println!(
         "\nlossy compression speed MB/s: PLA {:.1}  AA {:.1}  NeaTS-L {:.1}   (paper: 123.4 / 63.1 / 18.2)",
-        avg(&c.1),
-        avg(&c.0),
-        avg(&c.2)
-    );
-    let d: (Vec<f64>, Vec<f64>, Vec<f64>) = dspeeds.iter().fold(
-        (vec![], vec![], vec![]),
-        |(mut a, mut b, mut c), &(x, y, z)| {
-            a.push(x);
-            b.push(y);
-            c.push(z);
-            (a, b, c)
-        },
+        col(&pla, 1),
+        col(&aa, 1),
+        col(&nl, 1)
     );
     println!(
         "lossy decompression speed MB/s: PLA {:.0}  NeaTS-L {:.0}  AA {:.0}   (paper: 2997 / 2561 / 2420)",
-        avg(&d.1),
-        avg(&d.2),
-        avg(&d.0)
+        col(&pla, 2),
+        col(&nl, 2),
+        col(&aa, 2)
     );
 }

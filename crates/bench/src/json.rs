@@ -1,5 +1,5 @@
-//! A ~80-line JSON value builder for the machine-readable perf artifacts
-//! (`BENCH_*.json`). The container has no serde, and the bench results are
+//! A ~80-line JSON value builder for the machine-readable matrix artifact
+//! (`BENCH_all.json`). The container has no serde, and the bench results are
 //! flat records — hand-rolled rendering with correct string escaping and
 //! stable key order is all that's needed.
 

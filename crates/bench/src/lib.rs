@@ -10,46 +10,31 @@
 //!   the LeaTS and SNeaTS variants);
 //! * `fig3` — ratio vs decompression speed and ratio vs random-access speed
 //!   (paper Fig. 3);
-//! * `fig4` — range-query throughput across range sizes (paper Fig. 4).
-//!
-//! * `perf_baseline` — compress/decompress/random-access throughput across
-//!   partitioner thread counts, written machine-readable to
-//!   `BENCH_partition.json` (the repo's perf trajectory).
-//! * `store_baseline` — multi-series pack store vs per-file archives: open
-//!   latency, point/range throughput, and the cache-hit effect, written
-//!   machine-readable to `BENCH_store.json`.
-//! * `serve_baseline` — the HTTP serving layer under concurrent in-process
-//!   clients: requests/s and client-observed p50/p99 latency across worker
-//!   threads × batch size, every response diffed against the `Store`
-//!   oracle, written machine-readable to `BENCH_serve.json`.
+//! * `fig4` — range-query throughput across range sizes (paper Fig. 4);
+//! * `ablations` — the compression effect of each design decision (function
+//!   pool, optimal vs greedy partitioning, per-fragment ε, SNeaTS sampling,
+//!   rank structure);
+//! * `gendata` — exports the 16 synthetic datasets as text files;
 //! * `bench_all` — the unified [`suite`]: every codec (NeaTS flavours and
-//!   all baselines behind one [`suite::Codec`] trait) × every shape (the
-//!   16 paper datasets plus 8 adversarial generators), conformance-checked
-//!   inline, written to `BENCH_all.json` + `BENCHMARKS.md`. Also reachable
-//!   as `neats bench all`; extra knobs `NEATS_BENCH_CODECS` /
-//!   `NEATS_BENCH_SHAPES` (substring filters), `NEATS_BENCH_SCAN_LEN` /
-//!   `NEATS_BENCH_SCANS`, `NEATS_BENCH_SEED`, and `NEATS_BENCH_CHECK`
-//!   (schema-drift gate against a committed artifact).
+//!   all baselines, behind the workspace's one `timeseries::Compressor` /
+//!   `CompressedSeries` pair) × every shape (the 16 paper datasets plus 8
+//!   adversarial generators), conformance-checked inline, written to
+//!   `BENCH_all.json` + `BENCHMARKS.md`. Also reachable as
+//!   `neats bench all`.
 //!
-//! Scale knobs (environment variables):
+//! System-level numbers — store, ingest and serve throughput and latency,
+//! partitioner scaling — are the per-layer metrics of `benchmark/` at the
+//! repository root, not of this crate.
+//!
+//! Knobs (environment variables):
 //!
 //! * `NEATS_BENCH_N` — points per dataset (default 131072);
 //! * `NEATS_BENCH_QUERIES` — random-access queries (default 20000);
-//! * `NEATS_BENCH_THREADS` — comma-separated thread counts for
-//!   `perf_baseline` (default `1,2,4`);
-//! * `NEATS_BENCH_DATASETS` — comma-separated dataset abbreviations to
-//!   restrict `perf_baseline` to (default: all 16);
-//! * `NEATS_BENCH_SERIES` / `NEATS_BENCH_SEGMENT` — series count and
-//!   segment size for `store_baseline` (defaults 8 / 8192; that binary
-//!   reads `NEATS_BENCH_N` as points *per series*, default 32768);
-//! * `NEATS_BENCH_SERVE_THREADS` / `NEATS_BENCH_BATCH` /
-//!   `NEATS_BENCH_CLIENTS` — `serve_baseline`'s worker sweep, batch-size
-//!   sweep and client-thread count (defaults `1,2` / `1,16` / 4; that
-//!   binary reads `NEATS_BENCH_N` per series, default 16384, and
-//!   `NEATS_BENCH_QUERIES` per sweep cell);
-//! * `NEATS_BENCH_OUT` — output path for `perf_baseline` /
-//!   `store_baseline` / `serve_baseline` (defaults `BENCH_partition.json` /
-//!   `BENCH_store.json` / `BENCH_serve.json`).
+//! * `bench_all` only: `NEATS_BENCH_CODECS` / `NEATS_BENCH_SHAPES`
+//!   (comma-separated substring filters), `NEATS_BENCH_SCAN_LEN` /
+//!   `NEATS_BENCH_SCANS`, `NEATS_BENCH_SEED`, `NEATS_BENCH_OUT` /
+//!   `NEATS_BENCH_MD` (artifact paths) and `NEATS_BENCH_CHECK`
+//!   (schema-drift gate against a committed artifact).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,20 +47,9 @@ use timeseries::{AnyCompressor, Dataset, TimeSeries};
 
 /// A `usize` knob from the environment, falling back to `default` when the
 /// variable is unset or unparseable — the shared parsing rule for every
-/// `NEATS_BENCH_*` scalar so the harness binaries cannot drift.
+/// `NEATS_BENCH_*` scalar.
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// A comma-separated positive-integer list from the environment (entries
-/// are trimmed, non-numeric and zero entries dropped), falling back to
-/// `default` when unset or empty — the shared rule for sweep knobs.
-pub fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(name)
-        .ok()
-        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).filter(|&t| t > 0).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
 }
 
 /// Points per dataset (env `NEATS_BENCH_N`).
@@ -86,39 +60,6 @@ pub fn bench_n() -> usize {
 /// Random-access query count (env `NEATS_BENCH_QUERIES`).
 pub fn bench_queries() -> usize {
     env_usize("NEATS_BENCH_QUERIES", 20_000)
-}
-
-/// Partitioner thread counts for the perf baseline (env
-/// `NEATS_BENCH_THREADS`, comma-separated; default `1,2,4`).
-pub fn bench_threads() -> Vec<usize> {
-    env_usize_list("NEATS_BENCH_THREADS", &[1, 2, 4])
-}
-
-/// The datasets the perf baseline runs on: all 16, or the subset named by
-/// the comma-separated `NEATS_BENCH_DATASETS` abbreviations (e.g. `IT,ECG`).
-///
-/// # Panics
-/// Panics on an abbreviation that matches no dataset (a typo'd filter must
-/// not silently degrade into the full multi-minute sweep).
-pub fn bench_dataset_filter() -> Vec<Dataset> {
-    let all = Dataset::ALL.to_vec();
-    match std::env::var("NEATS_BENCH_DATASETS") {
-        Ok(list) => {
-            let picked: Vec<Dataset> = list
-                .split(',')
-                .map(|s| s.trim().to_ascii_uppercase())
-                .filter(|w| !w.is_empty())
-                .map(|w| {
-                    all.iter().copied().find(|d| d.abbrev() == w).unwrap_or_else(|| {
-                        let known: Vec<&str> = all.iter().map(|d| d.abbrev()).collect();
-                        panic!("NEATS_BENCH_DATASETS: unknown dataset {w:?} (known: {known:?})")
-                    })
-                })
-                .collect();
-            if picked.is_empty() { all } else { picked }
-        }
-        Err(_) => all,
-    }
 }
 
 /// Generates all 16 paper datasets at `n` points.
@@ -154,8 +95,12 @@ pub struct Measurement {
     pub random_access_mbs: f64,
 }
 
-/// Deterministic query index sequence (multiplicative hashing).
+/// Deterministic query index sequence (multiplicative hashing) over
+/// `0..n`; empty when `n == 0`, where there is nothing to query.
 pub fn query_indices(n: usize, queries: usize) -> Vec<usize> {
+    if n == 0 {
+        return Vec::new();
+    }
     let mut idx = Vec::with_capacity(queries);
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for _ in 0..queries {
@@ -190,7 +135,7 @@ pub fn measure(comp: &dyn AnyCompressor, ts: &TimeSeries, queries: usize) -> Mea
     }
     let decompress_mbs = raw / best_dec / 1e6;
 
-    let idx = query_indices(ts.len().max(1), queries);
+    let idx = query_indices(ts.len(), queries);
     let mut best_ra = f64::INFINITY;
     for _ in 0..SPEED_REPS {
         let t0 = Instant::now();
@@ -247,6 +192,7 @@ mod tests {
         assert!(a.iter().all(|&i| i < 1000));
         // spread over the domain
         assert!(a.iter().filter(|&&i| i < 500).count() > 100);
+        assert!(query_indices(0, 500).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The full benchmark matrix: every [`Codec`] × every [`Shape`], with
+//! The full benchmark matrix: every roster codec × every [`Shape`], with
 //! conformance checked inline — a cell that produces wrong answers never
 //! makes it into the committed tables.
 //!
@@ -6,12 +6,12 @@
 //! records, schema-versioned so CI can detect drift) and `BENCHMARKS.md`
 //! (the human-diffable competitive table linked from the README).
 
-use super::codecs::{all_codecs, Codec};
+use super::codecs::all_codecs;
 use super::shapes::Shape;
 use crate::{geomean, query_indices};
 use crate::json::Json;
 use std::time::Instant;
-use timeseries::TimeSeries;
+use timeseries::{AnyCompressor, CompressedSeries, TimeSeries};
 
 /// Version of the `BENCH_all.json` record layout. Bump when record keys
 /// change; the CI smoke compares a fresh small-`n` run against the
@@ -127,15 +127,15 @@ pub struct MatrixReport {
 }
 
 /// Checks one archive against the original series on all three read paths.
-/// `eps = None` demands exact equality; `Some(ε)` demands `|x − x̂| ≤ ε + 1`
-/// and *exact* agreement between random access, range scans and
-/// decompression (the approximation must be consistent with itself).
+/// An archive whose `eps()` is `None` must be exactly equal; `Some(ε)`
+/// demands `|x − x̂| ≤ ε + 1` and *exact* agreement between random access,
+/// range scans and decompression (the approximation must be consistent
+/// with itself).
 pub fn check_conformance(
     codec: &str,
     shape: &str,
     ts: &TimeSeries,
-    archive: &dyn super::codecs::CodecArchive,
-    eps: Option<u64>,
+    archive: &dyn CompressedSeries,
 ) -> Result<(), ConformanceError> {
     let fail = |detail: String| {
         Err(ConformanceError { codec: codec.to_string(), shape: shape.to_string(), detail })
@@ -147,7 +147,7 @@ pub fn check_conformance(
     if rec.len() != ts.len() {
         return fail(format!("decompress len {} != {}", rec.len(), ts.len()));
     }
-    match eps {
+    match archive.eps() {
         None => {
             if let Some(k) = (0..ts.len()).find(|&k| rec[k] != ts.values()[k]) {
                 return fail(format!(
@@ -172,9 +172,9 @@ pub fn check_conformance(
     // Random access must agree with full materialisation exactly, lossy or
     // not: the three read paths must tell one story.
     for k in query_indices(ts.len(), ts.len().min(96)) {
-        let got = archive.random_access(k);
+        let got = archive.get(k);
         if got != rec[k] {
-            return fail(format!("random_access({k}) = {got} but decompress[{k}] = {}", rec[k]));
+            return fail(format!("get({k}) = {got} but decompress[{k}] = {}", rec[k]));
         }
     }
     // Range scans, including both edges and interior windows.
@@ -185,9 +185,9 @@ pub fn check_conformance(
     }
     for (start, count) in windows {
         let mut got = Vec::new();
-        archive.range_scan(start, count, &mut got);
+        archive.scan_range(start, count, &mut got);
         if got != rec[start..start + count] {
-            return fail(format!("range_scan({start}, {count}) disagrees with decompress"));
+            return fail(format!("scan_range({start}, {count}) disagrees with decompress"));
         }
     }
     Ok(())
@@ -213,7 +213,7 @@ pub fn run_matrix_with(
     };
     let shapes: Vec<Shape> =
         Shape::all().into_iter().filter(|s| keep(&config.shape_filter, s.name())).collect();
-    let codecs: Vec<Box<dyn Codec>> =
+    let codecs: Vec<Box<dyn AnyCompressor>> =
         all_codecs().into_iter().filter(|c| keep(&config.codec_filter, c.name())).collect();
 
     let mut cells = Vec::with_capacity(shapes.len() * codecs.len());
@@ -234,17 +234,16 @@ pub fn run_matrix_with(
 }
 
 fn measure_cell(
-    codec: &dyn Codec,
+    codec: &dyn AnyCompressor,
     shape: Shape,
     ts: &TimeSeries,
     config: &MatrixConfig,
 ) -> Result<Cell, ConformanceError> {
-    let eps = codec.epsilon_for(ts);
     let t0 = Instant::now();
-    let archive = codec.compress(ts);
+    let archive = codec.compress_boxed(ts);
     let compress_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    check_conformance(codec.name(), shape.name(), ts, archive.as_ref(), eps)?;
+    check_conformance(codec.name(), shape.name(), ts, archive.as_ref())?;
 
     // Per-query random-access latencies, for real p50/p99 rather than a
     // mean that hides tail behaviour.
@@ -253,12 +252,16 @@ fn measure_cell(
     let mut acc = 0i64;
     for &k in &idx {
         let t0 = Instant::now();
-        acc = acc.wrapping_add(archive.random_access(k));
+        acc = acc.wrapping_add(archive.get(k));
         lat_ns.push(t0.elapsed().as_nanos() as f64);
     }
     std::hint::black_box(acc);
     lat_ns.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| lat_ns[((lat_ns.len() - 1) as f64 * p) as usize];
+    // NaN (rendered `null`) on an empty series: nothing was timed.
+    let pct = |p: f64| match lat_ns.len() {
+        0 => f64::NAN,
+        len => lat_ns[((len - 1) as f64 * p) as usize],
+    };
 
     // Range-scan throughput over deterministic interior windows.
     let scan_len = config.scan_len.min(ts.len());
@@ -268,7 +271,7 @@ fn measure_cell(
     let t0 = Instant::now();
     for &s in &starts {
         out.clear();
-        archive.range_scan(s, scan_len, &mut out);
+        archive.scan_range(s, scan_len, &mut out);
         scanned += out.len();
         std::hint::black_box(&out);
     }
@@ -279,7 +282,7 @@ fn measure_cell(
         codec: codec.name().to_string(),
         shape: shape.name().to_string(),
         n: ts.len(),
-        eps,
+        eps: archive.eps(),
         size_bytes,
         ratio_pct: 100.0 * size_bytes as f64 / ts.uncompressed_bytes() as f64,
         compress_ms,
@@ -496,24 +499,24 @@ mod tests {
     #[test]
     fn conformance_rejects_a_lying_archive() {
         struct Lying(Vec<i64>);
-        impl crate::suite::codecs::CodecArchive for Lying {
+        impl CompressedSeries for Lying {
             fn len(&self) -> usize {
                 self.0.len()
             }
             fn size_in_bytes(&self) -> usize {
                 8
             }
-            fn random_access(&self, k: usize) -> i64 {
+            fn get(&self, k: usize) -> i64 {
                 self.0[k] + 1 // disagrees with decompress
             }
-            fn range_scan(&self, start: usize, count: usize, out: &mut Vec<i64>) {
+            fn scan_range(&self, start: usize, count: usize, out: &mut Vec<i64>) {
                 out.extend_from_slice(&self.0[start..start + count]);
             }
         }
         let ts = Shape::Sawtooth.generate(200);
         let archive = Lying(ts.values().to_vec());
-        let err = check_conformance("lying", "sawtooth", &ts, &archive, None).unwrap_err();
-        assert!(err.detail.contains("random_access"), "{err}");
+        let err = check_conformance("lying", "sawtooth", &ts, &archive).unwrap_err();
+        assert!(err.detail.contains("get("), "{err}");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use bench::suite::codecs::lossy_eps;
 use bench::suite::Shape;
 use neats_core::{Estimate, NeaTS};
 use proptest::prelude::*;
+use timeseries::CompressedSeries;
 
 fn contains(est: Estimate, exact: f64) -> bool {
     // Relative slack for the f64 rounding of sums near 2^64 (the extreme
@@ -25,7 +26,7 @@ fn check_shape(shape: Shape, n: usize, seed: u64, seeds: &[(usize, usize)]) -> R
     let eps = lossy_eps(&ts);
     let lossy = NeaTS::builder().build_lossy(&ts, eps);
     let view = lossy.view();
-    prop_assert_eq!(view.eps(), Some(eps));
+    prop_assert_eq!((lossy.eps(), view.eps()), (Some(eps), Some(eps)));
     let worst = lossy.max_error(&ts);
     prop_assert!(worst <= eps + 1, "{}: max error {} > eps + 1 = {}", shape.name(), worst, eps + 1);
 

@@ -16,8 +16,9 @@
 //!   surviving family with the fewest parameters wins ties.
 
 use neats_core::fit::stab::StabbingLine;
+use neats_core::fit::tighten_until_within;
 use succinct::EliasFano;
-use timeseries::TimeSeries;
+use timeseries::{CompressedSeries, TimeSeries};
 
 /// The function family chosen for one AA segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,50 +101,23 @@ impl AdaptiveApprox {
     /// Compresses `ts` under error bound `eps`.
     pub fn compress(ts: &TimeSeries, eps: u64) -> Self {
         let values = ts.values();
-        // Past 2^53 the f64 fit/eval round trip costs a few ULPs; the fit
-        // is tightened by `float_eval_slack` as a first estimate and the
-        // measured integer-domain error closes the loop, mirroring
-        // `NeaTSLossy::compress_with_threads`.
-        let mut slack = neats_core::fit::float_eval_slack(values, 0);
-        loop {
-            let fit_eps = eps.saturating_sub(slack);
-            let e = fit_eps as f64;
+        tighten_until_within(ts, 0, eps, |fit_eps| {
             let mut segments = Vec::new();
             let mut starts = Vec::new();
             let mut i = 0usize;
             while i < values.len() {
-                let (seg, len) = fit_segment(&values[i..], e);
+                let (seg, len) = fit_segment(&values[i..], fit_eps as f64);
                 starts.push(i as u64);
                 segments.push(seg);
                 i += len;
             }
-            let out = Self { n: values.len(), eps, starts: EliasFano::new(&starts), segments };
-            let overshoot = out.max_error(ts).saturating_sub(eps.saturating_add(1));
-            if overshoot == 0 || fit_eps == 0 {
-                return out;
-            }
-            slack = slack.saturating_add(overshoot.max(slack).max(1));
-        }
-    }
-
-    /// Number of data points represented.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the approximation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+            Self { n: values.len(), eps, starts: EliasFano::new(&starts), segments }
+        })
     }
 
     /// Number of segments.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
-    }
-
-    /// The error bound the approximation was built under.
-    pub fn eps(&self) -> u64 {
-        self.eps
     }
 
     /// The approximated value at position `k`.
@@ -174,9 +148,15 @@ impl AdaptiveApprox {
         }
         out
     }
+}
 
-    /// Compressed size: starts plus (2 or 3) doubles and a tag per segment.
-    pub fn size_in_bytes(&self) -> usize {
+impl CompressedSeries for AdaptiveApprox {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Starts plus (2 or 3) doubles and a tag per segment.
+    fn size_in_bytes(&self) -> usize {
         let params: usize = self
             .segments
             .iter()
@@ -185,16 +165,16 @@ impl AdaptiveApprox {
         8 + self.starts.size_in_bytes() + params
     }
 
-    /// Measured maximum absolute error.
-    pub fn max_error(&self, original: &TimeSeries) -> u64 {
-        let recon = self.reconstruct();
-        original.values().iter().zip(&recon).map(|(&a, &b)| a.abs_diff(b)).max().unwrap_or(0)
+    fn decompress(&self) -> Vec<i64> {
+        self.reconstruct()
     }
 
-    /// Mean Absolute Percentage Error in % (see
-    /// [`timeseries::types::mape_pct`] for the near-zero handling).
-    pub fn mape(&self, original: &TimeSeries) -> f64 {
-        timeseries::mape_pct(original, &self.reconstruct())
+    fn get(&self, k: usize) -> i64 {
+        self.approximate(k)
+    }
+
+    fn eps(&self) -> Option<u64> {
+        Some(self.eps)
     }
 }
 
@@ -309,7 +289,7 @@ mod tests {
         );
         let eps = ts.delta() / 200;
         let aa = AdaptiveApprox::compress(&ts, eps);
-        assert_eq!(aa.eps(), eps);
+        assert_eq!(aa.eps(), Some(eps));
         assert!(aa.max_error(&ts) <= eps + 1, "err {} > {}", aa.max_error(&ts), eps + 1);
     }
 

@@ -6,9 +6,10 @@
 //!   (Xu et al., EDBT 2012) combining anchored linear, exponential, and
 //!   quadratic functions, also from Table II.
 //!
-//! Both implement the same interface as [`neats_core::NeaTSLossy`]
-//! (compress / approximate / reconstruct / size / max_error / MAPE), so the
-//! Table II harness treats the three uniformly.
+//! Both implement [`timeseries::CompressedSeries`] with `eps() = Some(ε)`,
+//! as [`neats_core::NeaTSLossy`] does (`get` = `approximate`, `decompress`
+//! = `reconstruct`; size, `max_error` and MAPE come with the trait), so the
+//! Table II harness and the benchmark matrix treat the three uniformly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,9 +6,9 @@
 //! is public). We reuse the workspace's stabbing-line fitter with the linear
 //! kind, so PLA and NeaTS share the exact same geometric core.
 
-use neats_core::fit::{greedy_partition, model_value, Fragment, Kind};
+use neats_core::fit::{greedy_partition, model_value, tighten_until_within, Fragment, Kind};
 use succinct::EliasFano;
-use timeseries::TimeSeries;
+use timeseries::{CompressedSeries, TimeSeries};
 
 /// A piecewise linear ε-approximation with random access.
 #[derive(Clone, Debug)]
@@ -24,49 +24,21 @@ impl Pla {
     /// Builds the minimum-segment PLA under error bound `eps`.
     pub fn compress(ts: &TimeSeries, eps: u64) -> Self {
         let values = ts.values();
-        // Past 2^53 the f64 fit/eval round trip costs a few ULPs; the fit
-        // is tightened by `float_eval_slack` as a first estimate and the
-        // measured integer-domain error closes the loop (slope error over a
-        // long segment can exceed any fixed ULP multiple), mirroring
-        // `NeaTSLossy::compress_with_threads`.
-        let mut slack = neats_core::fit::float_eval_slack(values, 0);
-        loop {
-            let fit_eps = eps.saturating_sub(slack);
+        tighten_until_within(ts, 0, eps, |fit_eps| {
             let frags = if values.is_empty() {
                 Vec::new()
             } else {
                 greedy_partition(values, Kind::Linear, fit_eps, 0)
             };
             let starts: Vec<u64> = frags.iter().map(|f| f.start as u64).collect();
-            let params: Vec<(f64, f64)> =
-                frags.iter().map(|f| (f.params.m, f.params.b)).collect();
-            let out = Self { n: values.len(), eps, starts: EliasFano::new(&starts), params };
-            let overshoot = out.max_error(ts).saturating_sub(eps.saturating_add(1));
-            if overshoot == 0 || fit_eps == 0 {
-                return out;
-            }
-            slack = slack.saturating_add(overshoot.max(slack).max(1));
-        }
-    }
-
-    /// Number of data points represented.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the approximation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+            let params = frags.iter().map(|f| (f.params.m, f.params.b)).collect();
+            Self { n: values.len(), eps, starts: EliasFano::new(&starts), params }
+        })
     }
 
     /// Number of linear segments.
     pub fn segment_count(&self) -> usize {
         self.params.len()
-    }
-
-    /// The error bound the approximation was built under.
-    pub fn eps(&self) -> u64 {
-        self.eps
     }
 
     fn fragment(&self, i: usize) -> Fragment {
@@ -101,28 +73,28 @@ impl Pla {
         }
         out
     }
+}
 
-    /// Compressed size: Elias-Fano starts plus two doubles per segment.
-    pub fn size_in_bytes(&self) -> usize {
+impl CompressedSeries for Pla {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Elias-Fano starts plus two doubles per segment.
+    fn size_in_bytes(&self) -> usize {
         8 + self.starts.size_in_bytes() + self.params.len() * 16
     }
 
-    /// Measured maximum absolute error.
-    pub fn max_error(&self, original: &TimeSeries) -> u64 {
-        let recon = self.reconstruct();
-        original
-            .values()
-            .iter()
-            .zip(&recon)
-            .map(|(&a, &b)| a.abs_diff(b))
-            .max()
-            .unwrap_or(0)
+    fn decompress(&self) -> Vec<i64> {
+        self.reconstruct()
     }
 
-    /// Mean Absolute Percentage Error in % (see
-    /// [`timeseries::types::mape_pct`] for the near-zero handling).
-    pub fn mape(&self, original: &TimeSeries) -> f64 {
-        timeseries::mape_pct(original, &self.reconstruct())
+    fn get(&self, k: usize) -> i64 {
+        self.approximate(k)
+    }
+
+    fn eps(&self) -> Option<u64> {
+        Some(self.eps)
     }
 }
 
@@ -159,7 +131,7 @@ mod tests {
         );
         let eps = ts.delta() / 200;
         let pla = Pla::compress(&ts, eps);
-        assert_eq!(pla.eps(), eps);
+        assert_eq!(pla.eps(), Some(eps));
         assert!(pla.max_error(&ts) <= eps + 1, "err {} > {}", pla.max_error(&ts), eps + 1);
     }
 

@@ -19,6 +19,7 @@ pub mod stab;
 
 pub use kinds::{Kind, Params};
 pub use stab::{Line, StabbingLine};
+use timeseries::{CompressedSeries, TimeSeries};
 
 /// A fitted fragment: the function of `kind` with `params` ε-approximates
 /// `values[start..end]` when evaluated at local coordinates
@@ -171,7 +172,7 @@ pub fn floor_to_i64(f: f64) -> i64 {
 /// amplified over a long fragment can exceed any fixed ULP multiple (seen
 /// in practice as ~10 ULPs on a 2^55-magnitude walk). Callers therefore
 /// measure the integer-domain max error after encoding and retighten until
-/// the stored ε actually holds — see `NeaTSLossy::compress_with_threads`.
+/// the stored ε actually holds — see [`tighten_until_within`].
 /// When ε itself is smaller than the conversion error of the magnitudes
 /// involved the bound is not representable in f64 arithmetic at all and
 /// tightening saturates at a zero-ε fit (best effort).
@@ -186,6 +187,39 @@ pub fn float_eval_slack(values: &[i64], shift: i64) -> u64 {
     }
     let ulp = 1u64 << (63 - max_abs.leading_zeros() as u64).saturating_sub(52);
     4 * ulp
+}
+
+/// Builds a lossy archive of `ts` that *measurably* holds its contract —
+/// every value within `eps + 1` of the original, the `+ 1` absorbing
+/// model-evaluation rounding — the one loop NeaTS-L, PLA and AA share.
+///
+/// The fitter sees `y as f64` and the decoder re-evaluates the model in
+/// f64; past 2^53 both sides lose integer precision (the lossless path
+/// absorbs the same rounding in its corrections; a lossy archive has
+/// none). So `build` is handed `eps` tightened by [`float_eval_slack`]
+/// (`shift` as there), the archive's integer-domain error is measured, and
+/// the fit retightened by the overshoot until the bound holds. Values
+/// within ±2^53 take the first iteration (slack 0, error within `eps + 1`
+/// by construction).
+pub fn tighten_until_within<A: CompressedSeries>(
+    ts: &TimeSeries,
+    shift: i64,
+    eps: u64,
+    mut build: impl FnMut(u64) -> A,
+) -> A {
+    let mut slack = float_eval_slack(ts.values(), shift);
+    loop {
+        let fit_eps = eps.saturating_sub(slack);
+        let out = build(fit_eps);
+        let overshoot = out.max_error(ts).saturating_sub(eps.saturating_add(1));
+        if overshoot == 0 || fit_eps == 0 {
+            // `fit_eps == 0` is the unsatisfiable corner (ε smaller than
+            // the f64 conversion error of the magnitudes involved):
+            // return the best float-exact fit rather than loop.
+            return out;
+        }
+        slack = slack.saturating_add(overshoot.max(slack).max(1));
+    }
 }
 
 /// Maximum absolute residual of `frag` over `values` (its true L∞ error).

@@ -11,13 +11,13 @@
 //! Decoding is [`crate::view::ArchiveView`], the same body that decodes a
 //! lossless archive whose every correction width is 0.
 
-use crate::fit::Kind;
+use crate::fit::{tighten_until_within, Kind};
 use crate::owned::OwnedArchive;
 use crate::partition::{partition, positivity_shift, Partition, PartitionConfig};
 use crate::serial::{self, ArchiveFlavor, ModelSections, SectionWriter};
 use crate::view::ArchiveView;
 use succinct::{EliasFano, Wire, WireError};
-use timeseries::TimeSeries;
+use timeseries::{CompressedSeries, TimeSeries};
 
 /// A lossy, randomly-accessible piecewise-nonlinear approximation: the
 /// serialized archive (shared, immutable — `Clone` is a reference-count
@@ -25,7 +25,7 @@ use timeseries::TimeSeries;
 ///
 /// ```
 /// use neats_core::{Kind, NeaTSLossy};
-/// use timeseries::TimeSeries;
+/// use timeseries::{CompressedSeries, TimeSeries};
 ///
 /// let ts = TimeSeries::from_values((0..2000).map(|k| k * k / 50).collect());
 /// let lossy = NeaTSLossy::compress(&ts, &Kind::NEATS_DEFAULT, 10);
@@ -58,32 +58,10 @@ impl NeaTSLossy {
     ) -> Self {
         let values = ts.values();
         let shift = positivity_shift(values, eps);
-        // The fitter sees `y as f64` and the decoder re-evaluates the model
-        // in f64; past 2^53 both sides lose integer precision, so the fit
-        // must be tightened or reconstruction can land outside the promised
-        // ε + 1 (the lossless path absorbs the same rounding in its
-        // corrections; the lossy path has none). `float_eval_slack` is only
-        // an estimate — slope error amplified over a long fragment can
-        // exceed a fixed ULP multiple — so the bound is enforced by
-        // *measuring* the integer-domain error and retightening until the
-        // stored contract (≤ ε + 1, the +1 absorbing model-evaluation
-        // rounding) actually holds. Values within ±2^53 take the first
-        // iteration (slack 0, error within ε + 1 by construction).
-        let mut slack = crate::fit::float_eval_slack(values, shift);
-        loop {
-            let fit_eps = eps.saturating_sub(slack);
+        tighten_until_within(ts, shift, eps, |fit_eps| {
             let cfg = PartitionConfig::lossy(kinds, fit_eps, shift).with_threads(threads);
-            let part = partition(values, &cfg);
-            let out = Self::encode(&part, values.len(), shift, eps);
-            let overshoot = out.max_error(ts).saturating_sub(eps.saturating_add(1));
-            if overshoot == 0 || fit_eps == 0 {
-                // `fit_eps == 0` is the unsatisfiable corner (ε smaller than
-                // the f64 conversion error of the magnitudes involved):
-                // return the best float-exact fit rather than loop.
-                return out;
-            }
-            slack = slack.saturating_add(overshoot.max(slack).max(1));
-        }
+            Self::encode(&partition(values, &cfg), values.len(), shift, eps)
+        })
     }
 
     fn encode(part: &Partition, n: usize, shift: i64, eps: u64) -> Self {
@@ -125,27 +103,12 @@ impl NeaTSLossy {
         self.as_bytes().to_vec()
     }
 
-    /// The decoder over this archive's bytes. The methods below — the
-    /// interface PLA and AA share — are its; fragment inspection, range
-    /// scans and the aggregates are reached through it.
+    /// The decoder over this archive's bytes. The methods below and the
+    /// [`CompressedSeries`] impl — the interface PLA and AA share — are
+    /// its; fragment inspection and the aggregates are reached through it.
     #[inline]
     pub fn view(&self) -> &ArchiveView<'_> {
         self.archive.view()
-    }
-
-    /// Number of data points represented.
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// Whether the approximation covers no points.
-    pub fn is_empty(&self) -> bool {
-        self.view().is_empty()
-    }
-
-    /// The error bound the approximation was built under.
-    pub fn eps(&self) -> u64 {
-        self.eps
     }
 
     /// The approximated value at position `k` (random access).
@@ -157,22 +120,40 @@ impl NeaTSLossy {
     pub fn reconstruct(&self) -> Vec<i64> {
         self.view().materialize()
     }
+}
 
-    /// Compressed size in bytes (parameters plus access structures).
-    pub fn size_in_bytes(&self) -> usize {
+/// The archive contract PLA and AA share: `get` is [`NeaTSLossy::approximate`],
+/// `decompress` is [`NeaTSLossy::reconstruct`], and `eps` is the bound the
+/// approximation was built under.
+impl CompressedSeries for NeaTSLossy {
+    fn len(&self) -> usize {
+        self.view().len()
+    }
+
+    fn size_in_bytes(&self) -> usize {
         self.view().size_in_bytes()
     }
 
-    /// Measured maximum absolute error against the original values.
-    pub fn max_error(&self, original: &TimeSeries) -> u64 {
-        self.view().max_error(original)
+    fn decompress(&self) -> Vec<i64> {
+        self.reconstruct()
     }
 
-    /// Mean Absolute Percentage Error against the original values, in %
-    /// (paper §IV-B; see [`timeseries::types::mape_pct`] for the near-zero
-    /// handling).
-    pub fn mape(&self, original: &TimeSeries) -> f64 {
-        timeseries::mape_pct(original, &self.reconstruct())
+    fn get(&self, k: usize) -> i64 {
+        self.approximate(k)
+    }
+
+    fn scan_range(&self, start: usize, count: usize, out: &mut Vec<i64>) {
+        self.view().scan_range(start, count, out)
+    }
+
+    fn eps(&self) -> Option<u64> {
+        Some(self.eps)
+    }
+
+    /// The view's block fold: no materialised copy, which matters because
+    /// [`NeaTSLossy::compress`] measures every tightening round.
+    fn max_error(&self, original: &TimeSeries) -> u64 {
+        self.view().max_error(original)
     }
 }
 
@@ -219,7 +200,7 @@ mod tests {
         let ts = TimeSeries::from_values(values);
         let eps = ts.delta() / 200;
         let l = NeaTSLossy::compress(&ts, &Kind::NEATS_DEFAULT, eps);
-        assert_eq!(l.eps(), eps, "stored bound must be the requested one");
+        assert_eq!(l.eps(), Some(eps), "stored bound must be the requested one");
         assert!(l.max_error(&ts) <= eps + 1, "err {} > {}", l.max_error(&ts), eps + 1);
     }
 

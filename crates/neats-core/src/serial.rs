@@ -406,7 +406,7 @@ mod tests {
         let bytes = l.to_bytes();
         let back = NeaTSLossy::from_bytes(&bytes).unwrap();
         assert_eq!(back.len(), l.len());
-        assert_eq!(back.eps(), 40);
+        assert_eq!(back.eps(), Some(40));
         assert_eq!(back.reconstruct(), l.reconstruct());
         assert_eq!(back.to_bytes(), bytes);
     }

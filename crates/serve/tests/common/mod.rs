@@ -42,6 +42,12 @@ pub fn demo_store() -> Arc<Store> {
     Arc::new(Store::open(w.finish().unwrap()).unwrap())
 }
 
+/// The 99th-percentile of client-observed latencies (sorts in place).
+pub fn p99(latencies: &mut [Duration]) -> Duration {
+    latencies.sort_unstable();
+    latencies[(latencies.len() - 1) * 99 / 100]
+}
+
 /// One parsed HTTP response.
 #[derive(Debug)]
 pub struct HttpResponse {

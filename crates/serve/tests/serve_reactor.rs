@@ -1,14 +1,14 @@
 //! Readiness-driver integration tests: the C10K regression it exists for
-//! (idle keep-alive connections must not starve new clients), the
-//! write-side slowloris defense (a stalled reader is disconnected), and
-//! graceful-drain connection accounting. The blocking driver's versions of
-//! the last two are in-crate (`server/tests.rs`).
+//! (idle keep-alive connections must not starve new clients, nor slow the
+//! active ones), the write-side slowloris defense (a stalled reader is
+//! disconnected), and graceful-drain connection accounting. The blocking
+//! driver's versions of the last two are in-crate (`server/tests.rs`).
 
 #![cfg(target_os = "linux")] // every test here drives the epoll reactor
 
 mod common;
 
-use common::{demo_store, Client};
+use common::{demo_store, p99, Client};
 use neats_serve::{ServeConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -85,6 +85,95 @@ fn idle_keep_alive_connections_do_not_starve_new_clients() {
         handle.open_connections(),
         0,
         "drain must release every connection"
+    );
+}
+
+/// The C10K property itself: an idle keep-alive connection costs a slab
+/// entry, not latency. Two active keep-alive clients run the same timed
+/// point queries through a parked crowd of 16 and then of 256 primed
+/// connections (~550 fds in this process, under the default 1024 soft
+/// limit); the p99 they observe must not grow with the crowd.
+#[test]
+fn active_latency_is_flat_in_idle_connection_count() {
+    // The gate the retired serve bench harness carried, as constants:
+    // p99 through the large crowd within 25× of the small crowd's, the
+    // baseline floored at 500 µs so the ratio means something when it is
+    // microseconds. Generous on purpose — a thread-per-connection server
+    // misses it by orders of magnitude (requests wait out an idle
+    // deadline), scheduler noise on a shared runner does not.
+    const FACTOR: u32 = 25;
+    const FLOOR: Duration = Duration::from_micros(500);
+    const CROWDS: [usize; 2] = [16, 256];
+    const CLIENTS: usize = 2;
+    const REQUESTS: usize = 1000; // per active client
+
+    let oracle = demo_store(); // same bytes as the served store
+    let active_p99 = |addr| {
+        let mut latencies: Vec<Duration> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let oracle = &oracle;
+                    s.spawn(move || {
+                        let mut client = Client::connect(addr);
+                        let mut took = Vec::with_capacity(REQUESTS);
+                        for r in 0..REQUESTS {
+                            let k = (c * REQUESTS + r) * 7 % 700;
+                            let t0 = Instant::now();
+                            let resp = client.get(&format!("/q/cpu?idx={k}"));
+                            took.push(t0.elapsed());
+                            assert_eq!(resp.status, 200, "{}", resp.body);
+                            assert_eq!(
+                                resp.body.trim().parse::<i64>().unwrap(),
+                                oracle.get("cpu", k).unwrap(),
+                                "cpu[{k}]"
+                            );
+                        }
+                        took
+                    })
+                })
+                .collect();
+            clients.into_iter().flat_map(|h| h.join().expect("active client")).collect()
+        });
+        p99(&mut latencies)
+    };
+
+    // Best of 3 rounds per crowd size: one descheduled client thread must
+    // not decide a latency property.
+    let mut best = [Duration::MAX; 2];
+    for _round in 0..3 {
+        let (handle, running) = start(ServeConfig {
+            threads: 2,
+            // Multiplexing is measured, not admission: every parked
+            // connection must be admitted whatever the environment says.
+            max_connections: 512,
+            ..ServeConfig::default()
+        });
+        let addr = handle.addr();
+        let mut parked = Vec::new();
+        for (side, crowd) in CROWDS.into_iter().enumerate() {
+            // Each parked connection completes one request first, so the
+            // server has committed to keep-alive, then goes silent.
+            while parked.len() < crowd {
+                let mut c = Client::connect(addr);
+                assert_eq!(c.get("/q/cpu?idx=0").status, 200);
+                parked.push(c);
+            }
+            best[side] = best[side].min(active_p99(addr));
+        }
+        drop(parked);
+        handle.shutdown();
+        running.join().expect("server thread").expect("run");
+        assert_eq!(handle.open_connections(), 0, "drain must release every connection");
+    }
+    let bound = FACTOR * best[0].max(FLOOR);
+    assert!(
+        best[1] <= bound,
+        "active p99 through {} idle connections is {:?}, over {bound:?} ({FACTOR} × max({:?} \
+         through {}, {FLOOR:?}))",
+        CROWDS[1],
+        best[1],
+        best[0],
+        CROWDS[0],
     );
 }
 

@@ -1216,7 +1216,7 @@ mod tests {
         // every byte of the pack checks out, only the promise does not.
         let chunk = TimeSeries::from_values(values[128..256].to_vec());
         let wrong_eps = NeaTS::builder().build_lossy(&chunk, 1000);
-        assert!(wrong_eps.max_error(&chunk) > 2, "the spliced frame must actually be looser");
+        assert!(wrong_eps.view().max_error(&chunk) > 2, "the spliced frame must actually be looser");
         for frame in [wrong_eps.to_bytes(), NeaTS::compress(&chunk).to_bytes()] {
             let (mut entries, catalog_offset) = format::parse_pack(&pack).unwrap();
             let mut data = pack[..catalog_offset].to_vec();

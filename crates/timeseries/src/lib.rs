@@ -5,8 +5,10 @@
 //! * [`types::TimeSeries`] — integer time series with implicit timestamps
 //!   `1..=n` and decimal-scaling metadata (paper Definition 1).
 //! * [`types::Compressor`] / [`types::CompressedSeries`] — the uniform
-//!   interface every lossless compressor in the evaluation implements
-//!   (compress, decompress, random access, range scan).
+//!   interface every compressor in the evaluation implements (compress,
+//!   decompress, random access, range scan). Lossy archives implement it
+//!   too: [`types::CompressedSeries::eps`] says which contract an archive
+//!   was built under — `None` is exact, `Some(ε)` is within `ε + 1`.
 //! * [`datasets::Dataset`] — deterministic synthetic stand-ins for the 16
 //!   real-world datasets of the paper's evaluation (§IV-A1).
 //! * [`io`] — loading real fixed-precision text data with the paper's

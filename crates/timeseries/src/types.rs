@@ -171,7 +171,11 @@ pub fn checked_scale(value: f64, fractional_digits: u8) -> Result<i64, ValueErro
     Ok(scaled as i64)
 }
 
-/// A compressed, randomly-accessible representation of a time series.
+/// A compressed, randomly-accessible representation of a time series —
+/// the one archive contract of every codec in the evaluation, exact or
+/// approximate. Random access, range scans and full decompression must
+/// agree with each other *exactly*; how far they may sit from the original
+/// is what [`Self::eps`] states.
 pub trait CompressedSeries {
     /// Number of data points in the original series.
     fn len(&self) -> usize;
@@ -200,6 +204,25 @@ pub trait CompressedSeries {
         for i in start..start + count {
             out.push(self.get(i));
         }
+    }
+
+    /// The contract the archive was built under: `None` reproduces the
+    /// original exactly, `Some(ε)` keeps every value within `ε + 1` of it
+    /// (the `+ 1` is the floor the integer-domain construction allows).
+    fn eps(&self) -> Option<u64> {
+        None
+    }
+
+    /// Measured maximum absolute error against the original values.
+    fn max_error(&self, original: &TimeSeries) -> u64 {
+        let recon = self.decompress();
+        original.values().iter().zip(&recon).map(|(&a, &b)| a.abs_diff(b)).max().unwrap_or(0)
+    }
+
+    /// Mean Absolute Percentage Error against the original values, in %
+    /// (paper §IV-B; see [`mape_pct`] for the near-zero handling).
+    fn mape(&self, original: &TimeSeries) -> f64 {
+        mape_pct(original, &self.decompress())
     }
 }
 
