@@ -1,6 +1,6 @@
-//! Size/quality ablations for the design decisions in DESIGN.md (the
-//! criterion benches measure their *time*; this binary measures their
-//! *compression effect*):
+//! Size/quality ablations for the design decisions in DESIGN.md — their
+//! *compression effect* (their time is `benchmark/`'s per-layer
+//! `neats-core.*` metrics):
 //!
 //! * D1 — function pool (linear / paper default / all 11 kinds);
 //! * D2 — optimal DP partitioning vs greedy longest-fragment;

@@ -1,7 +1,7 @@
 //! `bench_all` — the unified codec × shape matrix behind `neats bench all`.
 //!
 //! Sweeps every codec of [`bench::suite::all_codecs`] (NeaTS
-//! lossless/lossy/streaming plus all twelve baselines) over every
+//! lossless/lossy plus all twelve baselines) over every
 //! [`bench::suite::Shape`]
 //! (the 16 paper datasets plus 8 adversarial generators), checks
 //! conformance inline, and writes `BENCH_all.json` + `BENCHMARKS.md`.

@@ -151,23 +151,6 @@ pub fn measure(comp: &dyn AnyCompressor, ts: &TimeSeries, queries: usize) -> Mea
     Measurement { ratio_pct, compress_mbs, decompress_mbs, random_access_mbs }
 }
 
-/// Pretty-prints a header row followed by aligned numeric rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[(String, Vec<f64>)], decimals: usize) {
-    println!("\n== {title} ==");
-    print!("{:<12}", "");
-    for h in header {
-        print!(" {h:>9}");
-    }
-    println!();
-    for (name, values) in rows {
-        print!("{name:<12}");
-        for v in values {
-            print!(" {v:>9.decimals$}");
-        }
-        println!();
-    }
-}
-
 /// Geometric mean, the right way to average ratios across datasets.
 pub fn geomean(values: &[f64]) -> f64 {
     let logs: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();

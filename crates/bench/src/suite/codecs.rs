@@ -1,5 +1,5 @@
 //! The roster of the benchmark matrix: every compressor in the evaluation —
-//! NeaTS in all its flavours (lossless/lossy, batch/streaming) and every
+//! NeaTS in all its flavours (lossless and lossy) and every
 //! baseline — as a [`timeseries::Compressor`], so the matrix and the
 //! conformance suite drive them identically.
 //!
@@ -17,7 +17,7 @@
 
 use lossless_baselines::{paper_competitors, Blockwise, Elf};
 use lossy_baselines::{AdaptiveApprox, Pla};
-use neats_core::{NeaTS, NeaTSCompressor, NeaTSWriter};
+use neats_core::{NeaTS, NeaTSCompressor};
 use timeseries::{AnyCompressor, CompressedSeries, Compressor, TimeSeries};
 
 /// The data-dependent ε every lossy contender uses: 0.5 % of the series'
@@ -44,7 +44,7 @@ impl<A: CompressedSeries, F: Fn(&TimeSeries) -> A> Compressor for Entry<F> {
     }
 }
 
-/// Every contender of the matrix: five NeaTS flavours and twelve
+/// Every contender of the matrix: four NeaTS flavours and twelve
 /// baselines, each a row of `BENCHMARKS.md` and of the conformance sweep.
 pub fn all_codecs() -> Vec<Box<dyn AnyCompressor>> {
     let mut v: Vec<Box<dyn AnyCompressor>> = vec![
@@ -52,14 +52,6 @@ pub fn all_codecs() -> Vec<Box<dyn AnyCompressor>> {
         Box::new(NeaTSCompressor::neats()),
         Box::new(NeaTSCompressor::leats()),
         Box::new(NeaTSCompressor::sneats()),
-        // Streaming ingestion: values pushed through `NeaTSWriter`, finished
-        // into a `ChunkedNeaTS` — the chunked build path, not the batch
-        // partitioner.
-        Box::new(Entry("NeaTS-stream", |ts: &TimeSeries| {
-            let mut w = NeaTSWriter::with_defaults();
-            w.extend(ts.values().iter().copied());
-            w.finish()
-        })),
         Box::new(Entry("NeaTS-L", |ts: &TimeSeries| {
             NeaTS::builder().build_lossy(ts, lossy_eps(ts))
         })),
@@ -88,7 +80,7 @@ mod tests {
         assert_eq!(unique.len(), names.len(), "duplicate codec names: {names:?}");
 
         let neats: Vec<&&str> = names.iter().filter(|n| n.contains("NeaTS") || n.contains("eaTS")).collect();
-        assert_eq!(neats.len(), 5, "NeaTS flavours: {names:?}");
+        assert_eq!(neats.len(), 4, "NeaTS flavours: {names:?}");
         // Twelve baselines: ten lossless + PLA + AA.
         let baselines = names.len() - neats.len();
         assert!(baselines >= 12, "only {baselines} baselines in {names:?}");

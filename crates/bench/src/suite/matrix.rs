@@ -422,8 +422,9 @@ fn is_paper(s: Shape) -> bool {
 /// Textual schema gate over a committed `BENCH_all.json`: the hand-rolled
 /// JSON emitter has no parser, but drift detection only needs to know that
 /// the committed file declares the current [`SCHEMA_VERSION`], carries every
-/// [`RECORD_KEYS`] entry, and covers every codec and shape of the fresh
-/// sweep's rosters. Shared by the `bench_all` binary and `neats bench all`.
+/// [`RECORD_KEYS`] entry, covers every codec and shape of the fresh sweep,
+/// and names none the code no longer has. Shared by the `bench_all` binary
+/// and `neats bench all`.
 pub fn check_committed(path: &str, fresh: &MatrixReport) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if !text.contains(&format!("\"schema\": {SCHEMA_VERSION}")) {
@@ -434,17 +435,25 @@ pub fn check_committed(path: &str, fresh: &MatrixReport) -> Result<(), String> {
             return Err(format!("{path} is missing record key \"{key}\""));
         }
     }
-    for codec in &fresh.codecs {
-        if !text.contains(&format!("\"{codec}\"")) {
-            return Err(format!("{path} does not cover codec \"{codec}\""));
+    let codecs: Vec<&str> = all_codecs().iter().map(|c| c.name()).collect();
+    let shapes: Vec<&str> = Shape::all().into_iter().map(Shape::name).collect();
+    for (what, swept, roster) in [("codec", &fresh.codecs, codecs), ("shape", &fresh.shapes, shapes)] {
+        let committed = committed_names(&text, what)
+            .ok_or_else(|| format!("{path} has no \"{what}s\" list"))?;
+        if let Some(missing) = swept.iter().find(|s| !committed.contains(&s.as_str())) {
+            return Err(format!("{path} does not cover {what} \"{missing}\""));
         }
-    }
-    for shape in &fresh.shapes {
-        if !text.contains(&format!("\"{shape}\"")) {
-            return Err(format!("{path} does not cover shape \"{shape}\""));
+        if let Some(stale) = committed.iter().find(|c| !roster.contains(c)) {
+            return Err(format!("{path} names {what} \"{stale}\", which the code no longer has"));
         }
     }
     Ok(())
+}
+
+/// The names in the artifact's top-level `"<what>s": [...]` string list.
+fn committed_names<'a>(text: &'a str, what: &str) -> Option<Vec<&'a str>> {
+    let (list, _) = text.split_once(&format!("\"{what}s\": ["))?.1.split_once(']')?;
+    Some(list.split(',').map(|s| s.trim().trim_matches('"')).filter(|s| !s.is_empty()).collect())
 }
 
 fn median(values: impl Iterator<Item = f64>) -> f64 {
@@ -481,7 +490,7 @@ mod tests {
         })
         .expect("conformance");
         assert_eq!(report.shapes, vec!["constant", "sawtooth"]);
-        assert!(report.codecs.len() >= 6, "{:?}", report.codecs); // NeaTS flavours + Gorilla + PLA
+        assert!(report.codecs.len() >= 5, "{:?}", report.codecs); // NeaTS flavours + Gorilla + PLA
         assert_eq!(report.cells.len(), report.shapes.len() * report.codecs.len());
 
         let json = report.to_json().render();
@@ -538,5 +547,35 @@ mod tests {
             }
         }
         panic!("unexpected json shape");
+    }
+
+    #[test]
+    fn committed_artifact_must_match_the_roster_both_ways() {
+        let report = run_matrix(MatrixConfig {
+            codec_filter: Some("Gorilla,PLA".into()),
+            shape_filter: Some("constant".into()),
+            ..tiny_config()
+        })
+        .unwrap();
+        let fresh = report.to_json().render();
+        let check = |tag: &str, text: String| {
+            let path = std::env::temp_dir()
+                .join(format!("neats_bench_gate_{}_{tag}.json", std::process::id()));
+            std::fs::write(&path, text).unwrap();
+            let verdict = check_committed(path.to_str().unwrap(), &report);
+            std::fs::remove_file(&path).unwrap();
+            verdict
+        };
+        check("fresh", fresh.clone()).expect("a fresh artifact passes its own gate");
+        // The sweep ran a codec the artifact does not list.
+        let err = check("missing", fresh.replacen("\"PLA\",", "", 1)).unwrap_err();
+        assert!(err.contains("does not cover codec \"PLA\""), "{err}");
+        // The artifact lists a codec / a shape the code does not have.
+        let err = check("codec", fresh.replacen("\"PLA\"", "\"PLA\", \"NeaTS-retired\"", 1))
+            .unwrap_err();
+        assert!(err.contains("names codec \"NeaTS-retired\""), "{err}");
+        let err = check("shape", fresh.replacen("\"constant\"", "\"constant\", \"ramp\"", 1))
+            .unwrap_err();
+        assert!(err.contains("names shape \"ramp\""), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! The unified codec suite behind `neats bench all`.
 //!
-//! [`all_codecs`] is NeaTS (lossless and lossy, batch and streaming) and
-//! every baseline compressor in the evaluation behind the workspace's one
+//! [`all_codecs`] is NeaTS (lossless and lossy) and every baseline
+//! compressor in the evaluation behind the workspace's one
 //! `timeseries::Compressor` / `CompressedSeries` pair; [`shapes::Shape`]
 //! widens the dataset matrix with adversarial inputs; [`matrix`] sweeps the
 //! full cross-product, checks conformance inline, and renders the committed

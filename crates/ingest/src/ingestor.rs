@@ -1503,6 +1503,182 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One series of the byte-identity property: its points, and the end of
+    /// every chunk the write path must have cut, with the batch build of
+    /// exactly that slice.
+    #[derive(Default)]
+    struct Tiled {
+        name: String,
+        stamps: Vec<u64>,
+        values: Vec<i64>,
+        tiles: Vec<(usize, Vec<u8>)>,
+    }
+
+    impl Tiled {
+        fn cut_end(&self) -> usize {
+            self.tiles.last().map_or(0, |t| t.0)
+        }
+
+        fn cut(&mut self, end: usize, builder: &NeaTSBuilder) {
+            let slice = self.values[self.cut_end()..end].to_vec();
+            self.tiles.push((end, builder.build(&TimeSeries::from_values(slice)).to_bytes()));
+        }
+
+        /// The tiles inside `lo..hi`, in the shape [`Head::sealed_parts`]
+        /// and [`StoreWriter::append_compressed_segment`] speak.
+        fn parts(&self, lo: usize, hi: usize) -> Vec<(Vec<u8>, Vec<u64>)> {
+            let starts = std::iter::once(0).chain(self.tiles.iter().map(|t| t.0));
+            starts
+                .zip(&self.tiles)
+                .filter(|&(start, &(end, _))| lo <= start && end <= hi)
+                .map(|(start, (end, frame))| (frame.clone(), self.stamps[start..*end].to_vec()))
+                .collect()
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum TileStep {
+        /// Append `count` points to series `sid`; `to_boundary` stretches or
+        /// trims the batch so it ends exactly on a chunk boundary.
+        Append { sid: usize, count: usize, to_boundary: bool },
+        Seal,
+        Flush,
+        Reopen,
+    }
+
+    /// Every sealed segment and every head chunk, in order, is the tile the
+    /// model cut; the raw tail is what is left.
+    fn assert_chunks_are_batch_builds(ing: &Ingestor, model: &[Tiled]) {
+        let s = lockr(&ing.shared);
+        // Compaction lays a pack out canonically, so the sealed half is one
+        // comparison: against the pack a fresh writer makes of the tiles.
+        let mut w = StoreWriter::new(ing.store_cfg());
+        for e in s.gen.store.entries() {
+            let m = model.iter().find(|m| m.name == e.name()).expect("sealed series in model");
+            for (frame, stamps) in m.parts(0, e.len()) {
+                w.append_compressed_segment(e.name(), &frame, &stamps).unwrap();
+            }
+        }
+        assert_eq!(s.gen.store.compact(), w.finish().unwrap(), "sealed segment frames");
+        for m in model.iter().filter(|m| !m.values.is_empty()) {
+            let name = &m.name;
+            let sealed = s.gen.store.series(name).map_or(0, |e| e.len());
+            let Some(head) = s.head(name) else {
+                assert_eq!(sealed, m.values.len(), "{name}: no head, so all sealed");
+                continue;
+            };
+            let head = lockm(&head);
+            assert_eq!(head.first_index, sealed, "{name}: head anchor");
+            assert!(head.sealed_parts() == m.parts(sealed, m.cut_end()), "{name}: head chunk frames");
+            let tail = (m.stamps[m.cut_end()..].to_vec(), m.values[m.cut_end()..].to_vec());
+            assert_eq!(head.tail_parts(), tail, "{name}: raw tail");
+        }
+    }
+
+    fn run_tiled_trace(tag: &str, steps: &[TileStep], chunk_points: usize, sneats: bool, seed: u64) {
+        let dir = tmp_dir(tag);
+        let builder = if sneats { neats_core::NeaTS::sneats() } else { neats_core::NeaTS::builder() };
+        let cfg = IngestConfig {
+            chunk_points,
+            fsync: FsyncPolicy::Never,
+            builder: builder.clone(),
+            ..IngestConfig::default()
+        };
+        let mut ing = Ingestor::open(&dir, cfg.clone()).unwrap();
+        let mut model = [0, 1].map(|sid| Tiled { name: format!("s{sid}"), ..Tiled::default() });
+        let mut x = seed | 1;
+        let mut rng = move || {
+            x = x.wrapping_mul(0xD129_0247_3F89_4E1D).wrapping_add(0x9E37_79B9);
+            x >> 33
+        };
+        for &step in steps {
+            match step {
+                TileStep::Append { sid, count, to_boundary } => {
+                    let m = &mut model[sid];
+                    let from = m.values.len();
+                    let count = if to_boundary {
+                        count.next_multiple_of(chunk_points) - (from - m.cut_end())
+                    } else {
+                        count
+                    };
+                    for _ in 0..count {
+                        m.stamps.push(m.stamps.last().map_or(1_000, |t| t + 1 + rng() % 9));
+                        m.values.push(m.values.last().map_or(0, |v| v + (rng() % 41) as i64 - 20));
+                    }
+                    ing.append(&m.name, &m.stamps[from..], &m.values[from..]).unwrap();
+                    while m.values.len() - m.cut_end() >= chunk_points {
+                        m.cut(m.cut_end() + chunk_points, &builder);
+                    }
+                }
+                TileStep::Seal => {
+                    ing.seal().unwrap();
+                }
+                TileStep::Flush => {
+                    ing.flush().unwrap();
+                    for m in &mut model {
+                        if m.values.len() > m.cut_end() {
+                            m.cut(m.values.len(), &builder);
+                        }
+                    }
+                }
+                TileStep::Reopen => {
+                    drop(ing);
+                    ing = Ingestor::open(&dir, cfg.clone()).unwrap();
+                }
+            }
+            assert_chunks_are_batch_builds(&ing, &model);
+        }
+        drop(ing);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The human-checkable case: 64-point chunks, a flush after 100 points
+    /// (tiles 64 | 36) and another 300 later (64 × 4 | 44), a replay of
+    /// unsealed chunks and of a bare tail — with both builders.
+    #[test]
+    fn flush_forced_short_chunks_are_batch_builds() {
+        use TileStep::*;
+        let append = |count| Append { sid: 0, count, to_boundary: false };
+        let steps =
+            [append(100), Flush, append(200), Reopen, append(100), Flush, append(70), Seal, Reopen];
+        for sneats in [false, true] {
+            run_tiled_trace("tiles-fixed", &steps, 64, sneats, 7);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// A chunk cut from the live stream is the offline build of the same
+        /// slice: after every step of a trace of appends (any batch size,
+        /// ending on and off chunk boundaries), seals, flushes and reopens,
+        /// every sealed segment frame and every head chunk is byte-identical
+        /// to `builder.build` of the slice it covers, and the chunk
+        /// boundaries are where `chunk_points` and `flush` put them.
+        #[test]
+        fn every_chunk_is_the_batch_build_of_its_slice(
+            raw in proptest::collection::vec((0u8..=255, 0u16..=999), 4..28),
+            chunk_points in 4usize..40,
+            sneats in proptest::prelude::any::<bool>(),
+            seed in 1u64..u64::MAX,
+        ) {
+            let steps: Vec<TileStep> = raw
+                .iter()
+                .map(|&(kind, a)| match kind % 10 {
+                    0..=5 => TileStep::Append {
+                        sid: (a % 2) as usize,
+                        count: 1 + a as usize % (3 * chunk_points),
+                        to_boundary: kind % 10 == 5,
+                    },
+                    6 | 7 => TileStep::Seal,
+                    8 => TileStep::Flush,
+                    _ => TileStep::Reopen,
+                })
+                .collect();
+            run_tiled_trace("tiles-prop", &steps, chunk_points, sneats, seed);
+        }
+    }
+
     #[test]
     fn append_validation() {
         let dir = tmp_dir("validation");

@@ -80,12 +80,6 @@ impl<C: StreamCodec> Blockwise<C> {
     pub fn new(codec: C) -> Self {
         Self { codec, block_size: BLOCK_SIZE }
     }
-
-    /// Wraps with a custom block size (for ablations).
-    pub fn with_block_size(codec: C, block_size: usize) -> Self {
-        assert!(block_size > 0);
-        Self { codec, block_size }
-    }
 }
 
 impl<C: StreamCodec> Compressor for Blockwise<C> {

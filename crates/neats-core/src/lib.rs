@@ -53,8 +53,6 @@ mod owned;
 pub mod parallel;
 pub mod partition;
 pub mod serial;
-pub mod streaming;
-pub mod timestamped;
 pub mod variants;
 pub mod view;
 
@@ -68,8 +66,6 @@ pub use obs::{Registry, Stage, TraceEntry, TraceRing};
 pub use lossy::NeaTSLossy;
 pub use partition::{default_epsilons, positivity_shift, Pair, Partition, PartitionConfig};
 pub use serial::{frame_info, ArchiveFlavor, Section};
-pub use streaming::{ChunkedNeaTS, NeaTSWriter};
-pub use timestamped::{TimestampError, TimestampedNeaTS};
 pub use variants::ModelSelection;
 pub use view::ArchiveView;
 

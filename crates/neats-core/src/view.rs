@@ -6,7 +6,7 @@
 //! archive with its corrections dropped — the residuals are stored "or
 //! simply discard\[ed\] to obtain a lossy time series representation with
 //! maximum error guarantees" — so the only thing the decoder knows about
-//! flavor is which of the two its [`Residuals`] are: the `B`, `O`, `C`
+//! flavor is which of the two its `Residuals` are: the `B`, `O`, `C`
 //! columns, or the bound ε they were discarded under. A lossy fragment
 //! decodes exactly like a lossless fragment whose fit was exact (correction
 //! width 0): the model values, nothing added.

@@ -10,6 +10,7 @@ use neats_core::partition::{partition, PartitionConfig};
 use neats_core::{default_epsilons, positivity_shift, Kind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use timeseries::TimeSeries;
 
@@ -18,19 +19,33 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Armed on the measuring thread for the length of a window, so bytes
+    /// that libtest's own threads allocate meanwhile are not counted.
+    /// `const`-initialised and without a destructor: reading it in the
+    /// allocator never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if MEASURING.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if MEASURING.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if MEASURING.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -58,7 +73,9 @@ fn partition_allocates_per_pair_not_per_fragment() {
     let pairs = config.pairs.len();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    MEASURING.set(true);
     let part = partition(ts.values(), &config);
+    MEASURING.set(false);
     let calls = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert_eq!(part.fragments.last().map(|f| f.end), Some(N));
@@ -69,6 +86,8 @@ fn partition_allocates_per_pair_not_per_fragment() {
     // backtrack's fitter and the result — a few dozen, whatever N is.
     let bound = pairs * (N.ilog2() as usize + 8) + 64;
     println!("{calls} allocations, {pairs} pairs, bound {bound}");
+    // Only this thread is counted: one worker thread keeps the build on it.
+    assert!(calls >= pairs, "{calls} allocations for {pairs} pairs: the window missed the build");
     assert!(
         calls <= bound,
         "{calls} allocations for {pairs} pairs over {N} points (bound {bound}): \

@@ -14,6 +14,7 @@
 
 use neats_core::{ArchiveView, Kind, NeaTS, NeaTSCompressed, NeaTSLossy, RankMode};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use timeseries::{CompressedSeries, TimeSeries};
 
@@ -25,22 +26,36 @@ struct CountingAlloc;
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Armed on the measuring thread for the length of a window, so bytes
+    /// that libtest's own threads allocate meanwhile are not counted.
+    /// `const`-initialised and without a destructor: reading it in the
+    /// allocator never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if MEASURING.with(Cell::get) {
+            ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if MEASURING.with(Cell::get) {
+            ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if MEASURING.with(Cell::get) {
+            ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -55,7 +70,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Bytes allocated while running `f`.
 fn allocated_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATED.load(Ordering::Relaxed);
+    MEASURING.set(true);
     let out = f();
+    MEASURING.set(false);
     (ALLOCATED.load(Ordering::Relaxed) - before, out)
 }
 

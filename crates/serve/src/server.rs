@@ -301,11 +301,6 @@ impl ServerHandle {
         }
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Connections the server currently owns (queued, registered with a
     /// reactor shard, or being served by a worker). Drains to zero once a
     /// graceful shutdown completes — the graceful-drain tests assert

@@ -598,25 +598,6 @@ impl Store {
         Ok(acc)
     }
 
-    /// Runs `f` against the opened zero-copy view of one segment — the
-    /// escape hatch for queries the stitched API doesn't cover.
-    pub fn with_segment<R>(
-        &self,
-        name: &str,
-        seg: usize,
-        f: impl FnOnce(&neats_core::ArchiveView<'_>) -> R,
-    ) -> Result<R, StoreError> {
-        let (si, s) = self.entry(name)?;
-        if seg >= s.segments().len() {
-            return Err(StoreError::OutOfRange {
-                index: seg,
-                len: s.segments().len(),
-            });
-        }
-        let view = self.open_segment(si, seg)?;
-        Ok(f(view.archive()))
-    }
-
     /// Rewrites the pack keeping only live segments: blob bytes are copied
     /// verbatim (no recompression), offsets are rebased, dead bytes and
     /// superseded catalogs are dropped. The result opens to a store

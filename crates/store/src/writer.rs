@@ -190,7 +190,7 @@ impl StoreWriter {
     /// Appends one **pre-compressed** segment to `name` (creating the series
     /// on first sight): `frame` must be a self-contained container frame as
     /// produced by the compressors' `to_bytes` — e.g. a chunk a live head
-    /// already compressed with the streaming writer — and `stamps` its
+    /// already compressed — and `stamps` its
     /// per-point timestamps. The frame is validated (it must open, its point
     /// count must equal `stamps.len()`, and its flavor *and* error bound
     /// must equal the series mode, so the `eps` the catalog advertises is

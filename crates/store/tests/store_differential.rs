@@ -10,7 +10,9 @@
 //! rejected at first query of the affected segment.
 
 use neats_core::{ArchiveView, NeaTS};
-use neats_store::{RangeScratch, Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
+use neats_store::{
+    RangeScratch, Store, StoreConfig, StoreMode, StoreOptions, StoreWriter, MAX_TIMESTAMP,
+};
 use proptest::prelude::*;
 use timeseries::TimeSeries;
 
@@ -325,6 +327,7 @@ fn run_case(
 /// Every window over `probes × probes` (inverted ones included) against the
 /// linear filter of the model, through one reused scratch; chunks arrive
 /// non-empty, at most one segment long, and concatenate to the answer.
+/// Every probe is also a point lookup, against a linear scan for its stamp.
 fn assert_time_windows(
     store: &Store,
     s: &GenSeries,
@@ -333,6 +336,8 @@ fn assert_time_windows(
 ) -> Result<(), TestCaseError> {
     let mut scratch = RangeScratch::default();
     for &t_lo in probes {
+        let hit = s.stamps.iter().position(|&t| t == t_lo).map(|i| s.values[i]);
+        prop_assert_eq!(store.at_time(&s.name, t_lo).unwrap(), hit, "at_time({})", t_lo);
         for &t_hi in probes {
             let want: Vec<(u64, i64)> = s
                 .stamps
@@ -417,6 +422,54 @@ proptest! {
         assert_time_windows(&compacted, &keep, segment_points, &probes)?;
         let mut none = Vec::new();
         prop_assert!(compacted.range_by_time(&gone.name, 0, u64::MAX, &mut none).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The same oracle at the edges of the timestamp domain: a series based
+    /// at stamp 0, one ending on `MAX_TIMESTAMP`, and one holding both — at
+    /// 512 points per segment a single segment spanning the whole domain,
+    /// the widest Elias-Fano universe there is. Probed below the base,
+    /// between stamps, at `MAX_TIMESTAMP` and at the reserved `u64::MAX`.
+    #[test]
+    fn time_lookups_at_the_domain_extremes(
+        gaps in prop::collection::vec(1u64..100, 2..60),
+        deltas in prop::collection::vec(-50i64..=50, 120),
+    ) {
+        let low: Vec<u64> = gaps.iter().scan(0, |t, g| Some(std::mem::replace(t, *t + g))).collect();
+        let mut high: Vec<u64> = low.iter().map(|t| MAX_TIMESTAMP - t).collect();
+        high.reverse();
+        let series = |name: &str, stamps: Vec<u64>| GenSeries {
+            name: name.into(),
+            values: deltas[..stamps.len()].iter().scan(0, |v, d| { *v += d; Some(*v) }).collect(),
+            stamps,
+        };
+        let all = [
+            series("low", low.clone()),
+            series("high", high.clone()),
+            series("widest", [low, high].concat()),
+        ];
+        for segment_points in SEGMENT_POINTS {
+            let mut w = StoreWriter::new(StoreConfig { segment_points, ..StoreConfig::default() });
+            for s in &all {
+                w.ingest(&s.name, &s.stamps, &s.values).unwrap();
+            }
+            let store = Store::open(w.finish().unwrap()).unwrap();
+            for s in &all {
+                let mut probes = vec![0, 1, MAX_TIMESTAMP - 1, MAX_TIMESTAMP, u64::MAX];
+                for &t in s.stamps.iter().step_by(7).chain(s.stamps.last()) {
+                    probes.extend([t.saturating_sub(1), t, t.saturating_add(1)]);
+                }
+                probes.sort_unstable();
+                probes.dedup();
+                assert_time_windows(&store, s, segment_points, &probes)?;
+                for (i, &t) in s.stamps.iter().enumerate() {
+                    prop_assert_eq!(store.timestamp(&s.name, i).unwrap(), t, "timestamp({})", i);
+                }
+            }
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //!   sharded segment-view cache, and `compact()` — the recommended way to
 //!   serve many series from one file.
 //! * [`ingest`] — the live write path: a crash-safe per-series write-ahead
-//!   log, in-memory mutable heads fed by the SNeaTS streaming compressor,
+//!   log, in-memory mutable heads whose chunks are `NeaTS::builder()` builds,
 //!   background sealing into pack segments, and generation-swapped reads so
 //!   queries never block on writers.
 //! * [`serve`] — the network frontend: a multi-threaded HTTP/1.1 query

@@ -1,8 +1,8 @@
-//! Integration tests for the extension features: persistence, aggregate
-//! queries, explicit timestamps, and streaming ingestion — exercised
-//! together, the way a storage engine would compose them.
+//! Integration tests for the extension features: persistence and aggregate
+//! queries — exercised together, the way a storage engine would compose
+//! them.
 
-use neats::core::{NeaTS, NeaTSCompressed, NeaTSWriter, TimestampedNeaTS};
+use neats::core::{NeaTS, NeaTSCompressed};
 use neats::timeseries::{CompressedSeries, Dataset, TimeSeries};
 
 #[test]
@@ -42,42 +42,6 @@ fn aggregates_accelerate_dashboards() {
 }
 
 #[test]
-fn timestamped_pipeline_end_to_end() {
-    // Irregular sensor timestamps (gaps, bursts) + NeaTS values.
-    let n = 10_000;
-    let timestamps: Vec<u64> =
-        (0..n as u64).map(|i| 1_700_000_000 + i * 30 + (i % 7) * 2).collect();
-    let ts = Dataset::IrBioTemp.generate(n);
-    let c = TimestampedNeaTS::compress(&timestamps, &ts, &NeaTS::builder()).unwrap();
-
-    // Point lookup.
-    assert_eq!(c.get_at(timestamps[500]), Some(ts.values()[500]));
-    // A one-hour window.
-    let mut window = Vec::new();
-    c.range_by_time(timestamps[100], timestamps[100] + 3600, &mut window);
-    assert!(!window.is_empty());
-    for (t, v) in &window {
-        let i = timestamps.binary_search(t).unwrap();
-        assert_eq!(*v, ts.values()[i]);
-    }
-    // Compressed including the timestamp index.
-    assert!(c.size_in_bytes() < ts.uncompressed_bytes());
-}
-
-#[test]
-fn streaming_ingestion_then_queries() {
-    let ts = Dataset::StocksUk.generate(40_000);
-    let mut writer = NeaTSWriter::new(NeaTS::builder(), 8192);
-    writer.extend(ts.values().iter().copied());
-    let chunked = writer.finish();
-    assert_eq!(chunked.chunk_count(), 5);
-    assert_eq!(chunked.decompress(), ts.values());
-    let mut out = Vec::new();
-    chunked.scan_range(8000, 500, &mut out); // spans a chunk boundary
-    assert_eq!(out, &ts.values()[8000..8500]);
-}
-
-#[test]
 fn serialized_lossy_tier_archive() {
     // The sensor_monitoring story as a test: archive lossy tiers, reload,
     // verify guarantees still hold.
@@ -92,15 +56,11 @@ fn serialized_lossy_tier_archive() {
 
 #[test]
 fn mixed_feature_composition() {
-    // Streaming chunks, each serialized and reloaded, then aggregated.
+    // Per-chunk archives, each serialized and reloaded, then aggregated.
     let values: Vec<i64> = (0..30_000).map(|k| 1000 + k / 3 + (k % 10)).collect();
-    let _ts = TimeSeries::from_values(values.clone());
-    let mut w = NeaTSWriter::new(NeaTS::builder(), 10_000);
-    w.extend(values.iter().copied());
-    let chunked = w.finish();
     let mut total = 0i128;
-    for i in 0..chunked.chunk_count() {
-        let bytes = chunked.chunk(i).to_bytes();
+    for chunk in values.chunks(10_000) {
+        let bytes = NeaTS::compress(&TimeSeries::from_values(chunk.to_vec())).to_bytes();
         let reloaded = NeaTSCompressed::from_bytes(&bytes).unwrap();
         total += reloaded.view().sum_range_exact(0, reloaded.len());
     }

@@ -111,15 +111,6 @@ proptest! {
             "est {} exact {exact} bound {}", est.value, est.max_error);
     }
 
-    /// Streaming chunked compression is lossless for any chunk size.
-    #[test]
-    fn streaming_lossless(values in walk_strategy(300), chunk in 1usize..200) {
-        let mut w = neats::core::NeaTSWriter::new(NeaTS::builder(), chunk);
-        w.extend(values.iter().copied());
-        let c = w.finish();
-        prop_assert_eq!(c.decompress(), values);
-    }
-
     /// Restricting the function pool never breaks losslessness.
     #[test]
     fn any_kind_subset_is_lossless(values in walk_strategy(200), mask in 1u16..(1 << 11)) {
