@@ -66,7 +66,7 @@
 use neats_core::{ArchiveView, Kind, NeaTS, NeaTSBuilder, NeaTSCompressed};
 use neats_ingest::{BackgroundConfig, FsyncPolicy, IngestConfig, Ingestor};
 use neats_serve::{ServeConfig, Server};
-use neats_store::{CacheSharding, Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
+use neats_store::{Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
 use std::path::Path;
 use timeseries::{io::load_fixed_precision, CompressedSeries};
 
@@ -970,17 +970,11 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 source_label: pack.clone(),
                 ..ServeConfig::default()
             };
-            // The server runs a fixed pool either way (reactor shards or
-            // blocking workers), so thread-sharded caching applies: each
-            // serving thread owns a private cache shard and never contends
-            // on a cache lock with its siblings.
-            let sharding = CacheSharding::ByThread;
             let (server, _background, series, points) = if live {
                 let ing = Ingestor::open(
                     &pack,
                     IngestConfig {
                         cache_capacity: cache,
-                        cache_sharding: sharding,
                         ..IngestConfig::default()
                     },
                 )
@@ -994,10 +988,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             } else {
                 let store = Store::open_with(
                     std::fs::read(&pack).map_err(|e| CliError(format!("{pack}: {e}")))?,
-                    StoreOptions {
-                        cache_capacity: cache,
-                        cache_sharding: sharding,
-                    },
+                    StoreOptions { cache_capacity: cache },
                 )
                 .map_err(|e| CliError(format!("{pack}: {e}")))?;
                 let (series, points) = (store.series_count(), store.total_points());
@@ -1747,80 +1738,108 @@ mod tests {
     #[test]
     fn serve_command_serves_a_pack_end_to_end() {
         use std::io::{Read as _, Write as _};
+        fn http_get(addr: &str, target: &str) -> String {
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            write!(conn, "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut response = String::new();
+            conn.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            response.split("\r\n\r\n").nth(1).unwrap().to_string()
+        }
         let dir = std::env::temp_dir().join("neats_cli_serve_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let input = dir.join("cpu.txt");
-        let pack = dir.join("serve.pack");
-        let values: Vec<i64> = (0..400).map(|k: i64| k * k % 139 - 11).collect();
-        let text: String = values.iter().map(|v| format!("{v}\n")).collect();
-        std::fs::write(&input, text).unwrap();
-        run(
-            parse_args(&argv(&format!(
-                "store build {} {} --segment 128",
-                pack.display(),
-                input.display()
+
+        // (points, segment size, serve flags, least cache entries after every
+        // segment was touched once). The second case is 64 segments behind
+        // `--cache 32` on one serving thread: key hashing spreads them 7–9 over
+        // each of the 8 shards of 4 slots, so about 32 stay cached at any
+        // thread count.
+        let cases = [(400, 128, "--threads 2", 4), (1024, 16, "--threads 1 --cache 32", 28)];
+        for (case, (n, segment, flags, min_entries)) in cases.into_iter().enumerate() {
+            let case_dir = dir.join(format!("case{case}"));
+            std::fs::create_dir_all(&case_dir).unwrap();
+            let input = case_dir.join("cpu.txt");
+            let pack = case_dir.join("serve.pack");
+            let values: Vec<i64> = (0..n).map(|k: i64| k * k % 139 - 11).collect();
+            let text: String = values.iter().map(|v| format!("{v}\n")).collect();
+            std::fs::write(&input, text).unwrap();
+            run(
+                parse_args(&argv(&format!(
+                    "store build {} {} --segment {segment}",
+                    pack.display(),
+                    input.display()
+                )))
+                .unwrap(),
+                &mut Vec::new(),
+            )
+            .unwrap();
+
+            // Run `neats serve` on an ephemeral port in a background thread and
+            // scrape the "listening on" line through a shared writer.
+            #[derive(Clone, Default)]
+            struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+            impl std::io::Write for SharedBuf {
+                fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                    self.0.lock().unwrap().extend_from_slice(buf);
+                    Ok(buf.len())
+                }
+                fn flush(&mut self) -> std::io::Result<()> {
+                    Ok(())
+                }
+            }
+            let log = SharedBuf::default();
+            let mut thread_log = log.clone();
+            let cmd = parse_args(&argv(&format!(
+                "serve {} --addr 127.0.0.1:0 {flags}",
+                pack.display()
             )))
-            .unwrap(),
-            &mut Vec::new(),
-        )
-        .unwrap();
+            .unwrap();
+            // The serving thread blocks until process exit; it is detached on
+            // purpose (the harness reaps it with the test process). Keep the
+            // handle so a pre-listen failure surfaces instead of hanging the
+            // scrape loop below.
+            let server_thread = std::thread::spawn(move || run(cmd, &mut thread_log));
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let addr = loop {
+                let text = String::from_utf8(log.0.lock().unwrap().clone()).unwrap();
+                if let Some(line) = text.lines().find(|l| l.starts_with("listening on ")) {
+                    break line["listening on ".len()..].to_string();
+                }
+                if server_thread.is_finished() {
+                    panic!("serve exited before listening: {:?} (log: {text:?})", {
+                        // The thread is finished; join cannot block.
+                        server_thread.join()
+                    });
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "serve did not start listening within 10s (log: {text:?})"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            };
 
-        // Run `neats serve` on an ephemeral port in a background thread and
-        // scrape the "listening on" line through a shared writer.
-        #[derive(Clone, Default)]
-        struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
+            let body = http_get(&addr, "/q/cpu?idx=123");
+            assert_eq!(body.trim().parse::<i64>().unwrap(), values[123]);
+            let logged = String::from_utf8(log.0.lock().unwrap().clone()).unwrap();
+            assert!(logged.contains(&format!("serving 1 series ({n} points)")), "{logged}");
+
+            // Touch every segment once; `--cache N` must hold about N views.
+            for k in (0..n).step_by(segment) {
+                let body = http_get(&addr, &format!("/q/cpu?idx={k}"));
+                assert_eq!(body.trim().parse::<i64>().unwrap(), values[k as usize]);
             }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+            let stats = http_get(&addr, "/stats");
+            let entries: usize = stats
+                .split("\"entries\": ")
+                .nth(1)
+                .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+                .and_then(|digits| digits.parse().ok())
+                .unwrap_or_else(|| panic!("no cache entries in /stats: {stats}"));
+            assert!(entries >= min_entries, "{flags}: {entries} cached views: {stats}");
         }
-        let log = SharedBuf::default();
-        let mut thread_log = log.clone();
-        let cmd = parse_args(&argv(&format!(
-            "serve {} --addr 127.0.0.1:0 --threads 2",
-            pack.display()
-        )))
-        .unwrap();
-        // The serving thread blocks until process exit; it is detached on
-        // purpose (the harness reaps it with the test process). Keep the
-        // handle so a pre-listen failure surfaces instead of hanging the
-        // scrape loop below.
-        let server_thread = std::thread::spawn(move || run(cmd, &mut thread_log));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let addr = loop {
-            let text = String::from_utf8(log.0.lock().unwrap().clone()).unwrap();
-            if let Some(line) = text.lines().find(|l| l.starts_with("listening on ")) {
-                break line["listening on ".len()..].to_string();
-            }
-            if server_thread.is_finished() {
-                panic!("serve exited before listening: {:?} (log: {text:?})", {
-                    // The thread is finished; join cannot block.
-                    server_thread.join()
-                });
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "serve did not start listening within 10s (log: {text:?})"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
-
-        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
-        conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
-            .unwrap();
-        conn.write_all(b"GET /q/cpu?idx=123 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let mut response = String::new();
-        conn.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        let body = response.split("\r\n\r\n").nth(1).unwrap();
-        assert_eq!(body.trim().parse::<i64>().unwrap(), values[123]);
-        let logged = String::from_utf8(log.0.lock().unwrap().clone()).unwrap();
-        assert!(logged.contains("serving 1 series (400 points)"), "{logged}");
     }
 
     #[test]

@@ -9,18 +9,8 @@
 //! jitter source is a tiny xorshift generator seeded from
 //! [`std::collections::hash_map::RandomState`], so the module needs no
 //! external randomness dependency and stays `std`-only like the rest of
-//! the crate.
-//!
-//! ```
-//! use neats_core::backoff::Backoff;
-//! use std::time::Duration;
-//!
-//! let mut b = Backoff::new(Duration::from_millis(10), Duration::from_secs(1));
-//! let first = b.next_delay();
-//! assert!(first >= Duration::from_millis(5) && first < Duration::from_millis(10));
-//! b.reset(); // a success rewinds the schedule
-//! assert_eq!(b.attempt(), 0);
-//! ```
+//! the crate. The degraded-mode retry loop of the background worker is its
+//! one user.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -28,7 +18,7 @@ use std::time::Duration;
 
 /// A retry-delay schedule: capped exponential growth with equal jitter.
 #[derive(Clone, Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
@@ -39,20 +29,15 @@ impl Backoff {
     /// A schedule starting at `base` (the uncapped delay of the first
     /// attempt) and never exceeding `cap`. A zero `base` is clamped to one
     /// millisecond so the schedule always makes progress.
-    pub fn new(base: Duration, cap: Duration) -> Self {
+    pub(crate) fn new(base: Duration, cap: Duration) -> Self {
         let base = base.max(Duration::from_millis(1));
         Self { base, cap: cap.max(base), attempt: 0, rng: seed() }
-    }
-
-    /// Failed attempts since the last [`Self::reset`].
-    pub fn attempt(&self) -> u32 {
-        self.attempt
     }
 
     /// The jittered delay to sleep before the next attempt; advances the
     /// schedule. The result lies in `[d/2, d)` where
     /// `d = min(base × 2^attempt, cap)`.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         // Saturate the shift well before Duration arithmetic could
         // overflow; the cap clamps the result anyway.
         let exp = self.attempt.min(32);
@@ -67,7 +52,7 @@ impl Backoff {
 
     /// Rewinds the schedule after a success, so the next failure starts
     /// again from `base`.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempt = 0;
     }
 
@@ -106,9 +91,9 @@ mod tests {
             assert!(full >= prev_full, "uncapped schedule must be monotone");
             prev_full = full;
         }
-        assert_eq!(b.attempt(), 10);
+        assert_eq!(b.attempt, 10);
         b.reset();
-        assert_eq!(b.attempt(), 0);
+        assert_eq!(b.attempt, 0);
         let d = b.next_delay();
         assert!(d < base, "after reset the first delay jitters below base again: {d:?}");
     }
@@ -127,7 +112,7 @@ mod tests {
         let mut b = Backoff::new(Duration::from_secs(1), Duration::from_secs(30));
         for _ in 0..100 {
             let d = b.next_delay();
-            assert!(d >= Duration::from_secs(15) || b.attempt() < 6);
+            assert!(d >= Duration::from_secs(15) || b.attempt < 6);
             assert!(d < Duration::from_secs(30));
         }
     }

@@ -5,9 +5,10 @@
 use crate::head::Head;
 use crate::manifest::{self, Manifest};
 use crate::wal::{FsyncPolicy, Wal, WalOp};
-use neats_core::{AtomicHistogram, NeaTSBuilder};
+use neats_core::NeaTSBuilder;
+use neats_store::histogram::AtomicHistogram;
 use neats_store::{
-    check_stamps, CacheSharding, CacheStats, RangeScratch, Store, StoreConfig, StoreError, StoreMode,
+    check_stamps, CacheStats, RangeScratch, Store, StoreConfig, StoreError, StoreMode,
     StoreOptions, StoreWriter,
 };
 use std::collections::HashSet;
@@ -36,10 +37,6 @@ pub struct IngestConfig {
     /// Segment-view cache capacity of the sealed [`Store`] (see
     /// [`StoreOptions::cache_capacity`]).
     pub cache_capacity: usize,
-    /// Shard policy of the sealed store's segment-view cache (see
-    /// [`neats_store::CacheSharding`]): keyed by default; per-thread when
-    /// a fixed serving pool should never contend on cache locks.
-    pub cache_sharding: CacheSharding,
     /// Background compaction threshold: compact when dead bytes exceed this
     /// fraction of the pack.
     pub compact_dead_ratio: f64,
@@ -53,7 +50,6 @@ impl Default for IngestConfig {
             fsync: FsyncPolicy::Always,
             builder: neats_core::NeaTS::builder(),
             cache_capacity: 256,
-            cache_sharding: CacheSharding::ByKey,
             compact_dead_ratio: 0.5,
         }
     }
@@ -229,10 +225,7 @@ impl Ingestor {
     }
 
     fn store_opts(&self) -> StoreOptions {
-        StoreOptions {
-            cache_capacity: self.cfg.cache_capacity,
-            cache_sharding: self.cfg.cache_sharding,
-        }
+        StoreOptions { cache_capacity: self.cfg.cache_capacity }
     }
 
     /// Opens (or initialises) an ingest directory and recovers its state:
@@ -265,10 +258,7 @@ impl Ingestor {
         let pack_bytes = fs::read(dir.join(&manifest.pack))?;
         let store = Arc::new(Store::open_with(
             pack_bytes,
-            StoreOptions {
-                cache_capacity: cfg.cache_capacity,
-                cache_sharding: cfg.cache_sharding,
-            },
+            StoreOptions { cache_capacity: cfg.cache_capacity },
         )?);
         let (mut wal, ops) = Wal::open_replay(dir.join(&manifest.wal), cfg.fsync)?;
         let metrics = IngestMetrics::default();
@@ -611,8 +601,8 @@ impl Ingestor {
         let new_epoch = epoch + 1;
         let pack_file = manifest::pack_name(new_epoch);
         let wal_file = manifest::wal_name(new_epoch);
-        if neats_core::failpoint::triggered("seal.pack") {
-            return Err(neats_core::failpoint::io_error("seal.pack").into());
+        if neats_store::failpoint::triggered("seal.pack") {
+            return Err(neats_store::failpoint::io_error("seal.pack").into());
         }
         write_file_durable(&self.dir.join(&pack_file), &pack)?;
 
@@ -1115,7 +1105,7 @@ impl Ingestor {
     /// the very atomics the write path bumps — no sampling, no copies. The
     /// registered closures hold an `Arc` to the ingestor, keeping it alive
     /// as long as the registry.
-    pub fn register_metrics(self: &Arc<Self>, reg: &neats_core::Registry) {
+    pub fn register_metrics(self: &Arc<Self>, reg: &neats_store::obs::Registry) {
         let m = &self.metrics;
         reg.histogram_shared(
             "neats_ingest_wal_append_ns",
@@ -1301,7 +1291,7 @@ impl Ingestor {
         let me = Arc::clone(self);
         let flag = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
-            let mut backoff = neats_core::Backoff::new(cfg.retry_base, cfg.retry_cap);
+            let mut backoff = crate::backoff::Backoff::new(cfg.retry_base, cfg.retry_cap);
             let mut next_retry = Instant::now();
             while !flag.load(Ordering::Relaxed) {
                 // Sleep in small quanta so handle drop is prompt.

@@ -56,12 +56,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod failpoint;
+mod backoff;
 mod head;
 pub mod manifest;
 mod ingestor;
 pub mod wal;
 
-pub use failpoint::FailpointFile;
 pub use ingestor::{BackgroundConfig, BackgroundHandle, IngestConfig, Ingestor, SeriesSummary};
 pub use wal::{FsyncPolicy, WalOp};

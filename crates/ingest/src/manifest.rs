@@ -55,8 +55,8 @@ pub fn wal_name(epoch: u64) -> String {
 
 /// Best-effort `fsync` of a directory so a rename or create is durable.
 pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    if neats_core::failpoint::triggered("dir.sync") {
-        return Err(neats_core::failpoint::io_error("dir.sync"));
+    if neats_store::failpoint::triggered("dir.sync") {
+        return Err(neats_store::failpoint::io_error("dir.sync"));
     }
     // Directory fsync is a POSIX-ism; *opening* may fail on exotic
     // filesystems, in which case the rename is still ordered by the
@@ -118,8 +118,8 @@ impl Manifest {
     /// Atomically installs this manifest in `dir` (tmp + fsync + rename +
     /// directory fsync). On return the new generation is committed.
     pub fn write_to(&self, dir: &Path) -> Result<(), StoreError> {
-        if neats_core::failpoint::triggered("manifest.commit") {
-            return Err(neats_core::failpoint::io_error("manifest.commit").into());
+        if neats_store::failpoint::triggered("manifest.commit") {
+            return Err(neats_store::failpoint::io_error("manifest.commit").into());
         }
         let tmp = dir.join(MANIFEST_TMP);
         {

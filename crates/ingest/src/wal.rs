@@ -41,7 +41,7 @@
 //! not a torn write — it is the wrong file).
 
 use crate::manifest::sync_dir;
-use neats_core::AtomicHistogram;
+use neats_store::histogram::AtomicHistogram;
 use neats_store::StoreError;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -222,8 +222,8 @@ impl Wal {
     /// Creates (truncating) a fresh WAL at `path`: header written and
     /// synced, along with the containing directory.
     pub fn create(path: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Self, StoreError> {
-        if neats_core::failpoint::triggered("wal.create") {
-            return Err(neats_core::failpoint::io_error("wal.create").into());
+        if neats_store::failpoint::triggered("wal.create") {
+            return Err(neats_store::failpoint::io_error("wal.create").into());
         }
         let path = path.into();
         let mut file =
@@ -293,12 +293,12 @@ impl Wal {
     /// Appends one record, then syncs according to the policy. On success
     /// the operation is in the OS (and, under `Always`, on disk).
     pub fn append(&mut self, op: &WalOp) -> Result<(), StoreError> {
-        if neats_core::failpoint::triggered("wal.append") {
-            return Err(neats_core::failpoint::io_error("wal.append").into());
+        if neats_store::failpoint::triggered("wal.append") {
+            return Err(neats_store::failpoint::io_error("wal.append").into());
         }
         // The write stage of a request trace: WAL time (encode + write +
         // policy-driven fsync) on the serving thread. No-op off-request.
-        let _write = neats_core::obs::stage(neats_core::obs::Stage::Write);
+        let _write = neats_store::obs::stage(neats_store::obs::Stage::Write);
         let started = self.append_ns.is_some().then(std::time::Instant::now);
         let rec = encode_record(op);
         self.file.write_all(&rec)?;
@@ -321,8 +321,8 @@ impl Wal {
 
     /// Forces everything appended so far to disk.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        if neats_core::failpoint::triggered("wal.sync") {
-            return Err(neats_core::failpoint::io_error("wal.sync").into());
+        if neats_store::failpoint::triggered("wal.sync") {
+            return Err(neats_store::failpoint::io_error("wal.sync").into());
         }
         let started = self.sync_ns.is_some().then(std::time::Instant::now);
         self.file.sync_all()?;
@@ -339,8 +339,8 @@ impl Wal {
     /// so truncating to it is always safe — and because truncation needs
     /// no free space, this works even when the failure was `ENOSPC`.
     pub fn repair(&mut self) -> Result<(), StoreError> {
-        if neats_core::failpoint::triggered("wal.repair") {
-            return Err(neats_core::failpoint::io_error("wal.repair").into());
+        if neats_store::failpoint::triggered("wal.repair") {
+            return Err(neats_store::failpoint::io_error("wal.repair").into());
         }
         self.file.set_len(self.len)?;
         use std::io::Seek;

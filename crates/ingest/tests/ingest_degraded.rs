@@ -1,5 +1,5 @@
 //! Degraded-mode suite, driven by the shared failpoint registry
-//! (`neats_core::failpoint`): disk faults at every step of the write path
+//! (`neats_store::failpoint`): disk faults at every step of the write path
 //! flip the ingestor into typed read-only degradation instead of
 //! corrupting or crashing, reads keep serving the acked state, and
 //! recovery — manual or the background worker's backoff retry — restores
@@ -8,7 +8,7 @@
 //! The registry is process-global, so every test in this binary holds
 //! [`serialized`]'s lock and clears the registry on exit.
 
-use neats_core::failpoint;
+use neats_store::failpoint;
 use neats_ingest::{BackgroundConfig, FsyncPolicy, IngestConfig, Ingestor};
 use neats_store::StoreError;
 use std::fs;

@@ -21,10 +21,11 @@
 //! hard, clean error.
 
 use neats_ingest::wal::{self, encode_record, header_bytes, WalOp, WAL_HEADER_LEN};
-use neats_ingest::{FailpointFile, FsyncPolicy, IngestConfig, Ingestor};
+use neats_ingest::{FsyncPolicy, IngestConfig, Ingestor};
 use neats_store::StoreError;
 use std::fs;
 use std::path::PathBuf;
+use test_support::FailpointFile;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("neats-ifault-{tag}-{}", std::process::id()));

@@ -72,13 +72,12 @@ impl ValueMode {
 #[derive(Clone, Debug)]
 pub struct Blockwise<C: StreamCodec> {
     codec: C,
-    block_size: usize,
 }
 
 impl<C: StreamCodec> Blockwise<C> {
     /// Wraps `codec` with the paper's 1000-value blocks.
     pub fn new(codec: C) -> Self {
-        Self { codec, block_size: BLOCK_SIZE }
+        Self { codec }
     }
 }
 
@@ -93,10 +92,10 @@ impl<C: StreamCodec> Compressor for Blockwise<C> {
         let mode = ValueMode::choose(&self.codec, ts);
         let values = ts.values();
         let mut data = Vec::new();
-        let mut offsets = Vec::with_capacity(values.len() / self.block_size + 2);
+        let mut offsets = Vec::with_capacity(values.len() / BLOCK_SIZE + 2);
         offsets.push(0u64);
-        let mut words = Vec::with_capacity(self.block_size);
-        for block in values.chunks(self.block_size) {
+        let mut words = Vec::with_capacity(BLOCK_SIZE);
+        for block in values.chunks(BLOCK_SIZE) {
             words.clear();
             words.extend(block.iter().map(|&v| mode.encode_word(v)));
             let enc = self.codec.encode(&words);
@@ -108,7 +107,6 @@ impl<C: StreamCodec> Compressor for Blockwise<C> {
             codec: self.codec.clone(),
             mode,
             n: values.len(),
-            block_size: self.block_size,
             data,
             offsets,
         }
@@ -121,7 +119,6 @@ pub struct BlockwiseCompressed<C: StreamCodec> {
     codec: C,
     mode: ValueMode,
     n: usize,
-    block_size: usize,
     data: Vec<u8>,
     offsets: Vec<u64>,
 }
@@ -130,7 +127,7 @@ impl<C: StreamCodec> BlockwiseCompressed<C> {
     fn decode_block(&self, b: usize) -> Vec<i64> {
         let lo = self.offsets[b] as usize;
         let hi = self.offsets[b + 1] as usize;
-        let count = (self.n - b * self.block_size).min(self.block_size);
+        let count = (self.n - b * BLOCK_SIZE).min(BLOCK_SIZE);
         self.codec
             .decode(&self.data[lo..hi], count)
             .into_iter()
@@ -164,8 +161,7 @@ impl<C: StreamCodec> CompressedSeries for BlockwiseCompressed<C> {
 
     fn get(&self, k: usize) -> i64 {
         debug_assert!(k < self.n);
-        let b = k / self.block_size;
-        self.decode_block(b)[k % self.block_size]
+        self.decode_block(k / BLOCK_SIZE)[k % BLOCK_SIZE]
     }
 
     fn scan_range(&self, start: usize, count: usize, out: &mut Vec<i64>) {
@@ -174,11 +170,11 @@ impl<C: StreamCodec> CompressedSeries for BlockwiseCompressed<C> {
         }
         let end = start + count;
         debug_assert!(end <= self.n);
-        let first = start / self.block_size;
-        let last = (end - 1) / self.block_size;
+        let first = start / BLOCK_SIZE;
+        let last = (end - 1) / BLOCK_SIZE;
         for b in first..=last {
             let block = self.decode_block(b);
-            let base = b * self.block_size;
+            let base = b * BLOCK_SIZE;
             let lo = start.max(base) - base;
             let hi = (end.min(base + block.len())) - base;
             out.extend_from_slice(&block[lo..hi]);

@@ -17,9 +17,8 @@
 //!   (Algorithm 2), O(1)-ish random access (Algorithm 3), range scans and
 //!   aggregates, answered straight from serialized archive bytes.
 //! * [`variants`] — LeaTS (linear-only) and SNeaTS (model selection).
-//! * [`parallel`] / [`histogram`] — the std-only threading primitives
-//!   (work-stealing fan-out, closeable worker queue) and the wait-free
-//!   latency histogram shared with the store and serving layers.
+//! * [`parallel`] — the std-only work-stealing fan-out behind the
+//!   partitioner's stage 1, the lossy build and the store writer.
 //!
 //! How these modules compose into the full system (container formats, read
 //! paths, threading model) is documented in `ARCHITECTURE.md` at the
@@ -41,13 +40,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 pub mod aggregate;
-pub mod backoff;
-pub mod failpoint;
 pub mod fit;
-pub mod histogram;
 pub mod layout;
 pub mod lossy;
-pub mod obs;
 #[allow(unsafe_code)]
 mod owned;
 pub mod parallel;
@@ -57,12 +52,8 @@ pub mod variants;
 pub mod view;
 
 pub use aggregate::Estimate;
-pub use backoff::Backoff;
-pub use failpoint::FailpointFile;
 pub use fit::{Fragment, Kind, Params};
-pub use histogram::{AtomicHistogram, HistogramSnapshot};
 pub use layout::{NeaTSCompressed, RankMode};
-pub use obs::{Registry, Stage, TraceEntry, TraceRing};
 pub use lossy::NeaTSLossy;
 pub use partition::{default_epsilons, positivity_shift, Pair, Partition, PartitionConfig};
 pub use serial::{frame_info, ArchiveFlavor, Section};

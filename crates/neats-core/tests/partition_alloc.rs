@@ -9,55 +9,12 @@
 use neats_core::partition::{partition, PartitionConfig};
 use neats_core::{default_epsilons, positivity_shift, Kind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use test_support::{measure, CountingAlloc};
 use timeseries::TimeSeries;
-
-/// Counts every call that hands out memory (frees are irrelevant here).
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Armed on the measuring thread for the length of a window, so bytes
-    /// that libtest's own threads allocate meanwhile are not counted.
-    /// `const`-initialised and without a destructor: reading it in the
-    /// allocator never allocates.
-    static MEASURING: Cell<bool> = const { Cell::new(false) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-// The only test in this file: the counter is process-wide.
 #[test]
 fn partition_allocates_per_pair_not_per_fragment() {
     const N: usize = 8192;
@@ -72,11 +29,8 @@ fn partition_allocates_per_pair_not_per_fragment() {
     let config = PartitionConfig::lossless(&Kind::NEATS_DEFAULT, &epsilons, shift).with_threads(1);
     let pairs = config.pairs.len();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    MEASURING.set(true);
-    let part = partition(ts.values(), &config);
-    MEASURING.set(false);
-    let calls = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (allocs, part) = measure(|| partition(ts.values(), &config));
+    let calls = allocs.calls;
 
     assert_eq!(part.fragments.last().map(|f| f.end), Some(N));
 

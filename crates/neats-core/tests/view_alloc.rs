@@ -13,74 +13,16 @@
 //! `Vec` and an aggregate estimate make none.
 
 use neats_core::{ArchiveView, Kind, NeaTS, NeaTSCompressed, NeaTSLossy, RankMode};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use test_support::{measure, CountingAlloc};
 use timeseries::{CompressedSeries, TimeSeries};
-
-/// Counts every byte handed out and every call that handed some out
-/// (allocations only; frees are irrelevant for the "does open allocate
-/// O(archive)?" question).
-struct CountingAlloc;
-
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Armed on the measuring thread for the length of a window, so bytes
-    /// that libtest's own threads allocate meanwhile are not counted.
-    /// `const`-initialised and without a destructor: reading it in the
-    /// allocator never allocates.
-    static MEASURING: Cell<bool> = const { Cell::new(false) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Bytes allocated while running `f`.
 fn allocated_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATED.load(Ordering::Relaxed);
-    MEASURING.set(true);
-    let out = f();
-    MEASURING.set(false);
-    (ALLOCATED.load(Ordering::Relaxed) - before, out)
-}
-
-/// `(calls, bytes)` allocated while running `f`.
-fn allocations_during<R>(f: impl FnOnce() -> R) -> ((usize, usize), R) {
-    let calls = ALLOCATIONS.load(Ordering::Relaxed);
-    let (bytes, out) = allocated_during(f);
-    ((ALLOCATIONS.load(Ordering::Relaxed) - calls, bytes), out)
+    let (allocs, out) = measure(f);
+    (allocs.bytes, out)
 }
 
 /// A handle costs one allocation to load — the frame plus the two reference
@@ -93,7 +35,8 @@ fn assert_handle_allocations<H>(
     load: impl FnOnce(&[u8]) -> H,
     query: impl FnOnce(&H, &mut Vec<i64>) -> usize,
 ) {
-    let ((calls, bytes), handle) = allocations_during(|| load(frame));
+    let (allocs, handle) = measure(|| load(frame));
+    let (calls, bytes) = (allocs.calls, allocs.bytes);
     assert_eq!(calls, 1, "{name}: from_bytes made {calls} allocations");
     assert!(
         (frame.len() + 16..=frame.len() + 24).contains(&bytes),
@@ -117,8 +60,6 @@ fn archive(n: usize) -> Vec<u8> {
     NeaTS::builder().kinds(&[Kind::Linear, Kind::Quadratic]).epsilons(&[0, 4, 32]).build(&series(n)).to_bytes()
 }
 
-// A single test function: the counter is process-global, so concurrently
-// running measurements would bleed into each other's windows.
 #[test]
 fn parse_and_open_never_allocate() {
     let small = archive(4_000);

@@ -268,9 +268,9 @@ impl Connection {
             // same thread may re-arm the span in between and this request
             // loses its parse time — a bounded inaccuracy accepted for
             // running many connections per thread.
-            neats_core::obs::span_begin();
+            neats_store::obs::span_begin();
             let parsed = {
-                let _parse = neats_core::obs::stage(neats_core::obs::Stage::Parse);
+                let _parse = neats_store::obs::stage(neats_store::obs::Stage::Parse);
                 http::parse_head(&self.rbuf[..end])
             };
             // Drain the head even when parsing fails, so a pipelined

@@ -10,7 +10,7 @@ use crate::http::{Method, Request, Response};
 use crate::render::{push_pair_lines, push_u64, push_value_line, push_value_lines, Scratch};
 use crate::source::{mode_eps, Source};
 use crate::stats::{Endpoint, Obs, ServerStats};
-use neats_core::obs::{span_ensure, span_take, stage, Stage, STAGE_COUNT};
+use neats_store::obs::{span_ensure, span_take, stage, Stage, STAGE_COUNT};
 use neats_ingest::Ingestor;
 use neats_store::{RangeScratch, StoreError};
 use std::time::Instant;
@@ -836,8 +836,8 @@ mod tests {
         let src = Source::from(demo_store());
         let stats = ServerStats::new();
         let obs = Obs {
-            registry: Arc::new(neats_core::Registry::new()),
-            ring: neats_core::TraceRing::new(8),
+            registry: Arc::new(neats_store::obs::Registry::new()),
+            ring: neats_store::obs::TraceRing::new(8),
             slow_query_us: 0,
             shard_depths: Vec::new(),
             source_label: "demo.pack".into(),
@@ -880,7 +880,7 @@ mod tests {
             ..Obs::disabled()
         };
         let obs = Obs {
-            ring: neats_core::TraceRing::new(4),
+            ring: neats_store::obs::TraceRing::new(4),
             ..obs
         };
         assert_eq!(call(&src, &stats, &obs, 1, &get("/q/cpu", "idx=0..500")).status, 200);

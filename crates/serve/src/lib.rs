@@ -51,7 +51,7 @@
 //!   the write deadline.
 //! * **The blocking driver** (no poller) — [`Server::run`] feeds a
 //!   closeable queue drained by `threads` workers
-//!   ([`neats_core::parallel::Queue`]); one worker runs a connection's
+//!   (the crate's private `queue` module); one worker runs a connection's
 //!   state machine for its keep-alive lifetime, waking at most every
 //!   [`ServeConfig::poll_interval`] for deadlines and shutdown.
 //! * **Zero-copy serving, one rendering path** — every shard/worker
@@ -63,10 +63,7 @@
 //!   integer goes through one table-driven formatter, and the decode and
 //!   body buffers are the worker's own [`Scratch`], lent to the handler per
 //!   request: a range request allocates nothing in steady state, and what
-//!   a worker retains is bounded by [`SCRATCH_RETAIN_BYTES`]. With
-//!   `CacheSharding::ByThread` on the store, each shard additionally owns
-//!   a private slice of the segment-view cache — no cross-shard locks on
-//!   the hot path.
+//!   a worker retains is bounded by [`SCRATCH_RETAIN_BYTES`].
 //! * **Keep-alive & pipelining** — connections serve any number of
 //!   requests; buffered pipelined requests are handled in order.
 //! * **Graceful shutdown** — [`ServerHandle::shutdown`] (the
@@ -75,9 +72,9 @@
 //!   answered 408), then [`Server::run`] returns with the open-connection
 //!   counter at exactly zero.
 //! * **Observability** — every counter lives in one
-//!   [`neats_core::Registry`] built at [`Server::bind`]: per-endpoint
+//!   [`neats_store::obs::Registry`] built at [`Server::bind`]: per-endpoint
 //!   request/error counters and latency histograms
-//!   ([`neats_core::AtomicHistogram`]), connection/byte counters, the
+//!   ([`neats_store::histogram::AtomicHistogram`]), connection/byte counters, the
 //!   store's cache counters, and — on a live source — the ingest
 //!   write-path families (WAL append/fsync latency, seal durations,
 //!   degraded transitions). `/stats` renders them as JSON, `GET /metrics`
@@ -128,6 +125,7 @@
 mod conn;
 mod handler;
 mod http;
+mod queue;
 mod reactor;
 mod render;
 mod server;

@@ -28,7 +28,7 @@
 
 use crate::conn::{Connection, Env, Next};
 use crate::http::Limits;
-use neats_core::parallel::Queue;
+use crate::queue::Queue;
 use polling::{Event, Events, Poller};
 use std::io::{ErrorKind, Read};
 use std::net::TcpStream;

@@ -18,7 +18,7 @@
 //!   mostly-idle keep-alive connections; an idle client costs a slab
 //!   entry, never a thread.
 //! * **Blocking (everywhere else)** — admitted connections are pushed onto
-//!   a closeable blocking queue ([`neats_core::parallel::Queue`]); each
+//!   a closeable blocking queue (the `crate::queue` module); each
 //!   serving thread pops one connection and runs it for its whole
 //!   keep-alive lifetime, waking from a read at most every
 //!   [`ServeConfig::poll_interval`]. Simple and portable, but W idle
@@ -43,12 +43,13 @@
 use crate::conn::{Connection, Env, Next};
 use crate::handler;
 use crate::http::{Limits, Request, Response};
+use crate::queue::Queue;
 use crate::reactor::{self, Shard};
 use crate::render::Scratch;
 use crate::source::Source;
 use crate::stats::{Obs, ServerStats};
-use neats_core::parallel::{effective_threads_env, Queue};
-use neats_core::{Registry, TraceRing};
+use neats_core::parallel::effective_threads_env;
+use neats_store::obs::{Registry, TraceRing};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -187,7 +187,7 @@ impl Source {
     /// (each holds a clone of this source). A live source additionally
     /// registers the full ingest write-path families — see
     /// [`Ingestor::register_metrics`].
-    pub fn register_metrics(&self, reg: &neats_core::Registry) {
+    pub fn register_metrics(&self, reg: &neats_store::obs::Registry) {
         let s = self.clone();
         reg.counter_fn(
             "neats_store_cache_hits_total",

@@ -6,7 +6,8 @@
 //! `GET /metrics` then read the *same* memory — one source of truth, no
 //! sampling skew between the two surfaces.
 
-use neats_core::{AtomicHistogram, Registry, TraceRing};
+use neats_store::histogram::AtomicHistogram;
+use neats_store::obs::{Registry, TraceRing};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

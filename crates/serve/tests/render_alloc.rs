@@ -2,63 +2,20 @@
 //! allocation between the parsed request and the rendered response — the
 //! decode buffers and the body are the worker's [`Scratch`], lent to the
 //! handler and handed back with [`Scratch::reclaim`] — and that what the
-//! worker retains is bounded by [`SCRATCH_RETAIN_BYTES`]. Same counting
-//! global allocator as `neats-core/tests/view_alloc.rs` / `obs_alloc.rs`.
+//! worker retains is bounded by [`SCRATCH_RETAIN_BYTES`]. Counted by the
+//! workspace's one counting global allocator (`test_support`).
 
 use neats_serve::{Method, Request, Scratch, ServeConfig, Server, SCRATCH_RETAIN_BYTES};
 use neats_store::{Store, StoreConfig, StoreWriter, DEFAULT_SEGMENT_POINTS};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Armed on the measuring thread for the length of a window, so bytes
-    /// that libtest's own threads allocate meanwhile are not counted.
-    /// `const`-initialised and without a destructor: reading it in the
-    /// allocator never allocates.
-    static MEASURING: Cell<bool> = const { Cell::new(false) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use test_support::{measure, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Bytes allocated while running `f`.
 fn allocated_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATED.load(Ordering::Relaxed);
-    MEASURING.set(true);
-    let out = f();
-    MEASURING.set(false);
-    (ALLOCATED.load(Ordering::Relaxed) - before, out)
+    let (allocs, out) = measure(f);
+    (allocs.bytes, out)
 }
 
 const POINTS: usize = 5 * DEFAULT_SEGMENT_POINTS;
@@ -76,8 +33,6 @@ fn get(query: String) -> Request {
     }
 }
 
-// One test function: the counter is process-global, so parallel test
-// threads would bleed into each other's measurement windows.
 #[test]
 fn range_requests_are_allocation_free_and_scratch_is_bounded() {
     // 13-digit stamps and values: long lines, so a full scan by time

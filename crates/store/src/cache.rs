@@ -9,28 +9,17 @@
 //! therefore still wants opened views kept around.
 //!
 //! The cache is sharded to keep lock hold times short under concurrent
-//! readers: a key maps to one of up to [`MAX_SHARDS`] independently locked
-//! maps, and eviction is least-recently-used per shard (exact LRU via a
+//! readers: a Fibonacci hash of the (series, segment) key picks one of up
+//! to [`MAX_SHARDS`] independently locked maps, so every open view exists
+//! at most once and the whole capacity is usable from any number of
+//! threads. Eviction is least-recently-used per shard (exact LRU via a
 //! monotone global tick; the per-shard scan is over at most
 //! `capacity / shards` entries).
-//!
-//! Two [`CacheSharding`] policies decide *which* shard a lookup touches:
-//!
-//! * [`ByKey`](CacheSharding::ByKey) (default) — Fibonacci-hash the
-//!   (series, segment) key. Every open view exists at most once, but
-//!   threads chasing the same hot segment contend on its shard's lock.
-//! * [`ByThread`](CacheSharding::ByThread) — each *thread* is assigned its
-//!   own shard at first touch. A fixed thread pool (the serve reactor's
-//!   shard-per-core event loops) then runs completely lock-contention-free:
-//!   no two pool threads ever touch the same `Mutex`. The price is that a
-//!   segment hot on several threads is opened and cached once per thread —
-//!   bounded duplication traded for zero cross-core traffic.
 
 use crate::segment::SegmentView;
 use crate::StoreError;
-use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Maximum number of independently locked shards (fewer when the requested
@@ -39,21 +28,6 @@ const MAX_SHARDS: usize = 8;
 
 /// Cache key: (series index, segment index) within the catalog.
 pub(crate) type SegKey = (u32, u32);
-
-/// How lookups are distributed over the cache's independently locked
-/// shards (see the `cache` module docs for the trade-off).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheSharding {
-    /// Shard by (series, segment) key hash: each view cached at most once,
-    /// shared by all threads. The right default for ad-hoc reader pools.
-    #[default]
-    ByKey,
-    /// Shard by calling thread: every thread gets a private shard (threads
-    /// beyond the shard count share, round-robin). Lock-contention-free for
-    /// a fixed pool of at most 8 (`MAX_SHARDS`) threads; hot segments may
-    /// be cached once per thread.
-    ByThread,
-}
 
 #[derive(Default)]
 struct Shard {
@@ -91,22 +65,10 @@ pub(crate) struct SegmentCache {
     shards: Vec<Mutex<Shard>>,
     /// Max entries per shard; 0 disables caching entirely.
     shard_cap: usize,
-    sharding: CacheSharding,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-}
-
-/// Next thread slot to hand out under [`CacheSharding::ByThread`]. Global
-/// (not per cache) so the assignment survives a store being reopened under
-/// the same pool; a pool of N threads always spans N consecutive slots and
-/// therefore N distinct shards whenever the cache has ≥ N of them.
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's slot, assigned on first cache access.
-    static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 impl SegmentCache {
@@ -117,7 +79,7 @@ impl SegmentCache {
     /// (at most `capacity + shards − 1`) and thrash a shard before the
     /// whole budget is used — the standard sharded-LRU trade-off for
     /// short lock hold times.
-    pub(crate) fn new(capacity: usize, sharding: CacheSharding) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         // Tiny caches get one entry per shard and exactly `capacity`
         // shards, so their documented bound stays exact.
         let shards = MAX_SHARDS.min(capacity.max(1));
@@ -128,7 +90,6 @@ impl SegmentCache {
             } else {
                 capacity.div_ceil(shards)
             },
-            sharding,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -137,26 +98,10 @@ impl SegmentCache {
     }
 
     fn shard_of(&self, key: SegKey) -> usize {
-        match self.sharding {
-            CacheSharding::ByKey => {
-                // Fibonacci hash of the packed key; series and segment
-                // indices are both small and sequential, so multiply-shift
-                // spreads them well.
-                let packed = ((key.0 as u64) << 32) | key.1 as u64;
-                (packed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len()
-            }
-            CacheSharding::ByThread => {
-                let slot = THREAD_SLOT.with(|s| {
-                    let mut slot = s.get();
-                    if slot == usize::MAX {
-                        slot = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
-                        s.set(slot);
-                    }
-                    slot
-                });
-                slot % self.shards.len()
-            }
-        }
+        // Fibonacci hash of the packed key; series and segment indices are
+        // both small and sequential, so multiply-shift spreads them well.
+        let packed = ((key.0 as u64) << 32) | key.1 as u64;
+        (packed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len()
     }
 
     /// Returns the cached view for `key`, or opens one with `open`,
@@ -171,7 +116,7 @@ impl SegmentCache {
         open: impl FnOnce() -> Result<SegmentView, StoreError>,
     ) -> Result<Arc<SegmentView>, StoreError> {
         if self.shard_cap > 0 {
-            let _probe = neats_core::obs::stage(neats_core::obs::Stage::Cache);
+            let _probe = crate::obs::stage(crate::obs::Stage::Cache);
             let mut shard = self.shards[self.shard_of(key)].lock().expect("cache lock");
             if let Some((stamp, view)) = shard.entries.get_mut(&key) {
                 *stamp = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -183,7 +128,7 @@ impl SegmentCache {
         let view = {
             // Opening (verify + parse on first touch, parse alone after):
             // the "segment decode" stage of a request trace.
-            let _decode = neats_core::obs::stage(neats_core::obs::Stage::Decode);
+            let _decode = crate::obs::stage(crate::obs::Stage::Decode);
             Arc::new(open()?)
         };
         if self.shard_cap > 0 {

@@ -1,9 +1,6 @@
-//! Fault injection shared by the whole stack: an in-memory file model for
-//! crash-consistency tests, and a process-global **failpoint registry**
-//! that lets tests (and operators reproducing incidents) inject I/O
-//! failures at named sites in store, ingest, and serve.
-//!
-//! ## The registry
+//! The process-global **failpoint registry**: lets tests (and operators
+//! reproducing incidents) inject I/O failures at named sites in store,
+//! ingest, and serve.
 //!
 //! Production code guards fallible operations with
 //! [`triggered`]`("site.name")`; the call is a single relaxed atomic load
@@ -19,7 +16,8 @@
 //! the `N`-th hit after arming (1-based, default 1), for at most `C` hits
 //! (default unlimited). `off` disarms a site. Hits are counted only while
 //! a site is configured, so `@N` means "the N-th hit after arming" —
-//! the natural reading for tests.
+//! the natural reading for tests. A malformed part of the environment list
+//! is named on stderr and skipped; every well-formed part is still armed.
 //!
 //! Registered sites in this workspace: `wal.append`, `wal.sync`,
 //! `wal.create`, `wal.repair`, `seal.pack`, `manifest.commit`, `dir.sync`,
@@ -28,14 +26,6 @@
 //! The registry is process-global: tests that arm it from one binary must
 //! serialize with each other (a `static Mutex` guard), and must
 //! [`clear_all`] on exit so later tests see a clean slate.
-//!
-//! ## The file model
-//!
-//! [`FailpointFile`] is the crash-consistency model used by the ingest
-//! fault matrix: bytes written before the last effective sync barrier are
-//! durable; bytes after it may survive in full, in part, or not at all. A
-//! "crash image" is any prefix of the written bytes at least as long as
-//! the synced length.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,11 +53,18 @@ fn registry() -> &'static Mutex<HashMap<String, Point>> {
     static REG: OnceLock<Mutex<HashMap<String, Point>>> = OnceLock::new();
     REG.get_or_init(|| {
         let mut map = HashMap::new();
-        if let Ok(spec) = std::env::var(FAILPOINT_ENV) {
-            // A malformed env spec must not be silently ignored in a test
-            // run — but production must not panic either. Arm what parses.
-            for (site, point) in parse_list(&spec).unwrap_or_default() {
-                map.insert(site, point);
+        if let Ok(list) = std::env::var(FAILPOINT_ENV) {
+            // Production must not panic on a malformed spec, and one typo
+            // must not disarm the rest: arm every part that parses and name
+            // each one that does not.
+            for part in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+                match parse_part(part) {
+                    Ok((site, Some(point))) => {
+                        map.insert(site, point);
+                    }
+                    Ok((_, None)) => {}
+                    Err(e) => eprintln!("{FAILPOINT_ENV}: ignoring {e}"),
+                }
             }
         }
         if !map.is_empty() {
@@ -77,17 +74,11 @@ fn registry() -> &'static Mutex<HashMap<String, Point>> {
     })
 }
 
-/// Parses a comma-separated `site=spec` list.
-fn parse_list(s: &str) -> Result<Vec<(String, Point)>, String> {
-    let mut out = Vec::new();
-    for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let (site, spec) =
-            part.split_once('=').ok_or_else(|| format!("failpoint `{part}`: missing `=`"))?;
-        if let Some(p) = parse_spec(spec.trim())? {
-            out.push((site.trim().to_string(), p));
-        }
-    }
-    Ok(out)
+/// Parses one `site=spec` part of a [`FAILPOINT_ENV`] list.
+fn parse_part(part: &str) -> Result<(String, Option<Point>), String> {
+    let (site, spec) =
+        part.split_once('=').ok_or_else(|| format!("failpoint `{part}`: missing `=`"))?;
+    Ok((site.trim().to_string(), parse_spec(spec.trim())?))
 }
 
 /// Parses one `err[@N][*C]` / `off` spec; `Ok(None)` means disarmed.
@@ -142,18 +133,6 @@ pub fn set(site: &str, spec: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Arms every `site=spec` pair in a comma-separated list (the
-/// [`FAILPOINT_ENV`] grammar).
-pub fn configure(list: &str) -> Result<(), String> {
-    let parsed = parse_list(list)?;
-    let mut reg = registry().lock().expect("failpoint registry lock");
-    for (site, p) in parsed {
-        reg.insert(site, p);
-    }
-    ACTIVE.store(!reg.is_empty(), Ordering::SeqCst);
-    Ok(())
-}
-
 /// Disarms `site`.
 pub fn clear(site: &str) {
     let mut reg = registry().lock().expect("failpoint registry lock");
@@ -202,138 +181,12 @@ pub fn io_error(site: &str) -> std::io::Error {
     std::io::Error::other(format!("injected failpoint: {site}"))
 }
 
-/// An in-memory file with write/sync recording and injectable faults.
-#[derive(Clone, Debug)]
-pub struct FailpointFile {
-    data: Vec<u8>,
-    synced_len: usize,
-    /// Remaining write budget; once exhausted, writes are (partially)
-    /// dropped and the file is `killed`.
-    budget: Option<usize>,
-    drop_syncs: bool,
-    killed: bool,
-}
-
-impl Default for FailpointFile {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FailpointFile {
-    /// A file with no fault injected.
-    pub fn new() -> Self {
-        Self { data: Vec::new(), synced_len: 0, budget: None, drop_syncs: false, killed: false }
-    }
-
-    /// A file that accepts exactly `budget` more bytes; the write that
-    /// crosses the budget is applied partially and the file dies.
-    pub fn kill_after(budget: usize) -> Self {
-        Self { budget: Some(budget), ..Self::new() }
-    }
-
-    /// Makes every subsequent sync a silent no-op (a misbehaving disk, or a
-    /// writer configured with `FsyncPolicy::Never`).
-    pub fn dropping_syncs(mut self) -> Self {
-        self.drop_syncs = true;
-        self
-    }
-
-    /// Appends bytes, honouring the kill budget. Returns `false` once the
-    /// file has died (the write was dropped or only partially applied).
-    pub fn write(&mut self, bytes: &[u8]) -> bool {
-        if self.killed {
-            return false;
-        }
-        match self.budget {
-            Some(b) if b < bytes.len() => {
-                self.data.extend_from_slice(&bytes[..b]);
-                self.budget = Some(0);
-                self.killed = true;
-                false
-            }
-            Some(b) => {
-                self.data.extend_from_slice(bytes);
-                self.budget = Some(b - bytes.len());
-                true
-            }
-            None => {
-                self.data.extend_from_slice(bytes);
-                true
-            }
-        }
-    }
-
-    /// A sync barrier: everything written so far becomes durable — unless
-    /// syncs are being dropped or the file has died. Returns whether the
-    /// barrier took effect.
-    pub fn sync(&mut self) -> bool {
-        if self.killed || self.drop_syncs {
-            return false;
-        }
-        self.synced_len = self.data.len();
-        true
-    }
-
-    /// Everything written so far (the most optimistic crash image).
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Bytes guaranteed durable.
-    pub fn synced_len(&self) -> usize {
-        self.synced_len
-    }
-
-    /// Whether the kill budget has been exhausted.
-    pub fn is_killed(&self) -> bool {
-        self.killed
-    }
-
-    /// Every crash image consistent with the model: each prefix cut from
-    /// `synced_len` (nothing past the barrier survived) to the full length
-    /// (everything survived).
-    pub fn crash_images(&self) -> impl Iterator<Item = &[u8]> {
-        (self.synced_len..=self.data.len()).map(move |cut| &self.data[..cut])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The registry is process-global; these tests serialize on one lock
-    /// and clear on every exit path.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn budget_kills_mid_write() {
-        let mut f = FailpointFile::kill_after(5);
-        assert!(f.write(b"abc"));
-        assert!(f.sync());
-        assert!(!f.write(b"defg")); // only "de" lands
-        assert_eq!(f.data(), b"abcde");
-        assert!(f.is_killed());
-        assert!(!f.sync(), "a dead file cannot sync");
-        assert_eq!(f.synced_len(), 3);
-        assert!(!f.write(b"x"), "writes after death are dropped");
-        assert_eq!(f.data(), b"abcde");
-        let images: Vec<&[u8]> = f.crash_images().collect();
-        assert_eq!(images, vec![&b"abc"[..], b"abcd", b"abcde"]);
-    }
-
-    #[test]
-    fn dropped_syncs_leave_nothing_durable() {
-        let mut f = FailpointFile::new().dropping_syncs();
-        f.write(b"hello");
-        assert!(!f.sync());
-        assert_eq!(f.synced_len(), 0);
-        assert_eq!(f.crash_images().count(), 6); // cuts 0..=5
-    }
-
     #[test]
     fn registry_spec_grammar() {
-        let _g = LOCK.lock().unwrap();
         clear_all();
 
         // err: every hit fails.
@@ -374,24 +227,12 @@ mod tests {
         assert!(set("t.bad", "explode").is_err());
         assert!(set("t.bad", "err@x").is_err());
         assert!(set("t.bad", "err@1!").is_err());
-        assert!(parse_list("a=err,b").is_err());
+        assert!(parse_part("b").is_err());
+        assert!(parse_part("a=err").is_ok_and(|(site, p)| site == "a" && p.is_some()));
 
         clear_all();
         assert!(!triggered("t.window"));
         assert_eq!(hits("t.window"), 0);
-    }
-
-    #[test]
-    fn configure_arms_a_list() {
-        let _g = LOCK.lock().unwrap();
-        clear_all();
-        configure("l.a=err@2, l.b=err*1, l.off=off").unwrap();
-        assert!(!triggered("l.a"));
-        assert!(triggered("l.a"));
-        assert!(triggered("l.b"));
-        assert!(!triggered("l.b"));
-        assert!(!triggered("l.off"));
-        clear_all();
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! 1/8 of its lower bound.
 //!
 //! ```
-//! use neats_core::histogram::AtomicHistogram;
+//! use neats_store::histogram::AtomicHistogram;
 //!
 //! let h = AtomicHistogram::new();
 //! for v in [120, 130, 140, 150, 90_000] {

@@ -26,6 +26,12 @@
 //! * [`Store::compact`] rewrites a pack, dropping dead bytes left behind by
 //!   [`StoreWriter::delete_series`] / re-ingestion and by superseded
 //!   catalogs.
+//! * [`obs`], [`histogram`] and [`failpoint`] — the system's runtime: the
+//!   metrics registry, request stage spans and trace ring, the wait-free
+//!   latency histogram, and the fault-injection registry. They live in the
+//!   lowest layer that records into them (the cache and the reader mark
+//!   the cache and decode spans; segment open is a failpoint site), and
+//!   ingest and serve use them from here.
 //!
 //! ## Pack layout (version 1)
 //!
@@ -76,13 +82,16 @@
 #![warn(missing_docs)]
 
 mod cache;
+pub mod failpoint;
 mod format;
+pub mod histogram;
+pub mod obs;
 #[allow(unsafe_code)]
 mod segment;
 mod store;
 mod writer;
 
-pub use cache::{CacheSharding, CacheStats};
+pub use cache::CacheStats;
 pub use format::{SegmentMeta, SeriesEntry, StoreMode};
 pub use store::{RangeScratch, Store, StoreOptions};
 pub use writer::{check_stamps, StoreConfig, StoreWriter, DEFAULT_SEGMENT_POINTS};

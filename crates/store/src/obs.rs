@@ -2,7 +2,7 @@
 //! exposition, and a per-request trace layer (stage spans + a fixed-size
 //! lock-free ring of recent requests).
 //!
-//! Every crate in the stack records into the same three primitives:
+//! Store, ingest and serve record into the same three primitives:
 //!
 //! * **[`Registry`]** — named counter / gauge / histogram families. A
 //!   registration hands back a cheap typed handle (`Arc<AtomicU64>` or
@@ -129,13 +129,6 @@ impl Registry {
         });
     }
 
-    /// Registers a counter and returns its handle (bump with `fetch_add`).
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<AtomicU64> {
-        let c = Arc::new(AtomicU64::new(0));
-        self.counter_shared(name, help, labels, Arc::clone(&c));
-        c
-    }
-
     /// Registers an existing atomic as a counter sample — the pattern that
     /// lets `/stats` and `/metrics` read the *same* memory.
     pub fn counter_shared(
@@ -193,13 +186,6 @@ impl Registry {
         f: impl Fn() -> f64 + Send + Sync + 'static,
     ) {
         self.push(name, help, MetricKind::Gauge, labels, Value::Computed(Box::new(f)));
-    }
-
-    /// Registers a histogram and returns its handle.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<AtomicHistogram> {
-        let h = Arc::new(AtomicHistogram::new());
-        self.histogram_shared(name, help, labels, Arc::clone(&h));
-        h
     }
 
     /// Registers an existing histogram as a sample of family `name`.
@@ -373,11 +359,6 @@ pub fn span_ensure() {
     }
 }
 
-/// Whether this thread currently has an active span.
-pub fn span_active() -> bool {
-    SPAN_ACTIVE.with(|a| a.get())
-}
-
 /// Ends this thread's span and returns the per-stage self-time breakdown in
 /// nanoseconds, or `None` if no span was active. Open stage guards (there
 /// should be none at request completion) stop accumulating.
@@ -523,11 +504,6 @@ impl TraceRing {
         self.slots.len()
     }
 
-    /// Whether recording does anything (`capacity > 0`).
-    pub fn enabled(&self) -> bool {
-        !self.slots.is_empty()
-    }
-
     /// Records one completed request. Allocation-free and lock-free; a
     /// no-op on a disabled ring.
     pub fn record(
@@ -634,8 +610,8 @@ mod tests {
     #[test]
     fn counter_and_gauge_render() {
         let reg = Registry::new();
-        let c = reg.counter("neats_test_total", "Test counter.", &[]);
-        c.fetch_add(3, Ordering::Relaxed);
+        let c = Arc::new(AtomicU64::new(3));
+        reg.counter_shared("neats_test_total", "Test counter.", &[], c);
         let g = reg.gauge("neats_test_depth", "Test gauge.", &[("shard", "0")]);
         g.store(7, Ordering::Relaxed);
         reg.gauge_fn("neats_test_ratio", "Computed gauge.", &[], || 0.25);
@@ -650,10 +626,8 @@ mod tests {
     #[test]
     fn same_family_accumulates_samples_once() {
         let reg = Registry::new();
-        let a = reg.counter("neats_multi_total", "Multi.", &[("endpoint", "a")]);
-        let b = reg.counter("neats_multi_total", "Multi.", &[("endpoint", "b")]);
-        a.fetch_add(1, Ordering::Relaxed);
-        b.fetch_add(2, Ordering::Relaxed);
+        reg.counter_shared("neats_multi_total", "Multi.", &[("endpoint", "a")], Arc::new(AtomicU64::new(1)));
+        reg.counter_shared("neats_multi_total", "Multi.", &[("endpoint", "b")], Arc::new(AtomicU64::new(2)));
         let text = reg.render();
         assert_eq!(text.matches("# TYPE neats_multi_total counter").count(), 1, "{text}");
         assert!(text.contains("neats_multi_total{endpoint=\"a\"} 1\n"), "{text}");
@@ -663,7 +637,8 @@ mod tests {
     #[test]
     fn histogram_renders_cumulative_buckets() {
         let reg = Registry::new();
-        let h = reg.histogram("neats_lat_ns", "Latency.", &[]);
+        let h = Arc::new(AtomicHistogram::new());
+        reg.histogram_shared("neats_lat_ns", "Latency.", &[], Arc::clone(&h));
         for v in [1u64, 1, 5, 1000] {
             h.record(v);
         }
@@ -716,7 +691,7 @@ mod tests {
 
     #[test]
     fn stage_without_span_is_noop() {
-        assert!(!span_active());
+        assert!(span_take().is_none());
         let _g = stage(Stage::Decode);
         drop(_g);
         assert!(span_take().is_none());
@@ -746,7 +721,7 @@ mod tests {
     #[test]
     fn disabled_ring_is_inert() {
         let ring = TraceRing::new(0);
-        assert!(!ring.enabled());
+        assert_eq!(ring.capacity(), 0);
         ring.record("/x", 200, 1, false, &[0; STAGE_COUNT]);
         assert!(ring.entries().is_empty());
     }

@@ -1,10 +1,10 @@
 //! The concurrent reader: open a pack once, serve many series zero-copy.
 
-use crate::cache::{CacheSharding, CacheStats, SegmentCache};
+use crate::cache::{CacheStats, SegmentCache};
 use crate::format::{self, SegmentMeta, SeriesEntry};
+use crate::obs::{stage, Stage};
 use crate::segment::SegmentView;
 use crate::StoreError;
-use neats_core::obs::{stage, Stage};
 use neats_core::Estimate;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -21,19 +21,11 @@ pub struct StoreOptions {
     /// budget is divided over the cache's shards, so an uneven working set
     /// can briefly hold up to `shards − 1` more entries than this.
     pub cache_capacity: usize,
-    /// How lookups map to the cache's independently locked shards:
-    /// [`CacheSharding::ByKey`] (default — every view cached once, shared)
-    /// or [`CacheSharding::ByThread`] (a fixed thread pool runs
-    /// lock-contention-free at the price of per-thread duplicates).
-    pub cache_sharding: CacheSharding,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
-        Self {
-            cache_capacity: 256,
-            cache_sharding: CacheSharding::ByKey,
-        }
+        Self { cache_capacity: 256 }
     }
 }
 
@@ -147,7 +139,7 @@ impl Store {
             series,
             index,
             catalog_offset,
-            cache: SegmentCache::new(options.cache_capacity, options.cache_sharding),
+            cache: SegmentCache::new(options.cache_capacity),
             seg_state: (0..total_segments)
                 .map(|_| AtomicU8::new(state::UNVERIFIED))
                 .collect(),
@@ -225,7 +217,7 @@ impl Store {
         }
         let (mode, meta) = (self.series[si].mode(), &self.series[si].segments()[seg]);
         let opened = self.cache.get_or_open((si as u32, seg as u32), || {
-            if neats_core::failpoint::triggered("store.open_segment") {
+            if crate::failpoint::triggered("store.open_segment") {
                 return Err(StoreError::Corrupt(
                     "injected failpoint: store.open_segment",
                 ));
@@ -881,35 +873,6 @@ mod tests {
         // The default store verified on its (only) miss per segment too.
         assert_eq!(warm.segment_verifications(), segments as u64);
         assert_eq!(warm.cache_stats().misses, segments as u64);
-    }
-
-    #[test]
-    fn by_thread_sharding_gives_each_thread_a_private_shard() {
-        let (_, values, pack) = demo_pack(128);
-        let store = Store::open_with(
-            pack,
-            StoreOptions {
-                cache_capacity: 8,
-                cache_sharding: CacheSharding::ByThread,
-            },
-        )
-        .unwrap();
-        // Two fresh threads hammer the same segment: each misses once into
-        // its own shard (consecutive thread slots always land on distinct
-        // shards of an 8-shard cache), then hits its private copy.
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    for _ in 0..5 {
-                        assert_eq!(store.get("demo", 5).unwrap(), values[5]);
-                    }
-                });
-            }
-        });
-        let stats = store.cache_stats();
-        assert_eq!(stats.misses, 2, "one open per thread, not one total");
-        assert_eq!(stats.hits, 8);
-        assert_eq!(stats.entries, 2, "the hot view is duplicated per thread");
     }
 
     #[test]

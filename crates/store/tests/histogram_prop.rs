@@ -1,9 +1,10 @@
-//! Property tests for [`neats_core::AtomicHistogram`]: concurrent
+//! Property tests for [`neats_store::histogram::AtomicHistogram`]: concurrent
 //! recording checked against a locked oracle, snapshot merging, and the
 //! bucket-boundary edges the log-linear layout must get right.
 
-use neats_core::histogram::{bucket_of, bucket_upper, BUCKET_COUNT};
-use neats_core::{AtomicHistogram, HistogramSnapshot};
+use neats_store::histogram::{
+    bucket_of, bucket_upper, AtomicHistogram, HistogramSnapshot, BUCKET_COUNT,
+};
 use proptest::prelude::*;
 use std::sync::Mutex;
 

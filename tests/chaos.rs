@@ -18,7 +18,7 @@
 use neats::ingest::{BackgroundConfig, FsyncPolicy, IngestConfig, Ingestor};
 use neats::serve::{ServeConfig, Server, ServerHandle};
 use neats::store::{Store, StoreConfig, StoreWriter};
-use neats_core::failpoint;
+use neats_store::failpoint;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
