@@ -133,6 +133,9 @@ fn main() {
     }
 
     // Sanity footnote: how the DP's objective compares to what the greedy
-    // heuristics in LeCo-style systems achieve is covered in table3.
-    println!("\n(see table2/table3/fig2-4 binaries for the paper's headline tables)");
+    // heuristics in LeCo-style systems achieve is LeCo's row of Table III.
+    println!(
+        "\n(the paper's headline tables: the table2 and fig4 binaries, and the \
+         \"Paper datasets\" section of BENCHMARKS.md from `neats bench all`)"
+    );
 }

@@ -10,17 +10,18 @@ use super::codecs::all_codecs;
 use super::shapes::Shape;
 use crate::{geomean, query_indices};
 use crate::json::Json;
+use lossless_baselines::paper_competitors;
 use std::time::Instant;
 use timeseries::{AnyCompressor, CompressedSeries, TimeSeries};
 
 /// Version of the `BENCH_all.json` record layout. Bump when record keys
 /// change; the CI smoke compares a fresh small-`n` run against the
 /// committed artifact and fails on mismatch.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The exact key set of one record in `BENCH_all.json`, in emission order.
 /// The schema gate checks committed records against this list.
-pub const RECORD_KEYS: [&str; 10] = [
+pub const RECORD_KEYS: [&str; 11] = [
     "codec",
     "shape",
     "n",
@@ -28,6 +29,7 @@ pub const RECORD_KEYS: [&str; 10] = [
     "size_bytes",
     "ratio_pct",
     "compress_ms",
+    "decompress_mvps",
     "ra_p50_ns",
     "ra_p99_ns",
     "scan_mvps",
@@ -53,17 +55,17 @@ pub struct MatrixConfig {
 }
 
 impl MatrixConfig {
-    /// Reads the standard bench env knobs (`NEATS_BENCH_N`,
-    /// `NEATS_BENCH_QUERIES`, `NEATS_BENCH_CODECS`, `NEATS_BENCH_SHAPES`).
+    /// Reads the sizing knobs (`NEATS_BENCH_N`, `NEATS_BENCH_QUERIES`,
+    /// `NEATS_BENCH_SCAN_LEN`, `NEATS_BENCH_SCANS`); seed 0, no filters.
     pub fn from_env() -> Self {
         MatrixConfig {
             n: crate::bench_n(),
-            queries: crate::bench_queries(),
+            queries: crate::env_usize("NEATS_BENCH_QUERIES", 20_000),
             scan_len: crate::env_usize("NEATS_BENCH_SCAN_LEN", 1000),
             scans: crate::env_usize("NEATS_BENCH_SCANS", 50),
-            seed: crate::env_usize("NEATS_BENCH_SEED", 0) as u64,
-            codec_filter: std::env::var("NEATS_BENCH_CODECS").ok().filter(|s| !s.is_empty()),
-            shape_filter: std::env::var("NEATS_BENCH_SHAPES").ok().filter(|s| !s.is_empty()),
+            seed: 0,
+            codec_filter: None,
+            shape_filter: None,
         }
     }
 }
@@ -86,6 +88,9 @@ pub struct Cell {
     pub ratio_pct: f64,
     /// Wall-clock compression time, milliseconds.
     pub compress_ms: f64,
+    /// Full-decompression throughput, million values per second: the one
+    /// `decompress()` the conformance check runs, timed.
+    pub decompress_mvps: f64,
     /// Median single-value random-access latency, nanoseconds.
     pub ra_p50_ns: f64,
     /// 99th-percentile single-value random-access latency, nanoseconds.
@@ -137,13 +142,24 @@ pub fn check_conformance(
     ts: &TimeSeries,
     archive: &dyn CompressedSeries,
 ) -> Result<(), ConformanceError> {
+    check_decoded(codec, shape, ts, archive, &archive.decompress())
+}
+
+/// [`check_conformance`] against an already materialised `rec =
+/// archive.decompress()`, so the matrix can time that one decode.
+fn check_decoded(
+    codec: &str,
+    shape: &str,
+    ts: &TimeSeries,
+    archive: &dyn CompressedSeries,
+    rec: &[i64],
+) -> Result<(), ConformanceError> {
     let fail = |detail: String| {
         Err(ConformanceError { codec: codec.to_string(), shape: shape.to_string(), detail })
     };
     if archive.len() != ts.len() {
         return fail(format!("len {} != original {}", archive.len(), ts.len()));
     }
-    let rec = archive.decompress();
     if rec.len() != ts.len() {
         return fail(format!("decompress len {} != {}", rec.len(), ts.len()));
     }
@@ -243,7 +259,12 @@ fn measure_cell(
     let archive = codec.compress_boxed(ts);
     let compress_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    check_conformance(codec.name(), shape.name(), ts, archive.as_ref())?;
+    let t0 = Instant::now();
+    let rec = archive.decompress();
+    let decompress_s = t0.elapsed().as_secs_f64();
+    check_decoded(codec.name(), shape.name(), ts, archive.as_ref(), &rec)?;
+    // Freed before the timed loops below, so they run beside no extra copy.
+    drop(rec);
 
     // Per-query random-access latencies, for real p50/p99 rather than a
     // mean that hides tail behaviour.
@@ -286,6 +307,11 @@ fn measure_cell(
         size_bytes,
         ratio_pct: 100.0 * size_bytes as f64 / ts.uncompressed_bytes() as f64,
         compress_ms,
+        // NaN (rendered `null`) on an empty series, like the latencies.
+        decompress_mvps: match ts.len() {
+            0 => f64::NAN,
+            n => n as f64 / decompress_s / 1e6,
+        },
         ra_p50_ns: pct(0.50),
         ra_p99_ns: pct(0.99),
         scan_mvps,
@@ -307,6 +333,7 @@ impl MatrixReport {
                     ("size_bytes", Json::Int(c.size_bytes as i64)),
                     ("ratio_pct", Json::Num(c.ratio_pct)),
                     ("compress_ms", Json::Num(c.compress_ms)),
+                    ("decompress_mvps", Json::Num(c.decompress_mvps)),
                     ("ra_p50_ns", Json::Num(c.ra_p50_ns)),
                     ("ra_p99_ns", Json::Num(c.ra_p99_ns)),
                     ("scan_mvps", Json::Num(c.scan_mvps)),
@@ -379,40 +406,210 @@ impl MatrixReport {
             ));
         }
 
-        // Per-shape compression-ratio matrices, paper and adversarial.
         let paper: Vec<&String> =
             self.shapes.iter().filter(|s| Shape::by_name(s).is_some_and(is_paper)).collect();
         let adversarial: Vec<&String> =
             self.shapes.iter().filter(|s| !Shape::by_name(s).is_some_and(is_paper)).collect();
-        for (title, group) in
-            [("Compression ratio %, paper datasets", &paper), ("Compression ratio %, adversarial shapes", &adversarial)]
-        {
-            if group.is_empty() {
-                continue;
-            }
-            for chunk in group.chunks(8) {
-                md.push_str(&format!("\n## {title}\n\n| codec |"));
-                for s in chunk {
-                    md.push_str(&format!(" {s} |"));
-                }
-                md.push_str("\n|---|");
-                md.push_str(&"---:|".repeat(chunk.len()));
-                md.push('\n');
-                for codec in &self.codecs {
-                    md.push_str(&format!("| {codec} |"));
-                    for shape in chunk {
-                        match self.cells.iter().find(|c| &c.codec == codec && c.shape == ***shape)
-                        {
-                            Some(c) => md.push_str(&format!(" {:.2} |", c.ratio_pct)),
-                            None => md.push_str(" — |"),
-                        }
-                    }
-                    md.push('\n');
-                }
-            }
+        if !paper.is_empty() {
+            self.push_paper_section(&mut md, &paper);
         }
+        let ratio = |c: &Cell| format!("{:.2}", c.ratio_pct);
+        let heading = "## Compression ratio %, adversarial shapes";
+        self.push_shape_table(&mut md, heading, &adversarial, ratio);
         md
     }
+
+    /// The paper's evaluation — Table III, the Fig. 2 / Fig. 3 points and
+    /// the comparisons the paper draws from them — read off the cells of
+    /// the paper datasets in `paper`.
+    fn push_paper_section(&self, md: &mut String, paper: &[&String]) {
+        md.push_str(&format!(
+            "\n## Paper datasets (Table III, Figs. 2–3)\n\n\
+             The paper's evaluation, read off the cells of the {} paper datasets only. A \
+             Fig. 2 / Fig. 3 point is the mean ratio (as the paper averages it), the geomean \
+             compression and decompression speeds, and the median random-access p50. \
+             Decompression is the one full `decompress()` per cell that the conformance \
+             check runs, timed once, so it is noisier than the random-access columns; \
+             1 Mv/s is 8 MB/s of 64-bit values.\n\n",
+            paper.len()
+        ));
+        md.push_str("### Figs. 2–3: one point per codec\n\n");
+        md.push_str(
+            "| codec | ratio % (mean) | compress MB/s (geomean) | decompress Mv/s (geomean) | \
+             RA p50 ns (median) |\n|---|---:|---:|---:|---:|\n",
+        );
+        for codec in &self.codecs {
+            if let Some(p) = self.paper_point(codec, paper) {
+                md.push_str(&format!(
+                    "| {codec} | {:.2} | {:.2} | {:.1} | {:.0} |\n",
+                    p.ratio_pct, p.compress_mbs, p.decompress_mvps, p.ra_p50_ns
+                ));
+            }
+        }
+        self.push_shape_table(md, "### Table III: compression ratio %", paper, |c| {
+            format!("{:.2}", c.ratio_pct)
+        });
+        self.push_shape_table(md, "### Table III: decompression Mv/s", paper, |c| {
+            format!("{:.1}", c.decompress_mvps)
+        });
+        self.push_shape_table(md, "### Table III: random access p50 ns", paper, |c| {
+            format!("{:.0}", c.ra_p50_ns)
+        });
+        let rows = self.paper_comparisons(paper);
+        if !rows.is_empty() {
+            md.push_str("\n### Measured vs paper\n\n");
+            md.push_str("| comparison | measured | paper |\n|---|---:|---:|\n");
+            for [what, measured, claimed] in rows {
+                md.push_str(&format!("| {what} | {measured} | {claimed} |\n"));
+            }
+        }
+    }
+
+    /// One codec × shape table of `metric` per eight shapes, each under
+    /// `heading`; nothing when `shapes` is empty.
+    fn push_shape_table(
+        &self,
+        md: &mut String,
+        heading: &str,
+        shapes: &[&String],
+        metric: impl Fn(&Cell) -> String,
+    ) {
+        for chunk in shapes.chunks(8) {
+            md.push_str(&format!("\n{heading}\n\n| codec |"));
+            for s in chunk {
+                md.push_str(&format!(" {s} |"));
+            }
+            md.push_str("\n|---|");
+            md.push_str(&"---:|".repeat(chunk.len()));
+            md.push('\n');
+            for codec in &self.codecs {
+                md.push_str(&format!("| {codec} |"));
+                for shape in chunk {
+                    match self.cell(codec, shape) {
+                        Some(c) => md.push_str(&format!(" {} |", metric(c))),
+                        None => md.push_str(" — |"),
+                    }
+                }
+                md.push('\n');
+            }
+        }
+    }
+
+    fn cell(&self, codec: &str, shape: &str) -> Option<&Cell> {
+        self.cells.iter().find(|c| c.codec == codec && c.shape == shape)
+    }
+
+    /// `codec`'s Fig. 2 / Fig. 3 point over `shapes`; `None` when the sweep
+    /// did not run it.
+    fn paper_point(&self, codec: &str, shapes: &[&String]) -> Option<PaperPoint> {
+        let cells: Vec<&Cell> = shapes.iter().filter_map(|s| self.cell(codec, s)).collect();
+        if cells.is_empty() {
+            return None;
+        }
+        // MB/s of raw 64-bit input: n · 8 bytes over compress_ms / 1e3 seconds.
+        let compress: Vec<f64> =
+            cells.iter().map(|c| c.n as f64 * 8.0 / (c.compress_ms * 1e3)).collect();
+        let decompress: Vec<f64> = cells.iter().map(|c| c.decompress_mvps).collect();
+        Some(PaperPoint {
+            ratio_pct: cells.iter().map(|c| c.ratio_pct).sum::<f64>() / cells.len() as f64,
+            compress_mbs: geomean(&compress),
+            decompress_mvps: geomean(&decompress),
+            ra_p50_ns: median(cells.iter().map(|c| c.ra_p50_ns)),
+        })
+    }
+
+    /// The paper's headline comparisons (§IV-C), measured on the `paper`
+    /// cells, as `[comparison, measured, paper]` rows. A row is emitted only
+    /// when the sweep ran every codec it names, so a codec filter drops the
+    /// rows it starves and no others.
+    fn paper_comparisons(&self, paper: &[&String]) -> Vec<[String; 3]> {
+        let mut rows = Vec::new();
+        let competitors = paper_competitors();
+        let special: Vec<&str> = competitors
+            .iter()
+            .map(|c| c.name())
+            .filter(|name| !GENERAL_PURPOSE.contains(name) && self.codecs.iter().any(|c| c == name))
+            .collect();
+        if self.codecs.iter().any(|c| c == "NeaTS") && !special.is_empty() {
+            let best = paper
+                .iter()
+                .filter(|shape| {
+                    self.cell("NeaTS", shape).is_some_and(|n| {
+                        special
+                            .iter()
+                            .filter_map(|codec| self.cell(codec, shape))
+                            .all(|c| n.ratio_pct <= c.ratio_pct)
+                    })
+                })
+                .count();
+            rows.push([
+                "NeaTS has the best special-purpose ratio".into(),
+                format!("{best}/{} datasets", paper.len()),
+                "14/16".into(),
+            ]);
+        }
+        for (a, b, claim, published) in PAPER_CLAIMS {
+            let (Some(pa), Some(pb)) = (self.paper_point(a, paper), self.paper_point(b, paper))
+            else {
+                continue;
+            };
+            let (what, measured) = match claim {
+                Claim::CompressSpeed => {
+                    ("compression speed", format!("{:.2}×", pa.compress_mbs / pb.compress_mbs))
+                }
+                Claim::RaSpeed => {
+                    ("random-access speed", format!("{:.2}×", pb.ra_p50_ns / pa.ra_p50_ns))
+                }
+                Claim::Ratio => {
+                    let diff = 100.0 * (pa.ratio_pct - pb.ratio_pct) / pb.ratio_pct;
+                    ("ratio", format!("{diff:+.2} %"))
+                }
+            };
+            rows.push([format!("{a} {what} vs {b}"), measured, published.into()]);
+        }
+        rows
+    }
+}
+
+/// The paper's general-purpose compressors (the Xz/Brotli/Zstd and
+/// Lz4/Snappy stand-ins), which Table III's "best special-purpose ratio"
+/// claim leaves out.
+const GENERAL_PURPOSE: [&str; 2] = ["EntropyLZ", "FastLZ"];
+
+/// What a [`PAPER_CLAIMS`] row compares: codec `a`'s speed as a multiple of
+/// codec `b`'s, or `a`'s ratio relative to `b`'s.
+enum Claim {
+    CompressSpeed,
+    RaSpeed,
+    Ratio,
+}
+
+/// The paper's pairwise claims (§IV-C, Figs. 2–3): `(a, b, what, the
+/// paper's figure)`.
+const PAPER_CLAIMS: [(&str, &str, Claim, &str); 9] = [
+    ("LeaTS", "NeaTS", Claim::CompressSpeed, "5.22×"),
+    ("LeaTS", "NeaTS", Claim::Ratio, "+0.89 %"),
+    ("SNeaTS", "NeaTS", Claim::CompressSpeed, "12.86×"),
+    ("SNeaTS", "NeaTS", Claim::Ratio, "+8.18 %"),
+    ("NeaTS", "ALP", Claim::Ratio, "-16.4 %"),
+    ("NeaTS", "ALP", Claim::RaSpeed, "≥ 10×"),
+    ("DAC", "NeaTS", Claim::RaSpeed, "~3×"),
+    ("DAC", "NeaTS", Claim::Ratio, "+37 %"),
+    ("NeaTS", "EntropyLZ", Claim::RaSpeed, "100–1000× (2–3 orders)"),
+];
+
+/// One codec's point in the paper's Figs. 2–3, aggregated over the paper
+/// datasets.
+#[derive(Clone, Copy, Debug)]
+struct PaperPoint {
+    /// Mean compression ratio, %.
+    ratio_pct: f64,
+    /// Geomean compression speed, MB/s of raw input.
+    compress_mbs: f64,
+    /// Geomean full-decompression speed, million values per second.
+    decompress_mvps: f64,
+    /// Median of the per-dataset random-access p50 latencies, ns.
+    ra_p50_ns: f64,
 }
 
 fn is_paper(s: Shape) -> bool {
@@ -423,11 +620,11 @@ fn is_paper(s: Shape) -> bool {
 /// JSON emitter has no parser, but drift detection only needs to know that
 /// the committed file declares the current [`SCHEMA_VERSION`], carries every
 /// [`RECORD_KEYS`] entry, covers every codec and shape of the fresh sweep,
-/// and names none the code no longer has. Shared by the `bench_all` binary
-/// and `neats bench all`.
+/// and names none the code no longer has. `neats bench all --check` runs it.
 pub fn check_committed(path: &str, fresh: &MatrixReport) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if !text.contains(&format!("\"schema\": {SCHEMA_VERSION}")) {
+    // Up to the comma, so a number that merely starts with the version fails.
+    if !text.contains(&format!("\"schema\": {SCHEMA_VERSION},")) {
         return Err(format!("{path} does not declare schema version {SCHEMA_VERSION}"));
     }
     for key in RECORD_KEYS {
@@ -497,12 +694,87 @@ mod tests {
         for key in RECORD_KEYS {
             assert!(json.contains(&format!("\"{key}\"")), "missing {key}");
         }
-        assert!(json.contains("\"schema\": 1"));
+        assert!(json.contains(&format!("\"schema\": {SCHEMA_VERSION},")));
+        for c in &report.cells {
+            assert!(c.decompress_mvps.is_finite() && c.decompress_mvps > 0.0, "{c:?}");
+        }
 
         let md = report.to_markdown();
         assert!(md.contains("| codec | mode |"), "{md}");
         assert!(md.contains("Gorilla"), "{md}");
         assert!(md.contains("adversarial"), "{md}");
+        // No paper dataset was swept, so there is no paper section.
+        assert!(!md.contains("## Paper datasets"), "{md}");
+    }
+
+    #[test]
+    fn paper_section_keeps_the_comparisons_its_codecs_allow() {
+        let run = |codecs: &str| {
+            run_matrix(MatrixConfig {
+                codec_filter: Some(codecs.into()),
+                shape_filter: Some("ECG,WD".into()),
+                ..tiny_config()
+            })
+            .expect("conformance")
+            .to_markdown()
+        };
+        // NeaTS, SNeaTS, NeaTS-L and DAC: no LeaTS, ALP or EntropyLZ.
+        let md = run("NeaTS,DAC");
+        for part in [
+            "## Paper datasets",
+            "### Figs. 2–3: one point per codec",
+            "### Table III: compression ratio %",
+            "### Table III: decompression Mv/s",
+            "### Table III: random access p50 ns",
+            "### Measured vs paper",
+            "| NeaTS has the best special-purpose ratio |",
+            "| SNeaTS compression speed vs NeaTS |",
+            "| DAC ratio vs NeaTS |",
+        ] {
+            assert!(md.contains(part), "missing {part:?} in\n{md}");
+        }
+        for gone in ["| LeaTS ", "vs ALP", "vs EntropyLZ"] {
+            assert!(!md.contains(gone), "unexpected {gone:?} in\n{md}");
+        }
+        assert!(md.contains("/2 datasets | 14/16 |"), "{md}");
+
+        // Without NeaTS every comparison is starved; the tables remain.
+        let md = run("LeaTS,ALP");
+        assert!(md.contains("### Table III: random access p50 ns"), "{md}");
+        assert!(!md.contains("### Measured vs paper"), "{md}");
+    }
+
+    #[test]
+    fn leats_speed_ratio_is_a_geomean_ratio() {
+        let cell = |codec: &str, shape: &str, compress_ms: f64, ratio_pct: f64| Cell {
+            codec: codec.into(),
+            shape: shape.into(),
+            n: 1000,
+            eps: None,
+            size_bytes: 0,
+            ratio_pct,
+            compress_ms,
+            decompress_mvps: 100.0,
+            ra_p50_ns: 100.0,
+            ra_p99_ns: 200.0,
+            scan_mvps: 100.0,
+        };
+        let report = MatrixReport {
+            config: tiny_config(),
+            // NeaTS speeds ∝ 1/8 and 1/2 (geomean 1/4; the mean would be
+            // 5/16), LeaTS ∝ 1 on both: 4.00× by geomean, 3.20× by mean.
+            cells: vec![
+                cell("NeaTS", "IT", 8.0, 10.0),
+                cell("NeaTS", "US", 2.0, 20.0),
+                cell("LeaTS", "IT", 1.0, 16.5),
+                cell("LeaTS", "US", 1.0, 16.5),
+            ],
+            shapes: vec!["IT".into(), "US".into()],
+            codecs: vec!["NeaTS".into(), "LeaTS".into()],
+        };
+        let md = report.to_markdown();
+        assert!(md.contains("| LeaTS compression speed vs NeaTS | 4.00× | 5.22× |"), "{md}");
+        assert!(md.contains("| LeaTS ratio vs NeaTS | +10.00 % | +0.89 % |"), "{md}");
     }
 
     #[test]
@@ -567,6 +839,11 @@ mod tests {
             verdict
         };
         check("fresh", fresh.clone()).expect("a fresh artifact passes its own gate");
+        // A version that merely starts with the current one is another version.
+        let v = SCHEMA_VERSION;
+        let bumped = fresh.replacen(&format!("\"schema\": {v}"), &format!("\"schema\": {v}0"), 1);
+        let err = check("schema", bumped).unwrap_err();
+        assert!(err.contains("schema version"), "{err}");
         // The sweep ran a codec the artifact does not list.
         let err = check("missing", fresh.replacen("\"PLA\",", "", 1)).unwrap_err();
         assert!(err.contains("does not cover codec \"PLA\""), "{err}");

@@ -7,9 +7,6 @@
 //!                  [--threads T]
 //! neats lossy      <in.txt> <out.neatsl> --eps E [--digits D] [--threads T]
 //! neats decompress <in.neats> <out.txt>
-//! neats info       <in.neats>
-//! neats get        <in.neats> <index>...
-//! neats range      <in.neats> <start> <count>
 //! neats sum        <in.neats> <start> <count> [--exact]
 //! neats query      <archive> <index | a..b>...
 //! neats stat       <archive>
@@ -26,9 +23,9 @@
 //!
 //! `query` and `stat` serve any archive flavor (`.neats` or `.neatsl`)
 //! through [`neats_core::ArchiveView`] opened over the file's bytes as
-//! read. The other single-archive query commands load a
-//! [`neats_core::NeaTSCompressed`] — one copy of those bytes plus the same
-//! view — and accept lossless archives only.
+//! read. `sum` and `decompress` load a [`neats_core::NeaTSCompressed`] —
+//! one copy of those bytes plus the same view — and accept lossless
+//! archives only.
 //!
 //! The `store` family works on multi-series packfiles ([`neats_store`]):
 //! `build` ingests one series per input file (named after the file stem)
@@ -55,7 +52,9 @@
 //! `BENCH_all.json` (schema-versioned records) and `BENCHMARKS.md` (the
 //! committed competitive table). `--check` re-validates a committed JSON
 //! artifact against the fresh sweep's schema and rosters — the CI smoke
-//! gate. Unset knobs fall back to the `NEATS_BENCH_*` environment.
+//! gate. Without `--n` / `--queries` the sweep reads `NEATS_BENCH_N` /
+//! `NEATS_BENCH_QUERIES`; scan sizing is `NEATS_BENCH_SCAN_LEN` /
+//! `NEATS_BENCH_SCANS`.
 //!
 //! Input text files contain one decimal value per line (the format the
 //! paper's datasets ship in) or `timestamp,value` CSV lines (timestamps
@@ -129,27 +128,6 @@ pub enum Command {
         input: String,
         /// Output text path.
         output: String,
-    },
-    /// Print layout statistics.
-    Info {
-        /// Input `.neats` path.
-        input: String,
-    },
-    /// Random access to one or more indices.
-    Get {
-        /// Input `.neats` path.
-        input: String,
-        /// Indices to fetch.
-        indices: Vec<usize>,
-    },
-    /// Range query.
-    Range {
-        /// Input `.neats` path.
-        input: String,
-        /// First index.
-        start: usize,
-        /// Number of values.
-        count: usize,
     },
     /// Range sum (estimate by default, `--exact` to scan).
     Sum {
@@ -239,15 +217,15 @@ pub enum Command {
         n: Option<usize>,
         /// Timed random-access queries per cell (`None` = env/default).
         queries: Option<usize>,
-        /// Generator seed (`None` = env/default).
+        /// Generator seed (`None` = 0).
         seed: Option<u64>,
         /// Comma-separated codec-name substring filter.
         codecs: Option<String>,
         /// Comma-separated shape-name substring filter.
         shapes: Option<String>,
-        /// JSON artifact path (`None` = `NEATS_BENCH_OUT` or `BENCH_all.json`).
+        /// JSON artifact path (`None` = `BENCH_all.json`).
         out: Option<String>,
-        /// Markdown artifact path (`None` = `NEATS_BENCH_MD` or `BENCHMARKS.md`).
+        /// Markdown artifact path (`None` = `BENCHMARKS.md`).
         md: Option<String>,
         /// Committed JSON artifact to schema-check after the sweep.
         check: Option<String>,
@@ -281,9 +259,6 @@ pub const USAGE: &str = "usage:
                    [--threads T]
   neats lossy      <in.txt> <out.neatsl> --eps E [--digits D] [--threads T]
   neats decompress <in.neats> <out.txt>
-  neats info       <in.neats>
-  neats get        <in.neats> <index>...
-  neats range      <in.neats> <start> <count>
   neats sum        <in.neats> <start> <count> [--exact]
   neats query      <archive> <index | a..b>...
   neats stat       <archive>
@@ -492,25 +467,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             input: get_pos(1, "input")?,
             output: get_pos(2, "output")?,
         }),
-        Some("info") => Ok(Command::Info {
-            input: get_pos(1, "input")?,
-        }),
-        Some("get") => {
-            let input = get_pos(1, "input")?;
-            if pos.len() < 3 {
-                return err("get needs at least one index");
-            }
-            let indices = pos[2..]
-                .iter()
-                .map(|s| parse_usize(s, "index"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Command::Get { input, indices })
-        }
-        Some("range") => Ok(Command::Range {
-            input: get_pos(1, "input")?,
-            start: parse_usize(&get_pos(2, "start")?, "start")?,
-            count: parse_usize(&get_pos(3, "count")?, "count")?,
-        }),
         Some("sum") => Ok(Command::Sum {
             input: get_pos(1, "input")?,
             start: parse_usize(&get_pos(2, "start")?, "start")?,
@@ -684,46 +640,6 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             writeln!(out, "{} values written to {output}", values.len())?;
             Ok(())
         }
-        Command::Info { input } => {
-            let c = load_compressed(&input)?;
-            writeln!(out, "values:        {}", c.len())?;
-            writeln!(out, "fragments:     {}", c.view().fragment_count())?;
-            writeln!(out, "size:          {} bytes", c.size_in_bytes())?;
-            writeln!(
-                out,
-                "ratio:         {:.2}% of raw 64-bit",
-                100.0 * c.size_in_bytes() as f64 / (c.len() * 8).max(1) as f64
-            )?;
-            writeln!(out, "shift:         {}", c.view().shift())?;
-            for (kind, count) in c.view().kind_histogram() {
-                writeln!(out, "kind {:<12} {count} fragments", kind.name())?;
-            }
-            Ok(())
-        }
-        Command::Get { input, indices } => {
-            let c = load_compressed(&input)?;
-            for k in indices {
-                if k >= c.len() {
-                    return err(format!("index {k} out of range (len {})", c.len()));
-                }
-                writeln!(out, "{}", c.get(k))?;
-            }
-            Ok(())
-        }
-        Command::Range {
-            input,
-            start,
-            count,
-        } => {
-            let c = load_compressed(&input)?;
-            check_range(start, count, c.len())?;
-            let mut values = Vec::with_capacity(count);
-            c.scan_range(start, count, &mut values);
-            for v in values {
-                writeln!(out, "{v}")?;
-            }
-            Ok(())
-        }
         Command::Sum {
             input,
             start,
@@ -772,6 +688,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             writeln!(out, "flavor:        {}", view.flavor().name())?;
             writeln!(out, "values:        {}", view.len())?;
             writeln!(out, "fragments:     {}", view.fragment_count())?;
+            writeln!(out, "size:          {} bytes", view.size_in_bytes())?;
             writeln!(out, "file:          {} bytes", bytes.len())?;
             writeln!(
                 out,
@@ -1028,25 +945,15 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             use bench::suite::matrix::{
                 check_committed, run_matrix_with, MatrixConfig, SCHEMA_VERSION,
             };
-            // Flags override the NEATS_BENCH_* environment, which in turn
-            // falls back to the library defaults — one config path for the
-            // CLI, the `bench_all` binary, and CI.
-            let mut config = MatrixConfig::from_env();
-            if let Some(n) = n {
-                config.n = n;
-            }
-            if let Some(q) = queries {
-                config.queries = q;
-            }
-            if let Some(s) = seed {
-                config.seed = s;
-            }
-            if codecs.is_some() {
-                config.codec_filter = codecs;
-            }
-            if shapes.is_some() {
-                config.shape_filter = shapes;
-            }
+            let env = MatrixConfig::from_env();
+            let config = MatrixConfig {
+                n: n.unwrap_or(env.n),
+                queries: queries.unwrap_or(env.queries),
+                seed: seed.unwrap_or(env.seed),
+                codec_filter: codecs,
+                shape_filter: shapes,
+                ..env
+            };
             writeln!(
                 out,
                 "bench all: n={} queries={} scans={}x{} seed={}",
@@ -1066,12 +973,8 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 );
             })
             .map_err(|e| CliError(format!("conformance failure: {e}")))?;
-            let out_path = out_path
-                .or_else(|| std::env::var("NEATS_BENCH_OUT").ok())
-                .unwrap_or_else(|| "BENCH_all.json".into());
-            let md_path = md_path
-                .or_else(|| std::env::var("NEATS_BENCH_MD").ok())
-                .unwrap_or_else(|| "BENCHMARKS.md".into());
+            let out_path = out_path.unwrap_or_else(|| "BENCH_all.json".into());
+            let md_path = md_path.unwrap_or_else(|| "BENCHMARKS.md".into());
             std::fs::write(&out_path, report.to_json().render())?;
             std::fs::write(&md_path, report.to_markdown())?;
             writeln!(
@@ -1082,7 +985,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 report.codecs.len(),
                 report.shapes.len()
             )?;
-            if let Some(committed) = check.or_else(|| std::env::var("NEATS_BENCH_CHECK").ok()) {
+            if let Some(committed) = check {
                 check_committed(&committed, &report).map_err(|msg| {
                     CliError(format!(
                         "schema drift: {msg} — regenerate with `neats bench all` and commit \
@@ -1207,26 +1110,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_get_and_range() {
-        assert_eq!(
-            parse_args(&argv("get f.neats 1 2 30")).unwrap(),
-            Command::Get {
-                input: "f.neats".into(),
-                indices: vec![1, 2, 30]
-            }
-        );
-        assert_eq!(
-            parse_args(&argv("range f.neats 100 50")).unwrap(),
-            Command::Range {
-                input: "f.neats".into(),
-                start: 100,
-                count: 50
-            }
-        );
-        assert!(parse_args(&argv("range f.neats abc 50")).is_err());
-    }
-
-    #[test]
     fn end_to_end_compress_query_decompress() {
         let dir = std::env::temp_dir().join("neats_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1251,19 +1134,21 @@ mod tests {
         .unwrap();
         assert!(String::from_utf8_lossy(&log).contains("500 values"));
 
-        // info
-        let mut info = Vec::new();
+        // stat
+        let mut stat = Vec::new();
         run(
-            parse_args(&argv(&format!("info {}", packed.display()))).unwrap(),
-            &mut info,
+            parse_args(&argv(&format!("stat {}", packed.display()))).unwrap(),
+            &mut stat,
         )
         .unwrap();
-        assert!(String::from_utf8_lossy(&info).contains("values:        500"));
+        let stat = String::from_utf8_lossy(&stat);
+        assert!(stat.contains("values:        500"), "{stat}");
+        assert!(stat.contains("size:          "), "{stat}");
 
-        // get
+        // query
         let mut got = Vec::new();
         run(
-            parse_args(&argv(&format!("get {} 0 10", packed.display()))).unwrap(),
+            parse_args(&argv(&format!("query {} 0 10", packed.display()))).unwrap(),
             &mut got,
         )
         .unwrap();
@@ -1324,19 +1209,21 @@ mod tests {
                 .map_err(|e| e.to_string())
         };
         let max = usize::MAX;
-        for cmd in ["range", "sum"] {
-            let exact = if cmd == "sum" { " --exact" } else { "" };
-            // `start + count` wraps to 1 and to 0: both used to pass the test.
-            for (start, count) in [(max, 2), (1, max), (max, 1), (40, 1), (0, 41)] {
-                let e = answer(format!("{cmd} {} {start} {count}{exact}", packed.display())).unwrap_err();
-                assert!(e.contains("out of bounds"), "{cmd} {start} {count}: {e}");
-            }
+        // `start + count` wraps to 1 and to 0: both used to pass the test.
+        for (start, count) in [(max, 2), (1, max), (max, 1), (40, 1), (0, 41)] {
+            let line = format!("sum {} {start} {count} --exact", packed.display());
+            let e = answer(line).unwrap_err();
+            assert!(e.contains("out of bounds"), "sum {start} {count}: {e}");
+        }
+        for range in ["40..41", "0..41", "2..1"] {
+            let e = answer(format!("query {} {range}", packed.display())).unwrap_err();
+            assert!(e.contains("out of bounds"), "query {range}: {e}");
         }
         // The edges that are in bounds: the empty range at the end, and the
         // last valid ranges.
-        assert_eq!(answer(format!("range {} 40 0", packed.display())).unwrap(), "");
-        assert_eq!(answer(format!("range {} 39 1", packed.display())).unwrap(), "117\n");
-        assert_eq!(answer(format!("range {} 38 2", packed.display())).unwrap(), "114\n117\n");
+        assert_eq!(answer(format!("query {} 40..40", packed.display())).unwrap(), "");
+        assert_eq!(answer(format!("query {} 39..40", packed.display())).unwrap(), "117\n");
+        assert_eq!(answer(format!("query {} 38..40", packed.display())).unwrap(), "114\n117\n");
         assert_eq!(answer(format!("sum {} 40 0 --exact", packed.display())).unwrap(), "0\n");
         assert_eq!(answer(format!("sum {} 38 2 --exact", packed.display())).unwrap(), "231\n");
         let all: i64 = (0..40).map(|k| k * 3).sum();
@@ -1861,7 +1748,7 @@ mod tests {
                 check: Some("c.json".into()),
             }
         );
-        // Everything defaults to the NEATS_BENCH_* environment.
+        // Every flag is optional.
         assert_eq!(
             parse_args(&argv("bench all")).unwrap(),
             Command::BenchAll {
@@ -1897,7 +1784,8 @@ mod tests {
         run(parse_args(&argv(&base)).unwrap(), &mut log).unwrap();
         let text = String::from_utf8_lossy(&log);
         assert!(text.contains("all conformant"), "{text}");
-        assert!(std::fs::read_to_string(&json).unwrap().contains("\"schema\": 1"));
+        let schema = format!("\"schema\": {},", bench::suite::matrix::SCHEMA_VERSION);
+        assert!(std::fs::read_to_string(&json).unwrap().contains(&schema));
         assert!(std::fs::read_to_string(&md).unwrap().contains("| codec | mode |"));
 
         // Re-running with --check against the just-written artifact passes…
@@ -1925,7 +1813,7 @@ mod tests {
     fn errors_are_reported_not_panicked() {
         let mut sink = Vec::new();
         let e = run(
-            Command::Info {
+            Command::Stat {
                 input: "/nonexistent/definitely-missing.neats".into(),
             },
             &mut sink,
