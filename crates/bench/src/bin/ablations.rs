@@ -1,4 +1,4 @@
-//! Size/quality ablations for the design decisions in DESIGN.md — their
+//! Size/quality ablations for five of NeaTS' design decisions — their
 //! *compression effect* (their time is `benchmark/`'s per-layer
 //! `neats-core.*` metrics):
 //!

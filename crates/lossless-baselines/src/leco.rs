@@ -14,6 +14,7 @@
 //! 3. bit-pack residuals per segment; random access binary-searches the
 //!    segment starts, as the real system does with variable partitions.
 
+use neats_core::fit::floor_to_i64;
 use succinct::{bits_for, BitBuf};
 use timeseries::{CompressedSeries, Compressor, TimeSeries};
 
@@ -96,11 +97,14 @@ impl OlsSums {
     }
 }
 
+/// `⌊slope·x + intercept⌋`, clamped to `±2^62` so residuals cannot
+/// overflow, and 0 for a non-finite line — through the same float → integer
+/// step as the NeaTS decoder, so the two decode loops compare like for like.
 #[inline]
 fn predict(slope: f64, intercept: f64, x: usize) -> i64 {
     let p = slope * x as f64 + intercept;
     if p.is_finite() {
-        p.floor().clamp(i64::MIN as f64 / 2.0, i64::MAX as f64 / 2.0) as i64
+        floor_to_i64(p).clamp(-(1 << 62), 1 << 62)
     } else {
         0
     }
@@ -283,6 +287,37 @@ mod tests {
             assert_eq!(c.get(k), ts.values()[k], "get({k})");
         }
         c
+    }
+
+    #[test]
+    fn predict_equals_the_float_clamp_it_replaced() {
+        fn float_clamp(slope: f64, intercept: f64, x: usize) -> i64 {
+            let p = slope * x as f64 + intercept;
+            if p.is_finite() {
+                p.floor().clamp(i64::MIN as f64 / 2.0, i64::MAX as f64 / 2.0) as i64
+            } else {
+                0
+            }
+        }
+        let edge = 2f64.powi(62);
+        let mut points = vec![f64::NAN, f64::INFINITY, f64::MAX, 0.0, 0.5, 2f64.powi(63)];
+        for e in [edge, edge.next_up(), edge.next_down(), edge + 2048.0, edge - 512.0] {
+            points.push(e);
+        }
+        for p in points {
+            for p in [p, -p] {
+                assert_eq!(predict(0.0, p, 0), float_clamp(0.0, p, 0), "p = {p:e}");
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x1ec0);
+        for _ in 0..200_000 {
+            let slope = f64::from_bits(rng.random::<u64>());
+            let intercept = rng.random_range(-1e19..1e19) / 2f64.powi(rng.random_range(0..64));
+            let x = rng.random_range(0..1usize << 20);
+            assert_eq!(predict(slope, intercept, x), float_clamp(slope, intercept, x), "{slope:e}·{x} + {intercept:e}");
+            let slope = rng.random_range(-1e6..1e6);
+            assert_eq!(predict(slope, intercept, x), float_clamp(slope, intercept, x), "{slope:e}·{x} + {intercept:e}");
+        }
     }
 
     #[test]

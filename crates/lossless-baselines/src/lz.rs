@@ -4,8 +4,7 @@
 //! the ratio/speed trade-off (Figs 2–3): Lz4/Snappy (byte-oriented, very
 //! fast, weaker ratio) and Zstd/Brotli/Xz (entropy-coded, slower, stronger
 //! ratio). Since none of them is on the offline dependency allowlist, this
-//! module implements one representative of each corner from scratch
-//! (substitution documented in DESIGN.md §3):
+//! module implements one representative of each corner from scratch:
 //!
 //! * [`FastLz`] — greedy hash-table LZ77 with an LZ4-style token format;
 //! * [`EntropyLz`] — hash-chain LZ77 parse entropy-coded with canonical

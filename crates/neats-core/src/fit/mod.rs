@@ -149,12 +149,19 @@ pub fn model_value(frag: &Fragment, k: usize, shift: i64) -> i64 {
 }
 
 /// Floors a model output to i64 — the one canonical float→integer step
-/// shared by encoding and every decode path. Rust's saturating `as` cast
-/// makes this total (NaN → 0, ±∞ → MIN/MAX) and branchless, which lets the
-/// decompression loop vectorise.
+/// shared by encoding and every decode path. Equal to `f.floor() as i64`
+/// for every f64 (NaN → 0; ±∞ and out-of-range values saturate to
+/// `i64::MIN`/`MAX`), but computed in the integer domain: the saturating
+/// cast truncates toward zero, and the truncation steps down by one where
+/// it landed above `f` (negative non-integers). `f64::floor` is a libm call
+/// on x86-64 targets without SSE4.1's `roundsd` — the baseline — and this
+/// step runs once per decoded value.
 #[inline]
 pub fn floor_to_i64(f: f64) -> i64 {
-    f.floor() as i64
+    let t = f as i64;
+    // `t as f64` is exact: |t| < 2^53 unless `f` was already an integer
+    // (or saturated, where the comparison still orders correctly).
+    t.saturating_sub(((t as f64) > f) as i64)
 }
 
 /// Estimated integer error of the f64 round trip every lossy fitter in the
@@ -390,6 +397,49 @@ mod tests {
         // §II), but f64 evaluation of transcendental kinds can add one ulp.
         let r = max_abs_residual(values, frag, shift);
         assert!(r <= eps + 1, "residual {r} exceeds eps {eps} for {:?}", frag.kind);
+    }
+
+    #[test]
+    fn floor_to_i64_equals_float_floor_cast() {
+        fn check(f: f64) {
+            assert_eq!(floor_to_i64(f), f.floor() as i64, "f = {f:e} (bits {:#018x})", f.to_bits());
+        }
+        let mut edges = vec![
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(2),
+            f64::MAX,
+            0.5,
+            1.5,
+            2.5,
+            1e19,
+            9.2e18,
+        ];
+        for k in 0..=64 {
+            let p = 2f64.powi(k);
+            edges.extend([p, p.next_up(), p.next_down(), p + 0.5, p - 0.5]);
+        }
+        for f in edges {
+            check(f);
+            check(-f);
+        }
+        let mut rng = StdRng::seed_from_u64(0xf100);
+        // Raw bit patterns: every exponent, NaN payloads and subnormals.
+        for _ in 0..1_000_000 {
+            check(f64::from_bits(rng.random::<u64>()));
+        }
+        // Values within a few ULPs of an integer, where truncation and floor
+        // differ by exactly the step this function takes.
+        for _ in 0..1_000_000 {
+            let i = rng.random_range(-(1i64 << 60)..(1i64 << 60)) >> rng.random_range(0..60u32);
+            let f = i as f64;
+            check(f);
+            check(f.next_up());
+            check(f.next_down());
+        }
     }
 
     #[test]

@@ -27,8 +27,8 @@ use crate::view::ArchiveView;
 use succinct::{bits_for_residual_bound, BitBuf, BitVector, EliasFano, PackedVec, Wire, WireError};
 use timeseries::CompressedSeries;
 
-/// How the fragment-start array `S` answers rank queries (ablation D5 in
-/// DESIGN.md).
+/// How the fragment-start array `S` answers rank queries (ablation D5 of
+/// the `ablations` bench binary).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RankMode {
     /// Elias-Fano: smallest space, `O(min(log m, log n/m))` rank.

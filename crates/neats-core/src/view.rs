@@ -107,11 +107,13 @@ impl<'a> StartIndexView<'a> {
         }
     }
 
-    /// Streaming iterator over all fragment starts in order.
-    fn iter(&self) -> StartIterView<'a> {
+    /// Streaming iterator over the fragment starts from fragment `i` on:
+    /// one select to seek (none from 0 under Elias-Fano), then a forward
+    /// scan.
+    fn iter_from(&self, i: usize) -> StartIterView<'a> {
         match self {
-            StartIndexView::Ef(ef) => StartIterView::Ef(ef.iter()),
-            StartIndexView::Bv(bv) => StartIterView::Bv(bv.iter_ones()),
+            StartIndexView::Ef(ef) => StartIterView::Ef(ef.iter_from(i)),
+            StartIndexView::Bv(bv) => StartIterView::Bv(bv.iter_ones_from(i)),
         }
     }
 }
@@ -172,6 +174,17 @@ enum Residuals<'a> {
     /// Lossy: discarded, each of them within `eps + 1` (the bound the fit
     /// ran under, plus one for flooring).
     Dropped { eps: u64 },
+}
+
+/// One fragment's share of a range query: the fragment, the positions of the
+/// range inside it, and where its corrections are.
+struct Piece {
+    frag: Fragment,
+    range: Range<usize>,
+    /// Correction bit width: 0 for an exact fit and in a lossy archive.
+    w: usize,
+    /// Bit offset of the fragment's first correction (`O[i]`).
+    o: usize,
 }
 
 /// Values decoded per step of the exact aggregates: the whole of their
@@ -337,7 +350,7 @@ impl<'a> ArchiveView<'a> {
         verify_kind_symbols(&self.kinds, &self.kind_params, m)?;
         // Fragment geometry: one streaming pass over starts and offsets
         // (no per-fragment select).
-        let mut starts_it = self.starts.iter();
+        let mut starts_it = self.starts.iter_from(0);
         let mut cur_start = starts_it.next();
         for i in 0..m {
             let start = cur_start.expect("length checked at parse");
@@ -445,16 +458,14 @@ impl<'a> ArchiveView<'a> {
         }
     }
 
-    /// The largest magnitude a residual of fragment `i` can have: `2^(w−1)`
+    /// The largest magnitude a residual of a piece can have: `2^(w−1)`
     /// where `w`-bit corrections are stored, `ε + 1` where they were
     /// dropped. What every estimate's error bound is made of.
-    fn residual_bound(&self, i: usize) -> f64 {
-        match &self.residuals {
-            Residuals::Stored { widths, .. } => match widths.get(i) {
-                0 => 0.0,
-                w => (1u64 << (w - 1)) as f64,
-            },
-            Residuals::Dropped { eps } => *eps as f64 + 1.0,
+    fn residual_bound(&self, piece: &Piece) -> f64 {
+        match (&self.residuals, piece.w) {
+            (Residuals::Stored { .. }, 0) => 0.0,
+            (Residuals::Stored { .. }, w) => (1u64 << (w - 1)) as f64,
+            (Residuals::Dropped { eps }, _) => *eps as f64 + 1.0,
         }
     }
 
@@ -520,38 +531,51 @@ impl<'a> ArchiveView<'a> {
         self.scan_range(range.start, range.len(), out)
     }
 
-    /// The pieces `[start, start + count)` falls into, in order: each the
-    /// index and descriptor of a fragment and the part of the range inside
-    /// it. One rank to locate the first fragment, then a sequential walk —
-    /// the shape of every range query below.
-    fn pieces(
-        &self,
-        start: usize,
-        count: usize,
-    ) -> impl Iterator<Item = (usize, Fragment, Range<usize>)> + '_ {
+    /// The pieces `[start, start + count)` falls into, in order — the one
+    /// fragment walk under Algorithm 2, the range scan, the exact aggregates
+    /// and the estimates. One rank locates the first fragment; from there
+    /// fragment starts stream out of the start index's iterator, the
+    /// correction bit offset is a running cursor (corrections are stored
+    /// contiguously in fragment order), and each kind's parameter rank is a
+    /// counter, seeded by one wavelet rank the first time the kind appears.
+    fn pieces(&self, start: usize, count: usize) -> impl Iterator<Item = Piece> + '_ {
         debug_assert!(start + count <= self.n);
         let end = start + count;
         let mut pos = start;
         let mut i = if count == 0 { 0 } else { self.starts.fragment_of(start) };
+        let mut starts = self.starts.iter_from(i);
+        let mut frag_start = starts.next().unwrap_or(0);
+        let mut o = match &self.residuals {
+            Residuals::Stored { offsets, .. } => offsets.get(i) as usize,
+            Residuals::Dropped { .. } => 0,
+        };
+        let mut ranks = [None; Kind::ALL.len()];
         std::iter::from_fn(move || {
             (pos < end).then(|| {
-                let frag = self.fragment(i);
-                let piece = pos..frag.end.min(end);
-                let item = (i, frag, piece.clone());
-                pos = piece.end;
+                let frag_end = starts.next().unwrap_or(self.n);
+                let sym = self.kinds.access(i);
+                let rank = ranks[sym as usize].unwrap_or_else(|| self.kinds.rank(sym, i));
+                ranks[sym as usize] = Some(rank + 1);
+                let (kind, params) = self.kind_params.model(sym, rank);
+                let origin = frag_start - self.origin_deltas.get(i) as usize;
+                let frag = Fragment { kind, params, start: frag_start, end: frag_end, origin };
+                let piece = Piece { frag, range: pos..frag_end.min(end), w: self.correction_width_of(i), o };
+                o += (frag_end - frag_start) * piece.w;
+                pos = piece.range.end;
+                frag_start = frag_end;
                 i += 1;
-                item
+                piece
             })
         })
     }
 
-    /// Decodes positions `from..from + out.len()` of fragment `i` into
+    /// Decodes positions `from..from + out.len()` of `piece`'s fragment into
     /// `out`: the model values, plus the stored corrections if there are
     /// any.
-    fn decode_piece(&self, i: usize, frag: &Fragment, from: usize, out: &mut [i64]) {
-        model_values(frag, self.shift, from, out);
-        if let Some((bits, w, o)) = self.corrections_from(i, from - frag.start) {
-            add_corrections(bits, w, o, out);
+    fn decode_piece(&self, piece: &Piece, from: usize, out: &mut [i64]) {
+        model_values(&piece.frag, self.shift, from, out);
+        if let (Residuals::Stored { bits, .. }, w @ 1..) = (&self.residuals, piece.w) {
+            add_corrections(bits, w, piece.o + (from - piece.frag.start) * w, out);
         }
     }
 
@@ -561,43 +585,18 @@ impl<'a> ArchiveView<'a> {
         let base = out.len();
         out.resize(base + count, 0);
         let window = &mut out[base..];
-        for (i, frag, piece) in self.pieces(start, count) {
-            self.decode_piece(i, &frag, piece.start, &mut window[piece.start - start..piece.end - start]);
+        for piece in self.pieces(start, count) {
+            let Range { start: from, end } = piece.range;
+            self.decode_piece(&piece, from, &mut window[from - start..end - start]);
         }
     }
 
     /// Algorithm 2: the whole series, fragment by fragment (decompression of
-    /// a lossless archive, reconstruction of a lossy one).
-    ///
-    /// The sequential pass avoids the per-fragment rank/select machinery of
-    /// the random-access path entirely: fragment starts stream out of the
-    /// start index's iterator, per-kind parameter ranks are incremental
-    /// counters, and the correction bit offset is a running cursor
-    /// (corrections are stored contiguously in fragment order).
+    /// a lossless archive, reconstruction of a lossy one) — the range scan
+    /// over `0..len`.
     pub fn materialize(&self) -> Vec<i64> {
-        let mut out = vec![0i64; self.n];
-        let mut ranks = [0usize; Kind::ALL.len()];
-        let mut o = 0usize;
-        let mut starts = self.starts.iter();
-        let mut start = starts.next().unwrap_or(0);
-        for i in 0..self.fragment_count() {
-            let end = starts.next().unwrap_or(self.n);
-            let sym = self.kinds.access(i);
-            let (kind, params) = self.kind_params.model(sym, ranks[sym as usize]);
-            ranks[sym as usize] += 1;
-            let origin = start - self.origin_deltas.get(i) as usize;
-            let frag = Fragment { kind, params, start, end, origin };
-            let piece = &mut out[start..end];
-            model_values(&frag, self.shift, start, piece);
-            if let Residuals::Stored { widths, bits, .. } = &self.residuals {
-                let w = widths.get(i) as usize;
-                if w > 0 {
-                    add_corrections(bits, w, o, piece);
-                }
-                o += (end - start) * w;
-            }
-            start = end;
-        }
+        let mut out = Vec::with_capacity(self.n);
+        self.scan_range(0, self.n, &mut out);
         out
     }
 
@@ -612,10 +611,10 @@ impl<'a> ArchiveView<'a> {
         mut f: impl FnMut(A, i64) -> A,
     ) -> A {
         let mut block = [0i64; FOLD_BLOCK];
-        for (i, frag, piece) in self.pieces(start, count) {
-            for from in piece.clone().step_by(FOLD_BLOCK) {
-                let buf = &mut block[..(piece.end - from).min(FOLD_BLOCK)];
-                self.decode_piece(i, &frag, from, buf);
+        for piece in self.pieces(start, count) {
+            for from in piece.range.clone().step_by(FOLD_BLOCK) {
+                let buf = &mut block[..(piece.range.end - from).min(FOLD_BLOCK)];
+                self.decode_piece(&piece, from, buf);
                 acc = buf.iter().fold(acc, |acc, &v| f(acc, v));
             }
         }
@@ -657,9 +656,9 @@ impl<'a> ArchiveView<'a> {
     /// the closed form summing `f` instead of `⌊f⌋`.
     pub fn sum_range_estimate(&self, start: usize, count: usize) -> Estimate {
         let mut sum = Estimate { value: 0.0, max_error: 0.0 };
-        for (i, frag, piece) in self.pieces(start, count) {
-            sum.value += fragment_model_sum(&frag, piece.start, piece.end, self.shift);
-            sum.max_error += piece.len() as f64 * (self.residual_bound(i) + 1.0);
+        for piece in self.pieces(start, count) {
+            sum.value += fragment_model_sum(&piece.frag, piece.range.start, piece.range.end, self.shift);
+            sum.max_error += piece.range.len() as f64 * (self.residual_bound(&piece) + 1.0);
         }
         sum
     }
@@ -680,11 +679,11 @@ impl<'a> ArchiveView<'a> {
     pub fn min_max_range_estimate(&self, start: usize, count: usize) -> (Estimate, Estimate) {
         assert!(count > 0, "min/max of an empty range is undefined");
         let (mut lo, mut hi, mut bound) = (i64::MAX, i64::MIN, 0.0f64);
-        for (i, frag, piece) in self.pieces(start, count) {
-            let (flo, fhi) = fragment_model_extremes(&frag, piece.start, piece.end, self.shift);
+        for piece in self.pieces(start, count) {
+            let (flo, fhi) = fragment_model_extremes(&piece.frag, piece.range.start, piece.range.end, self.shift);
             lo = lo.min(flo);
             hi = hi.max(fhi);
-            bound = bound.max(self.residual_bound(i));
+            bound = bound.max(self.residual_bound(&piece));
         }
         (
             Estimate { value: lo as f64, max_error: bound },
@@ -697,14 +696,17 @@ impl<'a> ArchiveView<'a> {
 /// `from..from + out.len()` — the inner loop of Algorithm 2 and of every
 /// scan.
 ///
-/// The function-kind dispatch is hoisted out of the loop (the paper
-/// vectorises this loop with `std::experimental::simd`; we rely on the
-/// monomorphised closure auto-vectorising). Each arm calls `Kind::eval` with
-/// a *constant* kind so the computation is bit-identical to [`model_value`],
-/// which encoding used — that identity is what makes the scheme lossless.
+/// The function-kind dispatch is hoisted out of the loop: each arm calls
+/// `Kind::eval` with a *constant* kind, so the loop body is one kind's
+/// straight-line arithmetic and the computation is bit-identical to
+/// [`model_value`], which encoding used — that identity is what makes the
+/// scheme lossless. (The paper vectorises this loop with
+/// `std::experimental::simd`. Here the f64 → i64 conversion in
+/// [`floor_to_i64`] is scalar at the x86-64 baseline, which has no packed
+/// form of it, so each value costs one evaluation and one scalar
+/// conversion.)
 fn model_values(frag: &Fragment, shift: i64, from: usize, out: &mut [i64]) {
-    /// The loop itself, monomorphised per kind. Writing through a slice
-    /// (not `push`) lets LLVM vectorise the polynomial kinds.
+    /// The loop itself, monomorphised per kind.
     #[inline(always)]
     fn fill(eval: impl Fn(f64) -> f64, first_u: usize, shift_sub: i64, out: &mut [i64]) {
         for (j, v) in out.iter_mut().enumerate() {

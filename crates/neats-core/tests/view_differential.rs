@@ -281,16 +281,14 @@ proptest! {
     }
 }
 
-/// Deterministic sweep with richer kind pools and both rank modes, for the
-/// shapes proptest's uniform walks rarely produce.
-#[test]
-fn deterministic_shapes_differential() {
-    // Extreme-magnitude values overflow the positivity shift of log-domain
-    // kinds (a documented fitter precondition), so that shape fits with the
-    // linear family only, as in the edge-case tests.
+/// The shapes proptest's uniform walks rarely produce, each with the kind
+/// pool it is built with. Extreme-magnitude values overflow the positivity
+/// shift of log-domain kinds (a documented fitter precondition), so that
+/// shape fits with the linear family only, as in the edge-case tests.
+fn deterministic_shapes() -> Vec<(&'static str, &'static [Kind], Vec<i64>)> {
     let all: &[Kind] = &Kind::ALL;
     let linear: &[Kind] = &[Kind::Linear];
-    let shapes: Vec<(&str, &[Kind], Vec<i64>)> = vec![
+    vec![
         ("constant", all, vec![7; 500]),
         ("line", all, (0..600).map(|k| 3 * k - 900).collect()),
         ("parabola", all, (0..500i64).map(|k| (k - 250) * (k - 250) / 10).collect()),
@@ -298,8 +296,14 @@ fn deterministic_shapes_differential() {
         ("sine", all, (0..800).map(|k| (4000.0 * ((k as f64) / 60.0).sin()) as i64).collect()),
         ("single", all, vec![-42]),
         ("extremes", linear, vec![i64::MAX / 4, i64::MIN / 4, 0, i64::MAX / 4, -1, 1]),
-    ];
-    for (name, kinds, values) in shapes {
+    ]
+}
+
+/// Deterministic sweep with richer kind pools and both rank modes, for the
+/// shapes proptest's uniform walks rarely produce.
+#[test]
+fn deterministic_shapes_differential() {
+    for (name, kinds, values) in deterministic_shapes() {
         let ts = TimeSeries::from_values(values.clone());
         let whole = [(0, values.len()), (values.len() / 3, values.len() / 2)];
         let (shift, part) = lossless_inputs(&ts, kinds);
@@ -326,6 +330,40 @@ fn deterministic_shapes_differential() {
                 check_decodes_to(&view, &lossy.reconstruct(), &whole)
             };
             checked.unwrap_or_else(|e| panic!("{name} lossy: {e}"));
+        }
+    }
+}
+
+/// A range query seeks its first fragment with one rank and walks on from
+/// there, so its edge cases sit where a range starts or ends on a fragment
+/// boundary or one position either side of one — where random ranges
+/// rarely land. Every such `(a, b)` pair, for every deterministic shape,
+/// both rank modes and both flavors: `range(a..b)` and the exact
+/// aggregates equal the materialized series on `a..b`.
+#[test]
+fn ranges_from_and_to_every_fragment_boundary() {
+    for (name, kinds, values) in deterministic_shapes() {
+        let ts = TimeSeries::from_values(values);
+        let archives = [
+            ("EliasFano", NeaTS::builder().kinds(kinds).rank_mode(RankMode::EliasFano).build(&ts).to_bytes()),
+            ("BitVector", NeaTS::builder().kinds(kinds).rank_mode(RankMode::BitVector).build(&ts).to_bytes()),
+            ("lossy", NeaTS::builder().kinds(kinds).build_lossy(&ts, 10).to_bytes()),
+        ];
+        for (flavor, bytes) in &archives {
+            let view = ArchiveView::open(bytes).unwrap();
+            let n = view.len();
+            let mut points: Vec<usize> = (0..view.fragment_count())
+                .map(|i| view.fragment(i).start)
+                .chain([n])
+                .flat_map(|b| [b.saturating_sub(1), b, b + 1])
+                .filter(|&p| p <= n)
+                .collect();
+            points.sort_unstable();
+            points.dedup();
+            let ranges: Vec<(usize, usize)> =
+                points.iter().flat_map(|&a| points.iter().filter(move |&&b| b >= a).map(move |&b| (a, b - a))).collect();
+            check_decodes_to(&view, &view.materialize(), &ranges)
+                .unwrap_or_else(|e| panic!("{name} {flavor}: {e}"));
         }
     }
 }
