@@ -7,6 +7,7 @@
 //! break the store's binary-searched time index).
 
 use bench::suite::shapes::{nan_heavy_f64, out_of_order_timestamps};
+use neats_ingest::{IngestConfig, Ingestor};
 use neats_store::{StoreError, StoreWriter};
 use timeseries::{io::parse_lines, io::LoadError, TimeSeries, ValueErrorKind};
 
@@ -78,7 +79,7 @@ fn ingestor_rejects_out_of_order_timestamps_without_wal_damage() {
     for seed in SEEDS.take(8) {
         let (stamps, at) = out_of_order_timestamps(200, seed);
         let values = vec![3i64; stamps.len()];
-        let ing = neats_ingest::Ingestor::open_default(&dir).expect("open");
+        let ing = Ingestor::open(&dir, IngestConfig::default()).expect("open");
         match ing.append("cpu", &stamps, &values) {
             Err(StoreError::TimestampOrder { index, .. }) => {
                 assert_eq!(index, at, "seed {seed}")
@@ -91,7 +92,7 @@ fn ingestor_rejects_out_of_order_timestamps_without_wal_damage() {
         // generator's base epoch dwarfs per-round drift — assert anyway).
         assert!(ing.len("cpu").unwrap_or(0) == 0 || seed > 0, "bad batch committed");
         drop(ing);
-        let ing = neats_ingest::Ingestor::open_default(&dir).expect("reopen");
+        let ing = Ingestor::open(&dir, IngestConfig::default()).expect("reopen");
         let before = ing.len("cpu").unwrap_or(0);
         let good: Vec<u64> = stamps[..at]
             .iter()

@@ -1,12 +1,12 @@
-//! The paper's "lossy ≤ ε" contract and the aggregate bounds that follow
-//! from it, on the adversarial shapes of [`bench::suite::shapes`]: for a
-//! NeaTS-L archive of each shape the measured worst error is at most ε + 1,
-//! and every [`Estimate`] interval — sum, mean, minimum, maximum — contains
-//! the exact answer over the *original* values.
+//! The paper's "lossy ≤ ε" contract and the sum bound that follows from
+//! it, on the adversarial shapes of [`bench::suite::shapes`]: for a NeaTS-L
+//! archive of each shape the measured worst error is at most ε + 1, and
+//! every `sum_range_estimate` [`Estimate`] interval contains the exact sum
+//! over the *original* values.
 //!
 //! `codec_conformance.rs` holds NeaTS-L's point and range reads to the same
-//! ε on these shapes; the estimates are what a lossy archive only has since
-//! it shares the lossless archive's decoder, so this is where they meet
+//! ε on these shapes; the estimate is what a lossy archive only has since
+//! it shares the lossless archive's decoder, so this is where it meets
 //! spikes, sentinels, ±2^55 magnitudes and zero-entropy input.
 
 use bench::suite::codecs::lossy_eps;
@@ -37,14 +37,6 @@ fn check_shape(shape: Shape, n: usize, seed: u64, seeds: &[(usize, usize)]) -> R
         let exact: i128 = original.iter().map(|&v| v as i128).sum();
         let sum = view.sum_range_estimate(s, c);
         prop_assert!(contains(sum, exact as f64), "{} sum({}, {}) {:?} misses {}", shape.name(), s, c, sum, exact);
-        let mean = view.mean_range_estimate(s, c);
-        prop_assert!(contains(mean, exact as f64 / c.max(1) as f64), "{} mean({}, {}) {:?}", shape.name(), s, c, mean);
-        if c > 0 {
-            let (lo, hi) = view.min_max_range_estimate(s, c);
-            let (min, max) = (*original.iter().min().unwrap(), *original.iter().max().unwrap());
-            prop_assert!(contains(lo, min as f64), "{} min({}, {}) {:?} misses {}", shape.name(), s, c, lo, min);
-            prop_assert!(contains(hi, max as f64), "{} max({}, {}) {:?} misses {}", shape.name(), s, c, hi, max);
-        }
     }
     Ok(())
 }

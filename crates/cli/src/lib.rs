@@ -1576,7 +1576,7 @@ mod tests {
         )
         .unwrap();
 
-        let ing = Ingestor::open_default(&data).unwrap();
+        let ing = Ingestor::open(&data, IngestConfig::default()).unwrap();
         assert_eq!(ing.len("cpu").unwrap(), 5);
         assert_eq!(ing.len("mem").unwrap(), 4);
         assert_eq!(ing.get("cpu", 4).unwrap(), 12);

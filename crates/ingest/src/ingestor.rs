@@ -357,21 +357,6 @@ impl Ingestor {
         Ok(ing)
     }
 
-    /// [`Self::open`] with [`IngestConfig::default`].
-    pub fn open_default(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        Self::open(dir, IngestConfig::default())
-    }
-
-    /// The directory this ingestor owns.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configuration the ingestor was opened with.
-    pub fn config(&self) -> &IngestConfig {
-        &self.cfg
-    }
-
     // ------------------------------------------------------------------
     // Write path
     // ------------------------------------------------------------------
@@ -722,52 +707,6 @@ impl Ingestor {
         Ok((s.gen.store.clone(), head))
     }
 
-    /// Splits `range` against a snapshot: the sealed subrange (to run on
-    /// the store) and the head values (copied out under the head lock).
-    /// Checks `range` against the total series length.
-    #[allow(clippy::type_complexity)]
-    fn split_range(
-        &self,
-        series: &str,
-        range: &Range<usize>,
-    ) -> Result<(Arc<Store>, Option<Range<usize>>, Vec<i64>), StoreError> {
-        let (store, head) = self.snap(series)?;
-        let (sealed_len, total, head_vals) = match &head {
-            Some(h) => {
-                let g = lockm(h);
-                let sealed_len = g.first_index;
-                let total = sealed_len + g.len();
-                if range.start > range.end || range.end > total {
-                    return Err(StoreError::BadRange {
-                        start: range.start,
-                        end: range.end,
-                        len: total,
-                    });
-                }
-                let mut vals = Vec::new();
-                if range.end > sealed_len {
-                    let lo = range.start.max(sealed_len) - sealed_len;
-                    g.values_range(lo, range.end - sealed_len, &mut vals);
-                }
-                (sealed_len, total, vals)
-            }
-            None => {
-                let total = store.series(series).map(|e| e.len()).unwrap_or(0);
-                if range.start > range.end || range.end > total {
-                    return Err(StoreError::BadRange {
-                        start: range.start,
-                        end: range.end,
-                        len: total,
-                    });
-                }
-                (total, total, Vec::new())
-            }
-        };
-        let _ = total;
-        let sealed = (range.start < sealed_len).then(|| range.start..range.end.min(sealed_len));
-        Ok((store, sealed, head_vals))
-    }
-
     /// The value at series-global position `idx`.
     pub fn get(&self, series: &str, idx: usize) -> Result<i64, StoreError> {
         let (store, head) = self.snap(series)?;
@@ -787,28 +726,6 @@ impl Ingestor {
                 }
             }
             None => store.get(series, idx),
-        }
-    }
-
-    /// The timestamp of the point at series-global position `idx`.
-    pub fn timestamp(&self, series: &str, idx: usize) -> Result<u64, StoreError> {
-        let (store, head) = self.snap(series)?;
-        match &head {
-            Some(h) => {
-                let g = lockm(h);
-                if idx < g.first_index {
-                    drop(g);
-                    store.timestamp(series, idx)
-                } else if idx - g.first_index < g.len() {
-                    Ok(g.stamp(idx - g.first_index))
-                } else {
-                    Err(StoreError::OutOfRange {
-                        index: idx,
-                        len: g.first_index + g.len(),
-                    })
-                }
-            }
-            None => store.timestamp(series, idx),
         }
     }
 
@@ -858,6 +775,7 @@ impl Ingestor {
     /// bounded chunks — sealed segments first, decoded into the caller's
     /// `scratch` (see [`Store::range_chunks_in`]), then the head part as
     /// one chunk, copied out under the head lock into a buffer of its own.
+    /// `range` is checked against the total series length.
     pub fn range_chunks_in(
         &self,
         scratch: &mut RangeScratch,
@@ -865,28 +783,38 @@ impl Ingestor {
         range: Range<usize>,
         mut f: impl FnMut(&[i64]),
     ) -> Result<(), StoreError> {
-        let (store, sealed, head_vals) = self.split_range(series, &range)?;
-        if let Some(r) = sealed {
-            store.range_chunks_in(scratch, series, r, &mut f)?;
+        let (store, head) = self.snap(series)?;
+        let check = |len: usize| {
+            if range.start > range.end || range.end > len {
+                return Err(StoreError::BadRange { start: range.start, end: range.end, len });
+            }
+            Ok(())
+        };
+        let (sealed_len, head_vals) = match &head {
+            Some(h) => {
+                let g = lockm(h);
+                let sealed_len = g.first_index;
+                check(sealed_len + g.len())?;
+                let mut vals = Vec::new();
+                if range.end > sealed_len {
+                    let lo = range.start.max(sealed_len) - sealed_len;
+                    g.values_range(lo, range.end - sealed_len, &mut vals);
+                }
+                (sealed_len, vals)
+            }
+            None => {
+                let total = store.series(series).map(|e| e.len()).unwrap_or(0);
+                check(total)?;
+                (total, Vec::new())
+            }
+        };
+        if range.start < sealed_len {
+            store.range_chunks_in(scratch, series, range.start..range.end.min(sealed_len), &mut f)?;
         }
         if !head_vals.is_empty() {
             f(&head_vals);
         }
         Ok(())
-    }
-
-    /// Appends all `(timestamp, value)` pairs with timestamp in
-    /// `[t_lo, t_hi]` to `out`.
-    pub fn range_by_time(
-        &self,
-        series: &str,
-        t_lo: u64,
-        t_hi: u64,
-        out: &mut Vec<(u64, i64)>,
-    ) -> Result<(), StoreError> {
-        self.range_by_time_chunks_in(&mut RangeScratch::default(), series, t_lo, t_hi, |chunk| {
-            out.extend_from_slice(chunk)
-        })
     }
 
     /// Streams all `(timestamp, value)` pairs with timestamp in
@@ -928,38 +856,6 @@ impl Ingestor {
             f(&pairs);
         }
         Ok(())
-    }
-
-    /// Exact sum over `range` (as `i128`), sealed part pushed down to the
-    /// store's per-segment aggregates.
-    pub fn sum(&self, series: &str, range: Range<usize>) -> Result<i128, StoreError> {
-        let (store, sealed, head_vals) = self.split_range(series, &range)?;
-        let mut acc = 0i128;
-        if let Some(r) = sealed {
-            acc += store.sum(series, r)?;
-        }
-        acc += head_vals.iter().map(|&v| v as i128).sum::<i128>();
-        Ok(acc)
-    }
-
-    /// Exact minimum and maximum over `range` (`None` for an empty range).
-    pub fn min_max(
-        &self,
-        series: &str,
-        range: Range<usize>,
-    ) -> Result<Option<(i64, i64)>, StoreError> {
-        let (store, sealed, head_vals) = self.split_range(series, &range)?;
-        let mut acc: Option<(i64, i64)> = None;
-        if let Some(r) = sealed {
-            acc = store.min_max(series, r)?;
-        }
-        for &v in &head_vals {
-            acc = Some(match acc {
-                Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                None => (v, v),
-            });
-        }
-        Ok(acc)
     }
 
     /// All live series names, sorted. (Sorted rather than catalog order:
@@ -1420,9 +1316,12 @@ mod tests {
             ing.range("s", 0..500, &mut out).unwrap();
             assert_eq!(out, values);
             assert_eq!(ing.at_time("s", stamps[470]).unwrap(), Some(values[470]));
-            assert_eq!(ing.timestamp("s", 460).unwrap(), stamps[460]);
-            let want: i128 = values[100..480].iter().map(|&v| v as i128).sum();
-            assert_eq!(ing.sum("s", 100..480).unwrap(), want);
+            let mut pairs = Vec::new();
+            ing.range_by_time_chunks_in(&mut RangeScratch::default(), "s", 0, u64::MAX, |c| {
+                pairs.extend_from_slice(c)
+            })
+            .unwrap();
+            assert_eq!(pairs, stamps.iter().copied().zip(values.iter().copied()).collect::<Vec<_>>());
         }
         // Reopen: the tail comes back from the WAL.
         let ing = Ingestor::open(&dir, small_cfg()).unwrap();
@@ -1483,11 +1382,13 @@ mod tests {
         let ing = Ingestor::open(&dir, small_cfg()).unwrap();
         assert_eq!(ing.len("s").unwrap(), 2);
         assert_eq!(ing.get("s", 1).unwrap(), 2);
-        assert_eq!(ing.timestamp("s", 1).unwrap(), MAX_TIMESTAMP);
         assert_eq!(ing.at_time("s", MAX_TIMESTAMP).unwrap(), Some(2));
         assert_eq!(ing.at_time("s", u64::MAX).unwrap(), None);
         let mut out = Vec::new();
-        ing.range_by_time("s", 1, u64::MAX, &mut out).unwrap();
+        ing.range_by_time_chunks_in(&mut RangeScratch::default(), "s", 1, u64::MAX, |c| {
+            out.extend_from_slice(c)
+        })
+        .unwrap();
         assert_eq!(out, vec![(MAX_TIMESTAMP, 2)]);
         drop(ing);
         fs::remove_dir_all(&dir).unwrap();

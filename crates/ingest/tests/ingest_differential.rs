@@ -67,6 +67,17 @@ fn series_name(sid: usize) -> String {
     format!("s{sid}")
 }
 
+/// The `(stamp, value)` pairs of `name` in `[t_lo, t_hi]`, through the
+/// chunked accessor the server renders time ranges from.
+fn by_time(ing: &Ingestor, name: &str, t_lo: u64, t_hi: u64) -> Vec<(u64, i64)> {
+    let mut out = Vec::new();
+    ing.range_by_time_chunks_in(&mut RangeScratch::default(), name, t_lo, t_hi, |c| {
+        out.extend_from_slice(c)
+    })
+    .unwrap();
+    out
+}
+
 /// Full query battery: every answer the ingestor gives must equal the
 /// model's. `probe` seeds the range/time probes deterministically.
 fn check(ing: &Ingestor, model: &Model, probe: u64) {
@@ -93,32 +104,24 @@ fn check(ing: &Ingestor, model: &Model, probe: u64) {
         for _ in 0..4 {
             let k = (rng() % n as u64) as usize;
             assert_eq!(ing.get(name, k).unwrap(), pts[k].1, "get({name}, {k})");
-            assert_eq!(ing.timestamp(name, k).unwrap(), pts[k].0, "timestamp({name}, {k})");
             assert_eq!(ing.at_time(name, pts[k].0).unwrap(), Some(pts[k].1));
         }
         assert!(matches!(
             ing.get(name, n),
             Err(StoreError::OutOfRange { .. })
         ));
-        // Sub-range aggregates.
+        // A random sub-range, by index and by time.
         let a = (rng() % (n as u64 + 1)) as usize;
         let b = a + (rng() % (n - a + 1) as u64) as usize;
-        let want_sum: i128 = pts[a..b].iter().map(|&(_, v)| v as i128).sum();
-        assert_eq!(ing.sum(name, a..b).unwrap(), want_sum, "sum({name}, {a}..{b})");
-        let want_mm = pts[a..b].iter().fold(None, |acc: Option<(i64, i64)>, &(_, v)| {
-            Some(acc.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))))
-        });
-        assert_eq!(ing.min_max(name, a..b).unwrap(), want_mm, "min_max({name}, {a}..{b})");
+        vals.clear();
+        ing.range(name, a..b, &mut vals).unwrap();
+        assert_eq!(vals, want[a..b], "range({name}, {a}..{b})");
         // Time-window scan spanning the sealed↔head boundary (full span
         // plus a random interior window), and gap probes.
-        let mut got = Vec::new();
-        ing.range_by_time(name, 0, u64::MAX, &mut got).unwrap();
-        assert_eq!(&got, pts, "range_by_time({name}, full)");
+        assert_eq!(&by_time(ing, name, 0, u64::MAX), pts, "by_time({name}, full)");
         if b > a {
             let (t_lo, t_hi) = (pts[a].0, pts[b - 1].0);
-            got.clear();
-            ing.range_by_time(name, t_lo, t_hi, &mut got).unwrap();
-            assert_eq!(got, pts[a..b], "range_by_time({name}, [{t_lo}, {t_hi}])");
+            assert_eq!(by_time(ing, name, t_lo, t_hi), pts[a..b], "by_time({name}, [{t_lo}, {t_hi}])");
             assert_eq!(
                 ing.at_time(name, t_hi + 1).unwrap(),
                 pts.iter().find(|&&(t, _)| t == t_hi + 1).map(|&(_, v)| v),
@@ -275,9 +278,6 @@ fn time_windows_across_the_sealed_head_boundary() {
                 .filter(|&(t, _)| t >= t_lo && t <= t_hi)
                 .collect();
             let mut got = Vec::new();
-            ing.range_by_time("s", t_lo, t_hi, &mut got).unwrap();
-            assert_eq!(got, want, "range_by_time [{t_lo}, {t_hi}]");
-            got.clear();
             ing.range_by_time_chunks_in(&mut scratch, "s", t_lo, t_hi, |chunk| {
                 assert!(!chunk.is_empty());
                 got.extend_from_slice(chunk);

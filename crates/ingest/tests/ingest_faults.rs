@@ -22,7 +22,7 @@
 
 use neats_ingest::wal::{self, encode_record, header_bytes, WalOp, WAL_HEADER_LEN};
 use neats_ingest::{FsyncPolicy, IngestConfig, Ingestor};
-use neats_store::StoreError;
+use neats_store::{RangeScratch, StoreError};
 use std::fs;
 use std::path::PathBuf;
 use test_support::FailpointFile;
@@ -245,8 +245,13 @@ fn every_wal_cut_reopens_to_the_acked_prefix() {
             ing.range(name, 0..pts.len(), &mut got).unwrap();
             let want: Vec<i64> = pts.iter().map(|&(_, v)| v).collect();
             assert_eq!(got, want, "cut {cut} range({name})");
+            let mut pairs = Vec::new();
+            ing.range_by_time_chunks_in(&mut RangeScratch::default(), name, 0, u64::MAX, |c| {
+                pairs.extend_from_slice(c)
+            })
+            .unwrap();
+            assert_eq!(&pairs, pts, "cut {cut} by time({name})");
             if let Some(&(t_last, v_last)) = pts.last() {
-                assert_eq!(ing.timestamp(name, pts.len() - 1).unwrap(), t_last);
                 assert_eq!(ing.at_time(name, t_last).unwrap(), Some(v_last));
             }
         }

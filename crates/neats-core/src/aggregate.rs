@@ -19,7 +19,7 @@
 //!
 //! This module is the per-fragment arithmetic; the queries that walk an
 //! archive's fragments with it are [`crate::view::ArchiveView`]'s
-//! `*_range_exact` / `*_range_estimate`, the same for both flavors.
+//! `sum_range_exact` / `sum_range_estimate`, the same for both flavors.
 
 use crate::fit::{model_value, Fragment, Kind};
 
@@ -94,71 +94,6 @@ pub(crate) fn fragment_model_sum(frag: &Fragment, from: usize, to: usize, shift:
         Some(s) => s - shift_term,
         None => (from..to).map(|k| model_value(frag, k, shift) as f64).sum(),
     }
-}
-
-/// Candidate local coordinates where `f` can attain an extreme over
-/// `[a, z]`: the endpoints plus any interior stationary points.
-fn extreme_candidates(frag: &Fragment, a: f64, z: f64) -> [Option<f64>; 4] {
-    let p = frag.params;
-    let mut out = [Some(a), Some(z), None, None];
-    let mut push = |u: f64| {
-        if u > a && u < z {
-            for slot in out.iter_mut() {
-                if slot.is_none() {
-                    *slot = Some(u);
-                    return;
-                }
-            }
-        }
-    };
-    match frag.kind {
-        // Monotone families: endpoints suffice.
-        Kind::Linear | Kind::Sqrt | Kind::Logarithmic | Kind::Exponential | Kind::Power => {}
-        // Quadratic forms m·u² + b·u (+c): vertex at −b/(2m); the Gaussian's
-        // exponent shares the same stationary point.
-        Kind::Quadratic | Kind::QuadLinear | Kind::Gaussian => {
-            if p.m != 0.0 {
-                push(-p.b / (2.0 * p.m));
-            }
-        }
-        Kind::QuadOffset => {} // m·u² + b is monotone on u ≥ 1 > 0
-        // Cubics m·u³ + b·u^d: f' = 3m·u² + b (d=1) or 3m·u² + 2b·u (d=2).
-        Kind::CubicLinear => {
-            if p.m != 0.0 && -p.b / (3.0 * p.m) > 0.0 {
-                push((-p.b / (3.0 * p.m)).sqrt());
-            }
-        }
-        Kind::CubicQuad => {
-            if p.m != 0.0 {
-                push(-2.0 * p.b / (3.0 * p.m));
-            }
-        }
-    }
-    out
-}
-
-/// `(min, max)` of `⌊f(u)⌋ − shift` over global positions `[from, to)` for
-/// one fragment, from the candidate extremes (integer coordinates: the
-/// continuous stationary point is bracketed by its floor/ceil neighbours).
-pub(crate) fn fragment_model_extremes(frag: &Fragment, from: usize, to: usize, shift: i64) -> (i64, i64) {
-    let a = (from - frag.origin + 1) as f64;
-    let z = (to - frag.origin) as f64;
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    let mut consider = |u: f64| {
-        let u = u.clamp(a, z);
-        let k = frag.origin + u.round() as usize - 1;
-        let k = k.clamp(from, to - 1);
-        let v = model_value(frag, k, shift);
-        lo = lo.min(v);
-        hi = hi.max(v);
-    };
-    for cand in extreme_candidates(frag, a, z).into_iter().flatten() {
-        // Evaluate the integer neighbours of each continuous candidate.
-        consider(cand.floor());
-        consider(cand.ceil());
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -237,16 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_estimate_scales() {
-        let ts = mixed_series(5000, 4);
-        let c = NeaTS::compress(&ts);
-        let s = c.view().sum_range_estimate(1000, 500);
-        let m = c.view().mean_range_estimate(1000, 500);
-        assert!((m.value - s.value / 500.0).abs() < 1e-9);
-        assert!((m.max_error - s.max_error / 500.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn lossy_estimate_within_bound() {
         let ts = mixed_series(8000, 5);
         let eps = 64u64;
@@ -259,45 +184,6 @@ mod tests {
             est.value,
             est.max_error
         );
-    }
-
-    #[test]
-    fn min_max_estimate_within_bound() {
-        let ts = mixed_series(8000, 7);
-        let c = NeaTS::compress(&ts);
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..40 {
-            let start = rng.random_range(0..ts.len() - 1);
-            let count = rng.random_range(1..(ts.len() - start).min(1500));
-            let slice = &ts.values()[start..start + count];
-            let true_min = *slice.iter().min().unwrap() as f64;
-            let true_max = *slice.iter().max().unwrap() as f64;
-            let (lo, hi) = c.view().min_max_range_estimate(start, count);
-            assert!(
-                (lo.value - true_min).abs() <= lo.max_error,
-                "min est {} true {true_min} bound {}",
-                lo.value,
-                lo.max_error
-            );
-            assert!(
-                (hi.value - true_max).abs() <= hi.max_error,
-                "max est {} true {true_max} bound {}",
-                hi.value,
-                hi.max_error
-            );
-        }
-    }
-
-    #[test]
-    fn min_max_on_parabola_finds_the_vertex() {
-        // A downward parabola whose peak is strictly inside the range: the
-        // stationary-point analysis must find it, not just the endpoints.
-        let values: Vec<i64> = (0..2001i64).map(|k| -(k - 1000) * (k - 1000) + 999).collect();
-        let ts = TimeSeries::from_values(values.clone());
-        let c = NeaTS::compress(&ts);
-        let (_, hi) = c.view().min_max_range_estimate(0, 2001);
-        let true_max = *values.iter().max().unwrap() as f64;
-        assert!((hi.value - true_max).abs() <= hi.max_error, "{} vs {true_max}", hi.value);
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl NeaTSCompressed {
     /// The decoder over this archive's bytes. [`CompressedSeries`] is
     /// implemented through it; fragment inspection (`fragment`,
     /// `kind_histogram`, …) and the aggregates (`sum_range_exact`,
-    /// `sum_range_estimate`, …) are its methods.
+    /// `sum_range_estimate`) are its methods.
     #[inline]
     pub fn view(&self) -> &ArchiveView<'_> {
         self.0.view()

@@ -206,11 +206,6 @@ impl NeaTSCompressor {
     pub fn sneats() -> Self {
         Self { builder: NeaTS::sneats(), name: "SNeaTS" }
     }
-
-    /// Wraps a custom builder under a display name.
-    pub fn custom(builder: NeaTSBuilder, name: &'static str) -> Self {
-        Self { builder, name }
-    }
 }
 
 impl Compressor for NeaTSCompressor {

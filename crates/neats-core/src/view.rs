@@ -46,7 +46,7 @@
 //! the series and the partition the archive was built from, for lossless
 //! and lossy archives alike.
 
-use crate::aggregate::{fragment_model_extremes, fragment_model_sum, Estimate};
+use crate::aggregate::{fragment_model_sum, Estimate};
 use crate::fit::{floor_to_i64, model_value, Fragment, Kind};
 use crate::serial::{self, ArchiveFlavor, Frame, KindParams, Section};
 use std::ops::Range;
@@ -623,21 +623,9 @@ impl<'a> ArchiveView<'a> {
 
     /// Exact range sum of the archive's values (the stored values for a
     /// lossless archive, the ε-bounded approximations for a lossy one), as
-    /// `i128` to avoid overflow. Used by the multi-series store to push sums
-    /// down to individual segments and stitch across their boundaries.
+    /// `i128` to avoid overflow — what `neats sum --exact` answers.
     pub fn sum_range_exact(&self, start: usize, count: usize) -> i128 {
         self.fold_range(start, count, 0i128, |acc, v| acc + v as i128)
-    }
-
-    /// Exact minimum and maximum over `[start, start + count)` of the
-    /// archive's values (`None` for an empty range). Like
-    /// [`Self::sum_range_exact`], this is the segment-local aggregate the
-    /// store's cross-segment pushdown folds over.
-    pub fn min_max_range_exact(&self, start: usize, count: usize) -> Option<(i64, i64)> {
-        self.fold_range(start, count, None, |acc: Option<(i64, i64)>, v| match acc {
-            Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
-            None => Some((v, v)),
-        })
     }
 
     /// Measured maximum absolute error against the original values (0 for
@@ -661,34 +649,6 @@ impl<'a> ArchiveView<'a> {
             sum.max_error += piece.range.len() as f64 * (self.residual_bound(&piece) + 1.0);
         }
         sum
-    }
-
-    /// Approximate range mean with the same guarantee, scaled by `1/count`.
-    pub fn mean_range_estimate(&self, start: usize, count: usize) -> Estimate {
-        let s = self.sum_range_estimate(start, count);
-        let n = count.max(1) as f64;
-        Estimate { value: s.value / n, max_error: s.max_error / n }
-    }
-
-    /// Approximate range minimum and maximum from the learned functions
-    /// only (no correction reads), each within the largest residual bound
-    /// of the fragments the range overlaps.
-    ///
-    /// Extremes of each fragment's model come from endpoint/stationary-point
-    /// analysis: O(1) per overlapping fragment.
-    pub fn min_max_range_estimate(&self, start: usize, count: usize) -> (Estimate, Estimate) {
-        assert!(count > 0, "min/max of an empty range is undefined");
-        let (mut lo, mut hi, mut bound) = (i64::MAX, i64::MIN, 0.0f64);
-        for piece in self.pieces(start, count) {
-            let (flo, fhi) = fragment_model_extremes(&piece.frag, piece.range.start, piece.range.end, self.shift);
-            lo = lo.min(flo);
-            hi = hi.max(fhi);
-            bound = bound.max(self.residual_bound(&piece));
-        }
-        (
-            Estimate { value: lo as f64, max_error: bound },
-            Estimate { value: hi as f64, max_error: bound },
-        )
     }
 }
 
@@ -848,8 +808,6 @@ mod tests {
             for (s, c) in [(0, decoded.len()), (3, FOLD_BLOCK), (FOLD_BLOCK - 1, 2 * FOLD_BLOCK + 2), (9, 0)] {
                 let slice = &decoded[s..s + c];
                 assert_eq!(view.sum_range_exact(s, c), slice.iter().map(|&v| v as i128).sum::<i128>());
-                let min_max = slice.iter().min().copied().zip(slice.iter().max().copied());
-                assert_eq!(view.min_max_range_exact(s, c), min_max);
             }
         }
     }

@@ -7,9 +7,9 @@
 //! for every fragment, so the two frames differ in their section sequence
 //! (`B`, `O`, `C` present but empty of bits, versus absent with ε in the
 //! header) and in nothing the decoder answers: `at`, `range`, `materialize`,
-//! `fragment(i)`, `kind_histogram`, the exact aggregates and the estimates'
-//! values must agree value for value, in both rank modes. The estimates'
-//! *bounds* are where the flavors legitimately part: nothing was dropped
+//! `fragment(i)`, `kind_histogram`, the exact sum and the sum estimate's
+//! value must agree value for value, in both rank modes. The estimate's
+//! *bound* is where the flavors legitimately part: nothing was dropped
 //! from the lossless archive, ε + 1 per point may have been from the lossy
 //! one.
 
@@ -43,15 +43,9 @@ fn check_same_answers(
         lossy.range(s..s + c, &mut b);
         prop_assert_eq!(a, b, "range({}..+{})", s, c);
         prop_assert_eq!(lossless.sum_range_exact(s, c), lossy.sum_range_exact(s, c));
-        prop_assert_eq!(lossless.min_max_range_exact(s, c), lossy.min_max_range_exact(s, c));
         let (exact, loose) = (lossless.sum_range_estimate(s, c), lossy.sum_range_estimate(s, c));
         prop_assert_eq!(exact.value, loose.value);
         prop_assert!(exact.max_error <= loose.max_error);
-        if c > 0 {
-            let (exact, loose) = (lossless.min_max_range_estimate(s, c), lossy.min_max_range_estimate(s, c));
-            prop_assert_eq!((exact.0.value, exact.1.value), (loose.0.value, loose.1.value));
-            prop_assert_eq!(exact.0.max_error, 0.0);
-        }
     }
     Ok(())
 }

@@ -647,7 +647,7 @@ mod tests {
         store.range("cpu", 10..200, &mut want).unwrap();
         assert_eq!(got, want);
 
-        let t = store.timestamp("cpu", 42).unwrap();
+        let t = 1_000 + 42 * 3; // the demo's stamp of point 42
         let (body, _) = query(&src, "cpu", &format!("t={t}")).unwrap();
         assert_eq!(
             String::from_utf8(body).unwrap().trim().parse::<i64>().unwrap(),
@@ -656,7 +656,9 @@ mod tests {
 
         let (body, lines) = query(&src, "cpu", "t=1000..1300").unwrap();
         let mut want = Vec::new();
-        store.range_by_time("cpu", 1000, 1300, &mut want).unwrap();
+        store
+            .range_by_time_chunks("cpu", 1000, 1300, |c| want.extend_from_slice(c))
+            .unwrap();
         assert_eq!(lines, want.len());
         let got: Vec<(u64, i64)> = String::from_utf8(body)
             .unwrap()
@@ -690,7 +692,7 @@ mod tests {
 
         let mut pairs = Vec::new();
         store
-            .range_by_time("cpu", 1_100, 2_000, &mut pairs)
+            .range_by_time_chunks("cpu", 1_100, 2_000, |c| pairs.extend_from_slice(c))
             .unwrap();
         assert!(pairs.len() > 64);
         let t_range: String = pairs.iter().map(|(t, v)| format!("{t},{v}\n")).collect();
@@ -698,7 +700,7 @@ mod tests {
 
         let point = format!("{}\n", store.get("cpu", 499).unwrap());
         assert_eq!(body(&get("/q/cpu", "idx=499")), point);
-        let t = store.timestamp("cpu", 77).unwrap();
+        let t = 1_000 + 77 * 3; // the demo's stamp of point 77
         let at_time = format!("{}\n", store.get("cpu", 77).unwrap());
         assert_eq!(body(&get("/q/cpu", &format!("t={t}"))), at_time);
 
@@ -785,7 +787,7 @@ mod tests {
         assert_eq!(query(&src, "cpu", "frob=1").unwrap_err().0, 400);
         assert_eq!(query(&src, "cpu", "idx").unwrap_err().0, 400);
         assert_eq!(query(&src, "cpu", "idx=banana").unwrap_err().0, 400);
-        // An inverted time range is simply empty, like range_by_time.
+        // An inverted time range is simply empty, like range_by_time_chunks.
         let (body, lines) = query(&src, "cpu", "t=300..200").unwrap();
         assert!(body.is_empty());
         assert_eq!(lines, 0);

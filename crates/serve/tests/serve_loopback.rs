@@ -101,7 +101,9 @@ fn concurrent_clients_match_store_oracle() {
                                 })
                                 .collect();
                             let mut want = Vec::new();
-                            store.range_by_time(name, lo, hi, &mut want).unwrap();
+                            store
+                                .range_by_time_chunks(name, lo, hi, |c| want.extend_from_slice(c))
+                                .unwrap();
                             assert_eq!(got, want, "[{tid}] {name} t={lo}..{hi}");
                         }
                         // Batched POST: several queries in one frame.

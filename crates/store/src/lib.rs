@@ -20,9 +20,8 @@
 //!   `Store` is `Send + Sync`: any number of reader threads may query it
 //!   concurrently.
 //! * Queries stitch across segment boundaries: [`Store::get`],
-//!   [`Store::at_time`], [`Store::range`], [`Store::range_by_time`], and the
-//!   aggregate pushdowns [`Store::sum`], [`Store::sum_estimate`],
-//!   [`Store::min_max`].
+//!   [`Store::at_time`], [`Store::range`] / [`Store::range_chunks`] by
+//!   index, and [`Store::range_by_time_chunks`] by time.
 //! * [`Store::compact`] rewrites a pack, dropping dead bytes left behind by
 //!   [`StoreWriter::delete_series`] / re-ingestion and by superseded
 //!   catalogs.
@@ -165,8 +164,7 @@ pub enum StoreError {
     /// A segment failed CRC/structural validation on load and is
     /// quarantined: queries touching it fail with this error while every
     /// other segment and series keeps serving. Sticky for the lifetime of
-    /// the [`Store`] value: nothing is verified twice, pass or fail, unless
-    /// [`Store::clear_quarantine`] resets the segment (a fresh
+    /// the [`Store`] value: nothing is verified twice, pass or fail (a fresh
     /// [`Store::open`] of the pack starts with every segment unverified).
     Quarantined {
         /// The series whose segment is quarantined.

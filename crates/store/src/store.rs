@@ -5,7 +5,6 @@ use crate::format::{self, SegmentMeta, SeriesEntry};
 use crate::obs::{stage, Stage};
 use crate::segment::SegmentView;
 use crate::StoreError;
-use neats_core::Estimate;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
@@ -82,9 +81,8 @@ pub struct Store {
     state_base: Vec<usize>,
     /// Times the O(bytes) verification ran (pass or fail).
     verifications: AtomicU64,
-    /// Times a segment *entered* quarantine (monotone, unlike the number of
-    /// quarantined segments, which `clear_quarantine` can shrink) — the
-    /// event counter `/metrics` exposes.
+    /// Times a segment entered quarantine — the event counter `/metrics`
+    /// exposes.
     quarantine_events: AtomicU64,
 }
 
@@ -96,13 +94,13 @@ pub struct Store {
 /// thread reads `VERIFIED`, *some* thread finished verifying those very
 /// bytes.
 mod state {
-    /// Never opened (or quarantine lifted): the next miss runs parse + verify.
+    /// Never opened: the next miss runs parse + verify.
     pub(super) const UNVERIFIED: u8 = 0;
     /// Passed verification: a miss runs the parse alone.
     pub(super) const VERIFIED: u8 = 1;
-    /// Failed to open: sticky for this `Store` value, so one bad segment
-    /// fails fast instead of re-running (and re-failing) its checksum on
-    /// every query, while every other segment keeps serving.
+    /// Failed to open: sticky for the life of this `Store` value, so one
+    /// bad segment fails fast instead of re-running (and re-failing) its
+    /// checksum on every query, while every other segment keeps serving.
     pub(super) const QUARANTINED: u8 = 2;
 }
 
@@ -269,54 +267,20 @@ impl Store {
             .count()
     }
 
-    /// Total times a segment entered quarantine since open (monotone — not
-    /// reduced by [`Self::clear_quarantine`]).
+    /// Total times a segment entered quarantine since open. Quarantine is
+    /// sticky for the life of the `Store` and each segment enters it once,
+    /// so this is [`Self::quarantined_count`] as a monotone counter.
     pub fn quarantine_events(&self) -> u64 {
         self.quarantine_events.load(Ordering::Relaxed)
     }
 
     /// Total times the O(bytes) segment verification ran since open, pass
-    /// or fail: once per segment touched, plus once more per segment for
-    /// each [`Self::clear_quarantine`] that reset it. Threads racing the
-    /// very first touch of one segment may each verify it; once any of them
-    /// has passed, no later miss does. Cache misses minus this count is the
+    /// or fail: once per segment touched. Threads racing the very first
+    /// touch of one segment may each verify it; once any of them has
+    /// passed, no later miss does. Cache misses minus this count is the
     /// number of parse-only reopens.
     pub fn segment_verifications(&self) -> u64 {
         self.verifications.load(Ordering::Relaxed)
-    }
-
-    /// The quarantined segments, as `(series name, segment index)` pairs
-    /// in deterministic order.
-    pub fn quarantined(&self) -> Vec<(String, usize)> {
-        let mut out = Vec::new();
-        for (s, &base) in self.series.iter().zip(&self.state_base) {
-            for seg in 0..s.segments().len() {
-                if Self::is_quarantined(&self.seg_state[base + seg]) {
-                    out.push((s.name().to_string(), seg));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Lifts every quarantine by resetting the segment to *unverified*, so
-    /// the next query touching it runs the full verification again (useful
-    /// after a transient fault; a genuinely corrupt segment fails again and
-    /// returns to quarantine). Returns how many segments were cleared.
-    pub fn clear_quarantine(&self) -> usize {
-        self.seg_state
-            .iter()
-            .filter(|s| {
-                s.compare_exchange(
-                    state::QUARANTINED,
-                    state::UNVERIFIED,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            })
-            .count()
     }
 
     /// Index of the segment of `s` covering point `idx` (caller checks
@@ -356,20 +320,6 @@ impl Store {
         let seg = Self::segment_of_index(s, idx);
         let view = self.open_segment(si, seg)?;
         Ok(view.archive().at(idx - s.segments()[seg].first_index))
-    }
-
-    /// The timestamp of the point at series-global position `idx`.
-    pub fn timestamp(&self, name: &str, idx: usize) -> Result<u64, StoreError> {
-        let (si, s) = self.entry(name)?;
-        if idx >= s.len() {
-            return Err(StoreError::OutOfRange {
-                index: idx,
-                len: s.len(),
-            });
-        }
-        let seg = Self::segment_of_index(s, idx);
-        let view = self.open_segment(si, seg)?;
-        Ok(view.timestamp(idx - s.segments()[seg].first_index))
     }
 
     /// The value recorded exactly at timestamp `t`, if any.
@@ -443,18 +393,6 @@ impl Store {
         })
     }
 
-    /// Appends all `(timestamp, value)` pairs with timestamp in
-    /// `[t_lo, t_hi]` to `out`, stitching across segment boundaries.
-    pub fn range_by_time(
-        &self,
-        name: &str,
-        t_lo: u64,
-        t_hi: u64,
-        out: &mut Vec<(u64, i64)>,
-    ) -> Result<(), StoreError> {
-        self.range_by_time_chunks(name, t_lo, t_hi, |chunk| out.extend_from_slice(chunk))
-    }
-
     /// Streams all `(timestamp, value)` pairs with timestamp in
     /// `[t_lo, t_hi]` to `f` in segment-sized chunks, in order.
     /// [`Self::range_by_time_chunks_in`] with buffers of its own.
@@ -514,7 +452,7 @@ impl Store {
 
     /// Folds `f` over every segment overlapping `range`, passing the opened
     /// view and the segment-local subrange — the shared walk under every
-    /// stitched range query and aggregate pushdown.
+    /// stitched index-range query.
     fn for_each_overlap(
         &self,
         si: usize,
@@ -536,58 +474,6 @@ impl Store {
             seg += 1;
         }
         Ok(())
-    }
-
-    /// Exact sum over `range`, pushed down to each overlapping segment and
-    /// stitched (as `i128` to avoid overflow).
-    pub fn sum(&self, name: &str, range: Range<usize>) -> Result<i128, StoreError> {
-        let (si, s) = self.entry(name)?;
-        Self::check_range(s, &range)?;
-        let mut acc = 0i128;
-        self.for_each_overlap(si, s, &range, |view, local| {
-            acc += view.archive().sum_range_exact(local.start, local.len());
-            Ok(())
-        })?;
-        Ok(acc)
-    }
-
-    /// Approximate sum over `range` from the learned functions only, with a
-    /// guaranteed error bound: per-segment estimates are additive in both
-    /// value and bound.
-    pub fn sum_estimate(&self, name: &str, range: Range<usize>) -> Result<Estimate, StoreError> {
-        let (si, s) = self.entry(name)?;
-        Self::check_range(s, &range)?;
-        let mut value = 0.0f64;
-        let mut max_error = 0.0f64;
-        self.for_each_overlap(si, s, &range, |view, local| {
-            let e = view.archive().sum_range_estimate(local.start, local.len());
-            value += e.value;
-            max_error += e.max_error;
-            Ok(())
-        })?;
-        Ok(Estimate { value, max_error })
-    }
-
-    /// Exact minimum and maximum over `range`, pushed down per segment and
-    /// folded (`None` for an empty range).
-    pub fn min_max(
-        &self,
-        name: &str,
-        range: Range<usize>,
-    ) -> Result<Option<(i64, i64)>, StoreError> {
-        let (si, s) = self.entry(name)?;
-        Self::check_range(s, &range)?;
-        let mut acc: Option<(i64, i64)> = None;
-        self.for_each_overlap(si, s, &range, |view, local| {
-            if let Some((lo, hi)) = view.archive().min_max_range_exact(local.start, local.len()) {
-                acc = Some(match acc {
-                    Some((alo, ahi)) => (alo.min(lo), ahi.max(hi)),
-                    None => (lo, hi),
-                });
-            }
-            Ok(())
-        })?;
-        Ok(acc)
     }
 
     /// Rewrites the pack keeping only live segments: blob bytes are copied
@@ -664,7 +550,6 @@ mod tests {
         assert_eq!(s.segments().len(), 1000usize.div_ceil(128));
         for k in (0..1000).step_by(37) {
             assert_eq!(store.get("demo", k).unwrap(), values[k]);
-            assert_eq!(store.timestamp("demo", k).unwrap(), stamps[k]);
             assert_eq!(store.at_time("demo", stamps[k]).unwrap(), Some(values[k]));
         }
         // Gap timestamps resolve to None.
@@ -675,17 +560,13 @@ mod tests {
         let mut out = Vec::new();
         store.range("demo", 100..900, &mut out).unwrap();
         assert_eq!(out, &values[100..900]);
-        // Aggregates match the scan.
-        let want_sum: i128 = values[100..900].iter().map(|&v| v as i128).sum();
-        assert_eq!(store.sum("demo", 100..900).unwrap(), want_sum);
-        let (lo, hi) = store.min_max("demo", 100..900).unwrap().unwrap();
-        assert_eq!(lo, *values[100..900].iter().min().unwrap());
-        assert_eq!(hi, *values[100..900].iter().max().unwrap());
-        let est = store.sum_estimate("demo", 100..900).unwrap();
-        assert!((est.value - want_sum as f64).abs() <= est.max_error);
-        // Empty ranges.
-        assert_eq!(store.sum("demo", 500..500).unwrap(), 0);
-        assert_eq!(store.min_max("demo", 500..500).unwrap(), None);
+        // The whole series by time pairs every stamp with its value.
+        let mut pairs = Vec::new();
+        store
+            .range_by_time_chunks("demo", 0, u64::MAX, |c| pairs.extend_from_slice(c))
+            .unwrap();
+        let want: Vec<(u64, i64)> = stamps.iter().copied().zip(values.iter().copied()).collect();
+        assert_eq!(pairs, want);
     }
 
     #[test]
@@ -721,18 +602,16 @@ mod tests {
             store.range_chunks("demo", 5..2000, |_| {}),
             Err(StoreError::BadRange { .. })
         ));
-        // The time-indexed counterpart agrees with range_by_time.
-        let mut by_time = Vec::new();
-        store
-            .range_by_time("demo", stamps[100], stamps[899], &mut by_time)
-            .unwrap();
+        // The time-indexed counterpart streams the same window's pairs.
         let mut streamed_t = Vec::new();
         store
             .range_by_time_chunks("demo", stamps[100], stamps[899], |chunk| {
+                assert!(!chunk.is_empty() && chunk.len() <= 128);
                 streamed_t.extend_from_slice(chunk)
             })
             .unwrap();
-        assert_eq!(streamed_t, by_time);
+        let want: Vec<(u64, i64)> = stamps[100..900].iter().copied().zip(values[100..900].iter().copied()).collect();
+        assert_eq!(streamed_t, want);
     }
 
     #[test]
@@ -745,7 +624,9 @@ mod tests {
             (stamps[99] + 1, stamps[400]),
         ] {
             let mut got = Vec::new();
-            store.range_by_time("demo", t_lo, t_hi, &mut got).unwrap();
+            store
+                .range_by_time_chunks("demo", t_lo, t_hi, |c| got.extend_from_slice(c))
+                .unwrap();
             let want: Vec<(u64, i64)> = stamps
                 .iter()
                 .zip(&values)
@@ -754,9 +635,9 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "[{t_lo}, {t_hi}]");
         }
-        let mut inverted = Vec::new();
-        store.range_by_time("demo", 10, 5, &mut inverted).unwrap();
-        assert!(inverted.is_empty());
+        store
+            .range_by_time_chunks("demo", 10, 5, |_| panic!("no chunks for an inverted window"))
+            .unwrap();
     }
 
     #[test]
@@ -779,7 +660,7 @@ mod tests {
             Err(StoreError::BadRange { .. })
         ));
         #[allow(clippy::reversed_empty_ranges)]
-        let inverted = store.sum("demo", 9..3);
+        let inverted = store.range("demo", 9..3, &mut Vec::new());
         assert!(matches!(inverted, Err(StoreError::BadRange { .. })));
     }
 
@@ -847,17 +728,12 @@ mod tests {
                     cold.at_time("demo", stamps[k]).unwrap(),
                     warm.at_time("demo", stamps[k]).unwrap()
                 );
-                assert_eq!(cold.timestamp("demo", k).unwrap(), stamps[k]);
-                queries += 4;
+                queries += 3;
             }
             let (mut a, mut b) = (Vec::new(), Vec::new());
             cold.range("demo", 0..1000, &mut a).unwrap();
             warm.range("demo", 0..1000, &mut b).unwrap();
             assert_eq!(a, b);
-            assert_eq!(
-                cold.sum("demo", 3..997).unwrap(),
-                warm.sum("demo", 3..997).unwrap()
-            );
         }
 
         // Every lookup missed, yet each segment was verified exactly once:
@@ -912,7 +788,7 @@ mod tests {
         assert_eq!(small.dead_bytes(), 0);
         for k in (0..500).step_by(17) {
             assert_eq!(small.get("keep", k).unwrap(), keep[k]);
-            assert_eq!(small.timestamp("keep", k).unwrap(), stamps[k]);
+            assert_eq!(small.at_time("keep", stamps[k]).unwrap(), Some(keep[k]));
         }
         // Compacting a compact pack is a fixed point.
         assert_eq!(small.compact(), small.as_bytes());
@@ -1006,7 +882,6 @@ mod tests {
         let mut out = Vec::new();
         store.range("s", 0..300, &mut out).unwrap();
         assert_eq!(out, all);
-        assert_eq!(store.timestamp("s", 250).unwrap(), 250);
         assert_eq!(store.at_time("s", 250).unwrap(), Some(v2[50]));
     }
 
@@ -1094,7 +969,6 @@ mod tests {
             "expected a quarantine, got {hit:?}"
         );
         assert_eq!(store.quarantined_count(), 1);
-        assert_eq!(store.quarantined(), vec![("a".to_string(), 2)]);
         assert_eq!(store.quarantine_events(), 1);
         assert_eq!(store.segment_verifications(), 1, "the failed verify counts");
 
@@ -1121,22 +995,8 @@ mod tests {
         assert_eq!(out, vb);
         // 3 good segments of "a" + 4 of "b" + the bad one, once each.
         assert_eq!(store.segment_verifications(), 8);
-
-        // Lifting the quarantine resets the segment to unverified, so the
-        // next touch really verifies again; genuinely corrupt bytes fail
-        // again and the segment returns to quarantine. Verified segments
-        // are not reset.
-        assert_eq!(store.clear_quarantine(), 1);
-        assert_eq!(store.quarantined_count(), 0);
-        assert!(matches!(
-            store.get("a", bad_first),
-            Err(StoreError::Quarantined { segment: 2, .. })
-        ));
-        assert_eq!(store.quarantined_count(), 1);
-        assert_eq!(store.quarantine_events(), 2);
-        assert_eq!(store.segment_verifications(), 9);
-        assert_eq!(store.clear_quarantine(), 1);
-        assert_eq!(store.clear_quarantine(), 0, "nothing left to clear");
+        // Still quarantined, still counted once.
+        assert_eq!((store.quarantined_count(), store.quarantine_events()), (1, 1));
     }
     #[test]
     fn segment_built_under_another_mode_is_quarantined() {
@@ -1175,7 +1035,6 @@ mod tests {
                 store.get("s", 130),
                 Err(StoreError::Quarantined { series: "s".into(), segment: 1 })
             );
-            assert_eq!(store.quarantined(), vec![("s".to_string(), 1)]);
             // Its neighbours keep serving, inside the advertised bound.
             for k in (0..128).chain(256..512) {
                 assert!(store.get("s", k).unwrap().abs_diff(values[k]) <= 2, "get({k})");

@@ -460,7 +460,12 @@ mod tests {
         store.range("s", 0..expect.len(), &mut got).unwrap();
         assert_eq!(got, expect);
         assert_eq!(store.at_time("s", 1000).unwrap(), Some(300));
-        assert_eq!(store.timestamp("s", 161).unwrap(), 2001);
+        let stamps: Vec<u64> = t1.iter().chain(&t2).chain(&[2000, 2001]).copied().collect();
+        let mut pairs = Vec::new();
+        store
+            .range_by_time_chunks("s", 0, u64::MAX, |c| pairs.extend_from_slice(c))
+            .unwrap();
+        assert_eq!(pairs, stamps.into_iter().zip(expect).collect::<Vec<_>>());
     }
 
     #[test]

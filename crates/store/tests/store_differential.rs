@@ -112,20 +112,21 @@ fn assert_series_equivalent(
         standalone.bounds.clone(),
         "segment boundaries diverge"
     );
-    let views = standalone.views();
     let oracle = standalone.materialize();
 
     // Point queries: every index, plus both error edges.
     for k in 0..n {
         prop_assert_eq!(store.get(name, k).unwrap(), oracle[k], "get({})", k);
-        prop_assert_eq!(
-            store.timestamp(name, k).unwrap(),
-            s.stamps[k],
-            "timestamp({})",
-            k
-        );
     }
     prop_assert!(store.get(name, n).is_err());
+
+    // The whole series by time: every stamp, paired with its value.
+    let mut pairs = Vec::new();
+    store
+        .range_by_time_chunks(name, 0, u64::MAX, |c| pairs.extend_from_slice(c))
+        .unwrap();
+    let want: Vec<(u64, i64)> = s.stamps.iter().copied().zip(oracle.iter().copied()).collect();
+    prop_assert_eq!(pairs, want, "range_by_time_chunks over the whole series");
 
     // Time queries: every stored stamp hits, neighbours in gaps miss.
     for k in (0..n).step_by(3) {
@@ -140,57 +141,11 @@ fn assert_series_equivalent(
         prop_assert_eq!(store.at_time(name, s.stamps[n - 1] + 1).unwrap(), None);
     }
 
-    // Index ranges + aggregate pushdown, stitched vs standalone stitching.
+    // Index ranges, stitched vs standalone stitching.
     for &(a, b) in ranges {
         let mut got = Vec::new();
         store.range(name, a..b, &mut got).unwrap();
         prop_assert_eq!(&got, &oracle[a..b], "range({}..{})", a, b);
-
-        let want_sum: i128 = oracle[a..b].iter().map(|&v| v as i128).sum();
-        prop_assert_eq!(
-            store.sum(name, a..b).unwrap(),
-            want_sum,
-            "sum({}..{})",
-            a,
-            b
-        );
-
-        let want_mm = oracle[a..b]
-            .iter()
-            .fold(None, |acc: Option<(i64, i64)>, &v| match acc {
-                Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
-                None => Some((v, v)),
-            });
-        prop_assert_eq!(
-            store.min_max(name, a..b).unwrap(),
-            want_mm,
-            "min_max({}..{})",
-            a,
-            b
-        );
-
-        // The stitched estimate must equal the per-segment standalone
-        // estimates added in segment order — bit-identical f64 folding.
-        let mut value = 0.0f64;
-        let mut max_error = 0.0f64;
-        for (view, &(first, count)) in views.iter().zip(&standalone.bounds) {
-            let lo = a.max(first);
-            let hi = b.min(first + count);
-            if lo < hi {
-                let e = view.sum_range_estimate(lo - first, hi - lo);
-                value += e.value;
-                max_error += e.max_error;
-            }
-        }
-        let est = store.sum_estimate(name, a..b).unwrap();
-        prop_assert_eq!(est.value, value, "sum_estimate value ({}..{})", a, b);
-        prop_assert_eq!(
-            est.max_error,
-            max_error,
-            "sum_estimate bound ({}..{})",
-            a,
-            b
-        );
     }
 
     // Time-interval queries against the filter oracle.
@@ -202,7 +157,9 @@ fn assert_series_equivalent(
                 (s.stamps[a.min(n - 1)], s.stamps[a.min(n - 1)])
             };
             let mut got = Vec::new();
-            store.range_by_time(name, t_lo, t_hi, &mut got).unwrap();
+            store
+                .range_by_time_chunks(name, t_lo, t_hi, |c| got.extend_from_slice(c))
+                .unwrap();
             let want: Vec<(u64, i64)> = s
                 .stamps
                 .iter()
@@ -210,7 +167,7 @@ fn assert_series_equivalent(
                 .filter(|(&t, _)| t >= t_lo && t <= t_hi)
                 .map(|(&t, &v)| (t, v))
                 .collect();
-            prop_assert_eq!(got, want, "range_by_time [{}, {}]", t_lo, t_hi);
+            prop_assert_eq!(got, want, "range_by_time_chunks [{}, {}]", t_lo, t_hi);
         }
     }
     Ok(())
@@ -347,8 +304,10 @@ fn assert_time_windows(
                 .map(|(&t, &v)| (t, v))
                 .collect();
             let mut got = Vec::new();
-            store.range_by_time(&s.name, t_lo, t_hi, &mut got).unwrap();
-            prop_assert_eq!(&got, &want, "range_by_time [{}, {}]", t_lo, t_hi);
+            store
+                .range_by_time_chunks(&s.name, t_lo, t_hi, |c| got.extend_from_slice(c))
+                .unwrap();
+            prop_assert_eq!(&got, &want, "range_by_time_chunks [{}, {}]", t_lo, t_hi);
             let mut streamed = Vec::new();
             let mut bounded = true;
             store
@@ -373,7 +332,7 @@ fn assert_time_windows(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `range_by_time` ≡ a linear filter of the model across segment
+    /// `range_by_time_chunks` ≡ a linear filter of the model across segment
     /// boundaries — the timestamps come from a sequential cursor seeked once
     /// per segment, so the windows probe every way a window can meet one:
     /// starting and ending on a stamp, between two stamps, exactly on a
@@ -420,8 +379,7 @@ proptest! {
         let compacted = Store::open(deleted.compact()).unwrap();
         prop_assert_eq!(compacted.dead_bytes(), 0);
         assert_time_windows(&compacted, &keep, segment_points, &probes)?;
-        let mut none = Vec::new();
-        prop_assert!(compacted.range_by_time(&gone.name, 0, u64::MAX, &mut none).is_err());
+        prop_assert!(compacted.range_by_time_chunks(&gone.name, 0, u64::MAX, |_| ()).is_err());
     }
 }
 
@@ -465,9 +423,12 @@ proptest! {
                 probes.sort_unstable();
                 probes.dedup();
                 assert_time_windows(&store, s, segment_points, &probes)?;
-                for (i, &t) in s.stamps.iter().enumerate() {
-                    prop_assert_eq!(store.timestamp(&s.name, i).unwrap(), t, "timestamp({})", i);
-                }
+                let mut pairs = Vec::new();
+                store
+                    .range_by_time_chunks(&s.name, 0, u64::MAX, |c| pairs.extend_from_slice(c))
+                    .unwrap();
+                let want: Vec<(u64, i64)> = s.stamps.iter().copied().zip(s.values.iter().copied()).collect();
+                prop_assert_eq!(pairs, want, "range_by_time_chunks over the whole series");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! A miniature time-series storage engine on top of the pack store:
 //! multi-series ingestion with parallel segment compression, one-file
 //! persistence, concurrent zero-copy serving with a segment-view cache,
-//! time-indexed and aggregate queries over compressed data, and space
+//! streamed and time-indexed queries over compressed data, and space
 //! reclamation — the composition a time-series database (the paper's §I
 //! motivation) would actually deploy.
 //!
@@ -58,20 +58,26 @@ fn main() {
     assert_eq!(window, &oracle.values()[60_000..60_064]);
     println!("opened the pack in {open_us:.0} µs and served point + range queries ✓");
 
-    // --- Concurrent dashboards: scoped reader threads share the store.
+    // --- Concurrent dashboards: scoped reader threads share the store,
+    // each folding its series in one streamed pass, a segment at a time.
     std::thread::scope(|scope| {
         for (name, _) in &feeds {
             let store = &store;
             scope.spawn(move || {
                 let len = store.series(name).expect("known series").len();
-                let sum = store.sum(name, 0..len).expect("aggregate");
-                let (lo, hi) = store.min_max(name, 0..len).expect("aggregate").unwrap();
-                let est = store.sum_estimate(name, 0..len).expect("estimate");
-                assert!((est.value - sum as f64).abs() <= est.max_error);
+                let (mut sum, mut lo, mut hi) = (0i128, i64::MAX, i64::MIN);
+                store
+                    .range_chunks(name, 0..len, |chunk| {
+                        for &v in chunk {
+                            sum += v as i128;
+                            lo = lo.min(v);
+                            hi = hi.max(v);
+                        }
+                    })
+                    .expect("stream");
                 println!(
-                    "  {name:<14} mean {:>12.2}  min {lo:>8}  max {hi:>8}  (model estimate ± {:.0})",
-                    sum as f64 / len as f64,
-                    est.max_error
+                    "  {name:<14} mean {:>12.2}  min {lo:>8}  max {hi:>8}",
+                    sum as f64 / len as f64
                 );
             });
         }
@@ -82,14 +88,20 @@ fn main() {
         stats.hits, stats.misses, stats.entries
     );
 
-    // --- Time travel: the pack carries an Elias-Fano timestamp index per
-    // segment, so interval queries stitch across segments.
-    let day_start = store.timestamp("bio-temp", n / 2).unwrap();
+    // --- Time travel: the catalog records each segment's time span and
+    // the pack carries an Elias-Fano timestamp index per segment, so a day
+    // starting at the middle segment's first stamp streams across segments.
+    let segments = store.series("bio-temp").unwrap().segments();
+    let middle = &segments[segments.len() / 2];
+    let day_start = middle.t_min();
     let mut day = Vec::new();
-    store.range_by_time("bio-temp", day_start, day_start + 86_400, &mut day).unwrap();
-    assert!(!day.is_empty());
-    let exact = store.at_time("bio-temp", day[0].0).unwrap();
-    assert_eq!(exact, Some(day[0].1));
+    store
+        .range_by_time_chunks("bio-temp", day_start, day_start + 86_400, |chunk| {
+            day.extend_from_slice(chunk)
+        })
+        .unwrap();
+    assert_eq!(day[0], (day_start, store.get("bio-temp", middle.first_index()).unwrap()));
+    assert_eq!(store.at_time("bio-temp", day_start).unwrap(), Some(day[0].1));
     println!("time-indexed: {} readings in the queried day starting at {day_start}", day.len());
 
     // --- Retention: drop a series, then compact to reclaim its bytes.
