@@ -184,6 +184,7 @@ struct IngestMetrics {
     wal_append_ns: Arc<AtomicHistogram>,
     wal_sync_ns: Arc<AtomicHistogram>,
     seal_ns: Arc<AtomicHistogram>,
+    chunk_build_ns: Arc<AtomicHistogram>,
     seals: Arc<AtomicU64>,
     compactions: Arc<AtomicU64>,
     degraded_transitions: Arc<AtomicU64>,
@@ -231,7 +232,9 @@ impl Ingestor {
     /// Opens (or initialises) an ingest directory and recovers its state:
     /// the manifest names the live pack and WAL, the WAL is replayed into
     /// heads (truncating any torn suffix), and stray files from an
-    /// interrupted seal are removed.
+    /// interrupted seal are removed. Replayed points stay raw: the heads
+    /// answer at once, and their chunks are cut by the next append to the
+    /// series, seal, flush or background tick.
     pub fn open(dir: impl Into<PathBuf>, cfg: IngestConfig) -> Result<Self, StoreError> {
         assert!(cfg.chunk_points >= 1, "chunk_points must be at least 1");
         let dir = dir.into();
@@ -352,8 +355,6 @@ impl Ingestor {
             metrics,
             cfg,
         };
-        // Recovered heads may hold whole chunks' worth of raw points.
-        ing.roll_all_heads();
         Ok(ing)
     }
 
@@ -460,7 +461,7 @@ impl Ingestor {
                 h
             }
         };
-        self.roll_chunks(&arc);
+        self.roll_chunks(&w, &arc);
         Ok(())
     }
 
@@ -495,27 +496,43 @@ impl Ingestor {
     }
 
     /// Compresses full `chunk_points`-sized slices of `head`'s raw tail into
-    /// chunks. Compression runs outside the head lock, so readers are never
-    /// blocked behind the compressor.
-    fn roll_chunks(&self, head: &Arc<Mutex<Head>>) {
-        loop {
-            let Some(raw) = lockm(head).tail_prefix(self.cfg.chunk_points) else {
-                return;
-            };
-            let chunk = self.builder.build(&TimeSeries::from_values(raw));
-            lockm(head).install_chunk(chunk);
-        }
+    /// chunks, cut from the head's sealed boundary.
+    fn roll_chunks(&self, w: &MutexGuard<'_, WriterState>, head: &Arc<Mutex<Head>>) {
+        while self.cut_chunk(w, head, self.cfg.chunk_points) {}
     }
 
-    fn roll_all_heads(&self) {
+    fn roll_all_heads(&self, w: &MutexGuard<'_, WriterState>) {
         let heads: Vec<Arc<Mutex<Head>>> = lockr(&self.shared)
             .heads
             .iter()
             .map(|(_, h)| h.clone())
             .collect();
         for h in &heads {
-            self.roll_chunks(h);
+            self.roll_chunks(w, h);
         }
+    }
+
+    /// Compresses the oldest `n` raw points of `head` into one chunk;
+    /// `false` when the tail is shorter. Compression runs outside the head
+    /// lock, so readers are never blocked behind the compressor — which is
+    /// why the writer guard is required: two cutters between `tail_prefix`
+    /// and `install_chunk` would both install the same prefix.
+    fn cut_chunk(
+        &self,
+        _w: &MutexGuard<'_, WriterState>,
+        head: &Arc<Mutex<Head>>,
+        n: usize,
+    ) -> bool {
+        let Some(raw) = lockm(head).tail_prefix(n) else {
+            return false;
+        };
+        let started = Instant::now();
+        let chunk = self.builder.build(&TimeSeries::from_values(raw));
+        self.metrics
+            .chunk_build_ns
+            .record(started.elapsed().as_nanos() as u64);
+        lockm(head).install_chunk(chunk);
+        true
     }
 
     /// Seals every compressed head chunk (and pending deletes) into a new
@@ -539,22 +556,17 @@ impl Ingestor {
             .map(|(_, h)| h.clone())
             .collect();
         for h in &heads {
-            self.roll_chunks(h);
-            let raw = {
-                let g = lockm(h);
-                let n = g.tail_len();
-                g.tail_prefix(n)
-            };
-            if let Some(raw) = raw {
-                let chunk = self.builder.build(&TimeSeries::from_values(raw));
-                lockm(h).install_chunk(chunk);
-            }
+            self.roll_chunks(&w, h);
+            let n = lockm(h).tail_len();
+            self.cut_chunk(&w, h, n);
         }
         self.seal_locked(&mut w)
             .inspect_err(|e| self.enter_degraded(FaultKind::Seal, e))
     }
 
     fn seal_locked(&self, w: &mut MutexGuard<'_, WriterState>) -> Result<u64, StoreError> {
+        // Heads replayed raw at open hold full chunks no append has cut yet.
+        self.roll_all_heads(w);
         let started = Instant::now();
         let (epoch, store, heads, tombstones) = {
             let s = lockr(&self.shared);
@@ -994,8 +1006,8 @@ impl Ingestor {
     }
 
     /// Registers the ingestor's write-path metric families into `reg`:
-    /// WAL append / fsync and seal latency histograms, event counters
-    /// (seals, compactions, degraded transitions, replayed ops, repairs),
+    /// WAL append / fsync, seal and chunk-build latency histograms, event
+    /// counters (seals, compactions, degraded transitions, replayed ops, repairs),
     /// and scrape-time gauges over live state (head points, epoch, WAL
     /// length, dead bytes, degraded flag). The histograms and counters are
     /// the very atomics the write path bumps — no sampling, no copies. The
@@ -1020,6 +1032,12 @@ impl Ingestor {
             "Seal duration, successor-pack build through commit, nanoseconds.",
             &[],
             Arc::clone(&m.seal_ns),
+        );
+        reg.histogram_shared(
+            "neats_ingest_chunk_build_ns",
+            "Head chunk compression time (one NeaTS build of a raw-tail slice), nanoseconds.",
+            &[],
+            Arc::clone(&m.chunk_build_ns),
         );
         reg.counter_shared(
             "neats_ingest_seals_total",
@@ -1174,11 +1192,11 @@ impl Ingestor {
     // Background worker
     // ------------------------------------------------------------------
 
-    /// Starts a background thread that periodically seals (once chunked
-    /// head points reach `cfg.seal_points`, or a delete is pending) and
-    /// compacts (once dead bytes exceed `cfg.compact_dead_ratio` of the
-    /// pack). While the ingestor is degraded, the worker instead retries
-    /// [`Self::try_recover`] on a capped exponential backoff with jitter
+    /// Starts a background thread that periodically cuts full head chunks,
+    /// seals (once chunked head points reach `cfg.seal_points`, or a delete
+    /// is pending) and compacts (once dead bytes exceed
+    /// `cfg.compact_dead_ratio` of the pack). While the ingestor is
+    /// degraded, the worker instead retries [`Self::try_recover`] on a capped exponential backoff with jitter
     /// (`cfg.retry_base` / `cfg.retry_cap`) — it never dies on an I/O
     /// error, and degraded mode clears automatically once a retry
     /// succeeds. The worker stops when the returned handle drops.
@@ -1198,45 +1216,53 @@ impl Ingestor {
                     }
                     std::thread::sleep(Duration::from_millis(10).min(cfg.interval));
                 }
-                if me.is_degraded() {
+                if !me.is_degraded() {
+                    backoff.reset();
+                    // Should this tick degrade the ingestor, the first
+                    // recovery retry runs without delay.
+                    next_retry = Instant::now();
+                    me.tick();
+                } else if Instant::now() >= next_retry {
                     // Degraded: don't hammer a failing disk — retry
                     // recovery on the backoff schedule only.
-                    if Instant::now() >= next_retry {
-                        match me.try_recover() {
-                            Ok(_) => backoff.reset(),
-                            Err(_) => {
-                                me.background_errors.fetch_add(1, Ordering::Relaxed);
-                                next_retry = Instant::now() + backoff.next_delay();
-                            }
+                    match me.try_recover() {
+                        Ok(_) => backoff.reset(),
+                        Err(_) => {
+                            me.background_errors.fetch_add(1, Ordering::Relaxed);
+                            next_retry = Instant::now() + backoff.next_delay();
                         }
                     }
-                    continue;
-                }
-                backoff.reset();
-                let (chunked, pending_delete, dead_ratio) = {
-                    let s = lockr(&me.shared);
-                    let chunked: usize = s.heads.iter().map(|(_, h)| lockm(h).chunked_len()).sum();
-                    let pack_len = s.gen.store.as_bytes().len().max(1);
-                    (
-                        chunked,
-                        !s.tombstones.is_empty(),
-                        s.gen.store.dead_bytes() as f64 / pack_len as f64,
-                    )
-                };
-                if (chunked >= me.cfg.seal_points || pending_delete) && me.seal().is_err() {
-                    me.background_errors.fetch_add(1, Ordering::Relaxed);
-                    // The failed seal tripped degraded mode; schedule the
-                    // first recovery retry without delay.
-                    next_retry = Instant::now();
-                }
-                if dead_ratio > me.cfg.compact_dead_ratio && me.compact().is_err() {
-                    me.background_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         });
         BackgroundHandle {
             stop,
             thread: Some(thread),
+        }
+    }
+
+    /// One background pass over a healthy ingestor: cut every full head
+    /// chunk (the chunks of heads replayed raw at open are cut here), then
+    /// seal and compact if their thresholds are met. Errors are counted in
+    /// [`Self::background_errors`]; a failed seal has also tripped degraded
+    /// mode, which the worker's retry loop owns.
+    fn tick(&self) {
+        self.roll_all_heads(&lockm(&self.writer));
+        let (chunked, pending_delete, dead_ratio) = {
+            let s = lockr(&self.shared);
+            let chunked: usize = s.heads.iter().map(|(_, h)| lockm(h).chunked_len()).sum();
+            let pack_len = s.gen.store.as_bytes().len().max(1);
+            (
+                chunked,
+                !s.tombstones.is_empty(),
+                s.gen.store.dead_bytes() as f64 / pack_len as f64,
+            )
+        };
+        if (chunked >= self.cfg.seal_points || pending_delete) && self.seal().is_err() {
+            self.background_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        if dead_ratio > self.cfg.compact_dead_ratio && self.compact().is_err() {
+            self.background_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -1466,6 +1492,25 @@ mod tests {
         }
     }
 
+    /// Right after a reopen nothing is compressed: every head is the raw
+    /// replay of exactly what the model has not sealed.
+    fn assert_replayed_raw(ing: &Ingestor, model: &[Tiled]) {
+        let s = lockr(&ing.shared);
+        for m in model.iter().filter(|m| !m.values.is_empty()) {
+            let name = &m.name;
+            let sealed = s.gen.store.series(name).map_or(0, |e| e.len());
+            let Some(head) = s.head(name) else {
+                assert_eq!(sealed, m.values.len(), "{name}: no head, so all sealed");
+                continue;
+            };
+            let head = lockm(&head);
+            assert_eq!(head.chunked_len(), 0, "{name}: replay built a chunk");
+            assert_eq!(head.first_index, sealed, "{name}: head anchor");
+            let unsealed = (m.stamps[sealed..].to_vec(), m.values[sealed..].to_vec());
+            assert_eq!(head.tail_parts(), unsealed, "{name}: raw tail after replay");
+        }
+    }
+
     fn run_tiled_trace(tag: &str, steps: &[TileStep], chunk_points: usize, sneats: bool, seed: u64) {
         let dir = tmp_dir(tag);
         let builder = if sneats { neats_core::NeaTS::sneats() } else { neats_core::NeaTS::builder() };
@@ -1515,6 +1560,9 @@ mod tests {
                 TileStep::Reopen => {
                     drop(ing);
                     ing = Ingestor::open(&dir, cfg.clone()).unwrap();
+                    assert_replayed_raw(&ing, &model);
+                    // One background tick cuts the chunks the replay left raw.
+                    ing.tick();
                 }
             }
             assert_chunks_are_batch_builds(&ing, &model);
@@ -1524,7 +1572,7 @@ mod tests {
     }
 
     /// The human-checkable case: 64-point chunks, a flush after 100 points
-    /// (tiles 64 | 36) and another 300 later (64 × 4 | 44), a replay of
+    /// (tiles 64 | 36) and another 300 later (64 × 4 | 44), a raw replay of
     /// unsealed chunks and of a bare tail — with both builders.
     #[test]
     fn flush_forced_short_chunks_are_batch_builds() {
@@ -1545,7 +1593,9 @@ mod tests {
         /// ending on and off chunk boundaries), seals, flushes and reopens,
         /// every sealed segment frame and every head chunk is byte-identical
         /// to `builder.build` of the slice it covers, and the chunk
-        /// boundaries are where `chunk_points` and `flush` put them.
+        /// boundaries are where `chunk_points` and `flush` put them. A
+        /// reopen replays the unsealed points raw; the next background tick
+        /// cuts the same chunks.
         #[test]
         fn every_chunk_is_the_batch_build_of_its_slice(
             raw in proptest::collection::vec((0u8..=255, 0u16..=999), 4..28),
@@ -1568,6 +1618,46 @@ mod tests {
                 .collect();
             run_tiled_trace("tiles-prop", &steps, chunk_points, sneats, seed);
         }
+    }
+
+    /// A WAL holding more than two chunk-widths per series reopens without
+    /// a single build, answers every acknowledged point from the raw tail,
+    /// and an explicit seal still cuts and seals the full chunks.
+    #[test]
+    fn reopen_answers_raw_and_seal_cuts_the_chunks() {
+        let dir = tmp_dir("raw-replay");
+        let stamps: Vec<u64> = (0..150u64).map(|i| 7 + i * 2).collect();
+        let values: Vec<i64> = (0..150).map(|k: i64| k * k % 97 - 30).collect();
+        let names = ["a", "b"];
+        {
+            let ing = Ingestor::open(&dir, small_cfg()).unwrap();
+            for name in names {
+                ing.append(name, &stamps, &values).unwrap();
+            }
+        }
+        let ing = Ingestor::open(&dir, small_cfg()).unwrap();
+        assert_eq!(ing.metrics.chunk_build_ns.count(), 0, "replay built a chunk");
+        let check = |ing: &Ingestor| {
+            for name in names {
+                assert_eq!(ing.len(name).unwrap(), 150);
+                for k in [0, 63, 64, 127, 128, 149] {
+                    assert_eq!(ing.get(name, k).unwrap(), values[k], "{name}[{k}]");
+                    assert_eq!(ing.at_time(name, stamps[k]).unwrap(), Some(values[k]));
+                }
+                let mut out = Vec::new();
+                ing.range(name, 0..150, &mut out).unwrap();
+                assert_eq!(out, values, "{name}");
+            }
+        };
+        check(&ing);
+        let e = ing.epoch();
+        assert_eq!(ing.seal().unwrap(), e + 1);
+        // Two 64-point chunks per series built and sealed; 22 points stay raw.
+        assert_eq!(ing.metrics.chunk_build_ns.count(), 4);
+        assert_eq!(ing.head_points(), 2 * 22);
+        check(&ing);
+        drop(ing);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

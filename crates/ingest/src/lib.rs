@@ -22,7 +22,12 @@
 //! In memory, each series keeps a mutable **head**: recent points held as a
 //! raw tail plus chunks compressed with the configured
 //! [`IngestConfig::builder`] (full-pool NeaTS by default), each a
-//! self-contained archive frame. When enough chunks accumulate, [`Ingestor::seal`] folds them into the pack as
+//! self-contained archive frame cut every `chunk_points` from the head's
+//! sealed boundary. Chunks are cut under the writer lock — by the append
+//! that fills one, and by every seal and background tick. Reopening a
+//! directory compresses nothing: the WAL replays into raw tails that answer
+//! at once, and the first tick cuts the same chunks the crashed process
+//! held. When enough chunks accumulate, [`Ingestor::seal`] folds them into the pack as
 //! pre-compressed segments — no recompression — writes a rotated WAL
 //! carrying only the unsealed tails, commits the new generation, and swaps
 //! the readers' view. Readers never block on any of this: a query takes one

@@ -275,3 +275,84 @@ fn background_sealer_during_reads() {
     drop(ing);
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Everything acknowledged so far reads back exactly once: the length, the
+/// whole range and the whole time window equal the plan's prefix.
+fn assert_prefix(ing: &Ingestor, p: &Plan, n: usize, when: &str) {
+    assert_eq!(ing.len(&p.name).unwrap(), n, "{}: length {when}", p.name);
+    let mut got = Vec::new();
+    ing.range(&p.name, 0..n, &mut got).unwrap();
+    assert_eq!(got, p.values[..n], "{}: values {when}", p.name);
+    let mut pairs = Vec::new();
+    ing.range_by_time_chunks_in(&mut RangeScratch::default(), &p.name, 0, u64::MAX, |c| {
+        pairs.extend_from_slice(c)
+    })
+    .unwrap();
+    let want: Vec<(u64, i64)> = p.stamps[..n].iter().copied().zip(p.values[..n].iter().copied()).collect();
+    assert_eq!(pairs, want, "{}: time window {when}", p.name);
+}
+
+/// The worker cuts chunks while appends cut them too: at a 1 ms tick, odd
+/// batches (never a multiple of `chunk_points`) to three series, readers
+/// hammering, and a restart halfway that hands the worker heads replayed
+/// raw from the WAL. Two cutters of one head must never both install the
+/// same tail prefix — every acknowledged point reads back exactly once.
+#[test]
+fn worker_chunk_cuts_race_appends_across_a_restart() {
+    let dir: PathBuf = std::env::temp_dir()
+        .join(format!("neats-iconc-cut-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let cfg = IngestConfig {
+        chunk_points: 128,
+        seal_points: 1024,
+        fsync: FsyncPolicy::Never,
+        ..IngestConfig::default()
+    };
+    let plans = plans();
+    let mut pos = vec![0usize; plans.len()];
+    let mut x = 0x5EED_0FC0_FFEE_u64;
+    let mut rng = move || {
+        x = x.wrapping_mul(0xD129_0247_3F89_4E1D).wrapping_add(0x9E37_79B9);
+        x >> 33
+    };
+    for (life, until) in [(0u64, 3000usize), (1, 6000)] {
+        let ing = Arc::new(Ingestor::open(&dir, cfg.clone()).unwrap());
+        for (p, &n) in plans.iter().zip(&pos) {
+            if n > 0 {
+                assert_prefix(&ing, p, n, "after the restart");
+            }
+        }
+        let handle = ing.start_background(BackgroundConfig {
+            interval: Duration::from_millis(1),
+            ..Default::default()
+        });
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..3)
+                .map(|tid| {
+                    let (ing, plans, stop) = (&ing, &plans, &stop);
+                    scope.spawn(move || hammer(ing, plans, 200 + 10 * life + tid, stop))
+                })
+                .collect();
+            while pos.iter().any(|&n| n < until) {
+                for (p, n) in plans.iter().zip(pos.iter_mut()) {
+                    let batch = (2 * (rng() % 90) as usize + 1).min(until - *n);
+                    let r = *n..*n + batch;
+                    ing.append(&p.name, &p.stamps[r.clone()], &p.values[r]).unwrap();
+                    *n += batch;
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+            assert!(total > 0, "readers must have checked something");
+        });
+        handle.stop();
+        assert_eq!(ing.background_errors(), 0);
+        for (p, &n) in plans.iter().zip(&pos) {
+            assert_prefix(&ing, p, n, "at the end of a life");
+        }
+        // Dropping the last handle is the crash: the WAL holds every
+        // unsealed point raw.
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
