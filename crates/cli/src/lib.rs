@@ -1,25 +1,10 @@
 //! Implementation of the `neats` command-line tool.
 //!
-//! The CLI wraps the library's full pipeline for shell use:
-//!
-//! ```text
-//! neats compress   <in.txt> <out.neats> [--digits D] [--kinds default|linear|all] [--sneats]
-//!                  [--threads T]
-//! neats lossy      <in.txt> <out.neatsl> --eps E [--digits D] [--threads T]
-//! neats decompress <in.neats> <out.txt>
-//! neats sum        <in.neats> <start> <count> [--exact]
-//! neats query      <archive> <index | a..b>...
-//! neats stat       <archive>
-//! neats store build <out.pack> <in...> [--digits D] [--eps E] [--segment N]
-//!                   [--threads T] [--append]
-//! neats store ls    <pack>
-//! neats store query <pack> <series> <index | a..b | @time>...
-//! neats ingest      <dir> <in...> [--digits D] [--fsync always|never|N] [--no-seal]
-//! neats serve       <pack | dir> [--addr HOST:PORT] [--threads T] [--cache N]
-//!                   [--slow-query-us U] [--trace-ring N]
-//! neats bench all   [--n N] [--queries Q] [--seed S] [--codecs LIST] [--shapes LIST]
-//!                   [--out FILE.json] [--md FILE.md] [--check COMMITTED.json]
-//! ```
+//! The CLI wraps the library's full pipeline for shell use. Its command
+//! line is declared once, in two tables: `FLAGS` (every flag and what its
+//! value must be) and `COMMANDS` (every command's words, positional
+//! arguments and the flags it reads). [`parse_args`] reads both, rejects a
+//! flag its command does not read, and [`usage`] prints both.
 //!
 //! `query` and `stat` serve any archive flavor (`.neats` or `.neatsl`)
 //! through [`neats_core::ArchiveView`] opened over the file's bytes as
@@ -40,11 +25,11 @@
 //! `--no-seal` leaves them in the WAL for the next opener.
 //!
 //! `serve` mounts a pack — or, given a directory, the live ingestor with a
-//! background sealer, which additionally accepts `POST /write` — behind
-//! the multi-threaded HTTP frontend ([`neats_serve`]): it prints
-//! `listening on <addr>` (the actual port when bound with `:0`) and serves
-//! until killed. Endpoints and the wire grammar are specified in
-//! `docs/PROTOCOL.md` at the repository root.
+//! background sealer, which additionally accepts `POST /write` under the
+//! same `--fsync` policy — behind the multi-threaded HTTP frontend
+//! ([`neats_serve`]): it prints `listening on <addr>` (the actual port when
+//! bound with `:0`) and serves until killed. Endpoints and the wire grammar
+//! are specified in `docs/PROTOCOL.md` at the repository root.
 //!
 //! `bench all` runs the unified codec × shape matrix ([`bench::suite`]):
 //! every NeaTS flavor and every baseline codec over the paper's 16 datasets
@@ -202,14 +187,16 @@ pub enum Command {
         pack: String,
         /// Bind address (`host:port`; port 0 picks an ephemeral port).
         addr: String,
-        /// Worker threads (0 = auto: `NEATS_SERVE_THREADS`, else all cores).
+        /// Worker threads (0 = all cores).
         threads: usize,
         /// Segment-view cache capacity (0 disables caching).
         cache: usize,
-        /// Slow-query threshold in microseconds (0 = off, `None` = env/default).
-        slow_query_us: Option<u64>,
-        /// Request-trace ring capacity (0 disables, `None` = env/default).
-        trace_ring: Option<usize>,
+        /// WAL fsync policy of a live directory (a pack has no WAL).
+        fsync: FsyncPolicy,
+        /// Slow-query threshold in microseconds (0 = off).
+        slow_query_us: u64,
+        /// Request-trace ring capacity (0 disables tracing).
+        trace_ring: usize,
     },
     /// Run the full codec × shape conformance + benchmark matrix.
     BenchAll {
@@ -253,309 +240,319 @@ impl KindPool {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "usage:
-  neats compress   <in.txt> <out.neats> [--digits D] [--kinds default|linear|all] [--sneats]
-                   [--threads T]
-  neats lossy      <in.txt> <out.neatsl> --eps E [--digits D] [--threads T]
-  neats decompress <in.neats> <out.txt>
-  neats sum        <in.neats> <start> <count> [--exact]
-  neats query      <archive> <index | a..b>...
-  neats stat       <archive>
-  neats store build <out.pack> <in...> [--digits D] [--eps E] [--segment N]
-                    [--threads T] [--append]
-  neats store ls    <pack>
-  neats store query <pack> <series> <index | a..b | @time>...
-  neats ingest      <dir> <in...> [--digits D] [--fsync always|never|N] [--no-seal]
-  neats serve       <pack | dir> [--addr HOST:PORT] [--threads T] [--cache N]
-                    [--slow-query-us U] [--trace-ring N]
-  neats bench all   [--n N] [--queries Q] [--seed S] [--codecs LIST] [--shapes LIST]
-                    [--out FILE.json] [--md FILE.md] [--check COMMITTED.json]";
+/// A flag: its name, the placeholder [`usage`] shows for its value (empty
+/// for a switch, which takes none), and what that value must be.
+struct Flag {
+    name: &'static str,
+    meta: &'static str,
+    needs: &'static str,
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--digits", meta: "D", needs: "a number 0-18" },
+    Flag { name: "--kinds", meta: "default|linear|all", needs: "default, linear or all" },
+    Flag { name: "--sneats", meta: "", needs: "" },
+    Flag { name: "--threads", meta: "T", needs: "a non-negative integer (0 = auto)" },
+    Flag { name: "--eps", meta: "E", needs: "a non-negative integer" },
+    Flag { name: "--exact", meta: "", needs: "" },
+    Flag { name: "--segment", meta: "N", needs: "a point count (0 = default)" },
+    Flag { name: "--append", meta: "", needs: "" },
+    Flag { name: "--fsync", meta: "always|never|N", needs: "always, never, or a record count" },
+    Flag { name: "--no-seal", meta: "", needs: "" },
+    Flag { name: "--addr", meta: "HOST:PORT", needs: "a host:port" },
+    Flag { name: "--cache", meta: "N", needs: "a view count (0 disables)" },
+    Flag { name: "--slow-query-us", meta: "U", needs: "a microsecond count (0 = off)" },
+    Flag { name: "--trace-ring", meta: "N", needs: "an entry count (0 disables)" },
+    Flag { name: "--n", meta: "N", needs: "a point count" },
+    Flag { name: "--queries", meta: "Q", needs: "a query count" },
+    Flag { name: "--seed", meta: "S", needs: "a non-negative integer" },
+    Flag { name: "--codecs", meta: "LIST", needs: "a comma-separated name filter" },
+    Flag { name: "--shapes", meta: "LIST", needs: "a comma-separated name filter" },
+    Flag { name: "--out", meta: "FILE.json", needs: "a file path" },
+    Flag { name: "--md", meta: "FILE.md", needs: "a file path" },
+    Flag { name: "--check", meta: "COMMITTED.json", needs: "a committed json path" },
+];
+
+fn needs(f: &Flag) -> CliError {
+    CliError(format!("{} needs {}", f.name, f.needs))
+}
+
+fn flag(name: &str) -> &'static Flag {
+    FLAGS
+        .iter()
+        .find(|f| f.name == name)
+        .expect("every flag a COMMANDS row names is declared in FLAGS")
+}
+
+/// A command: the words that name it; its arguments in order, where a
+/// last placeholder ending in `...` takes one or more values and a flag
+/// name is a flag the command cannot run without; the optional flags it
+/// reads; and how its [`Command`] is built from a matching command line.
+struct Cmd {
+    words: &'static [&'static str],
+    args: &'static [&'static str],
+    flags: &'static [&'static str],
+    build: fn(&Args) -> Result<Command, CliError>,
+}
+
+#[rustfmt::skip]
+const COMMANDS: &[Cmd] = &[
+    Cmd {
+        words: &["compress"],
+        args: &["<in.txt>", "<out.neats>"],
+        flags: &["--digits", "--kinds", "--sneats", "--threads"],
+        build: |a| Ok(Command::Compress {
+            input: a.pos[0].clone(),
+            output: a.pos[1].clone(),
+            digits: a.get("--digits", num)?.unwrap_or(0),
+            kinds: a.get("--kinds", kind_pool)?.unwrap_or(KindPool::Default),
+            sneats: a.has("--sneats"),
+            threads: a.get("--threads", num)?.unwrap_or(0),
+        }),
+    },
+    Cmd {
+        words: &["lossy"],
+        args: &["<in.txt>", "<out.neatsl>", "--eps"],
+        flags: &["--digits", "--threads"],
+        build: |a| Ok(Command::Lossy {
+            input: a.pos[0].clone(),
+            output: a.pos[1].clone(),
+            digits: a.get("--digits", num)?.unwrap_or(0),
+            // Present: the row makes `--eps` required.
+            eps: a.get("--eps", num)?.unwrap_or(0),
+            threads: a.get("--threads", num)?.unwrap_or(0),
+        }),
+    },
+    Cmd {
+        words: &["decompress"],
+        args: &["<in.neats>", "<out.txt>"],
+        flags: &[],
+        build: |a| Ok(Command::Decompress { input: a.pos[0].clone(), output: a.pos[1].clone() }),
+    },
+    Cmd {
+        words: &["sum"],
+        args: &["<in.neats>", "<start>", "<count>"],
+        flags: &["--exact"],
+        build: |a| Ok(Command::Sum {
+            input: a.pos[0].clone(),
+            start: parse_usize_msg(&a.pos[1], "start")?,
+            count: parse_usize_msg(&a.pos[2], "count")?,
+            exact: a.has("--exact"),
+        }),
+    },
+    Cmd {
+        words: &["query"],
+        args: &["<archive>", "<index | a..b>..."],
+        flags: &[],
+        build: |a| Ok(Command::Query { input: a.pos[0].clone(), specs: a.pos[1..].to_vec() }),
+    },
+    Cmd {
+        words: &["stat"],
+        args: &["<archive>"],
+        flags: &[],
+        build: |a| Ok(Command::Stat { input: a.pos[0].clone() }),
+    },
+    Cmd {
+        words: &["store", "build"],
+        args: &["<out.pack>", "<in>..."],
+        flags: &["--digits", "--eps", "--segment", "--threads", "--append"],
+        build: |a| Ok(Command::StoreBuild {
+            output: a.pos[0].clone(),
+            inputs: a.pos[1..].to_vec(),
+            digits: a.get("--digits", num)?.unwrap_or(0),
+            eps: a.get("--eps", num)?,
+            segment: a.get("--segment", num)?.unwrap_or(0),
+            threads: a.get("--threads", num)?.unwrap_or(0),
+            append: a.has("--append"),
+        }),
+    },
+    Cmd {
+        words: &["store", "ls"],
+        args: &["<pack>"],
+        flags: &[],
+        build: |a| Ok(Command::StoreLs { pack: a.pos[0].clone() }),
+    },
+    Cmd {
+        words: &["store", "query"],
+        args: &["<pack>", "<series>", "<index | a..b | @time>..."],
+        flags: &[],
+        build: |a| Ok(Command::StoreQuery {
+            pack: a.pos[0].clone(),
+            series: a.pos[1].clone(),
+            specs: a.pos[2..].to_vec(),
+        }),
+    },
+    Cmd {
+        words: &["ingest"],
+        args: &["<dir>", "<in>..."],
+        flags: &["--digits", "--fsync", "--no-seal"],
+        build: |a| Ok(Command::Ingest {
+            dir: a.pos[0].clone(),
+            inputs: a.pos[1..].to_vec(),
+            digits: a.get("--digits", num)?.unwrap_or(0),
+            fsync: a.get("--fsync", fsync_policy)?.unwrap_or(FsyncPolicy::Always),
+            no_seal: a.has("--no-seal"),
+        }),
+    },
+    Cmd {
+        words: &["serve"],
+        args: &["<pack | dir>"],
+        flags: &["--addr", "--threads", "--cache", "--fsync", "--slow-query-us", "--trace-ring"],
+        build: |a| {
+            let d = ServeConfig::default();
+            Ok(Command::Serve {
+                pack: a.pos[0].clone(),
+                addr: a.get("--addr", text)?.unwrap_or_else(|| "127.0.0.1:8462".into()),
+                threads: a.get("--threads", num)?.unwrap_or(d.threads),
+                cache: a.get("--cache", num)?.unwrap_or(256),
+                fsync: a.get("--fsync", fsync_policy)?.unwrap_or(FsyncPolicy::Always),
+                slow_query_us: a.get("--slow-query-us", num)?.unwrap_or(d.slow_query_us),
+                trace_ring: a.get("--trace-ring", num)?.unwrap_or(d.trace_ring),
+            })
+        },
+    },
+    Cmd {
+        words: &["bench", "all"],
+        args: &[],
+        flags: &["--n", "--queries", "--seed", "--codecs", "--shapes", "--out", "--md", "--check"],
+        build: |a| Ok(Command::BenchAll {
+            n: a.get("--n", num)?,
+            queries: a.get("--queries", num)?,
+            seed: a.get("--seed", num)?,
+            codecs: a.get("--codecs", text)?,
+            shapes: a.get("--shapes", text)?,
+            out: a.get("--out", text)?,
+            md: a.get("--md", text)?,
+            check: a.get("--check", text)?,
+        }),
+    },
+];
+
+/// A command line matched to its `COMMANDS` row: the arguments after the
+/// command's words, and each flag given with its value (a switch has none).
+struct Args<'a> {
+    pos: Vec<String>,
+    flags: Vec<(&'static Flag, Option<&'a str>)>,
+}
+
+impl Args<'_> {
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f.name == name)
+    }
+
+    /// The value of the last `name` given, read by `parse`; a value it
+    /// rejects is an error naming what the flag needs.
+    fn get<T>(&self, name: &str, parse: fn(&str) -> Option<T>) -> Result<Option<T>, CliError> {
+        let Some((f, value)) = self.flags.iter().rev().find(|(f, _)| f.name == name) else {
+            return Ok(None);
+        };
+        value.and_then(parse).map(Some).ok_or_else(|| needs(f))
+    }
+}
+
+fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+fn text(v: &str) -> Option<String> {
+    Some(v.to_string())
+}
+
+fn kind_pool(v: &str) -> Option<KindPool> {
+    match v {
+        "default" => Some(KindPool::Default),
+        "linear" => Some(KindPool::Linear),
+        "all" => Some(KindPool::All),
+        _ => None,
+    }
+}
+
+fn fsync_policy(v: &str) -> Option<FsyncPolicy> {
+    match v {
+        "always" => Some(FsyncPolicy::Always),
+        "never" => Some(FsyncPolicy::Never),
+        n => n.parse().ok().map(FsyncPolicy::EveryN),
+    }
+}
+
+/// How an argument of a `COMMANDS` row reads in [`usage`]: a flag with its
+/// value placeholder, a positional placeholder as written.
+fn shown(arg: &str) -> String {
+    match arg.starts_with("--").then(|| flag(arg).meta) {
+        Some(meta) if !meta.is_empty() => format!("{arg} {meta}"),
+        _ => arg.to_string(),
+    }
+}
+
+/// The usage text: one line per command, built from `COMMANDS` and `FLAGS`.
+pub fn usage() -> String {
+    let mut text = String::from("usage:");
+    for cmd in COMMANDS {
+        text += &format!("\n  neats {:<11}", cmd.words.join(" "));
+        for arg in cmd.args {
+            text += &format!(" {}", shown(arg));
+        }
+        for name in cmd.flags {
+            text += &format!(" [{}]", shown(name));
+        }
+    }
+    text
+}
 
 /// Parses an argument vector (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut pos: Vec<&str> = Vec::new();
-    let mut digits = 0u8;
-    let mut eps: Option<u64> = None;
-    let mut kinds = KindPool::Default;
-    let mut sneats = false;
-    let mut exact = false;
-    let mut threads = 0usize;
-    let mut segment = 0usize;
-    let mut append = false;
-    let mut addr: Option<String> = None;
-    let mut cache: Option<usize> = None;
-    let mut slow_query_us: Option<u64> = None;
-    let mut trace_ring: Option<usize> = None;
-    let mut fsync = FsyncPolicy::Always;
-    let mut no_seal = false;
-    let mut bench_n: Option<usize> = None;
-    let mut bench_queries: Option<usize> = None;
-    let mut bench_seed: Option<u64> = None;
-    let mut bench_codecs: Option<String> = None;
-    let mut bench_shapes: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut bench_md: Option<String> = None;
-    let mut bench_check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--digits" => {
-                i += 1;
-                digits = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError("--digits needs a number 0-18".into()))?;
-            }
-            "--eps" => {
-                i += 1;
-                eps = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or(CliError("--eps needs a non-negative integer".into()))?,
-                );
-            }
-            "--kinds" => {
-                i += 1;
-                kinds = match args.get(i).map(String::as_str) {
-                    Some("default") => KindPool::Default,
-                    Some("linear") => KindPool::Linear,
-                    Some("all") => KindPool::All,
-                    other => return err(format!("unknown kind pool {other:?}")),
-                };
-            }
-            "--threads" => {
-                i += 1;
-                threads = args.get(i).and_then(|v| v.parse().ok()).ok_or(CliError(
-                    "--threads needs a non-negative integer (0 = auto)".into(),
-                ))?;
-            }
-            "--segment" => {
-                i += 1;
-                segment = args.get(i).and_then(|v| v.parse().ok()).ok_or(CliError(
-                    "--segment needs a point count (0 = default)".into(),
-                ))?;
-            }
-            "--addr" => {
-                i += 1;
-                addr = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or(CliError("--addr needs a host:port".into()))?,
-                );
-            }
-            "--cache" => {
-                i += 1;
-                cache = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or(CliError("--cache needs a view count (0 disables)".into()))?,
-                );
-            }
-            "--slow-query-us" => {
-                i += 1;
-                slow_query_us = Some(args.get(i).and_then(|v| v.parse().ok()).ok_or(CliError(
-                    "--slow-query-us needs a microsecond count (0 = off)".into(),
-                ))?);
-            }
-            "--trace-ring" => {
-                i += 1;
-                trace_ring = Some(args.get(i).and_then(|v| v.parse().ok()).ok_or(CliError(
-                    "--trace-ring needs an entry count (0 disables)".into(),
-                ))?);
-            }
-            "--fsync" => {
-                i += 1;
-                fsync = match args.get(i).map(String::as_str) {
-                    Some("always") => FsyncPolicy::Always,
-                    Some("never") => FsyncPolicy::Never,
-                    Some(n) => FsyncPolicy::EveryN(n.parse().map_err(|_| {
-                        CliError("--fsync needs always, never, or a record count".into())
-                    })?),
-                    None => return err("--fsync needs always, never, or a record count"),
-                };
-            }
-            "--n" => {
-                i += 1;
-                bench_n = Some(args.get(i).and_then(|v| v.parse().ok()).ok_or(CliError(
-                    "--n needs a point count".into(),
-                ))?);
-            }
-            "--queries" => {
-                i += 1;
-                bench_queries = Some(args.get(i).and_then(|v| v.parse().ok()).ok_or(CliError(
-                    "--queries needs a query count".into(),
-                ))?);
-            }
-            "--seed" => {
-                i += 1;
-                bench_seed = Some(args.get(i).and_then(|v| v.parse().ok()).ok_or(CliError(
-                    "--seed needs a non-negative integer".into(),
-                ))?);
-            }
-            "--codecs" => {
-                i += 1;
-                bench_codecs = Some(args.get(i).cloned().ok_or(CliError(
-                    "--codecs needs a comma-separated name filter".into(),
-                ))?);
-            }
-            "--shapes" => {
-                i += 1;
-                bench_shapes = Some(args.get(i).cloned().ok_or(CliError(
-                    "--shapes needs a comma-separated name filter".into(),
-                ))?);
-            }
-            "--out" => {
-                i += 1;
-                bench_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or(CliError("--out needs a file path".into()))?,
-                );
-            }
-            "--md" => {
-                i += 1;
-                bench_md = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or(CliError("--md needs a file path".into()))?,
-                );
-            }
-            "--check" => {
-                i += 1;
-                bench_check = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or(CliError("--check needs a committed json path".into()))?,
-                );
-            }
-            "--sneats" => sneats = true,
-            "--append" => append = true,
-            "--exact" => exact = true,
-            "--no-seal" => no_seal = true,
-            flag if flag.starts_with("--") => return err(format!("unknown flag {flag}")),
-            p => pos.push(p),
+    let mut flags = Vec::new();
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            pos.push(arg);
+            continue;
         }
-        i += 1;
+        let Some(f) = FLAGS.iter().find(|f| f.name == arg) else {
+            return err(format!("unknown flag {arg}"));
+        };
+        let value = if f.meta.is_empty() {
+            None
+        } else {
+            Some(rest.next().ok_or_else(|| needs(f))?)
+        };
+        flags.push((f, value));
     }
-    let get_pos = |idx: usize, what: &str| -> Result<String, CliError> {
-        pos.get(idx)
-            .map(|s| s.to_string())
-            .ok_or(CliError(format!("missing argument: {what}")))
-    };
-    let parse_usize = |s: &str, what: &str| -> Result<usize, CliError> {
-        s.parse()
-            .map_err(|_| CliError(format!("{what} must be a non-negative integer, got {s:?}")))
-    };
-    match pos.first().copied() {
-        Some("compress") => Ok(Command::Compress {
-            input: get_pos(1, "input")?,
-            output: get_pos(2, "output")?,
-            digits,
-            kinds,
-            sneats,
-            threads,
-        }),
-        Some("lossy") => Ok(Command::Lossy {
-            input: get_pos(1, "input")?,
-            output: get_pos(2, "output")?,
-            digits,
-            eps: eps.ok_or(CliError("lossy requires --eps".into()))?,
-            threads,
-        }),
-        Some("decompress") => Ok(Command::Decompress {
-            input: get_pos(1, "input")?,
-            output: get_pos(2, "output")?,
-        }),
-        Some("sum") => Ok(Command::Sum {
-            input: get_pos(1, "input")?,
-            start: parse_usize(&get_pos(2, "start")?, "start")?,
-            count: parse_usize(&get_pos(3, "count")?, "count")?,
-            exact,
-        }),
-        Some("query") => {
-            let input = get_pos(1, "input")?;
-            if pos.len() < 3 {
-                return err("query needs at least one index or a..b range");
-            }
-            Ok(Command::Query {
-                input,
-                specs: pos[2..].iter().map(|s| s.to_string()).collect(),
-            })
+    let Some(cmd) = COMMANDS.iter().find(|c| pos.starts_with(c.words)) else {
+        if pos.is_empty() {
+            return err(usage());
         }
-        Some("stat") => Ok(Command::Stat {
-            input: get_pos(1, "input")?,
-        }),
-        Some("store") => match pos.get(1).copied() {
-            Some("build") => {
-                let output = get_pos(2, "output pack")?;
-                if pos.len() < 4 {
-                    return err("store build needs at least one input file");
-                }
-                Ok(Command::StoreBuild {
-                    output,
-                    inputs: pos[3..].iter().map(|s| s.to_string()).collect(),
-                    digits,
-                    eps,
-                    segment,
-                    threads,
-                    append,
-                })
-            }
-            Some("ls") => Ok(Command::StoreLs {
-                pack: get_pos(2, "pack")?,
-            }),
-            Some("query") => {
-                let pack = get_pos(2, "pack")?;
-                let series = get_pos(3, "series")?;
-                if pos.len() < 5 {
-                    return err("store query needs at least one index, a..b range, or @time");
-                }
-                Ok(Command::StoreQuery {
-                    pack,
-                    series,
-                    specs: pos[4..].iter().map(|s| s.to_string()).collect(),
-                })
-            }
-            other => err(format!("unknown store subcommand {other:?}\n{USAGE}")),
-        },
-        Some("ingest") => {
-            let dir = get_pos(1, "directory")?;
-            if pos.len() < 3 {
-                return err("ingest needs at least one input file");
-            }
-            Ok(Command::Ingest {
-                dir,
-                inputs: pos[2..].iter().map(|s| s.to_string()).collect(),
-                digits,
-                fsync,
-                no_seal,
-            })
+        let typed = pos.join(" ");
+        return err(format!("no command matches `neats {typed}`\n{}", usage()));
+    };
+    let name = cmd.words.join(" ");
+    for (f, _) in &flags {
+        if !cmd.flags.contains(&f.name) && !cmd.args.contains(&f.name) {
+            return err(format!("`{}` does not apply to `neats {name}`", f.name));
         }
-        Some("bench") => match pos.get(1).copied() {
-            Some("all") => Ok(Command::BenchAll {
-                n: bench_n,
-                queries: bench_queries,
-                seed: bench_seed,
-                codecs: bench_codecs,
-                shapes: bench_shapes,
-                out: bench_out,
-                md: bench_md,
-                check: bench_check,
-            }),
-            other => err(format!("unknown bench subcommand {other:?}\n{USAGE}")),
-        },
-        Some("serve") => Ok(Command::Serve {
-            pack: get_pos(1, "pack")?,
-            addr: addr.unwrap_or_else(|| "127.0.0.1:8462".to_string()),
-            threads,
-            cache: cache.unwrap_or(256),
-            slow_query_us,
-            trace_ring,
-        }),
-        Some(other) => err(format!("unknown command {other:?}\n{USAGE}")),
-        None => err(USAGE),
     }
+    let pos = &pos[cmd.words.len()..];
+    let mut given = pos.iter();
+    for arg in cmd.args {
+        let missing = if arg.starts_with("--") {
+            !flags.iter().any(|(f, _)| f.name == *arg)
+        } else {
+            given.next().is_none()
+        };
+        if missing {
+            return err(format!("`neats {name}` needs {}", shown(arg)));
+        }
+    }
+    let takes_more = cmd.args.last().is_some_and(|a| a.ends_with("..."));
+    if let Some(extra) = given.next().filter(|_| !takes_more) {
+        return err(format!("unexpected argument {extra:?} for `neats {name}`"));
+    }
+    (cmd.build)(&Args {
+        pos: pos.iter().map(|s| s.to_string()).collect(),
+        flags,
+    })
 }
 
 fn load_compressed(path: &str) -> Result<NeaTSCompressed, CliError> {
@@ -873,6 +870,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             addr,
             threads,
             cache,
+            fsync,
             slow_query_us,
             trace_ring,
         } => {
@@ -892,6 +890,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                     &pack,
                     IngestConfig {
                         cache_capacity: cache,
+                        fsync,
                         ..IngestConfig::default()
                     },
                 )
@@ -1107,6 +1106,67 @@ mod tests {
         assert!(parse_args(&argv("lossy in.txt out")).is_err()); // missing --eps
         assert!(parse_args(&argv("compress in.txt out --threads")).is_err()); // missing value
         assert!(parse_args(&argv("")).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_flags_their_command_does_not_read() {
+        for (line, flag, command) in [
+            ("compress a b --eps 5", "--eps", "compress"),
+            ("lossy a b --eps 5 --sneats", "--sneats", "lossy"),
+            ("store build a b --fsync never", "--fsync", "store build"),
+            ("serve data --append", "--append", "serve"),
+            ("bench all --digits 2", "--digits", "bench all"),
+        ] {
+            let e = parse_args(&argv(line)).unwrap_err().0;
+            let want = format!("`{flag}` does not apply to `neats {command}`");
+            assert_eq!(e, want, "{line}");
+        }
+        // Positional arguments are counted the same way.
+        let e = parse_args(&argv("stat a.neats b.neats")).unwrap_err().0;
+        assert!(e.contains("unexpected argument"), "{e}");
+        let e = parse_args(&argv("lossy in.txt out.neatsl")).unwrap_err().0;
+        assert!(e.contains("--eps"), "{e}");
+    }
+
+    #[test]
+    fn usage_names_every_command_and_flag() {
+        let text = usage();
+        for cmd in COMMANDS {
+            let line = format!("neats {}", cmd.words.join(" "));
+            let listed = text.lines().any(|l| l.trim_start().starts_with(&line));
+            assert!(listed, "{line}:\n{text}");
+            let required = cmd.args.iter().filter(|a| a.starts_with("--"));
+            for name in cmd.flags.iter().chain(required) {
+                let declared = FLAGS.iter().any(|f| f.name == *name);
+                assert!(declared, "{name} is not in FLAGS");
+            }
+        }
+        for f in FLAGS {
+            let name = f.name;
+            assert!(text.contains(name), "{name} is missing from usage:\n{text}");
+        }
+    }
+
+    /// Every `target/release/neats …` line of README's CLI section parses,
+    /// with its `[…]` optional marks and `# …` comment taken off.
+    #[test]
+    fn readme_cli_examples_parse() {
+        let readme = include_str!("../../../README.md");
+        let section = readme
+            .split("## The `neats` CLI")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("README has a `neats` CLI section");
+        let mut lines = 0;
+        for line in section.lines() {
+            let Some(args) = line.strip_prefix("target/release/neats ") else {
+                continue;
+            };
+            let args = args.split(" #").next().unwrap().replace(['[', ']'], "");
+            parse_args(&argv(&args)).unwrap_or_else(|e| panic!("README: {line}: {e}"));
+            lines += 1;
+        }
+        assert!(lines >= 10, "found only {lines} README command lines");
     }
 
     #[test]
@@ -1598,12 +1658,13 @@ mod tests {
                 addr: "0.0.0.0:9000".into(),
                 threads: 4,
                 cache: 64,
-                slow_query_us: Some(500),
-                trace_ring: Some(64),
+                fsync: FsyncPolicy::Always,
+                slow_query_us: 500,
+                trace_ring: 64,
             }
         );
         // Defaults: loopback on the documented port, auto threads, cache 256,
-        // observability knobs deferred to the env/server defaults.
+        // every record fsynced, observability knobs at the server defaults.
         assert_eq!(
             parse_args(&argv("serve metrics.pack")).unwrap(),
             Command::Serve {
@@ -1611,8 +1672,39 @@ mod tests {
                 addr: "127.0.0.1:8462".into(),
                 threads: 0,
                 cache: 256,
-                slow_query_us: None,
-                trace_ring: None,
+                fsync: FsyncPolicy::Always,
+                slow_query_us: 0,
+                trace_ring: 256,
+            }
+        );
+        // A live directory takes the WAL policy `ingest` takes.
+        assert_eq!(
+            parse_args(&argv("serve data/ --fsync never")).unwrap(),
+            Command::Serve {
+                pack: "data/".into(),
+                addr: "127.0.0.1:8462".into(),
+                threads: 0,
+                cache: 256,
+                fsync: FsyncPolicy::Never,
+                slow_query_us: 0,
+                trace_ring: 256,
+            }
+        );
+        // The end-to-end benchmark's server, flag for flag.
+        assert_eq!(
+            parse_args(&argv(
+                "serve fixture.pack --addr 127.0.0.1:0 --threads 1 --fsync always --cache 512 \
+                 --trace-ring 4096"
+            ))
+            .unwrap(),
+            Command::Serve {
+                pack: "fixture.pack".into(),
+                addr: "127.0.0.1:0".into(),
+                threads: 1,
+                cache: 512,
+                fsync: FsyncPolicy::Always,
+                slow_query_us: 0,
+                trace_ring: 4096,
             }
         );
         assert!(parse_args(&argv("serve")).is_err()); // no pack

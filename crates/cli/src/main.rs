@@ -1,10 +1,10 @@
 //! The `neats` command-line tool. See [`neats_cli`] for the implementation
-//! and `neats --help` / [`neats_cli::USAGE`] for usage.
+//! and `neats --help` / [`neats_cli::usage`] for usage.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", neats_cli::USAGE);
+        println!("{}", neats_cli::usage());
         return;
     }
     let cmd = match neats_cli::parse_args(&args) {

@@ -14,19 +14,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// otherwise the `NEATS_THREADS` environment variable, otherwise
 /// [`std::thread::available_parallelism`].
 pub fn effective_threads(threads: usize) -> usize {
-    effective_threads_env(threads, "NEATS_THREADS")
-}
-
-/// [`effective_threads`] with a caller-chosen environment variable, for
-/// subsystems with their own knob (the serving layer reads
-/// `NEATS_SERVE_THREADS`): an explicit nonzero `threads` wins, otherwise a
-/// positive integer in `env_var`, otherwise
-/// [`std::thread::available_parallelism`].
-pub fn effective_threads_env(threads: usize, env_var: &str) -> usize {
     if threads != 0 {
         return threads;
     }
-    if let Some(n) = std::env::var(env_var)
+    if let Some(n) = std::env::var("NEATS_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
     {
@@ -134,7 +125,5 @@ mod tests {
     fn effective_threads_explicit_wins() {
         assert_eq!(effective_threads(3), 3);
         assert!(effective_threads(0) >= 1);
-        assert_eq!(effective_threads_env(5, "NEATS_NO_SUCH_VAR"), 5);
-        assert!(effective_threads_env(0, "NEATS_NO_SUCH_VAR") >= 1);
     }
 }

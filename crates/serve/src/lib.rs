@@ -40,7 +40,7 @@
 //!   driver the platform gives; a driver only moves bytes and time. Which
 //!   one is observed at [`Server::bind`] ([`Server::mode`]), not
 //!   configured. [`ServeConfig::threads`] is the serving-thread count
-//!   under either (explicit, else `NEATS_SERVE_THREADS`, else all cores).
+//!   under either (`0` = all cores).
 //! * **The readiness driver** (Linux) — the accept loop round-robins
 //!   admitted connections into per-shard inboxes; each serving thread
 //!   multiplexes *all* of its connections over one epoll instance (the
@@ -82,8 +82,9 @@
 //!   traced through stage spans (parse → route → cache → decode → render →
 //!   write) into a fixed-size lock-free ring served at
 //!   `GET /debug/requests`; requests over the slow-query threshold
-//!   ([`ServeConfig::slow_query_us`], env [`SLOW_QUERY_ENV`]) are counted,
-//!   flagged in the ring, and logged to stderr.
+//!   ([`ServeConfig::slow_query_us`]) are counted, flagged in the ring,
+//!   and logged to stderr; the ring holds [`ServeConfig::trace_ring`]
+//!   requests.
 //!
 //! ## Ingest → serve → query roundtrip
 //!
@@ -134,9 +135,6 @@ mod stats;
 
 pub use http::{Limits, Method, Request, Response};
 pub use render::{Scratch, SCRATCH_RETAIN_BYTES};
-pub use server::{
-    ServeConfig, Server, ServerHandle, MAX_CONNS_ENV, SHED_WATERMARK_ENV, SLOW_QUERY_ENV,
-    THREADS_ENV, TRACE_RING_ENV,
-};
+pub use server::{ServeConfig, Server, ServerHandle, MAX_CONNS_ENV, SHED_WATERMARK_ENV};
 pub use source::Source;
 pub use stats::{Endpoint, EndpointStats, ServerStats};

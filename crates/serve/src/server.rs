@@ -48,7 +48,6 @@ use crate::reactor::{self, Shard};
 use crate::render::Scratch;
 use crate::source::Source;
 use crate::stats::{Obs, ServerStats};
-use neats_core::parallel::effective_threads_env;
 use neats_store::obs::{Registry, TraceRing};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -56,27 +55,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Environment variable naming the default worker-thread count.
-pub const THREADS_ENV: &str = "NEATS_SERVE_THREADS";
 /// Environment variable naming the default connection cap.
 pub const MAX_CONNS_ENV: &str = "NEATS_SERVE_MAX_CONNS";
 /// Environment variable naming the default worker-queue shed watermark.
 pub const SHED_WATERMARK_ENV: &str = "NEATS_SERVE_SHED_WATERMARK";
-/// Environment variable naming the default slow-query threshold in
-/// microseconds (requests at or above it are logged to stderr and flagged
-/// in `/debug/requests`); `0` or unset disables the log.
-pub const SLOW_QUERY_ENV: &str = "NEATS_SLOW_QUERY_US";
-/// Environment variable naming the default trace-ring capacity (recent
-/// requests kept for `GET /debug/requests`); `0` disables tracing.
-pub const TRACE_RING_ENV: &str = "NEATS_TRACE_RING";
 
 /// Server tuning knobs. `Default` matches the documented configuration
 /// table in the README.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Serving threads — reactor shards or pool workers, whichever driver
-    /// the platform gives (`0` = automatic: [`THREADS_ENV`], else all
-    /// cores).
+    /// the platform gives (`0` = all cores).
     pub threads: usize,
     /// Maximum request-head bytes before a 431.
     pub max_header_bytes: usize,
@@ -105,13 +94,12 @@ pub struct ServeConfig {
     /// loops themselves stall).
     pub queue_watermark: usize,
     /// Slow-query threshold in microseconds: a request whose traced total
-    /// reaches it is logged to stderr and flagged in `/debug/requests`.
-    /// `None` = automatic ([`SLOW_QUERY_ENV`], else off); `Some(0)` = off.
-    pub slow_query_us: Option<u64>,
-    /// Recent requests kept in the trace ring behind `GET /debug/requests`.
-    /// `None` = automatic ([`TRACE_RING_ENV`], else 256); `Some(0)`
-    /// disables tracing.
-    pub trace_ring: Option<usize>,
+    /// reaches it is logged to stderr and flagged in `/debug/requests`
+    /// (`0` = off).
+    pub slow_query_us: u64,
+    /// Recent requests kept in the trace ring behind `GET /debug/requests`
+    /// (`0` disables tracing).
+    pub trace_ring: usize,
     /// What this server serves, for `/stats` and the `neats_build_info`
     /// metric — conventionally the pack path or ingest directory. Purely
     /// informational; empty renders as `""`.
@@ -129,27 +117,11 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(60),
             max_connections: 0,
             queue_watermark: 0,
-            slow_query_us: None,
-            trace_ring: None,
+            slow_query_us: 0,
+            trace_ring: 256,
             source_label: String::new(),
         }
     }
-}
-
-/// `None` means automatic: the environment variable, else `fallback`
-/// (unlike [`resolve_knob`], an explicit or environment `0` is meaningful —
-/// it disables the feature).
-fn resolve_opt_knob<T: Copy + std::str::FromStr>(
-    configured: Option<T>,
-    env: &str,
-    fallback: T,
-) -> T {
-    configured.unwrap_or_else(|| {
-        std::env::var(env)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(fallback)
-    })
 }
 
 /// `0` means automatic: the environment variable, else `fallback`.
@@ -165,8 +137,8 @@ fn resolve_knob(configured: usize, env: &str, fallback: usize) -> usize {
 }
 
 /// Assembles the observability bundle at bind time: creates the metrics
-/// registry, registers every serve/store/ingest family, and resolves the
-/// tracing knobs. Registration order here is `/metrics` render order.
+/// registry, registers every serve/store/ingest family, and sizes the
+/// trace ring. Registration order here is `/metrics` render order.
 fn build_obs(
     source: &Source,
     stats: &ServerStats,
@@ -214,8 +186,8 @@ fn build_obs(
     };
     Obs {
         registry,
-        ring: TraceRing::new(resolve_opt_knob(cfg.trace_ring, TRACE_RING_ENV, 256)),
-        slow_query_us: resolve_opt_knob(cfg.slow_query_us, SLOW_QUERY_ENV, 0),
+        ring: TraceRing::new(cfg.trace_ring),
+        slow_query_us: cfg.slow_query_us,
         shard_depths,
         source_label,
         mode,
@@ -344,7 +316,10 @@ impl Server {
         cfg.poll_interval = cfg.poll_interval.max(Duration::from_millis(1));
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let threads = effective_threads_env(cfg.threads, THREADS_ENV);
+        let threads = match cfg.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         // The driver is observed, not chosen: one poller per serving
         // thread if the platform makes them, the blocking pool if not.
         let shards = try_readiness.then(|| Shard::create(threads).ok()).flatten();

@@ -129,7 +129,7 @@ pub struct ServerStats {
     /// (read-only ingest) or quarantined when the request arrived.
     pub degraded: Arc<AtomicU64>,
     /// Requests that crossed the slow-query threshold (see
-    /// [`crate::SLOW_QUERY_ENV`]); 0 while the log is disabled.
+    /// [`crate::ServeConfig::slow_query_us`]); 0 while the log is disabled.
     pub slow_queries: Arc<AtomicU64>,
     /// Request bytes received (head + body of parsed requests).
     pub bytes_in: Arc<AtomicU64>,

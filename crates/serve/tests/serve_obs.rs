@@ -257,7 +257,7 @@ fn live_source_exports_ingest_families() {
 fn debug_requests_stage_breakdown() {
     let (handle, running) = start_with(ServeConfig {
         threads: 1,
-        trace_ring: Some(4),
+        trace_ring: 4,
         ..ServeConfig::default()
     });
     let mut client = Client::connect(handle.addr());
@@ -291,7 +291,7 @@ fn debug_requests_stage_breakdown() {
 fn range_stages_are_traced_reactor() {
     let (handle, running) = start_with(ServeConfig {
         threads: 1,
-        trace_ring: Some(8),
+        trace_ring: 8,
         ..ServeConfig::default()
     });
     let mut client = Client::connect(handle.addr());
@@ -329,8 +329,8 @@ fn range_stages_are_traced_reactor() {
 fn slow_query_threshold_over_socket() {
     let (handle, running) = start_with(ServeConfig {
         threads: 1,
-        slow_query_us: Some(1),
-        trace_ring: Some(8),
+        slow_query_us: 1,
+        trace_ring: 8,
         ..ServeConfig::default()
     });
     let mut client = Client::connect(handle.addr());
@@ -356,12 +356,12 @@ fn slow_query_threshold_over_socket() {
     stop(handle, running);
 }
 
-/// `trace_ring: Some(0)` disables tracing entirely: `/debug/requests`
+/// `trace_ring: 0` disables tracing entirely: `/debug/requests`
 /// serves an empty array and nothing is recorded.
 #[test]
 fn trace_ring_zero_disables_tracing() {
     let (handle, running) =
-        start_with(ServeConfig { threads: 1, trace_ring: Some(0), ..ServeConfig::default() });
+        start_with(ServeConfig { threads: 1, trace_ring: 0, ..ServeConfig::default() });
     let mut client = Client::connect(handle.addr());
     assert_eq!(client.get("/q/cpu?idx=5").status, 200);
     let r = client.get("/debug/requests");
