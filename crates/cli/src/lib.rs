@@ -52,7 +52,8 @@ use neats_ingest::{BackgroundConfig, FsyncPolicy, IngestConfig, Ingestor};
 use neats_serve::{ServeConfig, Server};
 use neats_store::{Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
 use std::path::Path;
-use timeseries::{io::load_fixed_precision, CompressedSeries};
+use timeseries::io::{load_fixed_precision, LoadError};
+use timeseries::{CompressedSeries, ValueErrorKind};
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
@@ -250,7 +251,7 @@ struct Flag {
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    Flag { name: "--digits", meta: "D", needs: "a number 0-18" },
+    Flag { name: "--digits", meta: "D", needs: "an integer 0-255" },
     Flag { name: "--kinds", meta: "default|linear|all", needs: "default, linear or all" },
     Flag { name: "--sneats", meta: "", needs: "" },
     Flag { name: "--threads", meta: "T", needs: "a non-negative integer (0 = auto)" },
@@ -583,7 +584,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             threads,
         } => {
             let ts = load_fixed_precision(Path::new(&input), digits)
-                .map_err(|e| CliError(format!("{input}: {e}")))?;
+                .map_err(|e| load_error(&input, e, digits))?;
             let mut builder: NeaTSBuilder = NeaTS::builder().kinds(&kinds.kinds()).threads(threads);
             if sneats {
                 builder = builder.model_selection(Default::default());
@@ -609,7 +610,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             threads,
         } => {
             let ts = load_fixed_precision(Path::new(&input), digits)
-                .map_err(|e| CliError(format!("{input}: {e}")))?;
+                .map_err(|e| load_error(&input, e, digits))?;
             let l = NeaTS::builder().threads(threads).build_lossy(&ts, eps);
             let bytes = l.as_bytes();
             std::fs::write(&output, bytes)?;
@@ -786,11 +787,10 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             }
             writeln!(
                 out,
-                "total: {} series, {} points, {} bytes on disk, {} dead",
+                "total: {} series, {} points, {} bytes on disk",
                 store.series_count(),
                 store.total_points(),
-                store.as_bytes().len(),
-                store.dead_bytes()
+                store.as_bytes().len()
             )?;
             Ok(())
         }
@@ -1014,7 +1014,7 @@ fn load_series_file(path: &str, digits: u8) -> Result<(Vec<u64>, Vec<i64>), CliE
         // Plain format: exactly what `neats compress` reads — delegate so
         // the two commands can never diverge on scaling/rounding.
         let ts = timeseries::io::parse_lines(std::io::Cursor::new(text), digits)
-            .map_err(|e| CliError(format!("{path}: {e}")))?;
+            .map_err(|e| load_error(path, e, digits))?;
         let stamps = (0..ts.len() as u64).collect();
         return Ok((stamps, ts.values().to_vec()));
     }
@@ -1055,9 +1055,8 @@ fn load_series_file(path: &str, digits: u8) -> Result<(Vec<u64>, Vec<i64>), CliE
                 "{path}:{}: value {v:?} rejected: {}",
                 lineno + 1,
                 match kind {
-                    timeseries::ValueErrorKind::NonFinite => "not finite",
-                    timeseries::ValueErrorKind::OutOfRange =>
-                        "does not fit the scaled 64-bit integer domain",
+                    ValueErrorKind::NonFinite => "not finite".to_string(),
+                    ValueErrorKind::OutOfRange => out_of_range(digits),
                 }
             ))
         })?;
@@ -1065,6 +1064,22 @@ fn load_series_file(path: &str, digits: u8) -> Result<(Vec<u64>, Vec<i64>), CliE
         values.push(scaled);
     }
     Ok((stamps, values))
+}
+
+/// A value loader's error for `path`. A value that overflows the scaled
+/// domain is reported with the `--digits` that scaled it, which is the
+/// usual cause.
+fn load_error(path: &str, e: LoadError, digits: u8) -> CliError {
+    match e {
+        LoadError::Value { line, content, kind: ValueErrorKind::OutOfRange } => {
+            CliError(format!("{path}: line {line}: value {content:?} {}", out_of_range(digits)))
+        }
+        e => CliError(format!("{path}: {e}")),
+    }
+}
+
+fn out_of_range(digits: u8) -> String {
+    format!("does not fit the scaled 64-bit integer domain at --digits {digits}")
 }
 
 fn parse_usize_msg(s: &str, what: &str) -> Result<usize, CliError> {
@@ -1126,6 +1141,32 @@ mod tests {
         assert!(e.contains("unexpected argument"), "{e}");
         let e = parse_args(&argv("lossy in.txt out.neatsl")).unwrap_err().0;
         assert!(e.contains("--eps"), "{e}");
+    }
+
+    /// `--digits` takes what a `u8` holds; a count that overflows the
+    /// scaled domain is blamed on the flag, in both input formats.
+    #[test]
+    fn digits_out_of_range_names_the_flag() {
+        let e = parse_args(&argv("compress a b --digits 256")).unwrap_err().0;
+        assert_eq!(e, "--digits needs an integer 0-255");
+        let dir = std::env::temp_dir().join(format!("neats_cli_digits_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let plain = dir.join("cpu.txt");
+        let stamped = dir.join("mem.csv");
+        std::fs::write(&plain, (0..100).map(|k| format!("{k}\n")).collect::<String>()).unwrap();
+        std::fs::write(&stamped, (0..100).map(|k| format!("{k},{k}\n")).collect::<String>()).unwrap();
+        let pack = dir.join("p.pack");
+        for (line, input) in [
+            (format!("compress {} {}/c.neats --digits 200", plain.display(), dir.display()), &plain),
+            (format!("store build {} {} --digits 200", pack.display(), plain.display()), &plain),
+            (format!("store build {} {} --digits 200", pack.display(), stamped.display()), &stamped),
+        ] {
+            let e = run(parse_args(&argv(&line)).unwrap(), &mut Vec::new()).unwrap_err().0;
+            assert!(e.starts_with(&format!("{}", input.display())), "{line}: {e}");
+            assert!(e.contains(r#"value "1""#), "{line}: {e}");
+            assert!(e.ends_with("does not fit the scaled 64-bit integer domain at --digits 200"), "{line}: {e}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1487,7 +1528,7 @@ mod tests {
         .unwrap();
         assert!(String::from_utf8_lossy(&log).contains("2 series, 700 points"));
 
-        // ls shows both series and no dead bytes.
+        // ls shows both series and the pack total.
         let mut ls = Vec::new();
         run(
             parse_args(&argv(&format!("store ls {}", pack.display()))).unwrap(),
@@ -1497,7 +1538,7 @@ mod tests {
         let text = String::from_utf8_lossy(&ls);
         assert!(text.contains("cpu"), "{text}");
         assert!(text.contains("temp"), "{text}");
-        assert!(text.contains("0 dead"), "{text}");
+        assert!(text.contains("total: 2 series, 700 points"), "{text}");
 
         // Point, range, and @time queries (values scaled by 10^1).
         let mut q = Vec::new();

@@ -1,6 +1,6 @@
 //! The [`Ingestor`]: live appends through the WAL into per-series heads,
-//! generation-swapped sealing and compaction, and the stitched
-//! sealed + head query surface.
+//! generation-swapped sealing, and the stitched sealed + head query
+//! surface.
 
 use crate::head::Head;
 use crate::manifest::{self, Manifest};
@@ -11,7 +11,6 @@ use neats_store::{
     check_stamps, CacheStats, RangeScratch, Store, StoreConfig, StoreError, StoreMode,
     StoreOptions, StoreWriter,
 };
-use std::collections::HashSet;
 use std::fs;
 use std::io::Write;
 use std::ops::Range;
@@ -37,9 +36,6 @@ pub struct IngestConfig {
     /// Segment-view cache capacity of the sealed [`Store`] (see
     /// [`StoreOptions::cache_capacity`]).
     pub cache_capacity: usize,
-    /// Background compaction threshold: compact when dead bytes exceed this
-    /// fraction of the pack.
-    pub compact_dead_ratio: f64,
 }
 
 impl Default for IngestConfig {
@@ -50,7 +46,6 @@ impl Default for IngestConfig {
             fsync: FsyncPolicy::Always,
             builder: neats_core::NeaTS::builder(),
             cache_capacity: 256,
-            compact_dead_ratio: 0.5,
         }
     }
 }
@@ -58,7 +53,8 @@ impl Default for IngestConfig {
 /// Configuration for [`Ingestor::start_background`].
 #[derive(Clone, Copy, Debug)]
 pub struct BackgroundConfig {
-    /// How often the worker checks the seal and compaction thresholds.
+    /// How often the worker cuts full head chunks and checks the seal
+    /// threshold.
     pub interval: Duration,
     /// First retry delay after the ingestor enters degraded mode (the
     /// schedule doubles per failed retry, with jitter).
@@ -111,8 +107,6 @@ struct Shared {
     /// Heads in first-ingest order. Replaced (not mutated in place) at each
     /// seal, so a reader's snapshot stays internally consistent forever.
     heads: Vec<(String, Arc<Mutex<Head>>)>,
-    /// Series whose sealed data is hidden pending the next seal.
-    tombstones: HashSet<String>,
 }
 
 impl Shared {
@@ -186,7 +180,6 @@ struct IngestMetrics {
     seal_ns: Arc<AtomicHistogram>,
     chunk_build_ns: Arc<AtomicHistogram>,
     seals: Arc<AtomicU64>,
-    compactions: Arc<AtomicU64>,
     degraded_transitions: Arc<AtomicU64>,
     replayed_ops: Arc<AtomicU64>,
     repairs: Arc<AtomicU64>,
@@ -195,9 +188,9 @@ struct IngestMetrics {
 /// A live, crash-safe, concurrently-readable ingestion directory.
 ///
 /// See the crate docs for the architecture. All mutations (`append`,
-/// `delete`, `seal`, `flush`, `compact`) serialise on one internal writer
-/// mutex; queries never take it and never block on mutations beyond a
-/// brief per-series head lock.
+/// `seal`, `flush`) serialise on one internal writer mutex; queries never
+/// take it and never block on mutations beyond a brief per-series head
+/// lock.
 pub struct Ingestor {
     dir: PathBuf,
     cfg: IngestConfig,
@@ -234,7 +227,9 @@ impl Ingestor {
     /// heads (truncating any torn suffix), and stray files from an
     /// interrupted seal are removed. Replayed points stay raw: the heads
     /// answer at once, and their chunks are cut by the next append to the
-    /// series, seal, flush or background tick.
+    /// series, seal, flush or background tick. A WAL holding a series
+    /// delete, which only an earlier build wrote, is refused with
+    /// [`StoreError::Corrupt`] and left as it is (see [`crate::wal`]).
     pub fn open(dir: impl Into<PathBuf>, cfg: IngestConfig) -> Result<Self, StoreError> {
         assert!(cfg.chunk_points >= 1, "chunk_points must be at least 1");
         let dir = dir.into();
@@ -277,48 +272,31 @@ impl Ingestor {
         // floor are already in the pack (defensive: the commit protocol
         // rotates the WAL with the pack, so overlap should not occur).
         let mut heads: Vec<(String, Arc<Mutex<Head>>)> = Vec::new();
-        let mut tombstones: HashSet<String> = HashSet::new();
-        for op in ops {
-            match op {
-                WalOp::Append {
-                    series,
-                    stamps,
-                    values,
-                } => {
-                    let arc = match heads.iter().find(|(n, _)| n == &series) {
-                        Some((_, h)) => h.clone(),
-                        None => {
-                            let sealed = (!tombstones.contains(&series))
-                                .then(|| store.series(&series))
-                                .flatten();
-                            let (fi, floor) = sealed
-                                .map(|e| (e.len(), Some(e.t_max())))
-                                .unwrap_or((0, None));
-                            let h = Arc::new(Mutex::new(Head::new(fi, floor)));
-                            heads.push((series.clone(), h.clone()));
-                            h
-                        }
-                    };
-                    let mut head = lockm(&arc);
-                    let from = match head.last_stamp() {
-                        Some(f) => stamps.partition_point(|&t| t <= f),
-                        None => 0,
-                    };
-                    if from < stamps.len() {
-                        head.append(&stamps[from..], &values[from..]);
-                    }
+        for WalOp::Append { series, stamps, values } in ops {
+            let arc = match heads.iter().find(|(n, _)| n == &series) {
+                Some((_, h)) => h.clone(),
+                None => {
+                    let (fi, floor) = store
+                        .series(&series)
+                        .map(|e| (e.len(), Some(e.t_max())))
+                        .unwrap_or((0, None));
+                    let h = Arc::new(Mutex::new(Head::new(fi, floor)));
+                    heads.push((series.clone(), h.clone()));
+                    h
                 }
-                WalOp::Delete { series } => {
-                    heads.retain(|(n, _)| n != &series);
-                    if store.series(&series).is_some() {
-                        tombstones.insert(series);
-                    }
-                }
+            };
+            let mut head = lockm(&arc);
+            let from = match head.last_stamp() {
+                Some(f) => stamps.partition_point(|&t| t <= f),
+                None => 0,
+            };
+            if from < stamps.len() {
+                head.append(&stamps[from..], &values[from..]);
             }
         }
 
         // Remove generation files the manifest does not name (left by a
-        // seal or compact that crashed before its commit point).
+        // seal that crashed before its commit point).
         if let Ok(entries) = fs::read_dir(&dir) {
             for e in entries.flatten() {
                 let name = e.file_name();
@@ -347,7 +325,6 @@ impl Ingestor {
                     store,
                 },
                 heads,
-                tombstones,
             }),
             background_errors: AtomicU64::new(0),
             degraded: Mutex::new(None),
@@ -406,10 +383,7 @@ impl Ingestor {
                     (Some(h), 0, last)
                 }
                 None => {
-                    let sealed = (!s.tombstones.contains(series))
-                        .then(|| s.gen.store.series(series))
-                        .flatten();
-                    if let Some(e) = sealed {
+                    if let Some(e) = s.gen.store.series(series) {
                         if e.mode() != StoreMode::Lossless {
                             return Err(StoreError::ModeMismatch {
                                 series: series.to_string(),
@@ -465,36 +439,6 @@ impl Ingestor {
         Ok(())
     }
 
-    /// Deletes `series`: sealed data becomes invisible immediately (and is
-    /// dropped from the pack at the next seal), the head is discarded. A
-    /// later [`Self::append`] recreates the series from scratch.
-    pub fn delete(&self, series: &str) -> Result<(), StoreError> {
-        let mut w = lockm(&self.writer);
-        let known = {
-            let s = lockr(&self.shared);
-            s.head(series).is_some()
-                || (!s.tombstones.contains(series) && s.gen.store.series(series).is_some())
-        };
-        if !known {
-            return Err(StoreError::UnknownSeries(series.to_string()));
-        }
-        if self.degraded_flag.load(Ordering::SeqCst) {
-            return Err(self.degraded_error());
-        }
-        if let Err(e) = w.wal.append(&WalOp::Delete {
-            series: series.to_string(),
-        }) {
-            self.enter_degraded(FaultKind::WalAppend, &e);
-            return Err(self.degraded_error());
-        }
-        let mut s = lockw(&self.shared);
-        s.heads.retain(|(n, _)| n != series);
-        if s.gen.store.series(series).is_some() {
-            s.tombstones.insert(series.to_string());
-        }
-        Ok(())
-    }
-
     /// Compresses full `chunk_points`-sized slices of `head`'s raw tail into
     /// chunks, cut from the head's sealed boundary.
     fn roll_chunks(&self, w: &MutexGuard<'_, WriterState>, head: &Arc<Mutex<Head>>) {
@@ -535,10 +479,10 @@ impl Ingestor {
         true
     }
 
-    /// Seals every compressed head chunk (and pending deletes) into a new
-    /// pack generation: segments move verbatim (no recompression), a
-    /// rotated WAL re-logs only the raw tails, the `MANIFEST` rename
-    /// commits, and the readers' view swaps. Returns the epoch afterwards
+    /// Seals every compressed head chunk into a new pack generation:
+    /// segments move verbatim (no recompression), a rotated WAL re-logs
+    /// only the raw tails, the `MANIFEST` rename commits, and the readers'
+    /// view swaps. Returns the epoch afterwards
     /// (unchanged if there was nothing to seal).
     pub fn seal(&self) -> Result<u64, StoreError> {
         let mut w = lockm(&self.writer);
@@ -568,26 +512,17 @@ impl Ingestor {
         // Heads replayed raw at open hold full chunks no append has cut yet.
         self.roll_all_heads(w);
         let started = Instant::now();
-        let (epoch, store, heads, tombstones) = {
+        let (epoch, store, heads) = {
             let s = lockr(&self.shared);
-            (
-                s.gen.epoch,
-                s.gen.store.clone(),
-                s.heads.clone(),
-                s.tombstones.iter().cloned().collect::<Vec<_>>(),
-            )
+            (s.gen.epoch, s.gen.store.clone(), s.heads.clone())
         };
-        let has_chunks = heads.iter().any(|(_, h)| lockm(h).chunked_len() > 0);
-        if !has_chunks && tombstones.is_empty() {
+        if heads.iter().all(|(_, h)| lockm(h).chunked_len() == 0) {
             return Ok(epoch);
         }
 
-        // Build the successor pack: old pack verbatim, minus tombstones,
-        // plus every head chunk as a pre-compressed segment.
+        // Build the successor pack: old pack verbatim, plus every head
+        // chunk as a pre-compressed segment.
         let mut sw = StoreWriter::append_to(store.as_bytes(), self.store_cfg())?;
-        for name in &tombstones {
-            sw.delete_series(name)?;
-        }
         for (name, h) in &heads {
             for (frame, stamps) in lockm(h).sealed_parts() {
                 sw.append_compressed_segment(name, &frame, &stamps)?;
@@ -647,7 +582,6 @@ impl Ingestor {
                     (!t.is_empty()).then(|| (n.clone(), Arc::new(Mutex::new(t))))
                 })
                 .collect();
-            s.tombstones.clear();
         }
         let old_pack = std::mem::replace(&mut w.pack_file, pack_file);
         let old_wal = std::mem::replace(&mut w.wal_file, wal_file);
@@ -656,51 +590,12 @@ impl Ingestor {
         let _ = fs::remove_file(self.dir.join(old_wal));
         // A committed seal is a full recovery whatever tripped degraded
         // mode: the WAL was rotated fresh (no torn tail can survive) and
-        // every pending chunk and tombstone is now in the pack.
+        // every pending chunk is now in the pack.
         self.clear_degraded();
         self.metrics
             .seal_ns
             .record(started.elapsed().as_nanos() as u64);
         self.metrics.seals.fetch_add(1, Ordering::Relaxed);
-        Ok(new_epoch)
-    }
-
-    /// Rewrites the sealed pack dropping dead bytes (see
-    /// [`Store::compact`]), committing it as a new generation. Heads, the
-    /// WAL, and pending tombstones are untouched. Returns the epoch
-    /// afterwards (unchanged when the pack has no dead bytes).
-    pub fn compact(&self) -> Result<u64, StoreError> {
-        let mut w = lockm(&self.writer);
-        let (epoch, store) = {
-            let s = lockr(&self.shared);
-            (s.gen.epoch, s.gen.store.clone())
-        };
-        if store.dead_bytes() == 0 {
-            return Ok(epoch);
-        }
-        let bytes = store.compact();
-        let new_epoch = epoch + 1;
-        let pack_file = manifest::pack_name(new_epoch);
-        write_file_durable(&self.dir.join(&pack_file), &bytes)?;
-        let new_store = Arc::new(Store::open_with(bytes, self.store_opts())?);
-        // COMMIT POINT. The WAL carries over unchanged — its Delete records
-        // rebuild pending tombstones if we crash right after this.
-        Manifest {
-            epoch: new_epoch,
-            pack: pack_file.clone(),
-            wal: w.wal_file.clone(),
-        }
-        .write_to(&self.dir)?;
-        {
-            let mut s = lockw(&self.shared);
-            s.gen = Generation {
-                epoch: new_epoch,
-                store: new_store,
-            };
-        }
-        let old_pack = std::mem::replace(&mut w.pack_file, pack_file);
-        let _ = fs::remove_file(self.dir.join(old_pack));
-        self.metrics.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(new_epoch)
     }
 
@@ -712,8 +607,7 @@ impl Ingestor {
     fn snap(&self, series: &str) -> Result<(Arc<Store>, Option<Arc<Mutex<Head>>>), StoreError> {
         let s = lockr(&self.shared);
         let head = s.head(series);
-        let visible = !s.tombstones.contains(series) && s.gen.store.series(series).is_some();
-        if head.is_none() && !visible {
+        if head.is_none() && s.gen.store.series(series).is_none() {
             return Err(StoreError::UnknownSeries(series.to_string()));
         }
         Ok((s.gen.store.clone(), head))
@@ -873,7 +767,7 @@ impl Ingestor {
     /// All live series names, sorted. (Sorted rather than catalog order:
     /// a series' catalog position depends on *when* its first chunk was
     /// sealed, so insertion order would not survive recovery; sorted order
-    /// is deterministic across seals, compactions, and reopens.)
+    /// is deterministic across seals and reopens.)
     pub fn series_names(&self) -> Vec<String> {
         let s = lockr(&self.shared);
         let mut names: Vec<String> = s
@@ -881,7 +775,6 @@ impl Ingestor {
             .store
             .series_names()
             .into_iter()
-            .filter(|n| !s.tombstones.contains(*n))
             .map(str::to_string)
             .collect();
         for (n, _) in &s.heads {
@@ -904,9 +797,6 @@ impl Ingestor {
         let s = lockr(&self.shared);
         let mut out = Vec::new();
         for e in s.gen.store.entries() {
-            if s.tombstones.contains(e.name()) {
-                continue;
-            }
             let mut sum = SeriesSummary {
                 name: e.name().to_string(),
                 mode: e.mode(),
@@ -974,11 +864,6 @@ impl Ingestor {
         lockm(&self.writer).wal.len()
     }
 
-    /// Dead bytes in the sealed pack (reclaimable by [`Self::compact`]).
-    pub fn dead_bytes(&self) -> usize {
-        lockr(&self.shared).gen.store.dead_bytes()
-    }
-
     /// Errors swallowed by the background worker so far.
     pub fn background_errors(&self) -> u64 {
         self.background_errors.load(Ordering::Relaxed)
@@ -992,27 +877,27 @@ impl Ingestor {
 
     /// Times a segment of the current sealed generation was newly
     /// quarantined (validation failures promoted to quarantine). Resets
-    /// when a seal or compaction swaps in a fresh generation.
+    /// when a seal swaps in a fresh generation.
     pub fn quarantine_events(&self) -> u64 {
         lockr(&self.shared).gen.store.quarantine_events()
     }
 
     /// Times the sealed store of the current generation ran its O(bytes)
     /// segment verification (see `Store::segment_verifications`). Resets
-    /// when a seal or compaction swaps in a fresh generation, whose
-    /// segments all start unverified.
+    /// when a seal swaps in a fresh generation, whose segments all start
+    /// unverified.
     pub fn segment_verifications(&self) -> u64 {
         lockr(&self.shared).gen.store.segment_verifications()
     }
 
     /// Registers the ingestor's write-path metric families into `reg`:
     /// WAL append / fsync, seal and chunk-build latency histograms, event
-    /// counters (seals, compactions, degraded transitions, replayed ops, repairs),
-    /// and scrape-time gauges over live state (head points, epoch, WAL
-    /// length, dead bytes, degraded flag). The histograms and counters are
-    /// the very atomics the write path bumps — no sampling, no copies. The
-    /// registered closures hold an `Arc` to the ingestor, keeping it alive
-    /// as long as the registry.
+    /// counters (seals, degraded transitions, replayed ops, repairs), and
+    /// scrape-time gauges over live state (head points, epoch, WAL length,
+    /// degraded flag). The histograms and counters are the very atomics the
+    /// write path bumps — no sampling, no copies. The registered closures
+    /// hold an `Arc` to the ingestor, keeping it alive as long as the
+    /// registry.
     pub fn register_metrics(self: &Arc<Self>, reg: &neats_store::obs::Registry) {
         let m = &self.metrics;
         reg.histogram_shared(
@@ -1044,12 +929,6 @@ impl Ingestor {
             "Committed seals (generation swaps moving head chunks into the pack).",
             &[],
             Arc::clone(&m.seals),
-        );
-        reg.counter_shared(
-            "neats_ingest_compactions_total",
-            "Committed compactions (dead bytes dropped from the pack).",
-            &[],
-            Arc::clone(&m.compactions),
         );
         reg.counter_shared(
             "neats_ingest_degraded_transitions_total",
@@ -1099,13 +978,6 @@ impl Ingestor {
         );
         let me = Arc::clone(self);
         reg.gauge_fn(
-            "neats_ingest_pack_dead_bytes",
-            "Dead (reclaimable) bytes in the sealed pack.",
-            &[],
-            move || me.dead_bytes() as f64,
-        );
-        let me = Arc::clone(self);
-        reg.gauge_fn(
             "neats_ingest_degraded",
             "1 while in read-only degraded mode, else 0.",
             &[],
@@ -1148,8 +1020,8 @@ impl Ingestor {
 
     /// Whether the ingestor is in read-only degraded mode: an I/O fault
     /// (WAL append or seal) was hit, reads keep serving, and
-    /// [`Self::append`] / [`Self::delete`] fail with
-    /// [`StoreError::Degraded`] until a recovery succeeds.
+    /// [`Self::append`] fails with [`StoreError::Degraded`] until a
+    /// recovery succeeds.
     pub fn is_degraded(&self) -> bool {
         self.degraded_flag.load(Ordering::SeqCst)
     }
@@ -1192,11 +1064,10 @@ impl Ingestor {
     // Background worker
     // ------------------------------------------------------------------
 
-    /// Starts a background thread that periodically cuts full head chunks,
-    /// seals (once chunked head points reach `cfg.seal_points`, or a delete
-    /// is pending) and compacts (once dead bytes exceed
-    /// `cfg.compact_dead_ratio` of the pack). While the ingestor is
-    /// degraded, the worker instead retries [`Self::try_recover`] on a capped exponential backoff with jitter
+    /// Starts a background thread that periodically cuts full head chunks
+    /// and seals once chunked head points reach `cfg.seal_points`. While
+    /// the ingestor is degraded, the worker instead retries
+    /// [`Self::try_recover`] on a capped exponential backoff with jitter
     /// (`cfg.retry_base` / `cfg.retry_cap`) — it never dies on an I/O
     /// error, and degraded mode clears automatically once a retry
     /// succeeds. The worker stops when the returned handle drops.
@@ -1243,25 +1114,16 @@ impl Ingestor {
 
     /// One background pass over a healthy ingestor: cut every full head
     /// chunk (the chunks of heads replayed raw at open are cut here), then
-    /// seal and compact if their thresholds are met. Errors are counted in
-    /// [`Self::background_errors`]; a failed seal has also tripped degraded
-    /// mode, which the worker's retry loop owns.
+    /// seal if the threshold is met. Errors are counted in
+    /// [`Self::background_errors`]; a failed seal has also tripped
+    /// degraded mode, which the worker's retry loop owns.
     fn tick(&self) {
         self.roll_all_heads(&lockm(&self.writer));
-        let (chunked, pending_delete, dead_ratio) = {
+        let chunked: usize = {
             let s = lockr(&self.shared);
-            let chunked: usize = s.heads.iter().map(|(_, h)| lockm(h).chunked_len()).sum();
-            let pack_len = s.gen.store.as_bytes().len().max(1);
-            (
-                chunked,
-                !s.tombstones.is_empty(),
-                s.gen.store.dead_bytes() as f64 / pack_len as f64,
-            )
+            s.heads.iter().map(|(_, h)| lockm(h).chunked_len()).sum()
         };
-        if (chunked >= self.cfg.seal_points || pending_delete) && self.seal().is_err() {
-            self.background_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if dead_ratio > self.cfg.compact_dead_ratio && self.compact().is_err() {
+        if chunked >= self.cfg.seal_points && self.seal().is_err() {
             self.background_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1359,32 +1221,33 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A WAL that an earlier build left holding a delete record (kind 2)
+    /// does not open: replaying past the record would resurrect the series,
+    /// and truncating at it would lose the append logged behind it. The
+    /// refusal leaves the file as it found it.
     #[test]
-    fn delete_hides_then_seal_drops() {
-        let dir = tmp_dir("delete");
+    fn open_refuses_a_delete_record_and_leaves_the_wal_intact() {
+        let dir = tmp_dir("kind2");
         let ing = Ingestor::open(&dir, small_cfg()).unwrap();
-        ing.append("a", &[1, 2, 3], &[10, 20, 30]).unwrap();
-        ing.append("b", &[1, 2], &[7, 8]).unwrap();
-        ing.flush().unwrap(); // both sealed
-        assert_eq!(ing.series_names(), vec!["a", "b"]);
-        ing.delete("a").unwrap();
-        assert!(matches!(ing.get("a", 0), Err(StoreError::UnknownSeries(_))));
-        assert!(matches!(ing.delete("a"), Err(StoreError::UnknownSeries(_))));
-        assert_eq!(ing.series_names(), vec!["b"]);
-        // Re-ingest from scratch: fresh index space, any timestamps.
-        ing.append("a", &[1], &[99]).unwrap();
-        assert_eq!(ing.get("a", 0).unwrap(), 99);
-        assert_eq!(ing.len("a").unwrap(), 1);
-        let epoch = ing.seal().unwrap();
-        assert!(epoch >= 2);
-        assert_eq!(ing.get("a", 0).unwrap(), 99);
-        assert_eq!(ing.get("b", 1).unwrap(), 8);
+        ing.append("a", &[1, 2], &[10, 20]).unwrap();
         drop(ing);
-        // Survives reopen.
-        let ing = Ingestor::open(&dir, small_cfg()).unwrap();
-        assert_eq!(ing.get("a", 0).unwrap(), 99);
-        assert_eq!(ing.len("a").unwrap(), 1);
-        drop(ing);
+        let mut payload = succinct::WireWriter::new();
+        payload.u8(2);
+        payload.bytes(b"a");
+        let payload = payload.finish();
+        let path = dir.join(manifest::wal_name(0));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.extend((payload.len() as u32).to_le_bytes());
+        bytes.extend(succinct::crc64(&payload).to_le_bytes());
+        bytes.extend(&payload);
+        bytes.extend(crate::wal::encode_record(&WalOp::Append {
+            series: "b".into(),
+            stamps: vec![5],
+            values: vec![50],
+        }));
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(Ingestor::open(&dir, small_cfg()), Err(StoreError::Corrupt(_))));
+        assert!(fs::read(&path).unwrap() == bytes, "the refused WAL was modified");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1420,15 +1283,16 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// One series of the byte-identity property: its points, and the end of
+    /// One series of the byte-identity property: its points, the end of
     /// every chunk the write path must have cut, with the batch build of
-    /// exactly that slice.
+    /// exactly that slice, and how many points the last seal left sealed.
     #[derive(Default)]
     struct Tiled {
         name: String,
         stamps: Vec<u64>,
         values: Vec<i64>,
         tiles: Vec<(usize, Vec<u8>)>,
+        sealed: usize,
     }
 
     impl Tiled {
@@ -1463,20 +1327,28 @@ mod tests {
         Reopen,
     }
 
-    /// Every sealed segment and every head chunk, in order, is the tile the
-    /// model cut; the raw tail is what is left.
-    fn assert_chunks_are_batch_builds(ing: &Ingestor, model: &[Tiled]) {
+    /// The pack a seal must commit: the `prev` pack, appended with each
+    /// series' newly sealed tiles in the catalog order of the ingestor's
+    /// new generation.
+    fn expected_pack_after_seal(ing: &Ingestor, prev: &[u8], model: &mut [Tiled]) -> Vec<u8> {
         let s = lockr(&ing.shared);
-        // Compaction lays a pack out canonically, so the sealed half is one
-        // comparison: against the pack a fresh writer makes of the tiles.
-        let mut w = StoreWriter::new(ing.store_cfg());
+        let mut w = StoreWriter::append_to(prev, ing.store_cfg()).unwrap();
         for e in s.gen.store.entries() {
-            let m = model.iter().find(|m| m.name == e.name()).expect("sealed series in model");
-            for (frame, stamps) in m.parts(0, e.len()) {
+            let m = model.iter_mut().find(|m| m.name == e.name()).expect("sealed series in model");
+            for (frame, stamps) in m.parts(m.sealed, e.len()) {
                 w.append_compressed_segment(e.name(), &frame, &stamps).unwrap();
             }
+            m.sealed = e.len();
         }
-        assert_eq!(s.gen.store.compact(), w.finish().unwrap(), "sealed segment frames");
+        w.finish().unwrap()
+    }
+
+    /// The sealed pack is byte for byte the `pack` built from the model's
+    /// tiles, every head chunk, in order, is the tile the model cut, and
+    /// the raw tail is what is left.
+    fn assert_chunks_are_batch_builds(ing: &Ingestor, model: &[Tiled], pack: &[u8]) {
+        let s = lockr(&ing.shared);
+        assert!(s.gen.store.as_bytes() == pack, "sealed pack");
         for m in model.iter().filter(|m| !m.values.is_empty()) {
             let name = &m.name;
             let sealed = s.gen.store.series(name).map_or(0, |e| e.len());
@@ -1522,6 +1394,8 @@ mod tests {
         };
         let mut ing = Ingestor::open(&dir, cfg.clone()).unwrap();
         let mut model = [0, 1].map(|sid| Tiled { name: format!("s{sid}"), ..Tiled::default() });
+        let mut pack = StoreWriter::new(StoreConfig::default()).finish().unwrap();
+        let mut epoch = ing.epoch();
         let mut x = seed | 1;
         let mut rng = move || {
             x = x.wrapping_mul(0xD129_0247_3F89_4E1D).wrapping_add(0x9E37_79B9);
@@ -1565,7 +1439,11 @@ mod tests {
                     ing.tick();
                 }
             }
-            assert_chunks_are_batch_builds(&ing, &model);
+            if ing.epoch() != epoch {
+                epoch = ing.epoch();
+                pack = expected_pack_after_seal(&ing, &pack, &mut model);
+            }
+            assert_chunks_are_batch_builds(&ing, &model, &pack);
         }
         drop(ing);
         fs::remove_dir_all(&dir).unwrap();
@@ -1707,38 +1585,11 @@ mod tests {
     }
 
     #[test]
-    fn compact_reclaims_after_delete_seal() {
-        let dir = tmp_dir("compact");
-        let ing = Ingestor::open(&dir, small_cfg()).unwrap();
-        let stamps: Vec<u64> = (0..200).collect();
-        let values: Vec<i64> = (0..200).map(|k: i64| k % 31).collect();
-        ing.append("keep", &stamps, &values).unwrap();
-        ing.append("drop", &stamps, &values).unwrap();
-        ing.flush().unwrap();
-        ing.delete("drop").unwrap();
-        ing.seal().unwrap();
-        assert!(ing.dead_bytes() > 0);
-        let e = ing.epoch();
-        assert_eq!(ing.compact().unwrap(), e + 1);
-        assert_eq!(ing.dead_bytes(), 0);
-        assert_eq!(ing.compact().unwrap(), e + 1, "no-op when nothing dead");
-        let mut out = Vec::new();
-        ing.range("keep", 0..200, &mut out).unwrap();
-        assert_eq!(out, values);
-        drop(ing);
-        let ing = Ingestor::open(&dir, small_cfg()).unwrap();
-        assert_eq!(ing.series_names(), vec!["keep"]);
-        drop(ing);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn background_worker_seals_and_compacts() {
+    fn background_worker_seals() {
         let dir = tmp_dir("background");
         let cfg = IngestConfig {
             chunk_points: 32,
             seal_points: 64,
-            compact_dead_ratio: 0.01,
             ..IngestConfig::default()
         };
         let ing = Arc::new(Ingestor::open(&dir, cfg).unwrap());

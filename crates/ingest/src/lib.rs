@@ -12,12 +12,12 @@
 //!   holding everything sealed so far, served zero-copy through an
 //!   [`Arc<Store>`](neats_store::Store);
 //! * a **write-ahead log** (`wal-NNNNNN.log`) — length-prefixed, CRC-64'd
-//!   records of every accepted append/delete since the pack was written
+//!   records of every accepted append since the pack was written
 //!   (see [`wal`] for the byte layout and the torn-write recovery rules);
 //! * a **`MANIFEST`** — a tiny checksummed file naming the live pack and
-//!   WAL. Replacing it via atomic rename is the *single commit point* for
-//!   sealing and compaction: a crash on either side of the rename recovers
-//!   a consistent generation.
+//!   WAL. Replacing it via atomic rename is the *single commit point* of a
+//!   seal: a crash on either side of the rename recovers a consistent
+//!   generation.
 //!
 //! In memory, each series keeps a mutable **head**: recent points held as a
 //! raw tail plus chunks compressed with the configured
@@ -33,8 +33,11 @@
 //! the readers' view. Readers never block on any of this: a query takes one
 //! brief read-lock to snapshot `(store, head)` and then runs entirely on
 //! that snapshot, so concurrent queries see a consistent sealed+head world
-//! even while a seal or [`Ingestor::compact`] replaces the generation
-//! underneath them.
+//! even while a seal replaces the generation underneath them.
+//!
+//! A live directory is append-only: no API removes a series or reclaims
+//! pack bytes, so a seal only ever adds segments behind the ones already
+//! sealed.
 //!
 //! Errors are [`neats_store::StoreError`] throughout — the ingestor extends
 //! the store's query surface, so it reuses its error contract (and the

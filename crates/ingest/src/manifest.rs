@@ -5,7 +5,7 @@
 //! ```text
 //! u64   magic     "NeaTSMAN"
 //! u64   version   1
-//! u64   epoch     generation counter, bumped by seal/compact
+//! u64   epoch     generation counter, bumped by every seal
 //! bytes pack      file name of the live pack (length-prefixed UTF-8)
 //! bytes wal       file name of the live WAL
 //! u64   crc       CRC-64/XZ of all preceding bytes

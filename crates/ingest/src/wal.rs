@@ -21,12 +21,16 @@
 //! The payload is wire-encoded (`succinct::WireWriter` conventions):
 //!
 //! ```text
-//! u8   kind                      1 = append, 2 = delete
-//! …    kind 1: bytes series      length-prefixed UTF-8 name
-//!              u64s  stamps      length-prefixed, strictly increasing
-//!              u64s  values      length-prefixed, i64 two's-complement
-//!      kind 2: bytes series      length-prefixed UTF-8 name
+//! u8   kind                      1 = append
+//! bytes series                   length-prefixed UTF-8 name
+//! u64s  stamps                   length-prefixed, strictly increasing
+//! u64s  values                   length-prefixed, i64 two's-complement
 //! ```
+//!
+//! Kind 2 was a series delete. No build writes it any more, and an intact
+//! (CRC-valid) kind-2 record is *rejected*, not truncated: replaying past
+//! it would drop the deletion, and truncating at it would drop every
+//! acknowledged append logged after it.
 //!
 //! ## Recovery contract
 //!
@@ -37,8 +41,8 @@
 //! before that point is returned; everything from that record's first byte
 //! on is reported for truncation. A file too short to hold the 16-byte
 //! header is treated as a torn header: no records, rewrite from scratch. A
-//! full-size header with the wrong magic or version is *rejected* (that is
-//! not a torn write — it is the wrong file).
+//! full-size header with the wrong magic or version (the wrong file), or an
+//! intact kind-2 record, is *rejected*: neither is a torn write.
 
 use crate::manifest::sync_dir;
 use neats_store::histogram::AtomicHistogram;
@@ -74,13 +78,10 @@ pub enum WalOp {
         /// Per-point values.
         values: Vec<i64>,
     },
-    /// The series was deleted (sealed data becomes invisible, the head is
-    /// dropped; a later `Append` recreates it from scratch).
-    Delete {
-        /// The series name.
-        series: String,
-    },
 }
+
+/// The record kind an earlier build wrote for a series delete.
+const KIND_DELETE: u8 = 2;
 
 /// When `append` pushes bytes to the OS, when does it force them to disk?
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,20 +104,13 @@ pub fn header_bytes() -> [u8; WAL_HEADER_LEN] {
 
 /// Encodes one record (framing + payload) ready to append to a WAL.
 pub fn encode_record(op: &WalOp) -> Vec<u8> {
+    let WalOp::Append { series, stamps, values } = op;
     let mut w = WireWriter::new();
-    match op {
-        WalOp::Append { series, stamps, values } => {
-            w.u8(1);
-            w.bytes(series.as_bytes());
-            w.u64_slice(stamps);
-            let as_u64: Vec<u64> = values.iter().map(|&v| v as u64).collect();
-            w.u64_slice(&as_u64);
-        }
-        WalOp::Delete { series } => {
-            w.u8(2);
-            w.bytes(series.as_bytes());
-        }
-    }
+    w.u8(1);
+    w.bytes(series.as_bytes());
+    w.u64_slice(stamps);
+    let as_u64: Vec<u64> = values.iter().map(|&v| v as u64).collect();
+    w.u64_slice(&as_u64);
     let payload = w.finish();
     debug_assert!(!payload.is_empty() && payload.len() <= MAX_PAYLOAD);
     let mut rec = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
@@ -130,44 +124,30 @@ pub fn encode_record(op: &WalOp) -> Vec<u8> {
 /// error (the caller treats it as the truncation point).
 fn decode_payload(payload: &[u8]) -> Result<WalOp, ()> {
     let mut r = WireReader::new(payload);
-    let kind = r.u8().map_err(|_| ())?;
-    let op = match kind {
-        1 => {
-            let name = r.bytes_ref().map_err(|_| ())?;
-            let series = std::str::from_utf8(name).map_err(|_| ())?.to_string();
-            let stamps = r.u64_vec().map_err(|_| ())?;
-            let values: Vec<i64> =
-                r.u64s_ref().map_err(|_| ())?.iter().map(|v| v as i64).collect();
-            if series.is_empty()
-                || stamps.is_empty()
-                || stamps.len() != values.len()
-                || stamps.windows(2).any(|w| w[1] <= w[0])
-            {
-                return Err(());
-            }
-            WalOp::Append { series, stamps, values }
-        }
-        2 => {
-            let name = r.bytes_ref().map_err(|_| ())?;
-            let series = std::str::from_utf8(name).map_err(|_| ())?.to_string();
-            if series.is_empty() {
-                return Err(());
-            }
-            WalOp::Delete { series }
-        }
-        _ => return Err(()),
-    };
-    if !r.is_exhausted() {
+    if r.u8().map_err(|_| ())? != 1 {
         return Err(());
     }
-    Ok(op)
+    let name = r.bytes_ref().map_err(|_| ())?;
+    let series = std::str::from_utf8(name).map_err(|_| ())?.to_string();
+    let stamps = r.u64_vec().map_err(|_| ())?;
+    let values: Vec<i64> = r.u64s_ref().map_err(|_| ())?.iter().map(|v| v as i64).collect();
+    if series.is_empty()
+        || stamps.is_empty()
+        || stamps.len() != values.len()
+        || stamps.windows(2).any(|w| w[1] <= w[0])
+        || !r.is_exhausted()
+    {
+        return Err(());
+    }
+    Ok(WalOp::Append { series, stamps, values })
 }
 
 /// Replays a WAL image: returns the decoded operations and the number of
 /// leading bytes that are valid (the prefix a recovering ingestor keeps).
 ///
 /// * shorter than the header → `(no ops, 0)`: torn header, rewrite;
-/// * wrong magic/version → [`StoreError::Corrupt`] (not recoverable);
+/// * wrong magic/version, or an intact record of the retired kind 2 →
+///   [`StoreError::Corrupt`] (not recoverable: nothing is truncated);
 /// * otherwise ops up to the first torn/corrupt/invalid record, with
 ///   `valid_len` pointing at that record's first byte.
 pub fn replay(bytes: &[u8]) -> Result<(Vec<WalOp>, usize), StoreError> {
@@ -196,6 +176,9 @@ pub fn replay(bytes: &[u8]) -> Result<(Vec<WalOp>, usize), StoreError> {
         };
         if crc64(payload) != crc {
             break;
+        }
+        if payload[0] == KIND_DELETE {
+            return Err(StoreError::Corrupt("wal: delete record (kind 2) is no longer supported"));
         }
         let Ok(op) = decode_payload(payload) else { break };
         ops.push(op);
@@ -377,8 +360,8 @@ mod tests {
                 stamps: vec![1, 5, 9],
                 values: vec![-3, 0, 7],
             },
-            WalOp::Delete { series: "cpu".into() },
             WalOp::Append { series: "mem".into(), stamps: vec![2], values: vec![i64::MIN] },
+            WalOp::Append { series: "cpu".into(), stamps: vec![11], values: vec![i64::MAX] },
         ]
     }
 
@@ -450,6 +433,24 @@ mod tests {
         let (got, valid) = replay(&bytes).unwrap();
         assert_eq!(got, vec![good]);
         assert_eq!(valid, start);
+    }
+
+    /// A CRC-valid delete record, as an earlier build wrote it, between two
+    /// appends: replay refuses the file instead of truncating at the record
+    /// and losing the acknowledged append behind it.
+    #[test]
+    fn intact_delete_record_is_rejected_not_truncated() {
+        let append = |series: &str| WalOp::Append { series: series.into(), stamps: vec![1], values: vec![1] };
+        let mut w = WireWriter::new();
+        w.u8(KIND_DELETE);
+        w.bytes(b"cpu");
+        let payload = w.finish();
+        let mut bytes = image(&[append("cpu")]);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc64(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&encode_record(&append("mem")));
+        assert!(matches!(replay(&bytes), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

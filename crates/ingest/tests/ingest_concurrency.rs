@@ -1,7 +1,7 @@
 //! Concurrency stress: one writer thread streams a predetermined point
-//! sequence into live series — with frequent seals, flushes, compactions,
-//! and delete churn forcing generation swaps — while 4–8 scoped reader
-//! threads hammer point / range / time queries.
+//! sequence into live series — with frequent seals and flushes forcing
+//! generation swaps — while 4–8 scoped reader threads hammer point / range /
+//! time queries.
 //!
 //! The oracle is **prefix-closedness**: appends only extend a series, so
 //! whatever length `L` a reader observes, every answer over `0..L` must
@@ -116,8 +116,7 @@ fn hammer(ing: &Ingestor, plans: &[Plan], tid: u64, stop: &AtomicBool) -> u64 {
 }
 
 /// Writer loop: feed the plans in small interleaved batches with explicit
-/// seal/flush/compact churn, plus delete/recreate noise on a side series
-/// the readers never touch (it gives compaction real dead bytes).
+/// seal/flush churn.
 fn write_everything(ing: &Ingestor, plans: &[Plan]) {
     let mut pos = vec![0usize; plans.len()];
     let mut x = 0xA5A5_5A5A_1234_5678u64;
@@ -125,7 +124,6 @@ fn write_everything(ing: &Ingestor, plans: &[Plan]) {
         x = x.wrapping_mul(0xD129_0247_3F89_4E1D).wrapping_add(0x9E37_79B9);
         x
     };
-    let mut churn_round = 0u64;
     loop {
         let mut progressed = false;
         for (pi, p) in plans.iter().enumerate() {
@@ -148,18 +146,6 @@ fn write_everything(ing: &Ingestor, plans: &[Plan]) {
             2 => {
                 ing.flush().unwrap();
             }
-            3 => {
-                // Delete churn on the side series: sealed via flush so the
-                // delete leaves dead bytes, then compact reclaims them
-                // mid-flight.
-                churn_round += 1;
-                let t0 = churn_round * 1_000_000;
-                ing.append("churn", &[t0, t0 + 1, t0 + 2], &[1, 2, 3]).unwrap();
-                ing.flush().unwrap();
-                ing.delete("churn").unwrap();
-                ing.seal().unwrap();
-                ing.compact().unwrap();
-            }
             _ => {}
         }
     }
@@ -179,7 +165,7 @@ fn readers_stay_consistent_while_ingesting() {
         ..IngestConfig::default()
     };
     let plans = plans();
-    let ing = Ingestor::open(&dir, cfg.clone()).unwrap();
+    let mut ing = Ingestor::open(&dir, cfg.clone()).unwrap();
 
     for readers in [4usize, 8] {
         let stop = AtomicBool::new(false);
@@ -196,13 +182,12 @@ fn readers_stay_consistent_while_ingesting() {
             let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
             assert!(total > 0, "readers must have checked something");
         });
-        // Reset for the next round: wipe and re-ingest from scratch.
+        // Reset for the next round: a fresh directory, re-ingested from
+        // scratch.
         if readers == 4 {
-            for p in &plans {
-                ing.delete(&p.name).unwrap();
-            }
-            ing.seal().unwrap();
-            ing.compact().unwrap();
+            drop(ing);
+            fs::remove_dir_all(&dir).unwrap();
+            ing = Ingestor::open(&dir, cfg.clone()).unwrap();
             assert_eq!(ing.total_points(), 0);
         }
     }
@@ -231,7 +216,6 @@ fn background_sealer_during_reads() {
         chunk_points: 128,
         seal_points: 256,
         fsync: FsyncPolicy::Never,
-        compact_dead_ratio: 0.05,
         ..IngestConfig::default()
     };
     let plans = &plans()[..2];

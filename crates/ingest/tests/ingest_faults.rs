@@ -16,7 +16,7 @@
 //!    recorded WAL: every flip is either rejected (header) or truncates
 //!    replay cleanly at a record boundary before the flip.
 //!
-//! Plus the seal/compact commit protocol: stray next-generation files and a
+//! Plus the seal commit protocol: stray next-generation files and a
 //! stale `MANIFEST.tmp` are swept on open, and a damaged `MANIFEST` is a
 //! hard, clean error.
 
@@ -33,8 +33,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Deterministic op sequence: interleaved appends over two series plus a
-/// delete, with irregular stamps and walk values.
+/// Deterministic op sequence: interleaved appends over two series, with
+/// irregular stamps and walk values.
 fn script() -> Vec<WalOp> {
     let mut x = 0x243F_6A88_85A3_08D3u64;
     let mut rng = move || {
@@ -45,13 +45,7 @@ fn script() -> Vec<WalOp> {
     let mut v = [0i64, -40];
     let mut ops = Vec::new();
     for i in 0..12 {
-        if i == 7 {
-            ops.push(WalOp::Delete { series: "beta".into() });
-            t[1] = 500;
-            v[1] = -40;
-            continue;
-        }
-        // First two ops seed both series so the scripted delete has a target.
+        // The first two ops seed both series.
         let s = if i < 2 { i } else { (rng() % 2) as usize };
         let n = 1 + (rng() % 9) as usize;
         let mut stamps = Vec::with_capacity(n);
@@ -186,20 +180,15 @@ fn dropped_fsyncs_still_recover_every_image() {
 /// Oracle for the scripted ops: per-series points after applying a prefix.
 fn apply_prefix(ops: &[WalOp]) -> Vec<(String, Vec<(u64, i64)>)> {
     let mut out: Vec<(String, Vec<(u64, i64)>)> = Vec::new();
-    for op in ops {
-        match op {
-            WalOp::Append { series, stamps, values } => {
-                let e = match out.iter_mut().find(|(n, _)| n == series) {
-                    Some((_, pts)) => pts,
-                    None => {
-                        out.push((series.clone(), Vec::new()));
-                        &mut out.last_mut().unwrap().1
-                    }
-                };
-                e.extend(stamps.iter().zip(values).map(|(&t, &v)| (t, v)));
+    for WalOp::Append { series, stamps, values } in ops {
+        let e = match out.iter_mut().find(|(n, _)| n == series) {
+            Some((_, pts)) => pts,
+            None => {
+                out.push((series.clone(), Vec::new()));
+                &mut out.last_mut().unwrap().1
             }
-            WalOp::Delete { series } => out.retain(|(n, _)| n != series),
-        }
+        };
+        e.extend(stamps.iter().zip(values).map(|(&t, &v)| (t, v)));
     }
     out
 }
@@ -215,13 +204,8 @@ fn every_wal_cut_reopens_to_the_acked_prefix() {
     let cfg = IngestConfig { fsync: FsyncPolicy::Always, ..IngestConfig::default() };
     {
         let ing = Ingestor::open(&dir, cfg.clone()).unwrap();
-        for op in &ops {
-            match op {
-                WalOp::Append { series, stamps, values } => {
-                    ing.append(series, stamps, values).unwrap()
-                }
-                WalOp::Delete { series } => ing.delete(series).unwrap(),
-            }
+        for WalOp::Append { series, stamps, values } in &ops {
+            ing.append(series, stamps, values).unwrap();
         }
     }
     let wal_path = dir.join("wal-000000.log");

@@ -495,11 +495,10 @@ fn stats_json(src: &Source, stats: &ServerStats, obs: &Obs, threads: usize) -> R
     if let Some(ing) = src.live() {
         out.push_str(&format!(
             "  \"ingest\": {{\"epoch\": {}, \"head_points\": {}, \"wal_bytes\": {}, \
-             \"dead_bytes\": {}, \"background_errors\": {}, \"degraded\": {}}},\n",
+             \"background_errors\": {}, \"degraded\": {}}},\n",
             ing.epoch(),
             ing.head_points(),
             ing.wal_len(),
-            ing.dead_bytes(),
             ing.background_errors(),
             ing.is_degraded(),
         ));

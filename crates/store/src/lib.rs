@@ -22,9 +22,9 @@
 //! * Queries stitch across segment boundaries: [`Store::get`],
 //!   [`Store::at_time`], [`Store::range`] / [`Store::range_chunks`] by
 //!   index, and [`Store::range_by_time_chunks`] by time.
-//! * [`Store::compact`] rewrites a pack, dropping dead bytes left behind by
-//!   [`StoreWriter::delete_series`] / re-ingestion and by superseded
-//!   catalogs.
+//! * [`StoreWriter::append_to`] extends a pack: its data region is carried
+//!   over verbatim, new segments go behind it, and a fresh catalog replaces
+//!   the old one. A pack only grows by what is appended.
 //! * [`obs`], [`histogram`] and [`failpoint`] — the system's runtime: the
 //!   metrics registry, request stage spans and trace ring, the wait-free
 //!   latency histogram, and the fault-injection registry. They live in the

@@ -1,7 +1,7 @@
 //! The concurrent reader: open a pack once, serve many series zero-copy.
 
 use crate::cache::{CacheStats, SegmentCache};
-use crate::format::{self, SegmentMeta, SeriesEntry};
+use crate::format::{self, SeriesEntry};
 use crate::obs::{stage, Stage};
 use crate::segment::SegmentView;
 use crate::StoreError;
@@ -67,13 +67,12 @@ impl RangeScratch {
 /// pack bytes are immutable for the life of a `Store` value, so bytes that
 /// passed verification cannot stop passing it: the first touch of a segment
 /// runs both halves and records the outcome, and every later cache miss on
-/// it runs the parse alone. A new generation after a seal or compaction is
-/// a new `Store` over new bytes and starts with every segment unverified.
+/// it runs the parse alone. A new generation after a seal is a new `Store`
+/// over new bytes and starts with every segment unverified.
 pub struct Store {
     data: Arc<[u8]>,
     series: Vec<SeriesEntry>,
     index: HashMap<String, usize>,
-    catalog_offset: usize,
     cache: SegmentCache,
     /// One [`state`] per segment of the pack, flat in catalog order; series
     /// `si`'s segments start at `state_base[si]`.
@@ -117,7 +116,7 @@ impl Store {
         options: StoreOptions,
     ) -> Result<Self, StoreError> {
         let data = data.into();
-        let (series, catalog_offset) = format::parse_pack(&data)?;
+        let (series, _) = format::parse_pack(&data)?;
         let index = series
             .iter()
             .enumerate()
@@ -136,7 +135,6 @@ impl Store {
             data,
             series,
             index,
-            catalog_offset,
             cache: SegmentCache::new(options.cache_capacity),
             seg_state: (0..total_segments)
                 .map(|_| AtomicU8::new(state::UNVERIFIED))
@@ -180,14 +178,6 @@ impl Store {
     /// Total points across all series.
     pub fn total_points(&self) -> usize {
         self.series.iter().map(|s| s.len()).sum()
-    }
-
-    /// Bytes in the data region not referenced by any live segment —
-    /// left behind by deleted or re-ingested series and reclaimable with
-    /// [`Self::compact`].
-    pub fn dead_bytes(&self) -> usize {
-        let live: usize = self.series.iter().map(|s| s.stored_bytes()).sum();
-        (self.catalog_offset - format::HEADER_LEN).saturating_sub(live)
     }
 
     /// Hit/miss counters of the segment-view cache.
@@ -475,51 +465,12 @@ impl Store {
         }
         Ok(())
     }
-
-    /// Rewrites the pack keeping only live segments: blob bytes are copied
-    /// verbatim (no recompression), offsets are rebased, dead bytes and
-    /// superseded catalogs are dropped. The result opens to a store
-    /// answering every query identically, with [`Self::dead_bytes`] `== 0`.
-    ///
-    /// **Catalog ordering guarantee.** The rewritten catalog lists series in
-    /// the source pack's catalog order, each series' segments in their
-    /// (index-contiguous, time-ordered) table order, and the rewritten data
-    /// region lays blobs out in exactly that order — value frame then
-    /// timestamp blob per segment, ascending offsets, no gaps. A pack that
-    /// already has this canonical shape (the output of any `compact()`, and
-    /// any freshly written pack) therefore compacts to *byte-identical*
-    /// output: `compact` is idempotent. The regression test
-    /// `compact_preserves_catalog_order_and_is_idempotent` pins both
-    /// properties.
-    pub fn compact(&self) -> Vec<u8> {
-        let mut pack = format::empty_pack();
-        let mut entries = Vec::with_capacity(self.series.len());
-        for s in &self.series {
-            let mut segments = Vec::with_capacity(s.segments().len());
-            for m in s.segments() {
-                let data_offset = pack.len();
-                pack.extend_from_slice(&self.data[m.data_offset..m.data_offset + m.data_len]);
-                let ts_offset = pack.len();
-                pack.extend_from_slice(&self.data[m.ts_offset..m.ts_offset + m.ts_len]);
-                segments.push(SegmentMeta {
-                    data_offset,
-                    ts_offset,
-                    ..m.clone()
-                });
-            }
-            entries.push(SeriesEntry {
-                name: s.name.clone(),
-                mode: s.mode(),
-                segments,
-            });
-        }
-        format::seal(pack, &entries)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::SegmentMeta;
     use crate::{StoreConfig, StoreMode, StoreWriter};
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -749,109 +700,6 @@ mod tests {
         // The default store verified on its (only) miss per segment too.
         assert_eq!(warm.segment_verifications(), segments as u64);
         assert_eq!(warm.cache_stats().misses, segments as u64);
-    }
-
-    #[test]
-    fn delete_and_compact_reclaim_dead_bytes() {
-        let mut w = StoreWriter::new(StoreConfig {
-            segment_points: 64,
-            ..Default::default()
-        });
-        let stamps: Vec<u64> = (0..500).collect();
-        let keep: Vec<i64> = (0..500).map(|k: i64| k * 3 % 101).collect();
-        let drop_v: Vec<i64> = (0..500).map(|k: i64| k).collect();
-        w.ingest("keep", &stamps, &keep).unwrap();
-        w.ingest("drop", &stamps, &drop_v).unwrap();
-        let pack = w.finish().unwrap();
-
-        // Delete one series through an appending writer. Deleting a series
-        // that is (no longer) present is a typed error, not a silent no-op.
-        let mut w = StoreWriter::append_to(&pack, StoreConfig::default()).unwrap();
-        w.delete_series("drop").unwrap();
-        assert!(matches!(
-            w.delete_series("drop"),
-            Err(StoreError::UnknownSeries(_))
-        ));
-        assert!(matches!(
-            w.delete_series("never-existed"),
-            Err(StoreError::UnknownSeries(_))
-        ));
-        let pack2 = w.finish().unwrap();
-        let store = Store::open(pack2).unwrap();
-        assert_eq!(store.series_names(), vec!["keep"]);
-        assert!(store.dead_bytes() > 0, "deleted blobs must be counted dead");
-
-        // Compaction drops the dead bytes and preserves every answer.
-        let compacted = store.compact();
-        assert!(compacted.len() < store.as_bytes().len());
-        let small = Store::open(compacted).unwrap();
-        assert_eq!(small.dead_bytes(), 0);
-        for k in (0..500).step_by(17) {
-            assert_eq!(small.get("keep", k).unwrap(), keep[k]);
-            assert_eq!(small.at_time("keep", stamps[k]).unwrap(), Some(keep[k]));
-        }
-        // Compacting a compact pack is a fixed point.
-        assert_eq!(small.compact(), small.as_bytes());
-    }
-
-    #[test]
-    fn compact_preserves_catalog_order_and_is_idempotent() {
-        // Build a pack whose catalog order ("b", "a", "c") differs from
-        // alphabetical AND whose data-region blob order differs from catalog
-        // order (re-ingesting "b" after deleting it moves its live blobs
-        // *behind* "a"'s and "c"'s while it stays first in no catalog — the
-        // interesting case compact must not reorder).
-        let stamps: Vec<u64> = (0..300).collect();
-        let mk = |salt: i64| -> Vec<i64> { (0..300).map(|k: i64| k * salt % 97).collect() };
-        let cfg = || StoreConfig {
-            segment_points: 64,
-            ..StoreConfig::default()
-        };
-        let mut w = StoreWriter::new(cfg());
-        w.ingest("b", &stamps, &mk(3)).unwrap();
-        w.ingest("a", &stamps, &mk(5)).unwrap();
-        w.ingest("c", &stamps, &mk(7)).unwrap();
-        let pack = w.finish().unwrap();
-
-        let mut w = StoreWriter::append_to(&pack, cfg()).unwrap();
-        w.delete_series("b").unwrap();
-        w.ingest("b", &stamps, &mk(11)).unwrap();
-        let pack = w.finish().unwrap();
-
-        let store = Store::open(pack).unwrap();
-        assert_eq!(
-            store.series_names(),
-            vec!["a", "c", "b"],
-            "re-ingest moves b last"
-        );
-        assert!(store.dead_bytes() > 0);
-
-        // Compaction keeps the catalog order and drops the dead bytes…
-        let compacted = store.compact();
-        let small = Store::open(compacted.clone()).unwrap();
-        assert_eq!(small.series_names(), vec!["a", "c", "b"]);
-        assert_eq!(small.dead_bytes(), 0);
-        // …the rewritten data region is laid out in catalog order with
-        // ascending, gap-free offsets…
-        let mut expect_offset = format::HEADER_LEN;
-        for e in small.entries() {
-            for m in e.segments() {
-                assert_eq!(m.data_offset, expect_offset, "frame offset out of order");
-                expect_offset += m.data_len;
-                assert_eq!(m.ts_offset, expect_offset, "ts blob offset out of order");
-                expect_offset += m.ts_len;
-            }
-        }
-        // …every answer survives…
-        for (name, salt) in [("a", 5), ("c", 7), ("b", 11)] {
-            let want = mk(salt);
-            for k in (0..300).step_by(23) {
-                assert_eq!(small.get(name, k).unwrap(), want[k], "{name}[{k}]");
-            }
-        }
-        // …and a just-compacted pack is a fixed point: compacting again is
-        // byte-identical.
-        assert_eq!(small.compact(), compacted, "compact must be idempotent");
     }
 
     #[test]

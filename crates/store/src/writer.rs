@@ -96,9 +96,6 @@ fn timestamp_blob(stamps: &[u64]) -> Vec<u8> {
 /// A writer can start fresh ([`Self::new`]) or from an existing pack
 /// ([`Self::append_to`]); in the latter case existing segment bytes are
 /// carried over verbatim and new batches append behind them.
-/// [`Self::delete_series`] (or deleting + re-ingesting) leaves the old
-/// segment bytes in place as *dead* bytes — [`crate::Store::compact`]
-/// reclaims them.
 pub struct StoreWriter {
     cfg: StoreConfig,
     /// Header + data region accumulated so far (committed blobs verbatim).
@@ -114,8 +111,8 @@ impl StoreWriter {
     }
 
     /// A writer that appends to an existing pack: its catalog is parsed,
-    /// its data region (including any dead bytes) is kept verbatim, and new
-    /// ingests extend the listed series or add new ones.
+    /// its data region is kept verbatim, and new ingests extend the listed
+    /// series or add new ones.
     pub fn append_to(pack: &[u8], cfg: StoreConfig) -> Result<Self, StoreError> {
         assert!(cfg.segment_points >= 1, "segment_points must be at least 1");
         let (entries, catalog_offset) = format::parse_pack(pack)?;
@@ -251,23 +248,6 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Drops `name` from the catalog. Committed segment bytes stay in the
-    /// pack as dead bytes until [`crate::Store::compact`].
-    ///
-    /// Deleting a series that is not in the catalog is a
-    /// [`StoreError::UnknownSeries`] error, not a silent no-op — a retention
-    /// job that misspells a series name must hear about it, exactly like a
-    /// query for an unknown series would.
-    pub fn delete_series(&mut self, name: &str) -> Result<(), StoreError> {
-        match self.series.iter().position(|s| s.name == name) {
-            Some(i) => {
-                self.series.remove(i);
-                Ok(())
-            }
-            None => Err(StoreError::UnknownSeries(name.to_string())),
-        }
-    }
-
     /// Compresses every pending batch into segments — fanned out over up to
     /// `cfg.threads` scoped worker threads — and seals the pack (catalog +
     /// footer), returning the finished bytes.
@@ -363,8 +343,8 @@ impl StoreWriter {
                 t_max: *task.stamps.last().expect("non-empty task"),
             });
         }
-        // A series that ended up with no segments (created then deleted, or
-        // never filled) has no catalog entry.
+        // A series that ended up with no segments (never filled) has no
+        // catalog entry.
         entries.retain(|e| !e.segments.is_empty());
         Ok(format::seal(base, &entries))
     }

@@ -1,13 +1,13 @@
 //! A miniature time-series storage engine on top of the pack store:
 //! multi-series ingestion with parallel segment compression, one-file
 //! persistence, concurrent zero-copy serving with a segment-view cache,
-//! streamed and time-indexed queries over compressed data, and space
-//! reclamation — the composition a time-series database (the paper's §I
-//! motivation) would actually deploy.
+//! and streamed and time-indexed queries over compressed data — the
+//! composition a time-series database (the paper's §I motivation) would
+//! actually deploy.
 //!
 //! Run with: `cargo run --release --example storage_engine`
 
-use neats::store::{Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
+use neats::store::{Store, StoreConfig, StoreWriter};
 use neats::timeseries::Dataset;
 
 fn main() {
@@ -103,29 +103,6 @@ fn main() {
     assert_eq!(day[0], (day_start, store.get("bio-temp", middle.first_index()).unwrap()));
     assert_eq!(store.at_time("bio-temp", day_start).unwrap(), Some(day[0].1));
     println!("time-indexed: {} readings in the queried day starting at {day_start}", day.len());
-
-    // --- Retention: drop a series, then compact to reclaim its bytes.
-    let mut writer = StoreWriter::append_to(
-        &pack,
-        StoreConfig { mode: StoreMode::Lossless, ..StoreConfig::default() },
-    )
-    .expect("reopen for append");
-    writer.delete_series("wind-dir").expect("wind-dir is in the catalog");
-    let trimmed = writer.finish().expect("seal");
-    let trimmed_store =
-        Store::open_with(trimmed, StoreOptions::default()).expect("open trimmed");
-    let reclaimed = trimmed_store.dead_bytes();
-    let compacted = trimmed_store.compact();
-    println!(
-        "retention: dropped 1 series, compacted {} dead bytes away ({} -> {} bytes)",
-        reclaimed,
-        trimmed_store.as_bytes().len(),
-        compacted.len()
-    );
-    let small = Store::open(compacted).expect("open compacted");
-    assert_eq!(small.dead_bytes(), 0);
-    assert_eq!(small.series_count(), 2);
-    assert_eq!(small.get("air-pressure", 54_321).unwrap(), oracle.values()[54_321]);
 
     println!("\nstorage engine demo complete ✓");
 }

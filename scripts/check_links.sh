@@ -37,14 +37,16 @@ for doc in $DOCS; do
 done
 
 # Code references: every backticked `Type::name` (optionally path-prefixed,
-# optionally called, as in `Store::compact()`) in the docs that describe the
-# current code must name a `fn name`, or a `pub name:` field, in the crate
-# that defines `Type` (a workspace crate under crates/, or a vendor/ shim).
-# CHANGES.md and ROADMAP.md are history and may name code that has since
-# gone.
+# optionally called, as in `Store::get()`) in the docs that describe the
+# current code — the three below and the crate docs in `src/lib.rs` and
+# `crates/*/src/lib.rs` — must name a `fn name`, or a `pub name:` field, in
+# the crate that defines `Type` (a workspace crate under crates/, or a
+# vendor/ shim). CHANGES.md and ROADMAP.md are history and may name code
+# that has since gone.
 refs=0
 for ref in $(grep -ohE '`([a-z_]+::)*[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*(\(|`)' \
-    README.md ARCHITECTURE.md docs/PROTOCOL.md | sed -E 's/^`([a-z_]+::)*//; s/[(`]$//' | sort -u); do
+    README.md ARCHITECTURE.md docs/PROTOCOL.md src/lib.rs crates/*/src/lib.rs \
+    | sed -E 's/^`([a-z_]+::)*//; s/[(`]$//' | sort -u); do
   ty=${ref%%::*}
   name=${ref#*::}
   refs=$((refs + 1))

@@ -11,9 +11,9 @@
 //!   layout with O(1) random access (Algorithms 2–3), the lossy variant
 //!   NeaTS-L, and the LeaTS / SNeaTS variants.
 //! * [`store`] — the multi-series segmented packfile store: parallel batch
-//!   ingestion, a checksummed catalog, concurrent zero-copy serving with a
-//!   sharded segment-view cache, and `compact()` — the recommended way to
-//!   serve many series from one file.
+//!   ingestion, a checksummed catalog, and concurrent zero-copy serving
+//!   with a sharded segment-view cache — the way to serve many series from
+//!   one file.
 //! * [`ingest`] — the live write path: a crash-safe per-series write-ahead
 //!   log, in-memory mutable heads whose chunks are `NeaTS::builder()` builds,
 //!   background sealing into pack segments, and generation-swapped reads so
