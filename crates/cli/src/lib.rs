@@ -49,7 +49,7 @@
 #![warn(missing_docs)]
 use neats_core::{ArchiveView, Kind, NeaTS, NeaTSBuilder, NeaTSCompressed};
 use neats_ingest::{BackgroundConfig, FsyncPolicy, IngestConfig, Ingestor};
-use neats_serve::{ServeConfig, Server};
+use neats_serve::{ServeConfig, Server, Source};
 use neats_store::{Store, StoreConfig, StoreMode, StoreOptions, StoreWriter};
 use std::path::Path;
 use timeseries::io::{load_fixed_precision, LoadError};
@@ -788,8 +788,8 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             writeln!(
                 out,
                 "total: {} series, {} points, {} bytes on disk",
-                store.series_count(),
-                store.total_points(),
+                store.entries().len(),
+                store.entries().iter().map(|e| e.len()).sum::<usize>(),
                 store.as_bytes().len()
             )?;
             Ok(())
@@ -885,7 +885,7 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 source_label: pack.clone(),
                 ..ServeConfig::default()
             };
-            let (server, _background, series, points) = if live {
+            let (source, _background) = if live {
                 let ing = Ingestor::open(
                     &pack,
                     IngestConfig {
@@ -897,28 +897,27 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 .map_err(|e| CliError(format!("{pack}: {e}")))?;
                 let ing = std::sync::Arc::new(ing);
                 let background = ing.start_background(BackgroundConfig::default());
-                let (series, points) = (ing.series_count(), ing.total_points());
-                let server = Server::bind(ing, addr.as_str(), cfg)
-                    .map_err(|e| CliError(format!("bind {addr}: {e}")))?;
-                (server, Some(background), series, points)
+                (Source::from(ing), Some(background))
             } else {
                 let store = Store::open_with(
                     std::fs::read(&pack).map_err(|e| CliError(format!("{pack}: {e}")))?,
                     StoreOptions { cache_capacity: cache },
                 )
                 .map_err(|e| CliError(format!("{pack}: {e}")))?;
-                let (series, points) = (store.series_count(), store.total_points());
-                let server = Server::bind(std::sync::Arc::new(store), addr.as_str(), cfg)
-                    .map_err(|e| CliError(format!("bind {addr}: {e}")))?;
-                (server, None, series, points)
+                (Source::from(store), None)
             };
+            let summaries = source.summaries();
+            let points: usize = summaries.iter().map(|e| e.points).sum();
+            let server = Server::bind(source, addr.as_str(), cfg)
+                .map_err(|e| CliError(format!("bind {addr}: {e}")))?;
             let discipline = match server.mode() {
                 "reactor" => "reactor shard(s)",
                 _ => "worker(s)",
             };
             writeln!(
                 out,
-                "serving {series} series ({points} points) {} {pack} with {} {discipline}",
+                "serving {} series ({points} points) {} {pack} with {} {discipline}",
+                summaries.len(),
                 if live { "live from" } else { "from" },
                 server.threads(),
             )?;
@@ -1588,10 +1587,7 @@ mod tests {
                 pack.display(),
                 dir.join("disk.txt").display()
             )))
-            .map(|cmd| {
-                std::fs::write(dir.join("disk.txt"), "1\n2\n3\n").unwrap();
-                cmd
-            })
+            .inspect(|_| std::fs::write(dir.join("disk.txt"), "1\n2\n3\n").unwrap())
             .unwrap(),
             &mut Vec::new(),
         )

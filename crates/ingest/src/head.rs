@@ -143,10 +143,7 @@ impl Head {
 
     /// Head-local index of the point stamped exactly `t`, if any.
     pub fn index_of_time(&self, t: u64) -> Option<usize> {
-        match self.stamps.binary_search(&t) {
-            Ok(i) => Some(i),
-            Err(_) => None,
-        }
+        self.stamps.binary_search(&t).ok()
     }
 
     /// Serialises every compressed chunk with its stamps — what a seal

@@ -8,7 +8,7 @@ use crate::wal::{FsyncPolicy, Wal, WalOp};
 use neats_core::NeaTSBuilder;
 use neats_store::histogram::AtomicHistogram;
 use neats_store::{
-    check_stamps, CacheStats, RangeScratch, Store, StoreConfig, StoreError, StoreMode,
+    check_stamps, RangeScratch, SeriesSummary, Store, StoreConfig, StoreError, StoreMode,
     StoreOptions, StoreWriter,
 };
 use std::fs;
@@ -109,6 +109,10 @@ struct Shared {
     heads: Vec<(String, Arc<Mutex<Head>>)>,
 }
 
+/// One reader's consistent view of a series: the generation's store and
+/// the series' head, if it has one.
+type Snapshot = (Arc<Store>, Option<Arc<Mutex<Head>>>);
+
 impl Shared {
     fn head(&self, series: &str) -> Option<Arc<Mutex<Head>>> {
         self.heads
@@ -149,25 +153,6 @@ fn write_file_durable(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         manifest::sync_dir(dir)?;
     }
     Ok(())
-}
-
-/// A catalog-style summary of one live series (sealed + head).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SeriesSummary {
-    /// The series name.
-    pub name: String,
-    /// Storage mode of the sealed part ([`StoreMode::Lossless`] for
-    /// head-only series — live ingestion is lossless).
-    pub mode: StoreMode,
-    /// Total points, sealed + head.
-    pub points: usize,
-    /// Sealed segments plus head chunks (a non-empty raw tail counts as
-    /// one).
-    pub segments: usize,
-    /// First timestamp (0 for an empty series).
-    pub t_min: u64,
-    /// Last timestamp (0 for an empty series).
-    pub t_max: u64,
 }
 
 /// Write-path instrumentation handles. The `Arc`s are shared with the WAL
@@ -604,7 +589,7 @@ impl Ingestor {
     // ------------------------------------------------------------------
 
     /// One consistent `(store, head)` snapshot for a series.
-    fn snap(&self, series: &str) -> Result<(Arc<Store>, Option<Arc<Mutex<Head>>>), StoreError> {
+    fn snap(&self, series: &str) -> Result<Snapshot, StoreError> {
         let s = lockr(&self.shared);
         let head = s.head(series);
         if head.is_none() && s.gen.store.series(series).is_none() {
@@ -764,47 +749,16 @@ impl Ingestor {
         Ok(())
     }
 
-    /// All live series names, sorted. (Sorted rather than catalog order:
-    /// a series' catalog position depends on *when* its first chunk was
-    /// sealed, so insertion order would not survive recovery; sorted order
-    /// is deterministic across seals and reopens.)
-    pub fn series_names(&self) -> Vec<String> {
-        let s = lockr(&self.shared);
-        let mut names: Vec<String> = s
-            .gen
-            .store
-            .series_names()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        for (n, _) in &s.heads {
-            if !names.iter().any(|x| x == n) {
-                names.push(n.clone());
-            }
-        }
-        names.sort_unstable();
-        names
-    }
-
-    /// Number of live series.
-    pub fn series_count(&self) -> usize {
-        self.series_names().len()
-    }
-
-    /// Catalog-style summaries of every live series, sorted by name (the
-    /// same order as [`Self::series_names`]).
+    /// Catalog-style summaries of every live series, sealed + head, sorted
+    /// by name. (Sorted rather than catalog order: a series' catalog
+    /// position depends on *when* its first chunk was sealed, so insertion
+    /// order would not survive recovery; sorted order is deterministic
+    /// across seals and reopens.)
     pub fn series_summaries(&self) -> Vec<SeriesSummary> {
         let s = lockr(&self.shared);
         let mut out = Vec::new();
         for e in s.gen.store.entries() {
-            let mut sum = SeriesSummary {
-                name: e.name().to_string(),
-                mode: e.mode(),
-                points: e.len(),
-                segments: e.segments().len(),
-                t_min: e.t_min(),
-                t_max: e.t_max(),
-            };
+            let mut sum = e.summary();
             if let Some(h) = s.head(e.name()) {
                 let g = lockm(&h);
                 sum.points += g.len();
@@ -838,11 +792,6 @@ impl Ingestor {
         out
     }
 
-    /// Total points across all live series, sealed + head.
-    pub fn total_points(&self) -> usize {
-        self.series_summaries().iter().map(|s| s.points).sum()
-    }
-
     /// Points currently held in heads (not yet sealed).
     pub fn head_points(&self) -> usize {
         let s = lockr(&self.shared);
@@ -854,9 +803,12 @@ impl Ingestor {
         lockr(&self.shared).gen.epoch
     }
 
-    /// Segment-view cache counters of the sealed store.
-    pub fn cache_stats(&self) -> CacheStats {
-        lockr(&self.shared).gen.store.cache_stats()
+    /// The sealed store of the current generation: its cache,
+    /// verification and quarantine counters. A seal swaps in a fresh
+    /// `Store`, whose counters start at zero and whose segments all start
+    /// unverified; the returned `Arc` keeps the old one readable.
+    pub fn store(&self) -> Arc<Store> {
+        lockr(&self.shared).gen.store.clone()
     }
 
     /// Current WAL length in bytes.
@@ -867,27 +819,6 @@ impl Ingestor {
     /// Errors swallowed by the background worker so far.
     pub fn background_errors(&self) -> u64 {
         self.background_errors.load(Ordering::Relaxed)
-    }
-
-    /// Segments of the current sealed generation that failed validation
-    /// and are quarantined (see [`StoreError::Quarantined`]).
-    pub fn quarantined_count(&self) -> usize {
-        lockr(&self.shared).gen.store.quarantined_count()
-    }
-
-    /// Times a segment of the current sealed generation was newly
-    /// quarantined (validation failures promoted to quarantine). Resets
-    /// when a seal swaps in a fresh generation.
-    pub fn quarantine_events(&self) -> u64 {
-        lockr(&self.shared).gen.store.quarantine_events()
-    }
-
-    /// Times the sealed store of the current generation ran its O(bytes)
-    /// segment verification (see `Store::segment_verifications`). Resets
-    /// when a seal swaps in a fresh generation, whose segments all start
-    /// unverified.
-    pub fn segment_verifications(&self) -> u64 {
-        lockr(&self.shared).gen.store.segment_verifications()
     }
 
     /// Registers the ingestor's write-path metric families into `reg`:
@@ -1263,7 +1194,7 @@ mod tests {
             ing.append("s", &[0, u64::MAX], &[1, 2]),
             Err(StoreError::TimestampUnrepresentable { series: "s".into(), index: 1 })
         );
-        assert!(ing.series_names().is_empty(), "a rejected batch leaves no trace");
+        assert!(ing.series_summaries().is_empty(), "a rejected batch leaves no trace");
         // The widest span there is seals, reopens and reads back.
         ing.append("s", &[0, MAX_TIMESTAMP], &[1, 2]).unwrap();
         assert_eq!(ing.flush().unwrap(), 1);
@@ -1555,7 +1486,7 @@ mod tests {
             Err(StoreError::TimestampOrder { index: 1, .. })
         ));
         ing.append("s", &[], &[]).unwrap(); // no-op, creates nothing
-        assert!(ing.series_names().is_empty());
+        assert!(ing.series_summaries().is_empty());
         ing.append("s", &[10], &[1]).unwrap();
         assert!(matches!(
             ing.append("s", &[10], &[2]),
@@ -1627,8 +1558,6 @@ mod tests {
         assert_eq!(sums[0].points, 100);
         assert_eq!(sums[0].t_min, 5);
         assert_eq!(sums[0].t_max, 104);
-        assert_eq!(ing.total_points(), 100);
-        assert_eq!(ing.series_count(), 1);
         drop(ing);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -70,5 +70,5 @@ pub mod manifest;
 mod ingestor;
 pub mod wal;
 
-pub use ingestor::{BackgroundConfig, BackgroundHandle, IngestConfig, Ingestor, SeriesSummary};
+pub use ingestor::{BackgroundConfig, BackgroundHandle, IngestConfig, Ingestor};
 pub use wal::{FsyncPolicy, WalOp};

@@ -164,8 +164,7 @@ pub fn replay(bytes: &[u8]) -> Result<(Vec<WalOp>, usize), StoreError> {
     }
     let mut ops = Vec::new();
     let mut pos = WAL_HEADER_LEN;
-    loop {
-        let Some(frame) = bytes.get(pos..pos + RECORD_OVERHEAD) else { break };
+    while let Some(frame) = bytes.get(pos..pos + RECORD_OVERHEAD) {
         let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
         let crc = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
         if len == 0 || len > MAX_PAYLOAD {

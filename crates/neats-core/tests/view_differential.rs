@@ -273,7 +273,7 @@ fn deterministic_shapes() -> Vec<(&'static str, &'static [Kind], Vec<i64>)> {
         ("constant", all, vec![7; 500]),
         ("line", all, (0..600).map(|k| 3 * k - 900).collect()),
         ("parabola", all, (0..500i64).map(|k| (k - 250) * (k - 250) / 10).collect()),
-        ("exponentialish", all, (0..300).map(|k| (1.02f64.powi(k as i32) * 50.0) as i64).collect()),
+        ("exponentialish", all, (0..300).map(|k| (1.02f64.powi(k) * 50.0) as i64).collect()),
         ("sine", all, (0..800).map(|k| (4000.0 * ((k as f64) / 60.0).sin()) as i64).collect()),
         ("single", all, vec![-42]),
         ("extremes", linear, vec![i64::MAX / 4, i64::MIN / 4, 0, i64::MAX / 4, -1, 1]),

@@ -479,7 +479,9 @@ fn series_json(src: &Source) -> Response {
 /// exposes; the two surfaces differ only in format.
 fn stats_json(src: &Source, stats: &ServerStats, obs: &Obs, threads: usize) -> Response {
     use std::sync::atomic::Ordering::Relaxed;
-    let cache = src.cache_stats();
+    let store = src.store();
+    let cache = store.cache_stats();
+    let summaries = src.summaries();
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"uptime_s\": {:.3},\n", stats.uptime_s()));
     out.push_str(&format!("  \"threads\": {threads},\n"));
@@ -489,9 +491,12 @@ fn stats_json(src: &Source, stats: &ServerStats, obs: &Obs, threads: usize) -> R
         "  \"source\": {},\n",
         json_string(&obs.source_label)
     ));
-    out.push_str(&format!("  \"series\": {},\n", src.series_count()));
-    out.push_str(&format!("  \"points\": {},\n", src.total_points()));
-    out.push_str(&format!("  \"live\": {},\n", src.is_live()));
+    out.push_str(&format!("  \"series\": {},\n", summaries.len()));
+    out.push_str(&format!(
+        "  \"points\": {},\n",
+        summaries.iter().map(|e| e.points).sum::<usize>()
+    ));
+    out.push_str(&format!("  \"live\": {},\n", src.live().is_some()));
     if let Some(ing) = src.live() {
         out.push_str(&format!(
             "  \"ingest\": {{\"epoch\": {}, \"head_points\": {}, \"wal_bytes\": {}, \
@@ -503,7 +508,7 @@ fn stats_json(src: &Source, stats: &ServerStats, obs: &Obs, threads: usize) -> R
             ing.is_degraded(),
         ));
     }
-    out.push_str(&format!("  \"quarantined\": {},\n", src.quarantined_count()));
+    out.push_str(&format!("  \"quarantined\": {},\n", store.quarantined_count()));
     out.push_str(&format!(
         "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"entries\": {}, \
          \"hit_rate\": {:.4}}},\n",

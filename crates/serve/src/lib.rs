@@ -23,7 +23,10 @@
 //! ([`neats_store::Store`], the original mode — `POST /write` answers 405)
 //! or a live ingestion directory ([`neats_ingest::Ingestor`]), where
 //! queries span sealed + head state and writes are crash-safe through the
-//! WAL.
+//! WAL. The four value reads forward to whichever backend is mounted; the
+//! store counters come from [`Source::store`] (the pack, or the live
+//! directory's current generation) and the catalog numbers from
+//! [`Source::summaries`].
 //!
 //! The exact request/response grammar, status codes, and batch frame format
 //! are specified in `docs/PROTOCOL.md` at the repository root, with `curl`
@@ -75,7 +78,8 @@
 //!   [`neats_store::obs::Registry`] built at [`Server::bind`]: per-endpoint
 //!   request/error counters and latency histograms
 //!   ([`neats_store::histogram::AtomicHistogram`]), connection/byte counters, the
-//!   store's cache counters, and — on a live source — the ingest
+//!   store's cache, verification and quarantine counters (read through
+//!   [`Source::store`]), and — on a live source — the ingest
 //!   write-path families (WAL append/fsync latency, seal durations,
 //!   degraded transitions). `/stats` renders them as JSON, `GET /metrics`
 //!   as Prometheus text, both reading the same atomics. Each request is

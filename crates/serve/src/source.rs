@@ -1,16 +1,27 @@
 //! The data source behind the server: an immutable pack or a live
 //! ingestion directory.
 //!
-//! Every endpoint is written against [`Source`], which delegates each
-//! query to either a [`Store`] (read-only packfile, the original serving
-//! mode) or an [`Ingestor`] (live directory: sealed pack + mutable heads,
-//! see [`neats_ingest`]). The two backends share the query surface and the
-//! [`StoreError`] contract, so the grammar, status codes, and rendering
-//! code are identical in both modes; the only live-only endpoint is
-//! `POST /write`, which answers `405` on a pack.
+//! Every endpoint is written against [`Source`]: a [`Store`] (read-only
+//! packfile, the original serving mode) or an [`Ingestor`] (live
+//! directory: sealed pack + mutable heads, see [`neats_ingest`]). It keeps
+//! only what differs between the two:
+//!
+//! * the four value reads ([`Source::get`], [`Source::at_time`],
+//!   [`Source::range_chunks_in`], [`Source::range_by_time_chunks_in`])
+//!   forward to the backend, since a live directory stitches its heads
+//!   onto the sealed answer;
+//! * [`Source::summaries`] is the one catalog merge: every series and
+//!   point count the server reports is derived from it;
+//! * [`Source::store`] is the sealed store itself (the pack, or the live
+//!   directory's current generation), whose cache, verification and
+//!   quarantine counters `/stats` and `/metrics` read directly.
+//!
+//! Both backends share the [`StoreError`] contract, so the grammar, status
+//! codes, and rendering code are identical in both modes; the only
+//! live-only endpoint is `POST /write`, which answers `405` on a pack.
 
-use neats_ingest::{Ingestor, SeriesSummary};
-use neats_store::{CacheStats, RangeScratch, Store, StoreError, StoreMode};
+use neats_ingest::Ingestor;
+use neats_store::{RangeScratch, SeriesSummary, Store, StoreError, StoreMode};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -56,11 +67,6 @@ impl Source {
             Source::Pack(_) => None,
             Source::Live(ing) => Some(ing),
         }
-    }
-
-    /// Whether this source accepts writes.
-    pub fn is_live(&self) -> bool {
-        matches!(self, Source::Live(_))
     }
 
     /// The value at `idx`.
@@ -113,73 +119,24 @@ impl Source {
 
     /// Catalog summaries: pack entries in catalog order, or the live view
     /// (sealed + head, name-sorted — live catalog positions depend on seal
-    /// timing and would not be stable across recovery).
+    /// timing and would not be stable across recovery). Every catalog
+    /// number the server reports (`/series`, `/stats`, the
+    /// `neats_store_series` / `neats_store_points` gauges) comes from here.
     pub fn summaries(&self) -> Vec<SeriesSummary> {
         match self {
-            Source::Pack(s) => s
-                .entries()
-                .iter()
-                .map(|e| SeriesSummary {
-                    name: e.name().to_string(),
-                    mode: e.mode(),
-                    points: e.len(),
-                    segments: e.segments().len(),
-                    t_min: e.t_min(),
-                    t_max: e.t_max(),
-                })
-                .collect(),
+            Source::Pack(s) => s.entries().iter().map(|e| e.summary()).collect(),
             Source::Live(i) => i.series_summaries(),
         }
     }
 
-    /// Number of live series.
-    pub fn series_count(&self) -> usize {
+    /// The sealed store: the pack, or the live directory's current
+    /// generation. Its cache, verification and quarantine counters are the
+    /// ones `/stats` and `/metrics` report; on a live source they restart
+    /// when a seal swaps in a new generation.
+    pub fn store(&self) -> Arc<Store> {
         match self {
-            Source::Pack(s) => s.series_count(),
-            Source::Live(i) => i.series_count(),
-        }
-    }
-
-    /// Total points across all series.
-    pub fn total_points(&self) -> usize {
-        match self {
-            Source::Pack(s) => s.total_points(),
-            Source::Live(i) => i.total_points(),
-        }
-    }
-
-    /// Segment-view cache counters of the current generation.
-    pub fn cache_stats(&self) -> CacheStats {
-        match self {
-            Source::Pack(s) => s.cache_stats(),
-            Source::Live(i) => i.cache_stats(),
-        }
-    }
-
-    /// Times the current generation ran the O(bytes) segment verification:
-    /// once per segment touched, not once per cache miss.
-    pub fn segment_verifications(&self) -> u64 {
-        match self {
-            Source::Pack(s) => s.segment_verifications(),
-            Source::Live(i) => i.segment_verifications(),
-        }
-    }
-
-    /// Number of quarantined segments (failed validation on load; isolated
-    /// so the rest of the store keeps serving).
-    pub fn quarantined_count(&self) -> usize {
-        match self {
-            Source::Pack(s) => s.quarantined_count(),
-            Source::Live(i) => i.quarantined_count(),
-        }
-    }
-
-    /// Total quarantine insertions observed (monotone per store generation;
-    /// a live source's counter restarts when a seal swaps generations).
-    pub fn quarantine_events(&self) -> u64 {
-        match self {
-            Source::Pack(s) => s.quarantine_events(),
-            Source::Live(i) => i.quarantine_events(),
+            Source::Pack(s) => s.clone(),
+            Source::Live(i) => i.store(),
         }
     }
 
@@ -193,14 +150,14 @@ impl Source {
             "neats_store_cache_hits_total",
             "Segment-view cache lookups served from an open view (current generation).",
             &[],
-            move || s.cache_stats().hits,
+            move || s.store().cache_stats().hits,
         );
         let s = self.clone();
         reg.counter_fn(
             "neats_store_cache_misses_total",
             "Segment-view cache lookups that had to open the segment (current generation).",
             &[],
-            move || s.cache_stats().misses,
+            move || s.store().cache_stats().misses,
         );
         let s = self.clone();
         reg.counter_fn(
@@ -208,46 +165,46 @@ impl Source {
             "Segment opens that ran the O(bytes) verification (CRCs, directories, geometry): \
              once per segment touched; the other cache misses only re-parse (current generation).",
             &[],
-            move || s.segment_verifications(),
+            move || s.store().segment_verifications(),
         );
         let s = self.clone();
         reg.counter_fn(
             "neats_store_cache_evictions_total",
             "Segment views evicted to make room (LRU per shard, current generation).",
             &[],
-            move || s.cache_stats().evictions,
+            move || s.store().cache_stats().evictions,
         );
         let s = self.clone();
         reg.gauge_fn(
             "neats_store_cache_entries",
             "Segment views currently cached.",
             &[],
-            move || s.cache_stats().entries as f64,
+            move || s.store().cache_stats().entries as f64,
         );
         let s = self.clone();
         reg.gauge_fn(
             "neats_store_quarantined_segments",
             "Segments currently quarantined (failed validation; isolated from serving).",
             &[],
-            move || s.quarantined_count() as f64,
+            move || s.store().quarantined_count() as f64,
         );
         let s = self.clone();
         reg.counter_fn(
             "neats_store_quarantine_events_total",
             "Quarantine insertions observed (current store generation).",
             &[],
-            move || s.quarantine_events(),
+            move || s.store().quarantined_count() as u64,
         );
         let s = self.clone();
         reg.gauge_fn("neats_store_series", "Live series count.", &[], move || {
-            s.series_count() as f64
+            s.summaries().len() as f64
         });
         let s = self.clone();
         reg.gauge_fn(
             "neats_store_points",
             "Total points across all series (sealed + heads on a live source).",
             &[],
-            move || s.total_points() as f64,
+            move || s.summaries().iter().map(|e| e.points).sum::<usize>() as f64,
         );
         if let Source::Live(ing) = self {
             ing.register_metrics(reg);

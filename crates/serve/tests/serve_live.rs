@@ -17,6 +17,29 @@ fn post(path: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
+/// The value of the unlabelled sample `name` in a `/metrics` scrape.
+fn scrape(c: &mut Client, name: &str) -> f64 {
+    let body = c.get("/metrics").body;
+    body.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no `{name}` sample in:\n{body}"))
+        .parse()
+        .unwrap()
+}
+
+/// Every integer that follows `"key": ` in a JSON body, in order (keys
+/// whose value is an object or a string are skipped).
+fn numbers(body: &str, key: &str) -> Vec<usize> {
+    let pat = format!("\"{key}\": ");
+    body.match_indices(&pat)
+        .filter_map(|(i, _)| {
+            let rest = &body[i + pat.len()..];
+            let end = rest.find(|ch: char| !ch.is_ascii_digit()).unwrap_or(rest.len());
+            rest[..end].parse().ok()
+        })
+        .collect()
+}
+
 #[test]
 fn live_server_ingests_and_serves_across_a_seal() {
     let dir = std::env::temp_dir().join(format!("neats-serve-live-{}", std::process::id()));
@@ -69,6 +92,10 @@ fn live_server_ingests_and_serves_across_a_seal() {
     assert_eq!(resp.status, 200);
     let got: Vec<i64> = resp.body.lines().map(|l| l.parse().unwrap()).collect();
     assert_eq!(got, values);
+    // That range read the sealed segments, verifying them in the new
+    // generation's store.
+    let verified = scrape(&mut c, "neats_store_segment_verifications_total");
+    assert!(verified >= 1.0, "{verified}");
     let resp = c.get(&format!("/q/cpu?t={}..{}", 1_000, 1_000 + 299 * 7));
     let got: Vec<i64> = resp
         .body
@@ -91,6 +118,17 @@ fn live_server_ingests_and_serves_across_a_seal() {
     assert!(resp.body.contains("\"live\": true"), "{}", resp.body);
     assert!(resp.body.contains("\"ingest\": {\"epoch\": 1"), "{}", resp.body);
     assert!(resp.body.contains("\"write\": {\"requests\": 2"), "{}", resp.body);
+    // /stats' series and points are the count and the sum of /series.
+    let series = c.get("/series").body;
+    let points = numbers(&series, "points");
+    assert_eq!(points.len(), 2, "{series}");
+    assert_eq!(numbers(&resp.body, "series"), [points.len()], "{}", resp.body);
+    assert_eq!(numbers(&resp.body, "points"), [points.iter().sum::<usize>()], "{}", resp.body);
+
+    // The next seal swaps in a fresh generation, whose segments all start
+    // unverified: the scraped counter is that generation's and reads 0.
+    assert_eq!(ing.flush().unwrap(), 2);
+    assert_eq!(scrape(&mut c, "neats_store_segment_verifications_total"), 0.0);
 
     drop(c);
     handle.shutdown();

@@ -184,7 +184,7 @@ fn metrics_match_known_traffic_reactor() {
 fn verifications_count_segments_touched_not_cache_misses() {
     let store = Store::open_with(
         demo_store().as_bytes().to_vec(),
-        StoreOptions { cache_capacity: 0, ..Default::default() },
+        StoreOptions { cache_capacity: 0 },
     )
     .unwrap();
     let (handle, running) =

@@ -170,6 +170,39 @@ impl SeriesEntry {
     pub fn stored_bytes(&self) -> usize {
         self.segments.iter().map(|s| s.stored_bytes()).sum()
     }
+
+    /// This entry's catalog numbers as a [`SeriesSummary`].
+    pub fn summary(&self) -> SeriesSummary {
+        SeriesSummary {
+            name: self.name.clone(),
+            mode: self.mode,
+            points: self.len(),
+            segments: self.segments.len(),
+            t_min: self.t_min(),
+            t_max: self.t_max(),
+        }
+    }
+}
+
+/// The catalog numbers of one series: a pack entry's
+/// ([`SeriesEntry::summary`]), or a live series' sealed part plus its head
+/// (`neats_ingest::Ingestor::series_summaries`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SeriesSummary {
+    /// The series name.
+    pub name: String,
+    /// Storage mode of the sealed part ([`StoreMode::Lossless`] for a
+    /// live series with nothing sealed — live ingestion is lossless).
+    pub mode: StoreMode,
+    /// Total points (sealed + head on a live series).
+    pub points: usize,
+    /// Segments (on a live series, plus its head chunks, a non-empty raw
+    /// tail counting as one).
+    pub segments: usize,
+    /// First timestamp (0 for an empty series).
+    pub t_min: u64,
+    /// Last timestamp (0 for an empty series).
+    pub t_max: u64,
 }
 
 /// Renders the catalog bytes for `series` (without footer).

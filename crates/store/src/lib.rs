@@ -91,7 +91,7 @@ mod store;
 mod writer;
 
 pub use cache::CacheStats;
-pub use format::{SegmentMeta, SeriesEntry, StoreMode};
+pub use format::{SegmentMeta, SeriesEntry, SeriesSummary, StoreMode};
 pub use store::{RangeScratch, Store, StoreOptions};
 pub use writer::{check_stamps, StoreConfig, StoreWriter, DEFAULT_SEGMENT_POINTS};
 

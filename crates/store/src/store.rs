@@ -80,9 +80,6 @@ pub struct Store {
     state_base: Vec<usize>,
     /// Times the O(bytes) verification ran (pass or fail).
     verifications: AtomicU64,
-    /// Times a segment entered quarantine — the event counter `/metrics`
-    /// exposes.
-    quarantine_events: AtomicU64,
 }
 
 /// What the store knows about one segment's bytes (the values of
@@ -141,7 +138,6 @@ impl Store {
                 .collect(),
             state_base,
             verifications: AtomicU64::new(0),
-            quarantine_events: AtomicU64::new(0),
         })
     }
 
@@ -155,16 +151,6 @@ impl Store {
         &self.data
     }
 
-    /// Series names in catalog order.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.series.iter().map(|s| s.name()).collect()
-    }
-
-    /// Number of series in the catalog.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     /// The catalog entry for `name`, if present.
     pub fn series(&self, name: &str) -> Option<&SeriesEntry> {
         self.index.get(name).map(|&i| &self.series[i])
@@ -173,11 +159,6 @@ impl Store {
     /// All catalog entries, in catalog order.
     pub fn entries(&self) -> &[SeriesEntry] {
         &self.series
-    }
-
-    /// Total points across all series.
-    pub fn total_points(&self) -> usize {
-        self.series.iter().map(|s| s.len()).sum()
     }
 
     /// Hit/miss counters of the segment-view cache.
@@ -227,9 +208,7 @@ impl Store {
         match opened {
             Ok(view) => Ok(view),
             Err(StoreError::Corrupt(_) | StoreError::Wire(_)) => {
-                if slot.swap(state::QUARANTINED, Ordering::Relaxed) != state::QUARANTINED {
-                    self.quarantine_events.fetch_add(1, Ordering::Relaxed);
-                }
+                slot.store(state::QUARANTINED, Ordering::Relaxed);
                 Err(self.quarantine_error(si, seg))
             }
             Err(e) => Err(e),
@@ -249,19 +228,14 @@ impl Store {
 
     /// Number of quarantined segments (segments that failed to open and now
     /// fail fast; see [`StoreError::Quarantined`]). One pass over the
-    /// per-segment states.
+    /// per-segment states. Quarantine is sticky for the life of the `Store`
+    /// and each segment enters it once, so this count never falls: it is
+    /// also the number of times a segment entered quarantine.
     pub fn quarantined_count(&self) -> usize {
         self.seg_state
             .iter()
             .filter(|s| Self::is_quarantined(s))
             .count()
-    }
-
-    /// Total times a segment entered quarantine since open. Quarantine is
-    /// sticky for the life of the `Store` and each segment enters it once,
-    /// so this is [`Self::quarantined_count`] as a monotone counter.
-    pub fn quarantine_events(&self) -> u64 {
-        self.quarantine_events.load(Ordering::Relaxed)
     }
 
     /// Total times the O(bytes) segment verification ran since open, pass
@@ -622,7 +596,6 @@ mod tests {
             pack.clone(),
             StoreOptions {
                 cache_capacity: 4,
-                ..StoreOptions::default()
             },
         )
         .unwrap();
@@ -641,7 +614,6 @@ mod tests {
             pack,
             StoreOptions {
                 cache_capacity: 0,
-                ..StoreOptions::default()
             },
         )
         .unwrap();
@@ -661,7 +633,6 @@ mod tests {
             pack.clone(),
             StoreOptions {
                 cache_capacity: 0,
-                ..StoreOptions::default()
             },
         )
         .unwrap();
@@ -766,7 +737,6 @@ mod tests {
             pack,
             StoreOptions {
                 cache_capacity: 0,
-                ..StoreOptions::default()
             },
         )
         .unwrap();
@@ -778,7 +748,7 @@ mod tests {
             assert_eq!(store.get("demo", 5).unwrap(), values[5]);
         }
         assert_eq!(store.segment_verifications(), 2);
-        assert_eq!(store.quarantine_events(), 1);
+        assert_eq!(store.quarantined_count(), 1);
     }
 
     #[test]
@@ -817,7 +787,6 @@ mod tests {
             "expected a quarantine, got {hit:?}"
         );
         assert_eq!(store.quarantined_count(), 1);
-        assert_eq!(store.quarantine_events(), 1);
         assert_eq!(store.segment_verifications(), 1, "the failed verify counts");
 
         // Repeats fail fast with the same error (no re-verification churn).
@@ -844,7 +813,7 @@ mod tests {
         // 3 good segments of "a" + 4 of "b" + the bad one, once each.
         assert_eq!(store.segment_verifications(), 8);
         // Still quarantined, still counted once.
-        assert_eq!((store.quarantined_count(), store.quarantine_events()), (1, 1));
+        assert_eq!(store.quarantined_count(), 1);
     }
     #[test]
     fn segment_built_under_another_mode_is_quarantined() {

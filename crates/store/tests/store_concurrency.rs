@@ -169,7 +169,6 @@ fn concurrent_readers_agree_with_oracle() {
         pack,
         StoreOptions {
             cache_capacity: 8,
-            ..StoreOptions::default()
         },
     )
     .unwrap();
@@ -207,7 +206,6 @@ fn single_thread_matches_multi_thread_cache_or_not() {
         pack,
         StoreOptions {
             cache_capacity: 0,
-            ..StoreOptions::default()
         },
     )
     .unwrap();
@@ -241,7 +239,6 @@ fn uncached(pack: Vec<u8>) -> Store {
         pack,
         StoreOptions {
             cache_capacity: 0,
-            ..StoreOptions::default()
         },
     )
     .unwrap()
@@ -281,7 +278,7 @@ fn racing_first_touch_of_a_good_segment_verifies_then_only_parses() {
         }
         assert_eq!(store.segment_verifications(), verified, "round {round}");
         assert_eq!(store.cache_stats().misses, (THREADS * 32 + SEG) as u64);
-        assert_eq!(store.quarantine_events(), 0);
+        assert_eq!(store.quarantined_count(), 0);
     }
 }
 
@@ -346,11 +343,10 @@ fn racing_first_touch_of_a_corrupt_segment_quarantines_exactly_once() {
             }
         });
         assert_eq!(
-            store.quarantine_events(),
+            store.quarantined_count(),
             1,
-            "round {round}: one event per segment"
+            "round {round}: one quarantine per segment"
         );
-        assert_eq!(store.quarantined_count(), 1);
         // Every racer that got as far as verifying the bad segment failed
         // it; the good neighbour was verified at least once.
         let verified = store.segment_verifications();
@@ -360,9 +356,9 @@ fn racing_first_touch_of_a_corrupt_segment_quarantines_exactly_once() {
         );
 
         // Sticky: a later touch fails fast, with no second verification
-        // and no second event.
+        // and no second quarantine.
         assert_eq!(store.get(name, first), quarantined);
         assert_eq!(store.segment_verifications(), verified);
-        assert_eq!(store.quarantine_events(), 1);
+        assert_eq!(store.quarantined_count(), 1);
     }
 }

@@ -115,8 +115,9 @@ fn assert_series_equivalent(
     let oracle = standalone.materialize();
 
     // Point queries: every index, plus both error edges.
-    for k in 0..n {
-        prop_assert_eq!(store.get(name, k).unwrap(), oracle[k], "get({})", k);
+    prop_assert_eq!(oracle.len(), n);
+    for (k, &want) in oracle.iter().enumerate() {
+        prop_assert_eq!(store.get(name, k).unwrap(), want, "get({})", k);
     }
     prop_assert!(store.get(name, n).is_err());
 
@@ -260,7 +261,6 @@ fn run_case(
         pack.clone(),
         StoreOptions {
             cache_capacity: 8,
-            ..StoreOptions::default()
         },
     )
     .unwrap();
@@ -473,12 +473,9 @@ fn data_region_corruption_is_rejected_at_query_time() {
         for name in ["alpha", "beta"] {
             let entry = store.series(name).unwrap();
             for k in 0..entry.len() {
-                match store.get(name, k) {
-                    Err(_) => {
-                        rejected = true;
-                        break;
-                    }
-                    Ok(_) => {}
+                if store.get(name, k).is_err() {
+                    rejected = true;
+                    break;
                 }
             }
         }

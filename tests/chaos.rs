@@ -170,13 +170,11 @@ fn overload_sheds_cleanly_and_recovers() {
         for _ in 0..6 {
             s.spawn(|| {
                 for _ in 0..5 {
-                    match get(addr, "/q/cpu?idx=1") {
-                        Some(r) => {
-                            assert_eq!(r.status, 503, "saturated server answered {r:?}");
-                            assert!(r.retry_after, "503 without Retry-After: {r:?}");
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => {} // reset under overload: acceptable
+                    // A reset under overload (`None`) is acceptable.
+                    if let Some(r) = get(addr, "/q/cpu?idx=1") {
+                        assert_eq!(r.status, 503, "saturated server answered {r:?}");
+                        assert!(r.retry_after, "503 without Retry-After: {r:?}");
+                        shed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             });
@@ -380,6 +378,15 @@ fn corrupt_segment_is_quarantined_not_fatal() {
 
     let stats = get(addr, "/stats").unwrap();
     assert_eq!(stat(&stats.body, "quarantined"), 1, "{}", stats.body);
+    // The scrape reports the one quarantined segment twice: as the gauge
+    // and as the event counter, which is that gauge's monotone reading.
+    let metrics = get(addr, "/metrics").unwrap().body;
+    for line in [
+        "neats_store_quarantined_segments 1",
+        "neats_store_quarantine_events_total 1",
+    ] {
+        assert!(metrics.lines().any(|l| l == line), "no `{line}` in:\n{metrics}");
+    }
     assert_no_panics(addr);
 
     handle.shutdown();
